@@ -188,7 +188,9 @@ def detect_crossing(points: Sequence[Tuple[float, FloquetSpectrum]],
     distance g(I) = Re(mu_tracked) - target must change sign between two
     consecutive points; the root is then refined by secant steps, evaluating
     fresh spectra through spectrum_at when provided (required for |dI| below
-    the sampling resolution of points).
+    the sampling resolution of points).  With spectrum_at and no sampled
+    sign change, the intervals next to the sample of least |g| are bisected
+    until one brackets a sign change or shrinks below tol.
     """
     if kind not in ("fold", "pd"):
         raise ValueError("kind must be 'fold' or 'pd'")
@@ -208,17 +210,39 @@ def detect_crossing(points: Sequence[Tuple[float, FloquetSpectrum]],
 
     tracked = [(I, candidate(spec)) for I, spec in points]
     tracked = [(I, m) for I, m in tracked if m is not None]
-    g = [m.real - target for _, m in tracked]
-    # among all sign changes keep the tightest one; eigenvalue collisions
-    # (real pairs merging into complex) can fake a distant sign flip
-    bracket = None
-    best = np.inf
-    for a in range(len(g) - 1):
-        if g[a] == 0.0:
-            return tracked[a][0]
-        if g[a] * g[a + 1] < 0.0 and abs(g[a]) + abs(g[a + 1]) < best:
-            best = abs(g[a]) + abs(g[a + 1])
-            bracket = a
+    for I, m in tracked[:-1]:
+        if m.real == target:
+            return I
+
+    def tightest():
+        # among all sign changes keep the tightest one; eigenvalue collisions
+        # (real pairs merging into complex) can fake a distant sign flip
+        g = [m.real - target for _, m in tracked]
+        bracket, best = None, np.inf
+        for a in range(len(g) - 1):
+            if g[a] * g[a + 1] < 0.0 and abs(g[a]) + abs(g[a + 1]) < best:
+                best = abs(g[a]) + abs(g[a + 1])
+                bracket = a
+        return bracket
+
+    bracket = tightest()
+    # a multiplier pair can pass the target, collide and leave the real axis
+    # between two samples, so no sampled sign change shows; bisect the
+    # intervals next to the sample nearest the target until one does
+    for _ in range(max_iter):
+        if bracket is not None or spectrum_at is None or not tracked:
+            break
+        k = int(np.argmin([abs(m.real - target) for _, m in tracked]))
+        sides = [a for a in (k, k - 1) if 0 <= a < len(tracked) - 1
+                 and abs(tracked[a + 1][0] - tracked[a][0]) >= tol]
+        if not sides:
+            break
+        for a in sides:  # right side first keeps the left index valid
+            Ic = 0.5 * (tracked[a][0] + tracked[a + 1][0])
+            mc = candidate(spectrum_at(Ic))
+            if mc is not None:
+                tracked.insert(a + 1, (Ic, mc))
+        bracket = tightest()
     if bracket is None:
         raise NoSignChange(f"no {kind} crossing in the sampled range")
 

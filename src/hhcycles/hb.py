@@ -152,8 +152,56 @@ def rotate_phase(xbar: FourierCycle, phase_var: int = 0) -> FourierCycle:
     return replace(xbar, coeffs=coeffs)
 
 
-def _newton(residual_fn, z0, tol, max_iter, fd_eps=1e-7, cond_limit=1e14):
-    """Damped Newton with forward-difference Jacobian on a dense system."""
+def hb_jacobian(xbar: FourierCycle, field: VectorField,
+                ops: SpectralOperators, phase_var: int = 0) -> np.ndarray:
+    """Exact derivative of hb_residual with respect to (coefficients, T).
+
+    Alternating-frequency-time construction: the field Jacobian is sampled
+    once on the node grid, and block (i, j) of the coefficient part is
+    delta_ij*omega*D - analysis @ diag(J_ij(x_nodes)) @ synthesis.  The last
+    column is the period derivative -(2*pi/T^2) * D c_i, the last row the
+    phase anchor.
+    """
+    if ops.K != xbar.K:
+        raise ValueError("operator/coefficient harmonic count mismatch")
+    dim, nc = xbar.dim, 2 * xbar.K + 1
+    Jn = field.jac(node_states(xbar, ops))     # (2n+1, dim, dim)
+    J = np.zeros((dim * nc + 1, dim * nc + 1))
+    for i in range(dim):
+        rows = slice(i * nc, (i + 1) * nc)
+        for j in range(dim):
+            J[rows, j * nc:(j + 1) * nc] = -ops.analysis @ (
+                Jn[:, i, j, None] * ops.synthesis)
+        J[rows, rows] += xbar.omega * ops.D
+    J[:-1, -1] = -(2.0 * np.pi / xbar.period ** 2) * (xbar.coeffs @ ops.D.T).ravel()
+    J[-1, phase_var * nc + 2] = 1.0
+    return J
+
+
+def fixed_period_jacobian(xbar: FourierCycle, I: float, field_at,
+                          ops: SpectralOperators, r: np.ndarray,
+                          phase_var: int = 0) -> np.ndarray:
+    """Derivative of the frozen-period residual with respect to (coefficients, I).
+
+    The coefficient part is hb_jacobian's; the last column dR/dI is one
+    forward difference from r, the residual at I.
+    """
+    J = hb_jacobian(xbar, field_at(I), ops, phase_var)
+    h = max(abs(I), 1.0) * 1e-7
+    J[:, -1] = (hb_residual(xbar, field_at(I + h), ops, phase_var) - r) / h
+    return J
+
+
+def _newton(residual_fn, jacobian_fn, z0, tol, max_iter, cond_limit=1e14):
+    """Damped Newton on a dense system with a supplied Jacobian.
+
+    jacobian_fn(z, r) returns the matrix at z, where r is the residual there.
+    A matrix whose 2-norm condition exceeds cond_limit raises
+    SingularJacobian, unless it is rank-deficient to roundoff (smallest
+    singular value <= eps * largest): such systems have a non-isolated
+    solution set, and the minimum-norm least-squares step is taken instead.
+    Convergence is judged by the residual alone.
+    """
     z = np.array(z0, dtype=float)
     r = residual_fn(z)
     rn = np.linalg.norm(r, np.inf)
@@ -161,17 +209,16 @@ def _newton(residual_fn, z0, tol, max_iter, fd_eps=1e-7, cond_limit=1e14):
     for _ in range(max_iter):
         if rn < tol:
             return z, rn
-        m = len(z)
-        J = np.empty((len(r), m))
-        scale = np.maximum(np.abs(z), 1.0) * fd_eps
-        for j in range(m):
-            zp = z.copy()
-            zp[j] += scale[j]
-            J[:, j] = (residual_fn(zp) - r) / scale[j]
-        cond = np.linalg.cond(J)
-        if not np.isfinite(cond) or cond > cond_limit:
-            raise SingularJacobian(f"HB Newton matrix cond={cond:.3g}")
-        delta = np.linalg.solve(J, -r)
+        J = jacobian_fn(z, r)
+        if not np.all(np.isfinite(J)):
+            raise SingularJacobian("HB Newton matrix not finite")
+        sv = np.linalg.svd(J, compute_uv=False)
+        if sv[-1] <= np.finfo(float).eps * sv[0]:
+            delta = np.linalg.lstsq(J, -r, rcond=None)[0]
+        elif sv[0] > cond_limit * sv[-1]:
+            raise SingularJacobian(f"HB Newton matrix cond={sv[0] / sv[-1]:.3g}")
+        else:
+            delta = np.linalg.solve(J, -r)
         lam = 1.0
         for _ in range(8):
             z_new = z + lam * delta
@@ -200,16 +247,21 @@ def solve_hb(init: FourierCycle, field: VectorField, ops: SpectralOperators,
     init = rotate_phase(init, phase_var)
     dim, K = init.dim, init.K
 
-    def residual(z):
+    def cycle(z):
         coeffs, T = _unpack(z, dim, K)
-        if T <= 0:
-            return np.full(dim * (2 * K + 1) + 1, np.inf)
-        xb = FourierCycle(K=K, period=T, coeffs=coeffs)
-        return hb_residual(xb, field, ops, phase_var)
+        return FourierCycle(K=K, period=T, coeffs=coeffs)
 
-    z, _ = _newton(residual, _pack(init.coeffs, init.period), tol, max_iter)
-    coeffs, T = _unpack(z, dim, K)
-    return FourierCycle(K=K, period=T, coeffs=coeffs)
+    def residual(z):
+        if z[-1] <= 0:
+            return np.full(len(z), np.inf)
+        return hb_residual(cycle(z), field, ops, phase_var)
+
+    def jacobian(z, r):
+        return hb_jacobian(cycle(z), field, ops, phase_var)
+
+    z, _ = _newton(residual, jacobian, _pack(init.coeffs, init.period),
+                   tol, max_iter)
+    return cycle(z)
 
 
 def solve_hb_fixed_period(init: FourierCycle, I_guess: float, field_at,
@@ -225,16 +277,20 @@ def solve_hb_fixed_period(init: FourierCycle, I_guess: float, field_at,
     dim, K = init.dim, init.K
     T = init.period
 
-    def residual(z):
-        coeffs = z[:-1].reshape(dim, 2 * K + 1)
-        I = float(z[-1])
-        xb = FourierCycle(K=K, period=T, coeffs=coeffs)
-        return hb_residual(xb, field_at(I), ops, phase_var)
+    def cycle(z):
+        return FourierCycle(K=K, period=T, coeffs=z[:-1].reshape(dim, 2 * K + 1))
 
-    z, _ = _newton(residual, np.concatenate([init.coeffs.ravel(), [I_guess]]),
+    def residual(z):
+        return hb_residual(cycle(z), field_at(float(z[-1])), ops, phase_var)
+
+    def jacobian(z, r):
+        return fixed_period_jacobian(cycle(z), float(z[-1]), field_at, ops,
+                                     r, phase_var)
+
+    z, _ = _newton(residual, jacobian,
+                   np.concatenate([init.coeffs.ravel(), [I_guess]]),
                    tol, max_iter)
-    coeffs = z[:-1].reshape(dim, 2 * K + 1)
-    return FourierCycle(K=K, period=T, coeffs=coeffs), float(z[-1])
+    return cycle(z), float(z[-1])
 
 
 def choose_harmonics(xbar: FourierCycle, drop_tol: float = 1e-8) -> int:

@@ -141,6 +141,27 @@ class TestDetectCrossing:
         I_star = floquet.detect_crossing(seq, "pd")
         assert 3.0 < I_star < 4.0
 
+    def test_crossing_between_samples_found_by_bisection(self):
+        # the crossing multiplier passes -1 just above the middle sample and
+        # collides with its partner before the next one, where the pair is
+        # complex and the real multiplier nearest -1 is roundoff: no sampled
+        # sign change, so fresh spectra must bracket one
+        def sat(I):
+            if I < 0.5:
+                return make_spec([-0.97 - 0.3 * I, -0.2, 1e-9])
+            return make_spec([0.4 + 0.5j, 0.4 - 0.5j, 1e-9])
+        pts = [(I, sat(I)) for I in (-1.0, 0.0, 1.0)]
+        I_star = floquet.detect_crossing(pts, "pd", spectrum_at=sat,
+                                         tol=1e-10)
+        assert I_star == pytest.approx(0.1, abs=1e-8)
+
+    def test_bisection_gives_up_below_tol(self):
+        def sat(I):
+            return make_spec([-0.9 + 0.01 * I, 0.2])
+        pts = [(I, sat(I)) for I in (0.0, 1.0)]
+        with pytest.raises(NoSignChange):
+            floquet.detect_crossing(pts, "pd", spectrum_at=sat, tol=1e-3)
+
     def test_refinement_rejects_runaway_multiplier(self):
         # spectra whose candidate jumps far from the target mid-refinement
         def sat(I):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hhcycles import hb, integrate
-from hhcycles.errors import NoConvergence
+from hhcycles.errors import NoConvergence, SingularJacobian
 from hhcycles.fields import harmonic_oscillator
 
 
@@ -154,6 +154,75 @@ class TestSolve:
         sol, I = hb.solve_hb_fixed_period(hb_cycle_20, 20.5, fam, ops,
                                           tol=1e-9)
         assert I == pytest.approx(20.0, abs=1e-6)
+
+
+def _central_jacobian(residual, z, rel=1e-6):
+    cols = []
+    for j in range(len(z)):
+        h = rel * max(1.0, abs(z[j]))
+        e = np.zeros(len(z))
+        e[j] = h
+        cols.append((residual(z + e) - residual(z - e)) / (2 * h))
+    return np.stack(cols, axis=1)
+
+
+class TestNewtonMatrix:
+    K = 8
+
+    @pytest.fixture(scope="class")
+    def cycle_k(self, field20, stable_cycle_20):
+        seed = hb.from_trajectory(stable_cycle_20.samples.states[:-1],
+                                  stable_cycle_20.period, self.K)
+        return hb.solve_hb(seed, field20, hb.build_operators(self.K))
+
+    def test_hb_jacobian_matches_central_differences(self, field20, cycle_k):
+        ops = hb.build_operators(self.K)
+        z = np.concatenate([cycle_k.coeffs.ravel(), [cycle_k.period]])
+
+        def residual(z):
+            xb = hb.FourierCycle(K=self.K, period=z[-1],
+                                 coeffs=z[:-1].reshape(4, -1))
+            return hb.hb_residual(xb, field20, ops)
+
+        J = hb.hb_jacobian(cycle_k, field20, ops)
+        ref = _central_jacobian(residual, z)
+        assert J.shape == (4 * (2 * self.K + 1) + 1,) * 2
+        assert np.max(np.abs(J - ref)) < 1e-7 * np.max(np.abs(ref))
+
+    def test_fixed_period_jacobian_matches_central_differences(self, cycle_k):
+        from hhcycles.continuation import hh_family
+        fam = hh_family()
+        ops = hb.build_operators(self.K)
+        z = np.concatenate([cycle_k.coeffs.ravel(), [20.3]])
+
+        def residual(z):
+            xb = hb.FourierCycle(K=self.K, period=cycle_k.period,
+                                 coeffs=z[:-1].reshape(4, -1))
+            return hb.hb_residual(xb, fam(z[-1]), ops)
+
+        J = hb.fixed_period_jacobian(cycle_k, 20.3, fam, ops, residual(z))
+        ref = _central_jacobian(residual, z)
+        assert np.max(np.abs(J - ref)) < 1e-7 * np.max(np.abs(ref))
+
+    def test_newton_takes_minimum_norm_step_on_singular_system(self):
+        # consistent but rank-deficient: a line of solutions, and the step
+        # from the origin lands on the one of least norm
+        rng = np.random.default_rng(7)
+        A = rng.standard_normal((5, 3)) @ rng.standard_normal((3, 5))
+        b = A @ rng.standard_normal(5)
+        z, rn = hb._newton(lambda z: A @ z - b, lambda z, r: A,
+                           np.zeros(5), tol=1e-10, max_iter=5)
+        assert rn < 1e-10
+        assert np.allclose(z, np.linalg.pinv(A) @ b, atol=1e-10)
+
+    def test_newton_raises_on_ill_conditioned_full_rank_system(self):
+        rng = np.random.default_rng(8)
+        U, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        V, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        A = U @ np.diag(np.logspace(0, -15, 6)) @ V.T
+        with pytest.raises(SingularJacobian):
+            hb._newton(lambda z: A @ z - 1.0, lambda z, r: A, np.zeros(6),
+                       tol=1e-10, max_iter=5)
 
 
 class TestDiagnostics:
