@@ -21,7 +21,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -58,7 +57,6 @@ DEFAULT_CONFIG = {
     "diagram.i_seed": 20.0,
     "floquet.steps": 4000,
     "gibbs.ripple_threshold": 0.05,
-    "seed": 0,
 }
 
 
@@ -123,17 +121,6 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _worker_count() -> int:
-    cap = os.environ.get("HHC_THREADS")
-    n = os.cpu_count() or 1
-    if cap:
-        try:
-            n = max(1, min(n, int(cap)))
-        except ValueError:
-            pass
-    return n
-
-
 def _header_lines(cfg: dict) -> list:
     return [f"# {TOOL_VERSION}", f"# config {config_hash(cfg)}"]
 
@@ -168,9 +155,12 @@ def _parse_range(spec: str):
 
 CYCLE_SCHEMA = 1
 _CYCLE_FIELDS = {"schema", "current", "method", "period", "harmonics",
-                 "coefficients", "mesh_tau", "mesh_states", "samples_t",
-                 "samples", "spectrum", "residual", "gibbs_warning",
-                 "gibbs_ripple"}
+                 "coefficients", "mesh_tau", "mesh_states", "mesh_mid",
+                 "samples_t", "samples", "spectrum", "residual",
+                 "gibbs_warning", "gibbs_ripple"}
+# the artifact's method names the class that reads it back
+_CYCLE_CLASSES = {"shoot": shooting.Cycle, "hb": FourierCycle,
+                  "collocation": collocation.CollocationSolution}
 
 
 def _spectrum_dict(spec: floquet.FloquetSpectrum) -> dict:
@@ -186,17 +176,8 @@ def _spectrum_dict(spec: floquet.FloquetSpectrum) -> dict:
 def write_cycle_json(path, I, method, cyc, spec, residual, cfg,
                      gibbs_ripple=None):
     doc = {"schema": CYCLE_SCHEMA, "current": I, "method": method,
-           "period": float(cyc.period), "spectrum": _spectrum_dict(spec),
+           **cyc.to_json(), "spectrum": _spectrum_dict(spec),
            "residual": float(residual)}
-    if isinstance(cyc, FourierCycle):
-        doc["harmonics"] = cyc.K
-        doc["coefficients"] = cyc.coeffs.tolist()
-    elif isinstance(cyc, collocation.CollocationSolution):
-        doc["mesh_tau"] = cyc.mesh.breakpoints.tolist()
-        doc["mesh_states"] = cyc.y.tolist()
-    else:
-        doc["samples_t"] = cyc.samples.times.tolist()
-        doc["samples"] = cyc.samples.states.tolist()
     if gibbs_ripple is not None:
         doc["gibbs_ripple"] = float(gibbs_ripple)
         doc["gibbs_warning"] = bool(
@@ -207,8 +188,13 @@ def write_cycle_json(path, I, method, cyc, spec, residual, cfg,
         fh.write("\n")
 
 
-def read_cycle_json(path):
-    """Load a cycle artifact; unknown fields are rejected."""
+def read_cycle_json(path, cfg=None):
+    """Load a cycle artifact as (current, cycle); unknown fields are rejected.
+
+    The artifact's method picks the cycle class.  A collocation cycle is
+    rebuilt on the Hodgkin-Huxley field of cfg (default: DEFAULT_CONFIG) at
+    the artifact's current.
+    """
     with open(path) as fh:
         doc = json.load(fh)
     doc.pop("_meta", None)
@@ -217,19 +203,15 @@ def read_cycle_json(path):
         raise ConfigError(f"{path}: unknown cycle fields {sorted(unknown)}")
     if doc.get("schema") != CYCLE_SCHEMA:
         raise ConfigError(f"{path}: unsupported schema {doc.get('schema')!r}")
-    I = float(doc["current"])
-    if "coefficients" in doc:
-        coeffs = np.array(doc["coefficients"], dtype=float)
-        return I, FourierCycle(K=int(doc["harmonics"]),
-                               period=float(doc["period"]), coeffs=coeffs)
-    if "samples" in doc:
-        from .integrate import Trajectory
-        t = np.array(doc["samples_t"], dtype=float)
-        states = np.array(doc["samples"], dtype=float)
-        return I, shooting.Cycle(period=float(doc["period"]),
-                                 anchor_state=states[0].copy(),
-                                 samples=Trajectory(t, states))
-    raise ConfigError(f"{path}: no cycle payload found")
+    cls = _CYCLE_CLASSES.get(doc.get("method"))
+    if cls is None:
+        raise ConfigError(f"{path}: unknown cycle method {doc.get('method')!r}")
+    try:
+        I = float(doc["current"])
+        fld = hh_field(params_from_config(cfg or DEFAULT_CONFIG), I)
+        return I, cls.from_json(doc, fld)
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing cycle field {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +257,7 @@ def cmd_equilibria(args, cfg) -> int:
                 max_re, "stable" if max_re < 0 else "unstable")
 
     try:
-        with ThreadPoolExecutor(max_workers=_worker_count()) as ex:
-            rows = list(ex.map(row, Is))
+        rows = [row(I) for I in Is]
     except HHCyclesError as exc:
         print(f"equilibrium solve failed: {exc}", file=sys.stderr)
         return 2
@@ -296,27 +277,21 @@ def _solve_single_cycle(I, method, cfg, p, init=None):
         eq = model.find_equilibrium(I, p)
         guess = shooting.settle_transient(fld, 300.0,
                                           x_start=eq + np.array([5.0, 0, 0, 0]))
-        base = shooting.shoot(fld, guess, tol=cfg["solver.shooting.tol"])
-    elif isinstance(init, FourierCycle):
-        base = init
-    else:
-        base = init
+        init = shooting.shoot(fld, guess, tol=cfg["solver.shooting.tol"])
+    elif method == "shoot":
+        init = shooting.shoot(fld, init.to_time_cycle(),
+                              tol=cfg["solver.shooting.tol"])
     if method == "shoot":
-        cyc = base if isinstance(base, shooting.Cycle) else \
-            shooting.shoot(fld, continuation._as_time_cycle(base),
-                           tol=cfg["solver.shooting.tol"])
-        xT = integrate.flow(fld, cyc.anchor_state, cyc.period, 4000)
-        return cyc, float(np.max(np.abs(xT - cyc.anchor_state)))
+        xT = integrate.flow(fld, init.anchor_state, init.period, 4000)
+        return init, float(np.max(np.abs(xT - init.anchor_state)))
     if method == "hb":
         K = cfg["solver.hb.k"]
         ops = hb.build_operators(K, cfg["solver.hb.oversample"])
-        seed = continuation._as_fourier(base, K)
-        cyc = hb.solve_hb(seed, fld, ops, tol=cfg["solver.hb.tol"])
+        cyc = hb.solve_hb(init.to_fourier(K), fld, ops, tol=cfg["solver.hb.tol"])
         res = float(np.linalg.norm(hb.hb_residual(cyc, fld, ops), np.inf))
         return cyc, res
     if method == "collocation":
-        sol = collocation.solve_bvp(fld, continuation._as_time_cycle(base)
-                                    if not isinstance(base, FourierCycle) else base,
+        sol = collocation.solve_bvp(fld, init,
                                     tol=cfg["solver.collocation.tol"],
                                     N=cfg["solver.collocation.n"],
                                     max_N=cfg["solver.collocation.max_n"])
@@ -335,7 +310,7 @@ def cmd_cycle(args, cfg) -> int:
         cfg["solver.collocation.n"] = args.mesh
     init = None
     if args.init:
-        _, init = read_cycle_json(args.init)
+        _, init = read_cycle_json(args.init, cfg)
     try:
         cyc, residual = _solve_single_cycle(I, args.method, cfg, p, init)
         spec = floquet.spectrum(cyc, hh_field(p, I),
@@ -344,7 +319,7 @@ def cmd_cycle(args, cfg) -> int:
         print(f"cycle solve failed at I={I}: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 2
-    ripple = hb.gibbs_ripple(cyc) if isinstance(cyc, FourierCycle) else None
+    ripple = hb.gibbs_ripple(cyc) if args.method == "hb" else None
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, f"cycle_I{_fmt(float(I))}_{args.method}.json")
     write_cycle_json(path, I, args.method, cyc, spec, residual, cfg,
@@ -358,7 +333,7 @@ def cmd_cycle(args, cfg) -> int:
 def cmd_floquet(args, cfg) -> int:
     p = params_from_config(cfg)
     try:
-        I, cyc = read_cycle_json(args.cycle_file)
+        I, cyc = read_cycle_json(args.cycle_file, cfg)
     except (OSError, ValueError, KeyError, ConfigError) as exc:
         print(f"cannot read cycle file: {exc}", file=sys.stderr)
         return 2
@@ -421,7 +396,7 @@ def run_diagram(cfg, out_dir, verbose=False):
     guess = shooting.settle_transient(fld, 300.0,
                                       x_start=eq + np.array([5.0, 0, 0, 0]))
     stable = shooting.shoot(fld, guess, tol=cfg["solver.shooting.tol"])
-    fc = hb.solve_hb(continuation._as_fourier(stable, K), fld, ad._ops)
+    fc = hb.solve_hb(stable.to_fourier(K), fld, ad._ops)
     start = continuation.make_point(I_seed, fc, fld,
                                     cfg["floquet.steps"])
 

@@ -17,11 +17,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import (DegenerateCycle, MeshTooCoarse, NoConvergence,
-                     SingularJacobian)
+from . import newton
+from .cycles import PeriodicOrbit
+from .errors import DegenerateCycle, MeshTooCoarse, SingularJacobian
 from .fields import VectorField
-from .integrate import Trajectory
-from .shooting import Cycle
 
 LOBATTO_RHO = (0.0, 0.5, 1.0)
 
@@ -46,7 +45,7 @@ class Mesh:
 
 
 @dataclass(frozen=True)
-class CollocationSolution:
+class CollocationSolution(PeriodicOrbit):
     """Converged collocation cycle: mesh values plus the period."""
 
     mesh: Mesh
@@ -55,12 +54,11 @@ class CollocationSolution:
     period: float
     field: VectorField
 
+    source = "collocation"
+
     @property
     def dim(self) -> int:
         return self.y.shape[1]
-
-    def _endpoint(self, i):
-        return self.y[(i + 1) % self.mesh.N]
 
     def evaluate(self, tau):
         """Evaluate the collocation cubic at tau in [0,1] (scalar or array)."""
@@ -75,38 +73,34 @@ class CollocationSolution:
         f0 = f_y[idx]
         fm = f_m[idx]
         f1 = f_y[(idx + 1) % self.mesh.N]
-        hT = (h * self.period)[:, None]
-        out = (self.y[idx]
-               + hT * (f0 * (2 * s**3 / 3 - 1.5 * s**2 + s)
-                       + fm * (-4 * s**3 / 3 + 2 * s**2)
-                       + f1 * (2 * s**3 / 3 - 0.5 * s**2)))
+        out = _cubic(self.y[idx], f0, fm, f1, (h * self.period)[:, None], s)
         return out[0] if scalar else out
 
     def evaluate_time(self, t):
         return self.evaluate(np.asarray(t, dtype=float) / self.period)
 
-    def to_cycle(self, nsamples: int = 800) -> Cycle:
-        tau = np.linspace(0.0, 1.0, nsamples + 1)
-        states = self.evaluate(tau)
-        states[-1] = states[0]
-        traj = Trajectory(tau * self.period, states)
-        return Cycle(period=self.period, anchor_state=states[0].copy(),
-                     samples=traj, source="collocation")
+    def to_json(self) -> dict:
+        return {"period": float(self.period),
+                "mesh_tau": self.mesh.breakpoints.tolist(),
+                "mesh_states": self.y.tolist(), "mesh_mid": self.mid.tolist()}
+
+    @classmethod
+    def from_json(cls, doc: dict, field: VectorField) -> "CollocationSolution":
+        return cls(mesh=Mesh(np.array(doc["mesh_tau"], dtype=float)),
+                   y=np.array(doc["mesh_states"], dtype=float),
+                   mid=np.array(doc["mesh_mid"], dtype=float),
+                   period=float(doc["period"]), field=field)
 
     def residual_profile(self, nsub: int = 10) -> np.ndarray:
         """Max relative interior residual ||P'/T - f(P)||/(1+||f||) per subinterval."""
-        N = self.mesh.N
         h = self.mesh.widths[:, None, None]
         sigma = np.linspace(0.0, 1.0, nsub + 2)[1:-1]
         s = sigma[None, :, None]
-        f0 = self.field.f(self.y)[:, None, :]
+        fy = self.field.f(self.y)
+        f0 = fy[:, None, :]
         fm = self.field.f(self.mid)[:, None, :]
-        f1 = np.roll(self.field.f(self.y), -1, axis=0)[:, None, :]
-        hT = h * self.period
-        P = (self.y[:, None, :]
-             + hT * (f0 * (2 * s**3 / 3 - 1.5 * s**2 + s)
-                     + fm * (-4 * s**3 / 3 + 2 * s**2)
-                     + f1 * (2 * s**3 / 3 - 0.5 * s**2)))
+        f1 = np.roll(fy, -1, axis=0)[:, None, :]
+        P = _cubic(self.y[:, None, :], f0, fm, f1, h * self.period, s)
         q = (f0 * (2 * (s - 0.5) * (s - 1))
              + fm * (-4 * s * (s - 1))
              + f1 * (2 * s * (s - 0.5)))
@@ -115,17 +109,11 @@ class CollocationSolution:
         return np.max(np.abs(q - fP) / scale, axis=(1, 2))
 
 
-def collocation_system(sol: CollocationSolution, phase_ref=None) -> np.ndarray:
-    """Residual stack: Hermite-Simpson defects, periodicity, phase row.
-
-    Periodicity is identically zero under the shared-endpoint layout but is
-    included so the stack matches the documented contract.
-    """
-    r1, r2 = _defects(sol.field, sol.mesh, sol.y, sol.mid, sol.period)
-    periodicity = np.zeros(sol.dim)
-    phase = 0.0 if phase_ref is None else _phase_residual(
-        sol.mesh, sol.y, sol.mid, phase_ref)
-    return np.concatenate([r1.ravel(), r2.ravel(), periodicity, [phase]])
+def _cubic(y0, f0, fm, f1, hT, s):
+    """Collocation cubic at fraction s of a subinterval of length hT in time."""
+    return y0 + hT * (f0 * (2 * s**3 / 3 - 1.5 * s**2 + s)
+                      + fm * (-4 * s**3 / 3 + 2 * s**2)
+                      + f1 * (2 * s**3 / 3 - 0.5 * s**2))
 
 
 def _defects(field, mesh, y, mid, T):
@@ -179,86 +167,80 @@ def _phase_residual(mesh, y, mid, ref: PhaseReference):
 
 def _newton_collocation(field, mesh, y, mid, T, ref, tol, max_iter,
                         fixed_period=False, field_at=None, I=0.0):
-    """Damped Newton on the Hermite-Simpson system.
+    """The shared damped Newton on the Hermite-Simpson system.
 
-    With fixed_period=True the period column is replaced by the parameter
-    derivative dF/dI (field_at(I) required) and I becomes the last unknown.
+    The unknowns are the breakpoint and midpoint values, interval by
+    interval, then T.  With fixed_period=True the last unknown is I instead
+    (field_at(I) required), and its column is the parameter derivative dF/dI.
     """
     N, dim = mesh.N, y.shape[1]
     nun = 2 * N * dim + 1
     h = mesh.widths
 
-    def get_field(Icur):
-        return field_at(Icur) if fixed_period else field
+    def unpack(z):
+        u = z[:-1].reshape(N, 2, dim)
+        Tz, Iz = (T, z[-1]) if fixed_period else (z[-1], I)
+        return u[:, 0], u[:, 1], Tz, Iz, field_at(Iz) if fixed_period else field
 
-    def residual(y, mid, T, I):
-        fld = get_field(I)
-        r1, r2 = _defects(fld, mesh, y, mid, T)
-        ph = _phase_residual(mesh, y, mid, ref)
+    def residual(z):
+        yz, mz, Tz, _, fld = unpack(z)
+        if Tz <= 0:
+            return np.full(nun, np.inf)
+        r1, r2 = _defects(fld, mesh, yz, mz, Tz)
+        ph = _phase_residual(mesh, yz, mz, ref)
         return np.concatenate([np.stack([r1, r2], axis=1).ravel(), [ph]])
 
-    r = residual(y, mid, T, I)
-    rn = np.linalg.norm(r, np.inf)
-    for _ in range(max_iter):
-        if rn < tol:
-            return y, mid, T, I, rn
-        fld = get_field(I)
-        fy = fld.f(y)
-        fm = fld.f(mid)
+    # sparsity pattern: per interval i the rows of both defects, against the
+    # columns of y_i, mid_i and y_{i+1}; then the last column and phase row
+    Id = np.eye(dim)
+    cy0 = 2 * np.arange(N) * dim   # first-defect rows and y_i columns
+    cm = cy0 + dim                 # second-defect rows and mid_i columns
+    cy1 = np.roll(cy0, -1)         # y_{i+1} columns
+    rr, cc = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
+    wy, wm = ref.weights()
+    ph_row = np.zeros(nun)
+    blocks = ph_row[:-1].reshape(2 * N, dim)
+    blocks[0::2] = wy[:, None] * ref.dy
+    blocks[1::2] = wm[:, None] * ref.dmid
+
+    def step(z, r):
+        yz, mz, Tz, Iz, fld = unpack(z)
+        fy = fld.f(yz)
+        fm = fld.f(mz)
         fy1 = np.roll(fy, -1, axis=0)
-        Jy = fld.jac(y)
-        Jm = fld.jac(mid)
+        Jy = fld.jac(yz)
+        Jm = fld.jac(mz)
         Jy1 = np.roll(Jy, -1, axis=0)
+        hT = (h * Tz)[:, None, None]
         rows, cols, vals = [], [], []
-        Id = np.eye(dim)
-        hT = (h * T)[:, None, None]
-        i_arr = np.arange(N)
-        rb1 = (2 * i_arr) * dim
-        rb2 = (2 * i_arr + 1) * dim
-        cy0 = (2 * i_arr) * dim
-        cm = (2 * i_arr + 1) * dim
-        cy1 = (2 * ((i_arr + 1) % N)) * dim
-        rr, cc = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
 
         def add_blocks(rbase, cbase, B):
-            # B has shape (N, dim, dim)
+            # B has shape (N, dim, dim), or broadcasts to it
             rows.append((rbase[:, None, None] + rr[None]).ravel())
             cols.append((cbase[:, None, None] + cc[None]).ravel())
-            vals.append(B.ravel())
+            vals.append(np.broadcast_to(B, (N, dim, dim)).ravel())
 
-        add_blocks(rb1, cy0, -Id - hT / 6.0 * Jy)
-        add_blocks(rb1, cm, -hT * 2.0 / 3.0 * Jm)
-        add_blocks(rb1, cy1, Id - hT / 6.0 * Jy1)
-        add_blocks(rb2, cy0, -0.5 * Id - hT / 8.0 * Jy)
-        add_blocks(rb2, cm, Id + 0.0 * Jm)
-        add_blocks(rb2, cy1, -0.5 * Id + hT / 8.0 * Jy1)
+        add_blocks(cy0, cy0, -Id - hT / 6.0 * Jy)
+        add_blocks(cy0, cm, -hT * 2.0 / 3.0 * Jm)
+        add_blocks(cy0, cy1, Id - hT / 6.0 * Jy1)
+        add_blocks(cm, cy0, -0.5 * Id - hT / 8.0 * Jy)
+        add_blocks(cm, cm, Id)
+        add_blocks(cm, cy1, -0.5 * Id + hT / 8.0 * Jy1)
 
         # last column: d/dT (natural) or d/dI (fixed period)
         if fixed_period:
-            dI = 1e-6 * max(1.0, abs(I))
-            rp = residual(y, mid, T, I + dI)
-            last = (rp - r) / dI
+            dI = 1e-6 * max(1.0, abs(Iz))
+            zp = z.copy()
+            zp[-1] = Iz + dI
+            last = (residual(zp) - r) / dI
         else:
             dr1 = -(h[:, None] / 6.0) * (fy + 4.0 * fm + fy1)
             dr2 = -(h[:, None] / 8.0) * (fy - fy1)
             last = np.concatenate(
                 [np.stack([dr1, dr2], axis=1).ravel(), [0.0]])
-        rows.append(np.arange(nun))
-        cols.append(np.full(nun, nun - 1))
-        vals.append(last)
-
-        # phase row
-        wy, wm = ref.weights()
-        ph_row = np.zeros(nun)
-        blocks = ph_row[:-1].reshape(2 * N, dim)
-        blocks[0::2] = wy[:, None] * ref.dy
-        blocks[1::2] = wm[:, None] * ref.dmid
-        rows.append(np.full(nun - 1, nun - 1))
-        cols.append(np.arange(nun - 1))
-        vals.append(ph_row[:-1])
-        rows.append(np.array([nun - 1]))
-        cols.append(np.array([nun - 1]))
-        vals.append(np.array([ph_row[-1] + (0.0 if not fixed_period else 0.0)]))
+        rows += [np.arange(nun), np.full(nun, nun - 1)]
+        cols += [np.full(nun, nun - 1), np.arange(nun)]
+        vals += [last, ph_row]
 
         A = sp.coo_matrix(
             (np.concatenate(vals),
@@ -271,28 +253,14 @@ def _newton_collocation(field, mesh, y, mid, T, ref, tol, max_iter,
         delta = lu.solve(-r)
         if not np.all(np.isfinite(delta)):
             raise SingularJacobian("collocation Newton step not finite")
+        return delta
 
-        lam = 1.0
-        for _ in range(8):
-            zy = y + lam * delta[:-1].reshape(2 * N, dim)[0::2]
-            zm = mid + lam * delta[:-1].reshape(2 * N, dim)[1::2]
-            if fixed_period:
-                Tn, In = T, I + lam * delta[-1]
-            else:
-                Tn, In = T + lam * delta[-1], I
-            if Tn > 0:
-                r_new = residual(zy, zm, Tn, In)
-                if np.all(np.isfinite(r_new)) and (
-                        np.linalg.norm(r_new, np.inf) < rn or lam <= 1.0 / 64):
-                    break
-            lam *= 0.5
-        else:
-            raise NoConvergence("collocation damping exhausted")
-        y, mid, T, I, r = zy, zm, Tn, In, r_new
-        rn = np.linalg.norm(r, np.inf)
-    if rn < tol:
-        return y, mid, T, I, rn
-    raise NoConvergence(f"collocation Newton stalled at residual {rn:.3g}")
+    z0 = np.concatenate([np.stack([y, mid], axis=1).ravel(),
+                         [I if fixed_period else T]])
+    z, rn = newton.damped_newton(residual, step, z0, tol, max_iter,
+                                 "collocation")
+    yz, mz, Tz, Iz, _ = unpack(z)
+    return yz, mz, Tz, Iz, rn
 
 
 def refine_mesh(mesh: Mesh, residual_profile: np.ndarray,
@@ -339,30 +307,12 @@ def refine_mesh(mesh: Mesh, residual_profile: np.ndarray,
     return Mesh(np.array(sorted(set(pts))))
 
 
-def _initial_data(init, field, mesh: Mesh):
-    """Resample an initial guess (Cycle, FourierCycle or callable) onto a mesh."""
-    from .hb import FourierCycle, evaluate_series
-
+def _initial_data(init: PeriodicOrbit, mesh: Mesh):
+    """Breakpoint and midpoint states of any cycle on a mesh, plus its period."""
+    T = init.period
     tau_b = mesh.breakpoints[:-1]
     tau_m = 0.5 * (mesh.breakpoints[:-1] + mesh.breakpoints[1:])
-    if isinstance(init, Cycle):
-        T = init.period
-        t = init.samples.times - init.samples.times[0]
-        states = init.samples.states
-
-        def interp(tau):
-            tt = tau * T
-            return np.stack(
-                [np.interp(tt, t, states[:, j]) for j in range(states.shape[1])],
-                axis=-1)
-        return interp(tau_b), interp(tau_m), T
-    if isinstance(init, FourierCycle):
-        T = init.period
-        return (evaluate_series(init, tau_b * T),
-                evaluate_series(init, tau_m * T), T)
-    if isinstance(init, CollocationSolution):
-        return init.evaluate(tau_b), init.evaluate(tau_m), init.period
-    raise TypeError(f"unsupported initial guess {type(init)!r}")
+    return init.evaluate_time(tau_b * T), init.evaluate_time(tau_m * T), T
 
 
 def solve_bvp(field: VectorField, init, tol: float = 1e-8,
@@ -376,7 +326,7 @@ def solve_bvp(field: VectorField, init, tol: float = 1e-8,
     """
     if mesh is None:
         mesh = Mesh(np.linspace(0.0, 1.0, N + 1))
-    y, mid, T = _initial_data(init, field, mesh)
+    y, mid, T = _initial_data(init, mesh)
     speeds = np.max(np.abs(field.f(y)))
     if speeds * T < 1e-8:
         raise DegenerateCycle("initial guess has no motion along the orbit")
@@ -389,10 +339,8 @@ def solve_bvp(field: VectorField, init, tol: float = 1e-8,
         if np.max(prof) < tol:
             return sol
         mesh = refine_mesh(mesh, prof, max_N, target=0.25 * tol)
-        y, mid, T = _initial_data(sol, field, mesh)
         ref = PhaseReference.from_solution(sol, mesh)
-    if np.max(prof) < tol:
-        return sol
+        y, mid = ref.y, ref.mid   # the solution resampled on the new mesh
     raise MeshTooCoarse(
         f"residual {np.max(prof):.3g} above {tol:.3g} after refinement cap")
 
@@ -408,10 +356,9 @@ def solve_bvp_fixed_period(field_at, init, I_guess: float,
     if not isinstance(init, CollocationSolution):
         raise TypeError("fixed-period solve needs a CollocationSolution seed")
     mesh = init.mesh
-    y, mid, T = init.y.copy(), init.mid.copy(), init.period
     ref = PhaseReference.from_solution(init, mesh)
     y, mid, T, I, _ = _newton_collocation(
-        init.field, mesh, y, mid, T, ref, newton_tol, max_iter,
-        fixed_period=True, field_at=field_at, I=I_guess)
+        init.field, mesh, init.y, init.mid, init.period, ref, newton_tol,
+        max_iter, fixed_period=True, field_at=field_at, I=I_guess)
     return CollocationSolution(mesh=mesh, y=y, mid=mid, period=T,
                                field=field_at(I)), I

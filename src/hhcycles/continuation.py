@@ -16,12 +16,11 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import collocation, floquet, hb, model, shooting
-from .collocation import CollocationSolution
+from .cycles import PeriodicOrbit, check_orbit
 from .errors import (DegenerateCycle, MeshTooCoarse, NoConvergence,
                      NoExtremum, NoSignChange, SingularJacobian, StartInvalid)
 from .fields import VectorField, hh_field
 from .hb import FourierCycle
-from .shooting import Cycle
 
 
 @dataclass(frozen=True)
@@ -29,7 +28,7 @@ class BranchPoint:
     """One accepted continuation point."""
 
     I: float
-    cycle: object            # Cycle | FourierCycle | CollocationSolution
+    cycle: PeriodicOrbit
     period: float
     v_min: float
     v_max: float
@@ -72,52 +71,9 @@ def hh_family(p: model.HHParams = model.DEFAULT_PARAMS) -> Callable[[float], Vec
     return lambda I: hh_field(p, I)
 
 
-# ---------------------------------------------------------------------------
-# cycle-representation helpers shared by the solver adapters
-
-
-def cycle_period(cyc) -> float:
-    return float(cyc.period)
-
-
-def v_extrema(cyc, nsamples: int = 1024) -> Tuple[float, float]:
+def v_extrema(cyc) -> Tuple[float, float]:
     """Extrema of the first state component over one period."""
-    if isinstance(cyc, Cycle):
-        return cyc.v_extrema()
-    if isinstance(cyc, FourierCycle):
-        t = np.linspace(0.0, cyc.period, nsamples, endpoint=False)
-        V = hb.evaluate_series(cyc, t)[:, 0]
-    elif isinstance(cyc, CollocationSolution):
-        V = cyc.evaluate(np.linspace(0.0, 1.0, nsamples, endpoint=False))[:, 0]
-    else:
-        raise TypeError(f"unsupported cycle type {type(cyc)!r}")
-    return float(V.min()), float(V.max())
-
-
-def _as_fourier(cyc, K: int) -> FourierCycle:
-    if isinstance(cyc, FourierCycle):
-        return hb.resize(cyc, K) if cyc.K != K else cyc
-    if isinstance(cyc, Cycle):
-        return hb.from_trajectory(cyc.samples.states[:-1], cyc.period, K)
-    if isinstance(cyc, CollocationSolution):
-        tau = np.linspace(0.0, 1.0, 8 * K + 1, endpoint=False)
-        return hb.from_trajectory(cyc.evaluate(tau), cyc.period, K)
-    raise TypeError(f"unsupported cycle type {type(cyc)!r}")
-
-
-def _as_time_cycle(cyc) -> Cycle:
-    if isinstance(cyc, Cycle):
-        return cyc
-    if isinstance(cyc, CollocationSolution):
-        return cyc.to_cycle()
-    if isinstance(cyc, FourierCycle):
-        from .integrate import Trajectory
-        t = np.linspace(0.0, cyc.period, 401)
-        states = hb.evaluate_series(cyc, t)
-        states[-1] = states[0]
-        return Cycle(period=cyc.period, anchor_state=states[0].copy(),
-                     samples=Trajectory(t, states), source="harmonic-balance")
-    raise TypeError(f"unsupported cycle type {type(cyc)!r}")
+    return check_orbit(cyc).v_extrema()
 
 
 class _SolverAdapter:
@@ -137,34 +93,32 @@ class _SolverAdapter:
         self.max_iter = max_iter
         self._ops = hb.build_operators(hb_K, hb_oversample) if name == "hb" else None
 
-    def solve(self, fld: VectorField, predictor):
+    def solve(self, fld: VectorField, predictor: PeriodicOrbit):
         if self.name == "shooting":
-            return shooting.shoot(fld, _as_time_cycle(predictor), tol=self.newton_tol,
-                                  max_iter=self.max_iter)
+            return shooting.shoot(fld, predictor.to_time_cycle(),
+                                  tol=self.newton_tol, max_iter=self.max_iter)
         if self.name == "hb":
-            seed = _as_fourier(predictor, self.hb_K)
-            return hb.solve_hb(seed, fld, self._ops, tol=self.newton_tol,
-                               max_iter=self.max_iter)
-        if isinstance(predictor, CollocationSolution):
-            return collocation.solve_bvp(
-                fld, predictor, tol=self.coll_tol, mesh=predictor.mesh,
-                max_N=self.coll_max_N, max_refinements=2)
-        return collocation.solve_bvp(
-            fld, predictor, tol=self.coll_tol, N=self.coll_N,
-            max_N=self.coll_max_N)
+            return hb.solve_hb(predictor.to_fourier(self.hb_K), fld, self._ops,
+                               tol=self.newton_tol, max_iter=self.max_iter)
+        mesh = getattr(predictor, "mesh", None)
+        if mesh is None:
+            return collocation.solve_bvp(fld, predictor, tol=self.coll_tol,
+                                         N=self.coll_N, max_N=self.coll_max_N)
+        # a collocation predictor lends its mesh, refined at most twice
+        return collocation.solve_bvp(fld, predictor, tol=self.coll_tol,
+                                     mesh=mesh, max_N=self.coll_max_N,
+                                     max_refinements=2)
 
     def solve_fixed_period(self, field_at, predictor, T: float, I_guess: float):
         """Corrector at frozen period T; returns (cycle, I)."""
         if self.name == "hb":
-            seed = replace(_as_fourier(predictor, self.hb_K), period=T)
+            seed = replace(predictor.to_fourier(self.hb_K), period=T)
             return hb.solve_hb_fixed_period(seed, I_guess, field_at, self._ops,
                                             tol=self.newton_tol,
                                             max_iter=self.max_iter)
         if self.name == "collocation":
-            if not isinstance(predictor, CollocationSolution):
-                raise TypeError("collocation fixed-period needs a mesh seed")
-            seed = replace(predictor, period=T)
-            return collocation.solve_bvp_fixed_period(field_at, seed, I_guess)
+            return collocation.solve_bvp_fixed_period(
+                field_at, replace(predictor, period=T), I_guess)
         raise NoConvergence("shooting has no fixed-period mode; use hb or collocation")
 
 
@@ -175,7 +129,7 @@ def make_point(I: float, cyc, fld: VectorField,
                spectrum_steps: int = floquet.DEFAULT_SPECTRUM_STEPS) -> BranchPoint:
     vmin, vmax = v_extrema(cyc)
     spec = floquet.spectrum(cyc, fld, nsteps=spectrum_steps)
-    return BranchPoint(I=float(I), cycle=cyc, period=cycle_period(cyc),
+    return BranchPoint(I=float(I), cycle=cyc, period=float(cyc.period),
                        v_min=vmin, v_max=vmax, spectrum=spec)
 
 
@@ -227,7 +181,7 @@ def continue_branch(start: BranchPoint, direction: int,
         cur = points[-1]
         vmin, vmax = v_extrema(cyc)
         amp = vmax - vmin
-        T = cycle_period(cyc)
+        T = float(cyc.period)
         if amp < ctrl.collapse_amplitude and \
                 cur.amplitude > 4.0 * ctrl.collapse_amplitude:
             return "reject"
@@ -349,22 +303,6 @@ def continue_branch(start: BranchPoint, direction: int,
                   mode_history=mode_history)
 
 
-def switch_parameter(branch: Branch, d_I: float, d_orbit: float,
-                     solver_failed: bool,
-                     ctrl: Optional[StepControl] = None) -> str:
-    """Driving-parameter decision used by the continuation loop.
-
-    Returns "T" when the last I-step shrank below the switch threshold while
-    the orbit keeps moving (or the corrector went singular), else "I".
-    """
-    ctrl = ctrl or StepControl()
-    if solver_failed:
-        return "T"
-    if abs(d_I) < ctrl.switch_step and d_orbit > 1e-3:
-        return "T"
-    return "I"
-
-
 def _bracket_slice(branch: Branch, bracket) -> List[int]:
     """Branch indices inside the bracket.
 
@@ -381,6 +319,12 @@ def _bracket_slice(branch: Branch, bracket) -> List[int]:
     return [i for i in idx if lo <= branch.points[i].I <= hi]
 
 
+def _locator_defaults(branch: Branch, field_at, adapter):
+    """HH family and the branch's own corrector (hb for shooting branches)."""
+    return (field_at or hh_family(), adapter or _SolverAdapter(
+        branch.solver if branch.solver != "shooting" else "hb"))
+
+
 def locate_fold(branch: Branch, bracket=None,
                 field_at: Optional[Callable[[float], VectorField]] = None,
                 adapter: Optional[_SolverAdapter] = None,
@@ -392,11 +336,7 @@ def locate_fold(branch: Branch, bracket=None,
     extremum is iterated until the vertex stops moving by more than tol.
     The certificate is the nontrivial multiplier closest to +1 there.
     """
-    if field_at is None:
-        field_at = hh_family()
-    if adapter is None:
-        adapter = _SolverAdapter(branch.solver if branch.solver != "shooting"
-                                 else "hb")
+    field_at, adapter = _locator_defaults(branch, field_at, adapter)
     ids = _bracket_slice(branch, bracket)
     if len(ids) < 3:
         raise NoExtremum("bracket holds fewer than three branch points")
@@ -435,7 +375,7 @@ def locate_fold(branch: Branch, bracket=None,
     mu_fold = spec.multipliers[int(np.argmin(np.abs(spec.multipliers - 1.0)))]
     return BifurcationEvent(
         kind="fold", I_star=float(I_star),
-        evidence={"period": float(cycle_period(cyc)),
+        evidence={"period": float(cyc.period),
                   "multiplier": complex(mu_fold),
                   "trivial_error": spec.trivial_error,
                   "flags": sorted(spec.flags)})
@@ -452,11 +392,7 @@ def locate_pd(branch: Branch, bracket,
     re-solves the cycle at trial currents (seeded from the nearest accepted
     point) and re-evaluates the spectrum.
     """
-    if field_at is None:
-        field_at = hh_family()
-    if adapter is None:
-        adapter = _SolverAdapter(branch.solver if branch.solver != "shooting"
-                                 else "hb")
+    field_at, adapter = _locator_defaults(branch, field_at, adapter)
     ids = _bracket_slice(branch, bracket)
     if len(ids) < 2:
         raise NoSignChange("bracket holds fewer than two branch points")

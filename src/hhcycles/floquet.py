@@ -18,11 +18,9 @@ from typing import Callable, Optional, Sequence, Tuple
 import numpy as np
 
 from . import integrate, model
-from .collocation import CollocationSolution
+from .cycles import check_orbit
 from .errors import NoSignChange, TrackingLost
 from .fields import VectorField, hh_field
-from .hb import FourierCycle, evaluate_series
-from .shooting import Cycle
 
 NEAR_THRESHOLD = 0.05
 LOW_CONFIDENCE_TRIVIAL = 1e-2
@@ -59,36 +57,21 @@ def _monodromy_matrix(cycle, field: VectorField, nsteps: int,
 
     Returns (chunks, x0) where chunks[j] maps variations at t_j to t_{j+1}.
     """
-    if isinstance(cycle, FourierCycle):
-        T = cycle.period
-        x_of_t = lambda t: evaluate_series(cycle, t)
-        x0 = evaluate_series(cycle, 0.0)
-    elif isinstance(cycle, CollocationSolution):
-        T = cycle.period
-        x_of_t = lambda t: cycle.evaluate_time(t)
-        x0 = cycle.evaluate_time(0.0)
-    elif isinstance(cycle, Cycle):
-        T = cycle.period
-        x_of_t = None
-        x0 = np.asarray(cycle.anchor_state, dtype=float)
-    else:
-        raise TypeError(f"unsupported cycle type {type(cycle)!r}")
-
+    T = check_orbit(cycle).period
+    x0 = np.asarray(cycle.evaluate_time(0.0), dtype=float)
     per_chunk = max(1, nsteps // nsub)
-    chunks = []
-    if x_of_t is not None:
+    if cycle.dense:
         edges = np.linspace(0.0, T, nsub + 1)
-        for j in range(nsub):
-            chunks.append(integrate.variational_along(
-                field, x_of_t, edges[j], edges[j + 1], per_chunk))
-    else:
-        # trajectory-only cycle: coupled state+variational pass, restarting
-        # the fundamental matrix at each chunk boundary
-        x = x0.copy()
-        h = T / nsub
-        for _ in range(nsub):
-            x, Y = integrate.flow_with_monodromy(field, x, h, per_chunk)
-            chunks.append(Y)
+        return [integrate.variational_along(field, cycle.evaluate_time,
+                                            edges[j], edges[j + 1], per_chunk)
+                for j in range(nsub)], x0
+    # sampled cycle: coupled state+variational pass, restarting the
+    # fundamental matrix at each chunk boundary
+    chunks = []
+    x = x0.copy()
+    for _ in range(nsub):
+        x, Y = integrate.flow_with_monodromy(field, x, T / nsub, per_chunk)
+        chunks.append(Y)
     return chunks, x0
 
 
@@ -129,7 +112,7 @@ def spectrum(cycle, field: Optional[VectorField] = None, I: float = 0.0,
              nsub: int = 16) -> FloquetSpectrum:
     """Floquet spectrum of a converged cycle.
 
-    Accepts a time-domain Cycle, a FourierCycle or a CollocationSolution.
+    Accepts any cycle (cycles.PeriodicOrbit).
     When no field is given the Hodgkin-Huxley field at stimulus I is used.
     The eigenvalues are first estimated from the plain chunk product; if any
     magnitude exceeds 100 the QR-accumulated product is used instead.

@@ -20,17 +20,20 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NoConvergence, SingularJacobian
+from . import newton
+from .cycles import PeriodicOrbit
 from .fields import VectorField
 
 
 @dataclass(frozen=True)
-class FourierCycle:
+class FourierCycle(PeriodicOrbit):
     """Per-variable truncated Fourier coefficients (A0, A1, B1, ..., AK, BK)."""
 
     K: int
     period: float
     coeffs: np.ndarray  # (dim, 2K+1)
+
+    source = "harmonic-balance"
 
     def __post_init__(self):
         if self.coeffs.shape[1] != 2 * self.K + 1:
@@ -45,6 +48,21 @@ class FourierCycle:
     @property
     def omega(self) -> float:
         return 2.0 * np.pi / self.period
+
+    def evaluate_time(self, t):
+        return evaluate_series(self, t)
+
+    def to_fourier(self, K: int) -> "FourierCycle":
+        return self if K == self.K else resize(self, K)
+
+    def to_json(self) -> dict:
+        return {"period": float(self.period), "harmonics": self.K,
+                "coefficients": self.coeffs.tolist()}
+
+    @classmethod
+    def from_json(cls, doc: dict, field=None) -> "FourierCycle":
+        return cls(K=int(doc["harmonics"]), period=float(doc["period"]),
+                   coeffs=np.array(doc["coefficients"], dtype=float))
 
 
 @dataclass(frozen=True)
@@ -129,14 +147,6 @@ def hb_residual(xbar: FourierCycle, field: VectorField,
     return np.concatenate([res.ravel(), [phase]])
 
 
-def _pack(coeffs: np.ndarray, T: float) -> np.ndarray:
-    return np.concatenate([coeffs.ravel(), [T]])
-
-
-def _unpack(z: np.ndarray, dim: int, K: int):
-    return z[:-1].reshape(dim, 2 * K + 1), float(z[-1])
-
-
 def rotate_phase(xbar: FourierCycle, phase_var: int = 0) -> FourierCycle:
     """Time-shift the series so that B1 of phase_var vanishes (A1 >= 0)."""
     A1 = xbar.coeffs[phase_var, 1]
@@ -192,52 +202,11 @@ def fixed_period_jacobian(xbar: FourierCycle, I: float, field_at,
     return J
 
 
-def _newton(residual_fn, jacobian_fn, z0, tol, max_iter, cond_limit=1e14):
-    """Damped Newton on a dense system with a supplied Jacobian.
-
-    jacobian_fn(z, r) returns the matrix at z, where r is the residual there.
-    A matrix whose 2-norm condition exceeds cond_limit raises
-    SingularJacobian, unless it is rank-deficient to roundoff (smallest
-    singular value <= eps * largest): such systems have a non-isolated
-    solution set, and the minimum-norm least-squares step is taken instead.
-    Convergence is judged by the residual alone.
-    """
-    z = np.array(z0, dtype=float)
-    r = residual_fn(z)
-    rn = np.linalg.norm(r, np.inf)
-    stall = 0
-    for _ in range(max_iter):
-        if rn < tol:
-            return z, rn
-        J = jacobian_fn(z, r)
-        if not np.all(np.isfinite(J)):
-            raise SingularJacobian("HB Newton matrix not finite")
-        sv = np.linalg.svd(J, compute_uv=False)
-        if sv[-1] <= np.finfo(float).eps * sv[0]:
-            delta = np.linalg.lstsq(J, -r, rcond=None)[0]
-        elif sv[0] > cond_limit * sv[-1]:
-            raise SingularJacobian(f"HB Newton matrix cond={sv[0] / sv[-1]:.3g}")
-        else:
-            delta = np.linalg.solve(J, -r)
-        lam = 1.0
-        for _ in range(8):
-            z_new = z + lam * delta
-            r_new = residual_fn(z_new)
-            if np.all(np.isfinite(r_new)) and (
-                    np.linalg.norm(r_new, np.inf) < rn or lam <= 1.0 / 64):
-                break
-            lam *= 0.5
-        else:
-            raise NoConvergence("HB damping exhausted")
-        rn_new = np.linalg.norm(r_new, np.inf)
-        stall = stall + 1 if rn_new >= rn else 0
-        if stall >= 3:
-            raise NoConvergence(
-                f"HB Newton stopped improving (residual {rn_new:.3g})")
-        z, r, rn = z_new, r_new, rn_new
-    if rn < tol:
-        return z, rn
-    raise NoConvergence(f"HB Newton stalled at residual {rn:.3g}")
+def _newton(residual_fn, jacobian_fn, z0, tol, max_iter):
+    """The shared damped Newton with dense steps on jacobian_fn(z, r)."""
+    return newton.damped_newton(
+        residual_fn, lambda z, r: newton.dense_step(jacobian_fn(z, r), r, "HB"),
+        z0, tol, max_iter, "HB")
 
 
 def solve_hb(init: FourierCycle, field: VectorField, ops: SpectralOperators,
@@ -248,8 +217,8 @@ def solve_hb(init: FourierCycle, field: VectorField, ops: SpectralOperators,
     dim, K = init.dim, init.K
 
     def cycle(z):
-        coeffs, T = _unpack(z, dim, K)
-        return FourierCycle(K=K, period=T, coeffs=coeffs)
+        return FourierCycle(K=K, period=float(z[-1]),
+                            coeffs=z[:-1].reshape(dim, 2 * K + 1))
 
     def residual(z):
         if z[-1] <= 0:
@@ -259,7 +228,7 @@ def solve_hb(init: FourierCycle, field: VectorField, ops: SpectralOperators,
     def jacobian(z, r):
         return hb_jacobian(cycle(z), field, ops, phase_var)
 
-    z, _ = _newton(residual, jacobian, _pack(init.coeffs, init.period),
+    z, _ = _newton(residual, jacobian, np.append(init.coeffs, init.period),
                    tol, max_iter)
     return cycle(z)
 
@@ -287,8 +256,7 @@ def solve_hb_fixed_period(init: FourierCycle, I_guess: float, field_at,
         return fixed_period_jacobian(cycle(z), float(z[-1]), field_at, ops,
                                      r, phase_var)
 
-    z, _ = _newton(residual, jacobian,
-                   np.concatenate([init.coeffs.ravel(), [I_guess]]),
+    z, _ = _newton(residual, jacobian, np.append(init.coeffs, I_guess),
                    tol, max_iter)
     return cycle(z), float(z[-1])
 

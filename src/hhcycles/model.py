@@ -40,18 +40,6 @@ class HHParams:
 DEFAULT_PARAMS = HHParams()
 
 
-@dataclass(frozen=True)
-class RateSet:
-    """Channel opening/closing rates (1/ms) at a fixed membrane potential."""
-
-    alpha_n: float
-    beta_n: float
-    alpha_h: float
-    beta_h: float
-    alpha_m: float
-    beta_m: float
-
-
 _EXPC_SERIES_CUTOFF = 1e-4
 
 
@@ -98,12 +86,6 @@ def rate_arrays(V):
     alpha_m = expc(0.1 * (25.0 + V))
     beta_m = 4.0 * np.exp(V / 18.0)
     return np.broadcast_arrays(alpha_n, beta_n, alpha_h, beta_h, alpha_m, beta_m)
-
-
-def rates(V: float) -> RateSet:
-    """Rate set at a single potential."""
-    a_n, b_n, a_h, b_h, a_m, b_m = (float(r) for r in rate_arrays(V))
-    return RateSet(a_n, b_n, a_h, b_h, a_m, b_m)
 
 
 def rate_derivative_arrays(V):

@@ -17,24 +17,54 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import integrate
-from .errors import NoConvergence, NoOscillation, SingularJacobian
+from . import integrate, newton
+from .cycles import PeriodicOrbit
+from .errors import NoOscillation, NonFinite
 from .fields import VectorField
+from .hb import from_trajectory
 from .integrate import Trajectory
 
 
 @dataclass(frozen=True)
-class Cycle:
-    """A periodic orbit in time-domain form."""
+class Cycle(PeriodicOrbit):
+    """A periodic orbit in time-domain form: one period of samples."""
 
     period: float
     anchor_state: np.ndarray
     samples: Trajectory
     source: str = "shooting"  # shooting | collocation | harmonic-balance
 
+    dense = False
+
+    def evaluate_time(self, t):
+        """Linear interpolation between the samples, wrapped to one period."""
+        t = np.mod(np.asarray(t, dtype=float), self.period)
+        times = self.samples.times - self.samples.times[0]
+        states = self.samples.states
+        return np.stack([np.interp(t, times, states[:, j])
+                         for j in range(states.shape[1])], axis=-1)
+
     def v_extrema(self):
         V = self.samples.states[:, 0]
         return float(V.min()), float(V.max())
+
+    def to_fourier(self, K: int):
+        return from_trajectory(self.samples.states[:-1], self.period, K)
+
+    def to_time_cycle(self):
+        return self
+
+    def to_json(self) -> dict:
+        return {"period": float(self.period),
+                "samples_t": self.samples.times.tolist(),
+                "samples": self.samples.states.tolist()}
+
+    @classmethod
+    def from_json(cls, doc: dict, field=None) -> "Cycle":
+        states = np.array(doc["samples"], dtype=float)
+        return cls(period=float(doc["period"]), anchor_state=states[0].copy(),
+                   samples=Trajectory(np.array(doc["samples_t"], dtype=float),
+                                      states))
 
 
 DEFAULT_FLOW_STEPS = 2000
@@ -52,51 +82,31 @@ def shoot(field: VectorField, guess: Cycle, tol: float = 1e-10,
     dim = field.dim
     a = np.array(guess.anchor_state, dtype=float)
     fa = field.f(a)
-    x0 = a.copy()
-    T = float(guess.period)
+    flowed = {}  # flow end state and monodromy at the latest residual point
 
-    def residual(x0, T):
-        xT, M = integrate.flow_with_monodromy(field, x0, T, flow_steps)
-        G = xT - x0
-        phase = float(fa @ (x0 - a))
-        return np.concatenate([G, [phase]]), xT, M
+    def residual(z):
+        x0, T = z[:dim], z[dim]
+        if T <= 0:
+            return np.full(dim + 1, np.inf)
+        try:
+            flowed["xT"], flowed["M"] = integrate.flow_with_monodromy(
+                field, x0, T, flow_steps)
+        except NonFinite:
+            return np.full(dim + 1, np.inf)
+        return np.concatenate([flowed["xT"] - x0, [float(fa @ (x0 - a))]])
 
-    r, xT, M = residual(x0, T)
-    rn = np.linalg.norm(r, np.inf)
-    for _ in range(max_iter):
-        if rn < tol:
-            break
+    def step(z, r):
         A = np.zeros((dim + 1, dim + 1))
-        A[:dim, :dim] = M - np.eye(dim)
-        A[:dim, dim] = field.f(xT)
+        A[:dim, :dim] = flowed["M"] - np.eye(dim)
+        A[:dim, dim] = field.f(flowed["xT"])
         A[dim, :dim] = fa
-        cond = np.linalg.cond(A)
-        if not np.isfinite(cond) or cond > 1e14:
-            raise SingularJacobian(
-                f"shooting Newton matrix ill-conditioned (cond={cond:.3g})")
-        delta = np.linalg.solve(A, -r)
-        # damping: halve the step while the residual fails to decrease
-        lam = 1.0
-        for _ in range(8):
-            x0_new = x0 + lam * delta[:dim]
-            T_new = T + lam * delta[dim]
-            if T_new > 0:
-                try:
-                    r_new, xT_new, M_new = residual(x0_new, T_new)
-                except Exception:
-                    lam *= 0.5
-                    continue
-                if np.linalg.norm(r_new, np.inf) < rn or lam < 1e-2:
-                    break
-            lam *= 0.5
-        else:
-            raise NoConvergence("shooting damping exhausted")
-        x0, T, r, xT, M = x0_new, T_new, r_new, xT_new, M_new
-        rn = np.linalg.norm(r, np.inf)
-    else:
-        raise NoConvergence(f"shooting did not reach tol (residual {rn:.3g})")
-    samples = _sample_cycle(field, x0, T)
-    return Cycle(period=T, anchor_state=x0, samples=samples, source="shooting")
+        return newton.dense_step(A, r, "shooting")
+
+    z, _ = newton.damped_newton(residual, step, np.append(a, guess.period),
+                                tol, max_iter, "shooting")
+    x0, T = z[:dim], float(z[dim])
+    return Cycle(period=T, anchor_state=x0, samples=_sample_cycle(field, x0, T),
+                 source="shooting")
 
 
 def settle_transient(field: VectorField, settle_time: float = 300.0,

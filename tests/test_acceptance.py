@@ -48,7 +48,7 @@ def branch_up(hb_adapter):
     guess = shooting.settle_transient(fld, 300.0,
                                       x_start=eq + np.array([5.0, 0, 0, 0]))
     stable = shooting.shoot(fld, guess, tol=1e-12)
-    fc = hb.solve_hb(ct._as_fourier(stable, 50), fld, hb_adapter._ops)
+    fc = hb.solve_hb(stable.to_fourier(50), fld, hb_adapter._ops)
     start = ct.make_point(20.0, fc, fld)
     ctrl = ct.StepControl(initial=0.5, max_step=2.0, collapse_amplitude=0.4,
                           max_orbit_jump=25.0)
@@ -153,7 +153,7 @@ def cross_solver(hb_adapter):
         guess = shooting.settle_transient(
             fld, 300.0, x_start=eq + np.array([5.0, 0, 0, 0]))
         sc = shooting.shoot(fld, guess, tol=1e-12)
-        fc = hb.solve_hb(ct._as_fourier(sc, 50), fld, hb_adapter._ops)
+        fc = hb.solve_hb(sc.to_fourier(50), fld, hb_adapter._ops)
         cs = collocation.solve_bvp(fld, sc, tol=1e-5, N=200, max_N=2000)
 
         tr = integrate.integrate_rk4(fld, sc.anchor_state, 0.0, sc.period,
@@ -361,7 +361,7 @@ def test_criterion_9_gibbs_ripple(branch_down, hb_adapter, cross_solver):
     seed_pt = min((p for p in branch_down.points
                    if p.spectrum.stability == "stable"),
                   key=lambda p: abs(p.I - I))
-    fc = hb.solve_hb(ct._as_fourier(seed_pt.cycle, 50), FAM(I),
+    fc = hb.solve_hb(seed_pt.cycle.to_fourier(50), FAM(I),
                      hb_adapter._ops)
     cs = collocation.solve_bvp(FAM(I), fc, tol=1e-5, N=400, max_N=1600)
     dev = _aligned_v_deviation(lambda t: hb.evaluate_series(fc, t)[:, 0],

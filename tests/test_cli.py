@@ -5,8 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from hhcycles import cli, floquet, hb
+from hhcycles import cli, collocation, floquet, hb
 from hhcycles.cli import ConfigError
+from test_floquet import make_spec
+
+
+@pytest.fixture(scope="module")
+def colloc_cycle_20(field20, stable_cycle_20):
+    return collocation.solve_bvp(field20, stable_cycle_20, tol=1e-4, N=200,
+                                 max_N=1200)
 
 
 class TestConfig:
@@ -101,6 +108,43 @@ class TestCycleArtifacts:
         I, cyc = cli.read_cycle_json(str(path))
         assert cyc.period == pytest.approx(stable_cycle_20.period)
         assert np.allclose(cyc.samples.states, stable_cycle_20.samples.states)
+
+    @pytest.mark.parametrize("method, fixture", [
+        ("shoot", "stable_cycle_20"), ("hb", "hb_cycle_20"),
+        ("collocation", "colloc_cycle_20")])
+    def test_roundtrip_each_method(self, method, fixture, request, tmp_path,
+                                   capsys):
+        cyc = request.getfixturevalue(fixture)
+        path = tmp_path / f"cycle_I20_{method}.json"
+        cli.write_cycle_json(str(path), 20.0, method, cyc, make_spec([0.1]),
+                             1e-11, cli.load_config(None))
+        I, back = cli.read_cycle_json(str(path))
+        assert I == 20.0
+        assert type(back) is type(cyc)
+        assert back.period == cyc.period
+        t = np.linspace(0.0, cyc.period, 97)
+        assert np.array_equal(back.evaluate_time(t), cyc.evaluate_time(t))
+        assert cli.main(["floquet", "--cycle-file", str(path),
+                         "--steps", "400"]) == 0
+        assert "stable" in capsys.readouterr().out
+
+    def test_collocation_artifact_seeds_a_solve(self, tmp_path,
+                                                colloc_cycle_20):
+        path = tmp_path / "seed.json"
+        cli.write_cycle_json(str(path), 20.0, "collocation", colloc_cycle_20,
+                             make_spec([0.1]), 1e-6, cli.load_config(None))
+        assert cli.main(["--out", str(tmp_path), "cycle", "--current", "20",
+                         "--method", "hb", "--harmonics", "30",
+                         "--init", str(path)]) == 0
+        _, cyc = cli.read_cycle_json(str(tmp_path / "cycle_I20_hb.json"))
+        assert cyc.period == pytest.approx(colloc_cycle_20.period, rel=1e-4)
+
+    def test_unknown_method_rejected(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"schema": 1, "current": 5.0,
+                                    "method": "spectral", "period": 1.0}))
+        with pytest.raises(ConfigError):
+            cli.read_cycle_json(str(path))
 
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "c.json"

@@ -114,7 +114,7 @@ class TestSolveHH:
     def test_to_cycle_closes(self, field20, stable_cycle_20):
         sol = collocation.solve_bvp(field20, stable_cycle_20, tol=1e-4,
                                     N=200, max_N=1200)
-        cyc = sol.to_cycle()
+        cyc = sol.to_time_cycle()
         assert cyc.source == "collocation"
         assert np.allclose(cyc.samples.states[-1], cyc.samples.states[0])
 

@@ -40,16 +40,16 @@ class TestHelpers:
             ct.v_extrema(3.14)
 
     def test_as_fourier_from_time_cycle(self, stable_cycle_20):
-        fc = ct._as_fourier(stable_cycle_20, 30)
+        fc = stable_cycle_20.to_fourier(30)
         assert fc.K == 30
         assert fc.period == pytest.approx(stable_cycle_20.period)
 
     def test_as_fourier_resizes(self, hb_cycle_20):
-        fc = ct._as_fourier(hb_cycle_20, 20)
+        fc = hb_cycle_20.to_fourier(20)
         assert fc.K == 20
 
     def test_as_time_cycle_roundtrip(self, hb_cycle_20):
-        cyc = ct._as_time_cycle(hb_cycle_20)
+        cyc = hb_cycle_20.to_time_cycle()
         assert cyc.period == pytest.approx(hb_cycle_20.period)
         t = cyc.samples.times
         V = hb.evaluate_series(hb_cycle_20, t)[:, 0]
@@ -104,18 +104,6 @@ class TestContinueBranch:
         br = ct.continue_branch(start, +1, (18.0, 20.0), solver="hb",
                                 adapter=ct._SolverAdapter("hb", hb_K=40))
         assert len(br.points) == 1
-
-
-class TestSwitchParameter:
-    def test_solver_failure_forces_period_mode(self):
-        assert ct.switch_parameter(None, 0.1, 0.0, True) == "T"
-
-    def test_collapsed_step_with_moving_orbit(self):
-        assert ct.switch_parameter(None, 1e-8, 0.5, False) == "T"
-
-    def test_healthy_step_stays_natural(self):
-        assert ct.switch_parameter(None, 0.1, 0.5, False) == "I"
-        assert ct.switch_parameter(None, 1e-8, 1e-6, False) == "I"
 
 
 class TestBracketSlice:
