@@ -99,8 +99,10 @@ def _validate(cfg: dict):
                 "solver.shooting.tol", "continuation.step.initial"):
         if cfg[key] <= 0:
             raise ConfigError(f"{key} must be positive")
-    if cfg["solver.hb.k"] < 1:
-        raise ConfigError("solver.hb.k must be >= 1")
+    # every integer key is a count: harmonics, oversampling, mesh, points, steps
+    for key, default in DEFAULT_CONFIG.items():
+        if isinstance(default, int) and cfg[key] < 1:
+            raise ConfigError(f"{key} must be >= 1")
 
 
 def config_hash(cfg: dict) -> str:
@@ -197,6 +199,8 @@ def read_cycle_json(path, cfg=None):
     """
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: not a cycle object")
     doc.pop("_meta", None)
     unknown = set(doc) - _CYCLE_FIELDS
     if unknown:
@@ -212,6 +216,17 @@ def read_cycle_json(path, cfg=None):
         return I, cls.from_json(doc, fld)
     except KeyError as exc:
         raise ConfigError(f"{path}: missing cycle field {exc}")
+    except TypeError as exc:
+        raise ConfigError(f"{path}: malformed cycle field: {exc}")
+
+
+def _load_cycle_file(path, cfg):
+    """read_cycle_json for a command: None, reported on stderr, if unreadable."""
+    try:
+        return read_cycle_json(path, cfg)
+    except (OSError, ValueError, ConfigError) as exc:
+        print(f"cannot read cycle file: {exc}", file=sys.stderr)
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -302,15 +317,19 @@ def _solve_single_cycle(I, method, cfg, p, init=None):
 def cmd_cycle(args, cfg) -> int:
     p = params_from_config(cfg)
     I = args.current
-    if args.harmonics:
+    if args.harmonics is not None:
         cfg = dict(cfg)
         cfg["solver.hb.k"] = args.harmonics
-    if args.mesh:
+    if args.mesh is not None:
         cfg = dict(cfg)
         cfg["solver.collocation.n"] = args.mesh
+    _validate(cfg)
     init = None
     if args.init:
-        _, init = read_cycle_json(args.init, cfg)
+        loaded = _load_cycle_file(args.init, cfg)
+        if loaded is None:
+            return 2
+        _, init = loaded
     try:
         cyc, residual = _solve_single_cycle(I, args.method, cfg, p, init)
         spec = floquet.spectrum(cyc, hh_field(p, I),
@@ -332,11 +351,10 @@ def cmd_cycle(args, cfg) -> int:
 
 def cmd_floquet(args, cfg) -> int:
     p = params_from_config(cfg)
-    try:
-        I, cyc = read_cycle_json(args.cycle_file, cfg)
-    except (OSError, ValueError, KeyError, ConfigError) as exc:
-        print(f"cannot read cycle file: {exc}", file=sys.stderr)
+    loaded = _load_cycle_file(args.cycle_file, cfg)
+    if loaded is None:
         return 2
+    I, cyc = loaded
     try:
         spec = floquet.spectrum(cyc, hh_field(p, I), nsteps=args.steps)
     except HHCyclesError as exc:
@@ -439,10 +457,8 @@ def run_diagram(cfg, out_dir, verbose=False):
     # events on the hopf-seeded branch: folds at the I-extrema, then the
     # period-doubling crossing on the strongly unstable segment
     if br_dn is not None and len(br_dn.points) > 4:
-        Is = np.array([pt.I for pt in br_dn.points])
-        ext = [j for j in range(1, len(Is) - 1)
-               if (Is[j] - Is[j - 1]) * (Is[j + 1] - Is[j]) < 0]
-        for j in ext:
+        Is = [pt.I for pt in br_dn.points]
+        for j in continuation.turning_indices(Is):
             try:
                 ev = continuation.locate_fold(
                     br_dn, (max(j - 4, 0), min(j + 4, len(Is) - 1)),
@@ -454,18 +470,10 @@ def run_diagram(cfg, out_dir, verbose=False):
                 if verbose:
                     print(f"fold refinement near I={Is[j]:.6f} failed: {exc}")
         try:
-            # the doubling sits just below the upper knee; a second -1
-            # crossing exists further down the same segment where the
-            # multiplier pair splits after colliding, so restrict the
-            # search to the quarter of the segment adjacent to the knee
-            if len(ext) >= 2:
-                pd_bracket = (ext[0] + 3 * (ext[1] - ext[0]) // 4, ext[1])
-            else:
-                pd_bracket = None
             # the multiplier moves by ~3e4 per unit I near the knee, so
             # the crossing needs a much tighter current tolerance
-            ev = continuation.locate_pd(br_dn, pd_bracket, field_at=fam,
-                                        adapter=ad, tol=1e-9,
+            ev = continuation.locate_pd(br_dn, continuation.pd_bracket(br_dn),
+                                        field_at=fam, adapter=ad, tol=1e-9,
                                         spectrum_steps=cfg["floquet.steps"])
             extra_events.append(ev)
             if verbose:

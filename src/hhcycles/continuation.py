@@ -15,7 +15,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import collocation, floquet, hb, model, shooting
+from . import collocation, floquet, hb, model
 from .cycles import PeriodicOrbit, check_orbit
 from .errors import (DegenerateCycle, MeshTooCoarse, NoConvergence,
                      NoExtremum, NoSignChange, SingularJacobian, StartInvalid)
@@ -59,11 +59,15 @@ class StepControl:
     initial: float = 0.25
     max_step: float = 2.0
     min_step: float = 1e-9
-    grow_after: int = 3
     collapse_amplitude: float = 0.75   # mV amplitude marking a Hopf endpoint
-    switch_step: float = 1e-6          # I-step below which T takes over
-    revert_slope: float = 0.02         # |dI/dT| above which I takes over again
     max_orbit_jump: float = 30.0       # |dT| + |dv_min| + |dv_max| acceptance bound
+
+
+GROW_AFTER = 3        # accepted steps in a row before the step doubles
+SWITCH_STEP = 1e-6    # I-step below which the period takes over
+REVERT_SLOPE = 0.02   # |dI/dT| above which I takes over again
+NEWTON_TOL = 1e-10    # harmonic-balance corrector tolerance and budget
+NEWTON_MAX_ITER = 12
 
 
 def hh_family(p: model.HHParams = model.DEFAULT_PARAMS) -> Callable[[float], VectorField]:
@@ -77,29 +81,23 @@ def v_extrema(cyc) -> Tuple[float, float]:
 
 
 class _SolverAdapter:
-    """Uniform corrector interface over the three cycle solvers."""
+    """Corrector interface over the two solvers with a frozen-period mode."""
 
     def __init__(self, name: str, hb_K: int = 40, hb_oversample: int = hb.DEFAULT_OVERSAMPLE,
-                 coll_tol: float = 1e-6, coll_N: int = 100, coll_max_N: int = 2000,
-                 newton_tol: float = 1e-10, max_iter: int = 12):
-        if name not in ("hb", "collocation", "shooting"):
+                 coll_tol: float = 1e-6, coll_N: int = 100, coll_max_N: int = 2000):
+        if name not in ("hb", "collocation"):
             raise ValueError(f"unknown solver {name!r}")
         self.name = name
         self.hb_K = hb_K
         self.coll_tol = coll_tol
         self.coll_N = coll_N
         self.coll_max_N = coll_max_N
-        self.newton_tol = newton_tol
-        self.max_iter = max_iter
         self._ops = hb.build_operators(hb_K, hb_oversample) if name == "hb" else None
 
     def solve(self, fld: VectorField, predictor: PeriodicOrbit):
-        if self.name == "shooting":
-            return shooting.shoot(fld, predictor.to_time_cycle(),
-                                  tol=self.newton_tol, max_iter=self.max_iter)
         if self.name == "hb":
             return hb.solve_hb(predictor.to_fourier(self.hb_K), fld, self._ops,
-                               tol=self.newton_tol, max_iter=self.max_iter)
+                               tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER)
         mesh = getattr(predictor, "mesh", None)
         if mesh is None:
             return collocation.solve_bvp(fld, predictor, tol=self.coll_tol,
@@ -114,12 +112,10 @@ class _SolverAdapter:
         if self.name == "hb":
             seed = replace(predictor.to_fourier(self.hb_K), period=T)
             return hb.solve_hb_fixed_period(seed, I_guess, field_at, self._ops,
-                                            tol=self.newton_tol,
-                                            max_iter=self.max_iter)
-        if self.name == "collocation":
-            return collocation.solve_bvp_fixed_period(
-                field_at, replace(predictor, period=T), I_guess)
-        raise NoConvergence("shooting has no fixed-period mode; use hb or collocation")
+                                            tol=NEWTON_TOL,
+                                            max_iter=NEWTON_MAX_ITER)
+        return collocation.solve_bvp_fixed_period(
+            field_at, replace(predictor, period=T), I_guess)
 
 
 SOLVER_ERRORS = (NoConvergence, SingularJacobian, MeshTooCoarse, DegenerateCycle)
@@ -136,18 +132,18 @@ def make_point(I: float, cyc, fld: VectorField,
 def continue_branch(start: BranchPoint, direction: int,
                     I_limits: Tuple[float, float],
                     step_ctrl: Optional[StepControl] = None,
-                    solver: str = "hb",
                     field_at: Optional[Callable[[float], VectorField]] = None,
                     adapter: Optional[_SolverAdapter] = None,
                     spectrum_steps: int = floquet.DEFAULT_SPECTRUM_STEPS,
                     max_points: int = 1000) -> Branch:
     """Follow a branch of cycles from start in the given I direction.
 
-    Steps in I with the previous cycle as predictor, halving the step on
-    corrector failure and doubling it after grow_after successes.  When the
-    step collapses below switch_step while the orbit keeps changing, the
-    driver freezes T and solves for I instead (turning-point rounding),
-    reverting once |dI/dT| recovers.  Terminates on the I_limits box, on
+    One step loop drives the branch by I or, at frozen period, by T: it
+    predicts from the previous cycle, corrects, vets the point, then halves
+    the step of the driving parameter on failure or doubles it after
+    GROW_AFTER successes.  When the I-step collapses below SWITCH_STEP the
+    period takes over (turning-point rounding); I takes over again once
+    |dI/dT| exceeds REVERT_SLOPE.  Terminates on the I_limits box, on
     amplitude collapse (recorded as a Hopf endpoint event), on min-step
     exhaustion, or after max_points.
     """
@@ -155,7 +151,7 @@ def continue_branch(start: BranchPoint, direction: int,
         field_at = hh_family()
     ctrl = step_ctrl or StepControl()
     if adapter is None:
-        adapter = _SolverAdapter(solver)
+        adapter = _SolverAdapter("hb")
     if not np.isfinite(start.I) or start.period <= 0 or start.v_min >= start.v_max:
         raise StartInvalid("start point is not a converged nondegenerate cycle")
 
@@ -164,8 +160,8 @@ def continue_branch(start: BranchPoint, direction: int,
     events: List[BifurcationEvent] = []
     mode_history = [(0, "I")]
     mode = "I"
-    step = ctrl.initial
-    T_step = 0.0
+    step = {"I": ctrl.initial, "T": 0.0}
+    max_step = {"I": ctrl.max_step, "T": np.inf}   # T steps grow uncapped
     successes = 0
     steps_in_mode = 0
     cur_dir = 1.0 if direction > 0 else -1.0  # flips when a fold is rounded
@@ -210,119 +206,94 @@ def continue_branch(start: BranchPoint, direction: int,
 
     while len(points) < max_points:
         cur = points[-1]
-        if mode == "I":
-            I_t = float(np.clip(cur.I + cur_dir * step, lo, hi))
-            if I_t == cur.I:
-                break  # parked on the I-limits box
-
-            def retreat(exc=None):
-                # shrink the step; switch to frozen-period mode once the
-                # I-step has collapsed (turning-point signature)
-                nonlocal successes, step, mode, steps_in_mode, T_step
-                successes = 0
-                step *= 0.5
-                if step < ctrl.switch_step and len(points) >= 2 and \
-                        adapter.name != "shooting":
-                    mode = "T"
-                    steps_in_mode = 0
-                    dT = points[-1].period - points[-2].period
-                    T_step = max(abs(dT), 1e-6)
-                    mode_history.append((len(points) - 1, "T"))
-                elif step < ctrl.min_step:
-                    if exc is not None:
-                        raise type(exc)(
-                            f"continuation stalled at I={cur.I:.9g}: {exc}")
-                    raise NoConvergence(
-                        f"continuation stalled at I={cur.I:.9g}: "
-                        "steps kept being rejected")
-
-            try:
-                cyc = adapter.solve(field_at(I_t), cur.cycle)
-            except SOLVER_ERRORS as exc:
-                retreat(exc)
-                continue
-            verdict = accept(I_t, cyc)
-            if verdict == "stop":
-                break
-            if verdict == "reject":
-                retreat()
-                continue
-            successes += 1
-            steps_in_mode += 1
-            if successes >= ctrl.grow_after:
-                step = min(2.0 * step, ctrl.max_step)
-                successes = 0
-        else:
-            # frozen-period mode: walk in T, recover I from the solver
-            dT = points[-1].period - points[-2].period
-            T_dir = 1.0 if dT >= 0 else -1.0
-            T_t = cur.period + T_dir * T_step
-            try:
+        try:
+            if mode == "I":
+                I_new = float(np.clip(cur.I + cur_dir * step["I"], lo, hi))
+                if I_new == cur.I:
+                    break  # parked on the I-limits box
+                cyc = adapter.solve(field_at(I_new), cur.cycle)
+            else:
+                # walk in T along the last period change, recover I
+                T_dir = 1.0 if cur.period >= points[-2].period else -1.0
                 cyc, I_new = adapter.solve_fixed_period(
-                    field_at, cur.cycle, T_t, cur.I)
-            except SOLVER_ERRORS as exc:
-                successes = 0
-                T_step *= 0.5
-                if T_step < ctrl.min_step:
-                    raise type(exc)(
-                        f"frozen-period continuation stalled at T={cur.period:.9g}: {exc}")
-                continue
+                    field_at, cur.cycle, cur.period + T_dir * step["T"], cur.I)
+        except SOLVER_ERRORS as exc:
+            failure, verdict = exc, "reject"
+        else:
             if not (lo <= I_new <= hi):
-                break
-            verdict = accept(I_new, cyc)
-            if verdict == "stop":
-                break
-            if verdict == "reject":
-                successes = 0
-                T_step *= 0.5
-                if T_step < ctrl.min_step:
-                    raise NoConvergence(
-                        f"frozen-period steps kept being rejected at "
-                        f"T={cur.period:.9g}")
-                continue
-            successes += 1
-            steps_in_mode += 1
-            if successes >= ctrl.grow_after:
-                T_step *= 2.0
-                successes = 0
-            slope = abs(points[-1].I - points[-2].I) / max(
-                abs(points[-1].period - points[-2].period), 1e-300)
-            if steps_in_mode >= 3 and slope > ctrl.revert_slope:
-                mode = "I"
+                break  # a frozen-period solve left the I-limits box
+            failure, verdict = None, accept(I_new, cyc)
+        if verdict == "stop":
+            break
+        if verdict == "reject":
+            successes = 0
+            step[mode] *= 0.5
+            if mode == "I" and step["I"] < SWITCH_STEP and len(points) >= 2:
+                # the I-step collapsed at a turning point: freeze the period
+                mode = "T"
                 steps_in_mode = 0
-                successes = 0
-                step = max(min(2.0 * abs(points[-1].I - points[-2].I),
-                               ctrl.max_step), 10.0 * ctrl.min_step)
-                # the branch orientation may have flipped around the fold
-                dI = points[-1].I - points[-2].I
-                if dI != 0.0:
-                    cur_dir = 1.0 if dI > 0 else -1.0
-                mode_history.append((len(points) - 1, "I"))
+                step["T"] = max(abs(cur.period - points[-2].period), 1e-6)
+                mode_history.append((len(points) - 1, "T"))
+            elif step[mode] < ctrl.min_step:
+                raise (type(failure) if failure else NoConvergence)(
+                    f"{mode}-mode continuation stalled at I={cur.I:.9g}, T="
+                    f"{cur.period:.9g}: {failure or 'steps kept being rejected'}")
+            continue
+        successes += 1
+        steps_in_mode += 1
+        if successes >= GROW_AFTER:
+            step[mode] = min(2.0 * step[mode], max_step[mode])
+            successes = 0
+        dI = points[-1].I - points[-2].I
+        if mode == "T" and steps_in_mode >= 3 and abs(dI) / max(
+                abs(points[-1].period - points[-2].period), 1e-300) > REVERT_SLOPE:
+            # the branch has straightened out: I drives it again, in the
+            # direction it now moves (it flips around a fold)
+            mode = "I"
+            successes = 0
+            step["I"] = max(min(2.0 * abs(dI), ctrl.max_step),
+                            10.0 * ctrl.min_step)
+            if dI != 0.0:
+                cur_dir = 1.0 if dI > 0 else -1.0
+            mode_history.append((len(points) - 1, "I"))
 
     return Branch(points=points, events=events, solver=adapter.name,
                   mode_history=mode_history)
 
 
-def _bracket_slice(branch: Branch, bracket) -> List[int]:
-    """Branch indices inside the bracket.
+def turning_indices(Is: Sequence[float]) -> List[int]:
+    """Indices where the currents Is turn back: the points nearest a fold."""
+    return [j for j in range(1, len(Is) - 1)
+            if (Is[j] - Is[j - 1]) * (Is[j + 1] - Is[j]) < 0]
 
-    An integer pair selects a contiguous index window (needed when I is
-    double-valued around a fold); a float pair selects by current.
+
+def pd_bracket(branch: Branch) -> Optional[Tuple[int, int]]:
+    """Index window of the period-doubling search (None: the whole branch).
+
+    The doubling sits just below the upper knee; a second -1 crossing
+    exists further down the same segment where the multiplier pair splits
+    after colliding, so search only the quarter of the segment between the
+    first two turning points that is adjacent to the knee.
     """
-    idx = range(len(branch.points))
-    if bracket is None:
-        return list(idx)
-    a, b = bracket
-    if isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer)):
-        return list(range(min(a, b), min(max(a, b) + 1, len(branch.points))))
-    lo, hi = min(a, b), max(a, b)
-    return [i for i in idx if lo <= branch.points[i].I <= hi]
+    ext = turning_indices([pt.I for pt in branch.points])
+    if len(ext) < 2:
+        return None
+    return (ext[0] + 3 * (ext[1] - ext[0]) // 4, ext[1])
+
+
+def _bracket_slice(branch: Branch, bracket) -> List[int]:
+    """Branch indices in the index window bracket (all of them for None).
+
+    Indices, not currents, select the window: I is double-valued at a fold.
+    """
+    n = len(branch.points)
+    a, b = bracket or (0, n - 1)
+    return list(range(min(a, b), min(max(a, b) + 1, n)))
 
 
 def _locator_defaults(branch: Branch, field_at, adapter):
-    """HH family and the branch's own corrector (hb for shooting branches)."""
-    return (field_at or hh_family(), adapter or _SolverAdapter(
-        branch.solver if branch.solver != "shooting" else "hb"))
+    """HH family and the branch's own corrector."""
+    return field_at or hh_family(), adapter or _SolverAdapter(branch.solver)
 
 
 def locate_fold(branch: Branch, bracket=None,
@@ -340,13 +311,10 @@ def locate_fold(branch: Branch, bracket=None,
     ids = _bracket_slice(branch, bracket)
     if len(ids) < 3:
         raise NoExtremum("bracket holds fewer than three branch points")
-    Is = np.array([branch.points[i].I for i in ids])
-    k = None
-    for j in range(1, len(ids) - 1):
-        if (Is[j] - Is[j - 1]) * (Is[j + 1] - Is[j]) < 0:
-            k = j
-    if k is None:
+    ext = turning_indices([branch.points[i].I for i in ids])
+    if not ext:
         raise NoExtremum("no interior extremum of I in the bracket")
+    k = ext[-1]
 
     samples = [(branch.points[ids[j]].period, branch.points[ids[j]].I,
                 branch.points[ids[j]].cycle) for j in (k - 1, k, k + 1)]

@@ -25,10 +25,6 @@ class NonFinite(HHCyclesError):
     """Blow-up (inf/nan) detected during time integration."""
 
 
-class NotPeriodic(HHCyclesError):
-    """Cycle endpoint mismatch beyond tolerance."""
-
-
 class MeshTooCoarse(HHCyclesError):
     """Mesh refinement hit the subinterval cap with residual above tolerance."""
 

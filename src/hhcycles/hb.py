@@ -261,19 +261,6 @@ def solve_hb_fixed_period(init: FourierCycle, I_guess: float, field_at,
     return cycle(z), float(z[-1])
 
 
-def choose_harmonics(xbar: FourierCycle, drop_tol: float = 1e-8) -> int:
-    """Smallest K' whose discarded-tail max ratio is below drop_tol."""
-    dim, K = xbar.dim, xbar.K
-    full = np.abs(xbar.coeffs)
-    norms = np.max(full, axis=1)
-    norms[norms == 0.0] = 1.0
-    for Kp in range(1, K):
-        tail = full[:, 2 * Kp + 1:]
-        if np.max(np.max(tail, axis=1) / norms) < drop_tol:
-            return Kp
-    return K
-
-
 def resize(xbar: FourierCycle, K_new: int) -> FourierCycle:
     """Pad with zeros or truncate the harmonic count."""
     dim = xbar.dim

@@ -7,7 +7,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NonFinite, NotPeriodic
+from .errors import NonFinite
 from .fields import VectorField
 
 
@@ -21,12 +21,6 @@ class Trajectory:
             raise ValueError("times/states length mismatch")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
-
-
-@dataclass(frozen=True)
-class MonodromyResult:
-    matrix: np.ndarray
-    cycle_period: float
 
 
 def _rk4_step(f, x, h):
@@ -123,35 +117,6 @@ def variational_along(field: VectorField, x_of_t: Callable[[np.ndarray], np.ndar
     if not np.all(np.isfinite(Y)):
         raise NonFinite("variational flow blew up")
     return Y
-
-
-DEFAULT_MONODROMY_STEPS = 4000
-
-
-def monodromy(field: VectorField, cycle_samples: Trajectory,
-              nsteps: int = DEFAULT_MONODROMY_STEPS,
-              endpoint_tol: float = 1e-6) -> MonodromyResult:
-    """Monodromy matrix of a one-period trajectory.
-
-    The samples must cover exactly one period (first and last state equal to
-    endpoint_tol); the variational system is re-integrated in a coupled pass
-    from the first sample rather than interpolating the given samples.
-    """
-    x0 = cycle_samples.states[0]
-    x1 = cycle_samples.states[-1]
-    scale = max(1.0, float(np.max(np.abs(x0))))
-    if np.max(np.abs(x1 - x0)) > endpoint_tol * scale:
-        raise NotPeriodic(
-            f"endpoint mismatch {np.max(np.abs(x1 - x0)):.3g} exceeds tolerance")
-    T = float(cycle_samples.times[-1] - cycle_samples.times[0])
-    _, M = flow_with_monodromy(field, x0, T, nsteps)
-    return MonodromyResult(matrix=M, cycle_period=T)
-
-
-def liouville_determinant(field: VectorField, traj: Trajectory) -> float:
-    """exp of the integral of trace J along the trajectory (trapezoid rule)."""
-    tr = np.array([np.trace(field.jac(x)) for x in traj.states])
-    return float(np.exp(np.trapezoid(tr, traj.times)))
 
 
 def signed_log_determinant(chunks) -> tuple:

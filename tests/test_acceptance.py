@@ -78,9 +78,7 @@ def branch_down(hopf_pair, hb_adapter):
 
 
 def _extrema_indices(branch):
-    Is = np.array([p.I for p in branch.points])
-    return [j for j in range(1, len(Is) - 1)
-            if (Is[j] - Is[j - 1]) * (Is[j + 1] - Is[j]) < 0]
+    return ct.turning_indices([p.I for p in branch.points])
 
 
 @pytest.fixture(scope="module")
@@ -230,15 +228,8 @@ def test_criterion_4_knee_folds(fold_events):
 
 
 def test_criterion_5_period_doubling(branch_down, hb_adapter):
-    # the doubling sits just below the upper knee; a second -1 crossing
-    # exists further down the same segment where the multiplier pair
-    # splits after colliding, so search only the quarter of the segment
-    # adjacent to the knee
-    ext = _extrema_indices(branch_down)
-    bracket = ((ext[0] + 3 * (ext[1] - ext[0]) // 4, ext[1])
-               if len(ext) >= 2 else None)
-    ev = ct.locate_pd(branch_down, bracket, field_at=FAM, adapter=hb_adapter,
-                      tol=1e-9)
+    ev = ct.locate_pd(branch_down, ct.pd_bracket(branch_down), field_at=FAM,
+                      adapter=hb_adapter, tol=1e-9)
     I6 = ev.I_star
     # multiplier table at the located point: nearest refinement row
     row = min(ev.evidence["rows"], key=lambda r: abs(r["I"] - I6))
@@ -338,9 +329,8 @@ def test_criterion_8_property_suites():
     assert spec.trivial_error < 1e-3
     # conservative oracle: one-period monodromy is the identity
     T = 2 * np.pi
-    traj = integrate.integrate_rk4(fld, [1.0, 0.0], 0.0, T, T / 2000)
-    assert np.allclose(integrate.monodromy(fld, traj).matrix, np.eye(2),
-                       atol=1e-8)
+    _, M = integrate.flow_with_monodromy(fld, [1.0, 0.0], T, 4000)
+    assert np.allclose(M, np.eye(2), atol=1e-8)
     # single-harmonic exactness on the rotation field
     coeffs = np.zeros((2, 3))
     coeffs[0, 1] = 1.0

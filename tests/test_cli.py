@@ -55,6 +55,20 @@ class TestConfig:
         with pytest.raises(ConfigError):
             cli.load_config(str(f))
 
+    @pytest.mark.parametrize("key", [k for k, v in cli.DEFAULT_CONFIG.items()
+                                     if isinstance(v, int)])
+    def test_count_keys_below_one_rejected(self, tmp_path, key):
+        f = tmp_path / "run.cfg"
+        f.write_text(f"{key}=0\n")
+        with pytest.raises(ConfigError, match=key):
+            cli.load_config(str(f))
+        assert cli.main(["--config", str(f), "hopf", "--range", "1:2"]) == 1
+
+    @pytest.mark.parametrize("option", ["--harmonics", "--mesh"])
+    def test_count_options_below_one_rejected(self, tmp_path, option):
+        assert cli.main(["--out", str(tmp_path), "cycle", "--current", "20",
+                         option, "0"]) == 1
+
     def test_integer_keys_stay_integer(self, tmp_path):
         f = tmp_path / "run.cfg"
         f.write_text("solver.collocation.n=250\n")
@@ -207,3 +221,18 @@ class TestCommands:
     def test_floquet_on_missing_file(self, tmp_path, capsys):
         rc = cli.main(["floquet", "--cycle-file", str(tmp_path / "x.json")])
         assert rc == 2
+
+    @pytest.mark.parametrize("content", [
+        None, "{not json", "[1, 2]",
+        '{"schema": 1, "current": null, "method": "hb", "period": 1.0}'],
+        ids=["missing", "malformed", "not-an-object", "null-current"])
+    @pytest.mark.parametrize("command", [
+        ["cycle", "--current", "20", "--method", "hb", "--init"],
+        ["floquet", "--cycle-file"]], ids=["cycle-init", "floquet"])
+    def test_unreadable_cycle_file(self, tmp_path, capsys, command, content):
+        path = tmp_path / "c.json"
+        if content is not None:
+            path.write_text(content)
+        rc = cli.main(["--out", str(tmp_path)] + command + [str(path)])
+        assert rc == 2
+        assert "cannot read cycle file" in capsys.readouterr().err

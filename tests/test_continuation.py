@@ -1,10 +1,13 @@
 """Branch following, turning-point handling and diagram assembly."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from hhcycles import continuation as ct
 from hhcycles import floquet, hb, model
+from hhcycles.cycles import PeriodicOrbit
 from hhcycles.errors import (NoConvergence, NoExtremum, NoSignChange,
                              StartInvalid)
 from test_floquet import make_spec
@@ -72,12 +75,6 @@ class TestSolverAdapter:
         sol = ad.solve(field20, stable_cycle_20)
         assert sol.period == pytest.approx(stable_cycle_20.period, rel=1e-6)
 
-    def test_shooting_has_no_fixed_period_mode(self, stable_cycle_20):
-        ad = ct._SolverAdapter("shooting")
-        with pytest.raises(NoConvergence):
-            ad.solve_fixed_period(ct.hh_family(), stable_cycle_20,
-                                  stable_cycle_20.period, 20.0)
-
 
 class TestContinueBranch:
     def test_invalid_start_rejected(self):
@@ -88,7 +85,7 @@ class TestContinueBranch:
     def test_short_stable_run(self, field20, stable_cycle_20):
         start = ct.make_point(20.0, stable_cycle_20, field20)
         br = ct.continue_branch(
-            start, +1, (20.0, 23.0), solver="hb",
+            start, +1, (20.0, 23.0),
             adapter=ct._SolverAdapter("hb", hb_K=40),
             step_ctrl=ct.StepControl(initial=1.0, max_step=1.0),
             max_points=4)
@@ -101,9 +98,85 @@ class TestContinueBranch:
 
     def test_parks_on_the_limit_box(self, field20, stable_cycle_20):
         start = ct.make_point(20.0, stable_cycle_20, field20)
-        br = ct.continue_branch(start, +1, (18.0, 20.0), solver="hb",
+        br = ct.continue_branch(start, +1, (18.0, 20.0),
                                 adapter=ct._SolverAdapter("hb", hb_K=40))
         assert len(br.points) == 1
+
+
+@dataclass(frozen=True)
+class FoldCycle(PeriodicOrbit):
+    """A cycle reduced to its period, with a fixed V range of 2 mV."""
+
+    period: float
+
+    def v_extrema(self):
+        return -1.0, 1.0
+
+
+class FoldCorrector:
+    """Stub corrector for the synthetic fold I = 1 - (T - 2)^2.
+
+    The field handed to solve is the current itself.  At fixed I it returns
+    the root on the predictor's side of T=2 and fails past the fold at I=1;
+    at frozen T it returns I(T).
+    """
+
+    name = "stub"
+
+    def solve(self, I, predictor):
+        if I > 1.0:
+            raise NoConvergence("no cycle past the fold")
+        side = 1.0 if predictor.period >= 2.0 else -1.0
+        return FoldCycle(2.0 + side * np.sqrt(1.0 - I))
+
+    def solve_fixed_period(self, field_at, predictor, T, I_guess):
+        return FoldCycle(T), 1.0 - (T - 2.0) ** 2
+
+
+class FailingCorrector(FoldCorrector):
+    def solve(self, I, predictor):
+        raise NoConvergence("corrector always fails")
+
+
+class TestModeSwitching:
+    """The step controller's decisions around a turning point."""
+
+    @pytest.fixture(autouse=True)
+    def cheap_points(self, monkeypatch):
+        def make_point(I, cyc, fld, spectrum_steps=None):
+            vmin, vmax = cyc.v_extrema()
+            return ct.BranchPoint(I=float(I), cycle=cyc, period=cyc.period,
+                                  v_min=vmin, v_max=vmax,
+                                  spectrum=make_spec((0.5, 0.1, 0.0)))
+        monkeypatch.setattr(ct, "make_point", make_point)
+
+    def start(self):
+        return ct.make_point(0.75, FoldCycle(2.5), None)
+
+    def test_fold_is_rounded_in_frozen_period_mode(self):
+        br = ct.continue_branch(self.start(), +1, (-2.0, 2.0),
+                                step_ctrl=ct.StepControl(initial=0.1),
+                                adapter=FoldCorrector(),
+                                field_at=lambda I: I)
+        assert br.mode_history == [(0, "I"), (3, "T"), (6, "I")]
+        Is = np.array([p.I for p in br.points])
+        Ts = np.array([p.period for p in br.points])
+        top = int(np.argmax(Is))
+        # up to the fold in I, across T=2 at frozen periods, back down in I
+        assert 1.0 - 1e-6 < Is[top] <= 1.0
+        assert np.all(np.diff(Is[:top + 1]) > 0)
+        assert np.all(np.diff(Is[top:]) < 0)
+        assert np.all(np.diff(Ts) < 0)
+        assert Ts[-1] < 2.0 < Ts[0]
+        assert Ts[3] >= 2.0 > Ts[6]
+        assert Is[-1] == -2.0    # parked on the lower limit
+        assert np.allclose(Is, 1.0 - (Ts - 2.0) ** 2, atol=1e-12)
+
+    def test_failing_corrector_without_a_second_point_raises(self):
+        with pytest.raises(NoConvergence):
+            ct.continue_branch(self.start(), +1, (-2.0, 2.0),
+                               adapter=FailingCorrector(),
+                               field_at=lambda I: I)
 
 
 class TestBracketSlice:
@@ -115,9 +188,12 @@ class TestBracketSlice:
         br = fake_branch([5.0, 4.0, 3.0, 4.0, 5.0])
         assert ct._bracket_slice(br, (1, 3)) == [1, 2, 3]
 
-    def test_current_pair_selects_by_value(self):
-        br = fake_branch([5.0, 4.0, 3.0, 4.0, 5.0])
-        assert ct._bracket_slice(br, (3.5, 4.5)) == [1, 3]
+    def test_pd_bracket_is_the_quarter_before_the_second_turn(self):
+        br = fake_branch([5.0, 4.0, 3.0, 2.0, 1.0, 0.0, 1.0, 2.0, 3.0, 4.0,
+                          5.0, 6.0, 7.0, 8.0, 9.0, 8.0])
+        assert ct.turning_indices([p.I for p in br.points]) == [5, 14]
+        assert ct.pd_bracket(br) == (11, 14)
+        assert ct.pd_bracket(fake_branch([3.0, 2.0, 1.0, 2.0])) is None
 
 
 class TestLocators:

@@ -226,13 +226,6 @@ class TestNewtonMatrix:
 
 
 class TestDiagnostics:
-    def test_choose_harmonics_detects_padding(self):
-        rng = np.random.default_rng(5)
-        xb = hb.FourierCycle(K=4, period=1.0,
-                             coeffs=rng.standard_normal((2, 9)))
-        padded = hb.resize(xb, 12)
-        assert hb.choose_harmonics(padded, drop_tol=1e-10) == 4
-
     def test_gibbs_ripple_small_on_smooth_cycle(self, hb_cycle_20):
         assert hb.gibbs_ripple(hb_cycle_20) < 0.02
 

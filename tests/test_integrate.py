@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hhcycles import floquet, integrate
-from hhcycles.errors import NonFinite, NotPeriodic
+from hhcycles.errors import NonFinite
 from hhcycles.fields import VectorField, harmonic_oscillator
 from hhcycles.hb import evaluate_series
 
@@ -114,32 +114,11 @@ class TestVariationalFlow:
 class TestMonodromy:
     def test_sho_period_gives_identity(self):
         fld = harmonic_oscillator(2.0)
-        T = np.pi
-        traj = integrate.integrate_rk4(fld, [1.0, 0.0], 0.0, T, T / 2000)
-        res = integrate.monodromy(fld, traj)
-        assert res.cycle_period == pytest.approx(T)
-        assert np.allclose(res.matrix, np.eye(2), atol=1e-9)
-
-    def test_open_trajectory_rejected(self):
-        fld = harmonic_oscillator()
-        traj = integrate.integrate_rk4(fld, [1.0, 0.0], 0.0, 1.0, 1e-3)
-        with pytest.raises(NotPeriodic):
-            integrate.monodromy(fld, traj)
+        _, M = integrate.flow_with_monodromy(fld, [1.0, 0.0], np.pi, 4000)
+        assert np.allclose(M, np.eye(2), atol=1e-9)
 
 
 class TestDeterminants:
-    def test_liouville_sho_is_volume_preserving(self):
-        fld = harmonic_oscillator()
-        traj = integrate.integrate_rk4(fld, [1.0, 0.0], 0.0, 2 * np.pi, 1e-2)
-        assert integrate.liouville_determinant(fld, traj) == pytest.approx(1.0)
-
-    def test_liouville_damped_contraction_rate(self):
-        gamma, T = 0.3, 5.0
-        fld = damped_field(gamma)
-        traj = integrate.integrate_rk4(fld, [1.0, 0.0], 0.0, T, 1e-2)
-        assert integrate.liouville_determinant(fld, traj) == pytest.approx(
-            np.exp(-2.0 * gamma * T), rel=1e-6)
-
     def test_signed_log_determinant_of_product(self):
         rng = np.random.default_rng(7)
         chunks = [rng.standard_normal((3, 3)) for _ in range(5)]
