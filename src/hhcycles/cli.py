@@ -11,7 +11,7 @@ Configuration is a flat key=value text file ('#' comments, dotted keys);
 unknown keys are rejected so typos fail loudly.  Every artifact header
 carries the sha256 hash of the effective configuration, making reruns
 verifiable.  Exit codes: 0 success, 1 usage/config error, 2 numerical
-failure.
+failure or an unreadable cycle file.
 """
 
 from __future__ import annotations
@@ -195,7 +195,7 @@ def read_cycle_json(path, cfg=None):
 
     The artifact's method picks the cycle class.  A collocation cycle is
     rebuilt on the Hodgkin-Huxley field of cfg (default: DEFAULT_CONFIG) at
-    the artifact's current.
+    the artifact's current.  The period must be finite and positive.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -212,11 +212,14 @@ def read_cycle_json(path, cfg=None):
         raise ConfigError(f"{path}: unknown cycle method {doc.get('method')!r}")
     try:
         I = float(doc["current"])
+        T = float(doc["period"])
+        if not 0.0 < T < np.inf:
+            raise ConfigError(f"{path}: period {T!r} is not finite and positive")
         fld = hh_field(params_from_config(cfg or DEFAULT_CONFIG), I)
         return I, cls.from_json(doc, fld)
     except KeyError as exc:
         raise ConfigError(f"{path}: missing cycle field {exc}")
-    except TypeError as exc:
+    except (TypeError, IndexError) as exc:
         raise ConfigError(f"{path}: malformed cycle field: {exc}")
 
 
@@ -285,14 +288,21 @@ def cmd_equilibria(args, cfg) -> int:
     return 0
 
 
+def _cold_start(p, I, cfg):
+    """Shooting cycle at I, started from a 5 mV kick off the equilibrium
+    and a 300 ms settling transient."""
+    fld = hh_field(p, I)
+    eq = model.find_equilibrium(I, p)
+    guess = shooting.settle_transient(fld, 300.0,
+                                      x_start=eq + np.array([5.0, 0, 0, 0]))
+    return shooting.shoot(fld, guess, tol=cfg["solver.shooting.tol"])
+
+
 def _solve_single_cycle(I, method, cfg, p, init=None):
     """Shared cycle-solve used by cmd_cycle; returns (cycle, residual)."""
     fld = hh_field(p, I)
     if init is None:
-        eq = model.find_equilibrium(I, p)
-        guess = shooting.settle_transient(fld, 300.0,
-                                          x_start=eq + np.array([5.0, 0, 0, 0]))
-        init = shooting.shoot(fld, guess, tol=cfg["solver.shooting.tol"])
+        init = _cold_start(p, I, cfg)
     elif method == "shoot":
         init = shooting.shoot(fld, init.to_time_cycle(),
                               tol=cfg["solver.shooting.tol"])
@@ -350,6 +360,8 @@ def cmd_cycle(args, cfg) -> int:
 
 
 def cmd_floquet(args, cfg) -> int:
+    if args.steps < 1:
+        raise ConfigError("--steps must be >= 1")
     p = params_from_config(cfg)
     loaded = _load_cycle_file(args.cycle_file, cfg)
     if loaded is None:
@@ -409,11 +421,8 @@ def run_diagram(cfg, out_dir, verbose=False):
 
     # stable seed
     I_seed = min(max(cfg["diagram.i_seed"], lo), hi)
+    stable = _cold_start(p, I_seed, cfg)
     fld = hh_field(p, I_seed)
-    eq = model.find_equilibrium(I_seed, p)
-    guess = shooting.settle_transient(fld, 300.0,
-                                      x_start=eq + np.array([5.0, 0, 0, 0]))
-    stable = shooting.shoot(fld, guess, tol=cfg["solver.shooting.tol"])
     fc = hb.solve_hb(stable.to_fourier(K), fld, ad._ops)
     start = continuation.make_point(I_seed, fc, fld,
                                     cfg["floquet.steps"])
@@ -461,7 +470,7 @@ def run_diagram(cfg, out_dir, verbose=False):
         for j in continuation.turning_indices(Is):
             try:
                 ev = continuation.locate_fold(
-                    br_dn, (max(j - 4, 0), min(j + 4, len(Is) - 1)),
+                    br_dn, continuation.fold_bracket(br_dn, j),
                     field_at=fam, adapter=ad)
                 extra_events.append(ev)
                 if verbose:
@@ -470,10 +479,8 @@ def run_diagram(cfg, out_dir, verbose=False):
                 if verbose:
                     print(f"fold refinement near I={Is[j]:.6f} failed: {exc}")
         try:
-            # the multiplier moves by ~3e4 per unit I near the knee, so
-            # the crossing needs a much tighter current tolerance
             ev = continuation.locate_pd(br_dn, continuation.pd_bracket(br_dn),
-                                        field_at=fam, adapter=ad, tol=1e-9,
+                                        field_at=fam, adapter=ad,
                                         spectrum_steps=cfg["floquet.steps"])
             extra_events.append(ev)
             if verbose:

@@ -22,13 +22,13 @@ from .cycles import PeriodicOrbit
 from .errors import DegenerateCycle, MeshTooCoarse, SingularJacobian
 from .fields import VectorField
 
-LOBATTO_RHO = (0.0, 0.5, 1.0)
+NEWTON_TOL = 1e-11     # algebraic stopping tolerance of the discrete system
+NEWTON_MAX_ITER = 30
 
 
 @dataclass(frozen=True)
 class Mesh:
     breakpoints: np.ndarray  # (N+1,) increasing, endpoints 0 and 1
-    rho: tuple = LOBATTO_RHO
 
     def __post_init__(self):
         b = self.breakpoints
@@ -91,10 +91,10 @@ class CollocationSolution(PeriodicOrbit):
                    mid=np.array(doc["mesh_mid"], dtype=float),
                    period=float(doc["period"]), field=field)
 
-    def residual_profile(self, nsub: int = 10) -> np.ndarray:
+    def residual_profile(self) -> np.ndarray:
         """Max relative interior residual ||P'/T - f(P)||/(1+||f||) per subinterval."""
         h = self.mesh.widths[:, None, None]
-        sigma = np.linspace(0.0, 1.0, nsub + 2)[1:-1]
+        sigma = np.linspace(0.0, 1.0, 12)[1:-1]   # 10 interior samples
         s = sigma[None, :, None]
         fy = self.field.f(self.y)
         f0 = fy[:, None, :]
@@ -165,8 +165,8 @@ def _phase_residual(mesh, y, mid, ref: PhaseReference):
                  + np.sum(wm[:, None] * (mid - ref.mid) * ref.dmid))
 
 
-def _newton_collocation(field, mesh, y, mid, T, ref, tol, max_iter,
-                        fixed_period=False, field_at=None, I=0.0):
+def _newton_collocation(field, mesh, y, mid, T, ref, fixed_period=False,
+                        field_at=None, I=0.0):
     """The shared damped Newton on the Hermite-Simpson system.
 
     The unknowns are the breakpoint and midpoint values, interval by
@@ -257,29 +257,24 @@ def _newton_collocation(field, mesh, y, mid, T, ref, tol, max_iter,
 
     z0 = np.concatenate([np.stack([y, mid], axis=1).ravel(),
                          [I if fixed_period else T]])
-    z, rn = newton.damped_newton(residual, step, z0, tol, max_iter,
-                                 "collocation")
+    z, rn = newton.damped_newton(residual, step, z0, NEWTON_TOL,
+                                 NEWTON_MAX_ITER, "collocation")
     yz, mz, Tz, Iz, _ = unpack(z)
     return yz, mz, Tz, Iz, rn
 
 
-def refine_mesh(mesh: Mesh, residual_profile: np.ndarray,
-                max_N: int = 2000, target: float | None = None) -> Mesh:
-    """Split every subinterval whose residual exceeds half the maximum.
+def refine_mesh(mesh: Mesh, residual_profile: np.ndarray, target: float,
+                max_N: int = 2000) -> Mesh:
+    """Split every subinterval whose residual exceeds the target.
 
-    With a target tolerance, subintervals above it are instead split into
-    ceil((res/target)^(1/4)) pieces (capped at 16), equidistributing the
-    order-4 residual so refinement reaches the target in a few rounds.
+    Each is split into ceil((res/target)^(1/4)) pieces (capped at 16),
+    equidistributing the order-4 residual so refinement reaches the target
+    in a few rounds.
     """
-    rmax = float(np.max(residual_profile))
-    if target is None:
-        pieces = np.where(residual_profile > 0.5 * rmax, 2, 1)
-    else:
-        pieces = np.ones(mesh.N, dtype=int)
-        above = residual_profile > target
-        pieces[above] = np.clip(
-            np.ceil((residual_profile[above] / target) ** 0.25).astype(int),
-            2, 16)
+    pieces = np.ones(mesh.N, dtype=int)
+    above = residual_profile > target
+    pieces[above] = np.clip(
+        np.ceil((residual_profile[above] / target) ** 0.25).astype(int), 2, 16)
     extra = int(np.sum(pieces - 1))
     if mesh.N + extra > max_N:
         # scale the split counts down to fit the cap, biggest residuals first
@@ -316,13 +311,12 @@ def _initial_data(init: PeriodicOrbit, mesh: Mesh):
 
 
 def solve_bvp(field: VectorField, init, tol: float = 1e-8,
-              N: int = 100, max_N: int = 2000, newton_tol: float = 1e-11,
-              max_iter: int = 30, max_refinements: int = 8,
+              N: int = 100, max_N: int = 2000, max_refinements: int = 8,
               mesh: Mesh | None = None) -> CollocationSolution:
     """Solve the periodic BVP with residual-driven mesh refinement.
 
     tol bounds the sampled interior residual ||P'/T - f(P)|| everywhere;
-    newton_tol is the algebraic stopping tolerance for the discrete system.
+    NEWTON_TOL is the algebraic stopping tolerance for the discrete system.
     """
     if mesh is None:
         mesh = Mesh(np.linspace(0.0, 1.0, N + 1))
@@ -332,21 +326,19 @@ def solve_bvp(field: VectorField, init, tol: float = 1e-8,
         raise DegenerateCycle("initial guess has no motion along the orbit")
     ref = PhaseReference(mesh, y, mid, T * field.f(y), T * field.f(mid))
     for _ in range(max_refinements + 1):
-        y, mid, T, _, _ = _newton_collocation(
-            field, mesh, y, mid, T, ref, newton_tol, max_iter)
+        y, mid, T, _, _ = _newton_collocation(field, mesh, y, mid, T, ref)
         sol = CollocationSolution(mesh=mesh, y=y, mid=mid, period=T, field=field)
         prof = sol.residual_profile()
         if np.max(prof) < tol:
             return sol
-        mesh = refine_mesh(mesh, prof, max_N, target=0.25 * tol)
+        mesh = refine_mesh(mesh, prof, 0.25 * tol, max_N)
         ref = PhaseReference.from_solution(sol, mesh)
         y, mid = ref.y, ref.mid   # the solution resampled on the new mesh
     raise MeshTooCoarse(
         f"residual {np.max(prof):.3g} above {tol:.3g} after refinement cap")
 
 
-def solve_bvp_fixed_period(field_at, init, I_guess: float,
-                           newton_tol: float = 1e-11, max_iter: int = 30):
+def solve_bvp_fixed_period(field_at, init, I_guess: float):
     """Re-solve at frozen period with the parameter I as unknown.
 
     The mesh of the initial CollocationSolution is reused (no refinement);
@@ -358,7 +350,7 @@ def solve_bvp_fixed_period(field_at, init, I_guess: float,
     mesh = init.mesh
     ref = PhaseReference.from_solution(init, mesh)
     y, mid, T, I, _ = _newton_collocation(
-        init.field, mesh, init.y, init.mid, init.period, ref, newton_tol,
-        max_iter, fixed_period=True, field_at=field_at, I=I_guess)
+        init.field, mesh, init.y, init.mid, init.period, ref,
+        fixed_period=True, field_at=field_at, I=I_guess)
     return CollocationSolution(mesh=mesh, y=y, mid=mid, period=T,
                                field=field_at(I)), I

@@ -68,6 +68,11 @@ SWITCH_STEP = 1e-6    # I-step below which the period takes over
 REVERT_SLOPE = 0.02   # |dI/dT| above which I takes over again
 NEWTON_TOL = 1e-10    # harmonic-balance corrector tolerance and budget
 NEWTON_MAX_ITER = 12
+FOLD_TOL = 1e-6       # locate_fold stops when the vertex I moves less
+FOLD_MAX_ITER = 30
+# the multiplier moves by ~3e4 per unit I near the knee, so the
+# period-doubling crossing needs a much tighter current tolerance
+PD_TOL = 1e-9
 
 
 def hh_family(p: model.HHParams = model.DEFAULT_PARAMS) -> Callable[[float], VectorField]:
@@ -267,6 +272,11 @@ def turning_indices(Is: Sequence[float]) -> List[int]:
             if (Is[j] - Is[j - 1]) * (Is[j + 1] - Is[j]) < 0]
 
 
+def fold_bracket(branch: Branch, j: int) -> Tuple[int, int]:
+    """Index window of the fold search around the turning index j."""
+    return max(j - 4, 0), min(j + 4, len(branch.points) - 1)
+
+
 def pd_bracket(branch: Branch) -> Optional[Tuple[int, int]]:
     """Index window of the period-doubling search (None: the whole branch).
 
@@ -298,13 +308,12 @@ def _locator_defaults(branch: Branch, field_at, adapter):
 
 def locate_fold(branch: Branch, bracket=None,
                 field_at: Optional[Callable[[float], VectorField]] = None,
-                adapter: Optional[_SolverAdapter] = None,
-                tol: float = 1e-6, max_iter: int = 30) -> BifurcationEvent:
+                adapter: Optional[_SolverAdapter] = None) -> BifurcationEvent:
     """Pin down a turning point as the extremum of I along the branch.
 
     T is monotone through the fold, so repeated frozen-period solves give
     I(T) pointwise; a quadratic fit through the three samples nearest the
-    extremum is iterated until the vertex stops moving by more than tol.
+    extremum is iterated until the vertex stops moving by more than FOLD_TOL.
     The certificate is the nontrivial multiplier closest to +1 there.
     """
     field_at, adapter = _locator_defaults(branch, field_at, adapter)
@@ -319,7 +328,7 @@ def locate_fold(branch: Branch, bracket=None,
     samples = [(branch.points[ids[j]].period, branch.points[ids[j]].I,
                 branch.points[ids[j]].cycle) for j in (k - 1, k, k + 1)]
     I_prev = None
-    for _ in range(max_iter):
+    for _ in range(FOLD_MAX_ITER):
         samples.sort(key=lambda s: s[0])
         Ts = np.array([s[0] for s in samples])
         Iv = np.array([s[1] for s in samples])
@@ -333,7 +342,7 @@ def locate_fold(branch: Branch, bracket=None,
         seed = min(samples, key=lambda s: abs(s[0] - T_star))
         cyc, I_star = adapter.solve_fixed_period(field_at, seed[2], T_star,
                                                  seed[1])
-        if I_prev is not None and abs(I_star - I_prev) < tol:
+        if I_prev is not None and abs(I_star - I_prev) < FOLD_TOL:
             break
         I_prev = I_star
         # replace the sample farthest from the vertex
@@ -352,7 +361,6 @@ def locate_fold(branch: Branch, bracket=None,
 def locate_pd(branch: Branch, bracket,
               field_at: Optional[Callable[[float], VectorField]] = None,
               adapter: Optional[_SolverAdapter] = None,
-              tol: float = 1e-6,
               spectrum_steps: int = floquet.DEFAULT_SPECTRUM_STEPS) -> BifurcationEvent:
     """Locate a period-doubling point by tracking a multiplier through -1.
 
@@ -377,7 +385,7 @@ def locate_pd(branch: Branch, bracket,
              "multipliers": [complex(m) for m in spec.all_multipliers()]})
         return spec
 
-    I_star = floquet.detect_crossing(pts, "pd", spectrum_at, tol=tol)
+    I_star = floquet.detect_crossing(pts, spectrum_at, tol=PD_TOL)
     return BifurcationEvent(
         kind="period_doubling", I_star=float(I_star),
         evidence={"rows": evidence_rows,
@@ -418,7 +426,6 @@ class Diagram:
 
     records: List[dict]                 # branch_id, I, stability, v_min, v_max, period
     events: List[BifurcationEvent]
-    region_split: Optional[float]       # I of the lower Hopf point, if present
 
 
 def assemble_diagram(branches: Sequence[Branch],
@@ -427,8 +434,7 @@ def assemble_diagram(branches: Sequence[Branch],
 
     Points from different branches that agree in I to 1e-9 and in orbit
     signature (period, V extrema) to 1e-6 are kept once.  Events of the same
-    kind within 1e-6 in I are merged.  The region boundary is the smaller
-    Hopf current when two Hopf events are present.
+    kind within 1e-6 in I are merged.
     """
     records: List[dict] = []
     seen: List[Tuple[float, float, float, float]] = []
@@ -455,7 +461,4 @@ def assemble_diagram(branches: Sequence[Branch],
             continue
         events.append(ev)
     events.sort(key=lambda e: e.I_star)
-
-    hopfs = sorted(e.I_star for e in events if e.kind == "hopf")
-    split = hopfs[0] if len(hopfs) >= 2 else None
-    return Diagram(records=records, events=events, region_split=split)
+    return Diagram(records=records, events=events)

@@ -4,26 +4,28 @@ The monodromy matrix is obtained from the variational flow around one period
 (module integrate).  When the cycle is available as a Fourier series or a
 collocation solution the variational system is driven by the closed-form
 x(t), which keeps the multiplier accuracy at the level of the variational
-integrator alone.  Strongly unstable cycles (multiplier magnitudes in the
-thousands) are handled by a period-subdivided product accumulated through
-successive QR factorizations, so the small multipliers are not washed out
-by the ill-conditioned explicit product.
+integrator alone.  Every monodromy matrix is a period-subdivided product
+accumulated through successive QR factorizations, so on strongly unstable
+cycles (multiplier magnitudes in the thousands) the small multipliers are
+not washed out by the ill-conditioned explicit product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from . import integrate, model
+from . import integrate
 from .cycles import check_orbit
 from .errors import NoSignChange, TrackingLost
-from .fields import VectorField, hh_field
+from .fields import VectorField
 
 NEAR_THRESHOLD = 0.05
 LOW_CONFIDENCE_TRIVIAL = 1e-2
+SPECTRUM_CHUNKS = 16      # subintervals of the period in the monodromy product
+CROSSING_MAX_ITER = 60    # bisection and secant budget of detect_crossing
 
 
 @dataclass(frozen=True)
@@ -51,26 +53,27 @@ class FloquetSpectrum:
         return np.concatenate([[self.trivial], self.multipliers])
 
 
-def _monodromy_matrix(cycle, field: VectorField, nsteps: int,
-                      nsub: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Chunk monodromies over nsub equal subintervals, plus x(0).
+def _monodromy_matrix(cycle, field: VectorField,
+                      nsteps: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Chunk monodromies over SPECTRUM_CHUNKS equal subintervals, plus x(0).
 
     Returns (chunks, x0) where chunks[j] maps variations at t_j to t_{j+1}.
     """
     T = check_orbit(cycle).period
     x0 = np.asarray(cycle.evaluate_time(0.0), dtype=float)
-    per_chunk = max(1, nsteps // nsub)
+    per_chunk = max(1, nsteps // SPECTRUM_CHUNKS)
     if cycle.dense:
-        edges = np.linspace(0.0, T, nsub + 1)
+        edges = np.linspace(0.0, T, SPECTRUM_CHUNKS + 1)
         return [integrate.variational_along(field, cycle.evaluate_time,
                                             edges[j], edges[j + 1], per_chunk)
-                for j in range(nsub)], x0
+                for j in range(SPECTRUM_CHUNKS)], x0
     # sampled cycle: coupled state+variational pass, restarting the
     # fundamental matrix at each chunk boundary
     chunks = []
     x = x0.copy()
-    for _ in range(nsub):
-        x, Y = integrate.flow_with_monodromy(field, x, T / nsub, per_chunk)
+    for _ in range(SPECTRUM_CHUNKS):
+        x, Y = integrate.flow_with_monodromy(field, x, T / SPECTRUM_CHUNKS,
+                                             per_chunk)
         chunks.append(Y)
     return chunks, x0
 
@@ -106,27 +109,14 @@ def _designate_trivial(mu: np.ndarray, vecs: np.ndarray,
 DEFAULT_SPECTRUM_STEPS = 4000
 
 
-def spectrum(cycle, field: Optional[VectorField] = None, I: float = 0.0,
-             p: model.HHParams = model.DEFAULT_PARAMS,
-             nsteps: int = DEFAULT_SPECTRUM_STEPS,
-             nsub: int = 16) -> FloquetSpectrum:
-    """Floquet spectrum of a converged cycle.
+def spectrum(cycle, field: VectorField,
+             nsteps: int = DEFAULT_SPECTRUM_STEPS) -> FloquetSpectrum:
+    """Floquet spectrum of a converged cycle (any cycles.PeriodicOrbit).
 
-    Accepts any cycle (cycles.PeriodicOrbit).
-    When no field is given the Hodgkin-Huxley field at stimulus I is used.
-    The eigenvalues are first estimated from the plain chunk product; if any
-    magnitude exceeds 100 the QR-accumulated product is used instead.
+    The eigenvalues are those of the QR-accumulated chunk product.
     """
-    if field is None:
-        field = hh_field(p, I)
-    chunks, x0 = _monodromy_matrix(cycle, field, nsteps, nsub)
-    M = chunks[0]
-    for C in chunks[1:]:
-        M = C @ M
-    mu, vecs = np.linalg.eig(M)
-    if np.max(np.abs(mu)) > 100.0:
-        M = _stabilized_product(chunks)
-        mu, vecs = np.linalg.eig(M)
+    chunks, x0 = _monodromy_matrix(cycle, field, nsteps)
+    mu, vecs = np.linalg.eig(_stabilized_product(chunks))
     k = _designate_trivial(mu, vecs, field.f(x0))
     trivial = complex(mu[k])
     rest = np.delete(mu, k)
@@ -146,13 +136,10 @@ def spectrum(cycle, field: Optional[VectorField] = None, I: float = 0.0,
                            stability=stability, flags=frozenset(flags))
 
 
-def _tracked_value(spec: FloquetSpectrum, target: float,
-                   previous: Optional[complex],
-                   threshold: float = 0.5) -> complex:
-    """Pick the nontrivial multiplier to follow, by continuity if possible."""
+def _tracked_value(spec: FloquetSpectrum, previous: complex,
+                   threshold: float) -> complex:
+    """The nontrivial multiplier nearest previous, if within threshold."""
     mus = spec.multipliers
-    if previous is None:
-        return complex(mus[int(np.argmin(np.abs(mus - target)))])
     d = np.abs(mus - previous)
     j = int(np.argmin(d))
     if d[j] > threshold * max(1.0, abs(previous)):
@@ -162,22 +149,18 @@ def _tracked_value(spec: FloquetSpectrum, target: float,
 
 
 def detect_crossing(points: Sequence[Tuple[float, FloquetSpectrum]],
-                    kind: str,
-                    spectrum_at: Optional[Callable[[float], FloquetSpectrum]] = None,
-                    tol: float = 1e-6, max_iter: int = 60) -> float:
-    """Parameter value where the tracked multiplier crosses +1 or -1.
+                    spectrum_at: Callable[[float], FloquetSpectrum],
+                    tol: float = 1e-6) -> float:
+    """Parameter value where the tracked multiplier crosses -1.
 
     points is a monotone-in-I sequence of (I, FloquetSpectrum).  The signed
-    distance g(I) = Re(mu_tracked) - target must change sign between two
-    consecutive points; the root is then refined by secant steps, evaluating
-    fresh spectra through spectrum_at when provided (required for |dI| below
-    the sampling resolution of points).  With spectrum_at and no sampled
-    sign change, the intervals next to the sample of least |g| are bisected
-    until one brackets a sign change or shrinks below tol.
+    distance g(I) = Re(mu_tracked) + 1 must change sign between two
+    consecutive points; the root is then refined by secant steps on fresh
+    spectra from spectrum_at.  With no sampled sign change, the intervals
+    next to the sample of least |g| are bisected until one brackets a sign
+    change or shrinks below tol.
     """
-    if kind not in ("fold", "pd"):
-        raise ValueError("kind must be 'fold' or 'pd'")
-    target = 1.0 if kind == "fold" else -1.0
+    target = -1.0
     if len(points) < 2:
         raise NoSignChange("need at least two sampled spectra")
 
@@ -212,8 +195,8 @@ def detect_crossing(points: Sequence[Tuple[float, FloquetSpectrum]],
     # a multiplier pair can pass the target, collide and leave the real axis
     # between two samples, so no sampled sign change shows; bisect the
     # intervals next to the sample nearest the target until one does
-    for _ in range(max_iter):
-        if bracket is not None or spectrum_at is None or not tracked:
+    for _ in range(CROSSING_MAX_ITER):
+        if bracket is not None or not tracked:
             break
         k = int(np.argmin([abs(m.real - target) for _, m in tracked]))
         sides = [a for a in (k, k - 1) if 0 <= a < len(tracked) - 1
@@ -227,13 +210,10 @@ def detect_crossing(points: Sequence[Tuple[float, FloquetSpectrum]],
                 tracked.insert(a + 1, (Ic, mc))
         bracket = tightest()
     if bracket is None:
-        raise NoSignChange(f"no {kind} crossing in the sampled range")
+        raise NoSignChange("no period-doubling crossing in the sampled range")
 
     (Ia, ma), (Ib, mb) = tracked[bracket], tracked[bracket + 1]
     ga, gb = ma.real - target, mb.real - target
-    if spectrum_at is None:
-        # secant estimate from the sampled data alone
-        return Ib - gb * (Ib - Ia) / (gb - ga)
     prev = mb
     # the crossing multiplier may move fast across the bracket; scale the
     # continuity threshold to the observed endpoint spread
@@ -245,11 +225,11 @@ def detect_crossing(points: Sequence[Tuple[float, FloquetSpectrum]],
                 f"far from the target {target:+g}")
         return I_out
 
-    for _ in range(max_iter):
+    for _ in range(CROSSING_MAX_ITER):
         Ic = Ib - gb * (Ib - Ia) / (gb - ga)
         if abs(Ic - Ib) < tol or abs(Ic - Ia) < tol:
             return finish(Ic)
-        mc = _tracked_value(spectrum_at(Ic), target, prev, thr)
+        mc = _tracked_value(spectrum_at(Ic), prev, thr)
         prev = mc
         gc = mc.real - target
         if gc == 0.0:

@@ -139,18 +139,18 @@ def nonlinear_spectrum(xbar: FourierCycle, field: VectorField,
 
 
 def hb_residual(xbar: FourierCycle, field: VectorField,
-                ops: SpectralOperators, phase_var: int = 0) -> np.ndarray:
-    """Stacked residual omega*D xbar - Y_F plus the phase-anchor row."""
+                ops: SpectralOperators) -> np.ndarray:
+    """Stacked residual omega*D xbar - Y_F plus the phase-anchor row (B1 of V)."""
     YF = nonlinear_spectrum(xbar, field, ops)
     res = xbar.omega * (xbar.coeffs @ ops.D.T) - YF
-    phase = xbar.coeffs[phase_var, 2] if xbar.K >= 1 else 0.0
+    phase = xbar.coeffs[0, 2] if xbar.K >= 1 else 0.0
     return np.concatenate([res.ravel(), [phase]])
 
 
-def rotate_phase(xbar: FourierCycle, phase_var: int = 0) -> FourierCycle:
-    """Time-shift the series so that B1 of phase_var vanishes (A1 >= 0)."""
-    A1 = xbar.coeffs[phase_var, 1]
-    B1 = xbar.coeffs[phase_var, 2]
+def rotate_phase(xbar: FourierCycle) -> FourierCycle:
+    """Time-shift the series so that B1 of V vanishes (A1 >= 0)."""
+    A1 = xbar.coeffs[0, 1]
+    B1 = xbar.coeffs[0, 2]
     delta = np.arctan2(B1, A1)  # shift theta -> theta + delta kills B1
     coeffs = xbar.coeffs.copy()
     for k in range(1, xbar.K + 1):
@@ -163,7 +163,7 @@ def rotate_phase(xbar: FourierCycle, phase_var: int = 0) -> FourierCycle:
 
 
 def hb_jacobian(xbar: FourierCycle, field: VectorField,
-                ops: SpectralOperators, phase_var: int = 0) -> np.ndarray:
+                ops: SpectralOperators) -> np.ndarray:
     """Exact derivative of hb_residual with respect to (coefficients, T).
 
     Alternating-frequency-time construction: the field Jacobian is sampled
@@ -184,21 +184,20 @@ def hb_jacobian(xbar: FourierCycle, field: VectorField,
                 Jn[:, i, j, None] * ops.synthesis)
         J[rows, rows] += xbar.omega * ops.D
     J[:-1, -1] = -(2.0 * np.pi / xbar.period ** 2) * (xbar.coeffs @ ops.D.T).ravel()
-    J[-1, phase_var * nc + 2] = 1.0
+    J[-1, 2] = 1.0
     return J
 
 
 def fixed_period_jacobian(xbar: FourierCycle, I: float, field_at,
-                          ops: SpectralOperators, r: np.ndarray,
-                          phase_var: int = 0) -> np.ndarray:
+                          ops: SpectralOperators, r: np.ndarray) -> np.ndarray:
     """Derivative of the frozen-period residual with respect to (coefficients, I).
 
     The coefficient part is hb_jacobian's; the last column dR/dI is one
     forward difference from r, the residual at I.
     """
-    J = hb_jacobian(xbar, field_at(I), ops, phase_var)
+    J = hb_jacobian(xbar, field_at(I), ops)
     h = max(abs(I), 1.0) * 1e-7
-    J[:, -1] = (hb_residual(xbar, field_at(I + h), ops, phase_var) - r) / h
+    J[:, -1] = (hb_residual(xbar, field_at(I + h), ops) - r) / h
     return J
 
 
@@ -210,10 +209,9 @@ def _newton(residual_fn, jacobian_fn, z0, tol, max_iter):
 
 
 def solve_hb(init: FourierCycle, field: VectorField, ops: SpectralOperators,
-             tol: float = 1e-10, max_iter: int = 40,
-             phase_var: int = 0) -> FourierCycle:
+             tol: float = 1e-10, max_iter: int = 40) -> FourierCycle:
     """Newton solve of the HB system over (all coefficients, T)."""
-    init = rotate_phase(init, phase_var)
+    init = rotate_phase(init)
     dim, K = init.dim, init.K
 
     def cycle(z):
@@ -223,10 +221,10 @@ def solve_hb(init: FourierCycle, field: VectorField, ops: SpectralOperators,
     def residual(z):
         if z[-1] <= 0:
             return np.full(len(z), np.inf)
-        return hb_residual(cycle(z), field, ops, phase_var)
+        return hb_residual(cycle(z), field, ops)
 
     def jacobian(z, r):
-        return hb_jacobian(cycle(z), field, ops, phase_var)
+        return hb_jacobian(cycle(z), field, ops)
 
     z, _ = _newton(residual, jacobian, np.append(init.coeffs, init.period),
                    tol, max_iter)
@@ -235,14 +233,14 @@ def solve_hb(init: FourierCycle, field: VectorField, ops: SpectralOperators,
 
 def solve_hb_fixed_period(init: FourierCycle, I_guess: float, field_at,
                           ops: SpectralOperators, tol: float = 1e-10,
-                          max_iter: int = 40, phase_var: int = 0):
+                          max_iter: int = 40):
     """HB solve with T frozen and the continuation parameter unknown.
 
     field_at(I) must return the VectorField at parameter I.  Used to round
     turning points where dI/dT is finite but dT/dI blows up.  Returns
     (FourierCycle, I).
     """
-    init = rotate_phase(init, phase_var)
+    init = rotate_phase(init)
     dim, K = init.dim, init.K
     T = init.period
 
@@ -250,11 +248,10 @@ def solve_hb_fixed_period(init: FourierCycle, I_guess: float, field_at,
         return FourierCycle(K=K, period=T, coeffs=z[:-1].reshape(dim, 2 * K + 1))
 
     def residual(z):
-        return hb_residual(cycle(z), field_at(float(z[-1])), ops, phase_var)
+        return hb_residual(cycle(z), field_at(float(z[-1])), ops)
 
     def jacobian(z, r):
-        return fixed_period_jacobian(cycle(z), float(z[-1]), field_at, ops,
-                                     r, phase_var)
+        return fixed_period_jacobian(cycle(z), float(z[-1]), field_at, ops, r)
 
     z, _ = _newton(residual, jacobian, np.append(init.coeffs, I_guess),
                    tol, max_iter)
@@ -279,13 +276,13 @@ def from_trajectory(traj_states: np.ndarray, period: float, K: int) -> FourierCy
     return FourierCycle(K=K, period=period, coeffs=coeffs.T)
 
 
-def gibbs_ripple(xbar: FourierCycle, nsamples: int = 2048) -> float:
+def gibbs_ripple(xbar: FourierCycle) -> float:
     """Crude ripple metric: total variation excess of V over its ideal 2*range.
 
     A clean single-pulse cycle has total variation ~ 2*(Vmax-Vmin); Gibbs
     oscillations inflate it.  Returned value is the relative excess.
     """
-    t = np.linspace(0.0, xbar.period, nsamples, endpoint=False)
+    t = np.linspace(0.0, xbar.period, 2048, endpoint=False)
     V = evaluate_series(xbar, t)[:, 0]
     tv = np.sum(np.abs(np.diff(V)))
     swing = V.max() - V.min()

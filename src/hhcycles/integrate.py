@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -91,15 +91,14 @@ def flow_with_monodromy(field: VectorField, x0, T: float, nsteps: int):
 
 
 def variational_along(field: VectorField, x_of_t: Callable[[np.ndarray], np.ndarray],
-                      t0: float, t1: float, nsteps: int,
-                      Y0: Optional[np.ndarray] = None) -> np.ndarray:
-    """Integrate Ydot = J(x(t)) Y with x(t) supplied externally.
+                      t0: float, t1: float, nsteps: int) -> np.ndarray:
+    """Integrate Ydot = J(x(t)) Y, Y(t0) = I, with x(t) supplied externally.
 
     Used when the cycle is available in closed form (Fourier series), so the
     only discretization error is in the variational RK4 itself.
     """
     dim = field.dim
-    Y = np.eye(dim) if Y0 is None else np.array(Y0, dtype=float)
+    Y = np.eye(dim)
     h = (t1 - t0) / nsteps
     # all stage times up front so x and J evaluate in one batched call each
     t_half = t0 + 0.5 * h * np.arange(2 * nsteps + 1)

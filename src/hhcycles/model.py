@@ -163,27 +163,23 @@ def _reduced_current(V, p: HHParams, I: float):
                   + p.gL * (V - p.EL)))
 
 
-def find_equilibrium(I: float, p: HHParams = DEFAULT_PARAMS,
-                     guess=None, max_iter: int = 100):
+def find_equilibrium(I: float, p: HHParams = DEFAULT_PARAMS):
     """Equilibrium state at external current I.
 
     Eliminates the gates through their steady states and Newton-solves the
     scalar current balance in V, then reconstructs the gates.  Raises
-    NoConvergence if Newton does not settle within max_iter.
+    NoConvergence if Newton does not settle within 100 iterations.
     """
-    if guess is None:
-        # coarse scan; the reduced equation has a single physical root
-        Vs = np.linspace(-120.0, 80.0, 401)
-        V = float(Vs[np.argmin(np.abs(_reduced_current(Vs, p, I)))])
-    else:
-        V = float(np.asarray(guess, dtype=float).reshape(-1)[0])
+    # coarse scan; the reduced equation has a single physical root
+    Vs = np.linspace(-120.0, 80.0, 401)
+    V = float(Vs[np.argmin(np.abs(_reduced_current(Vs, p, I)))])
     dV_fd = 1e-6
-    for _ in range(max_iter):
+    for _ in range(100):
         g = _reduced_current(V, p, I)
         dg = (_reduced_current(V + dV_fd, p, I)
               - _reduced_current(V - dV_fd, p, I)) / (2.0 * dV_fd)
         if dg == 0.0:
-            raise NoConvergence("flat reduced current; bad guess")
+            raise NoConvergence(f"flat reduced current at I={I}")
         step = g / dg
         V -= step
         if abs(step) < 1e-14 * max(1.0, abs(V)):
@@ -218,8 +214,10 @@ def _complex_pair_real_part(I: float, p: HHParams) -> float:
     return float(np.max(cplx.real))
 
 
-def detect_hopf(I_lo: float, I_hi: float, tol: float = 1e-6,
-                p: HHParams = DEFAULT_PARAMS):
+HOPF_TOL = 1e-6   # width of the final bisection bracket in I
+
+
+def detect_hopf(I_lo: float, I_hi: float, p: HHParams = DEFAULT_PARAMS):
     """Bisect the sign change of the complex pair's real part on [I_lo, I_hi].
 
     Returns (I_star, omega0) with omega0 the imaginary part at the crossing.
@@ -234,7 +232,7 @@ def detect_hopf(I_lo: float, I_hi: float, tol: float = 1e-6,
             f"no eigenvalue crossing in [{I_lo}, {I_hi}] "
             f"(real parts {f_lo:.3g}, {f_hi:.3g})")
     else:
-        while I_hi - I_lo > tol:
+        while I_hi - I_lo > HOPF_TOL:
             I_mid = 0.5 * (I_lo + I_hi)
             f_mid = _complex_pair_real_part(I_mid, p)
             if f_mid == 0.0:

@@ -67,15 +67,18 @@ class Cycle(PeriodicOrbit):
                                       states))
 
 
-DEFAULT_FLOW_STEPS = 2000
+FLOW_STEPS = 2000       # RK4 steps of one coupled flow in the shooting residual
+SHOOT_MAX_ITER = 30
+SETTLE_STEP = 0.01      # ms, RK4 step of the settling transient
+MIN_AMPLITUDE = 1.0     # mV, smallest late-time V swing taken as oscillation
+CYCLE_SAMPLES = 400     # RK4 steps over the one period stored with a cycle
 
 
-def _sample_cycle(field: VectorField, x0, T: float, nsamples: int = 400) -> Trajectory:
-    return integrate.integrate_rk4(field, x0, 0.0, T, T / nsamples)
+def _sample_cycle(field: VectorField, x0, T: float) -> Trajectory:
+    return integrate.integrate_rk4(field, x0, 0.0, T, T / CYCLE_SAMPLES)
 
 
-def shoot(field: VectorField, guess: Cycle, tol: float = 1e-10,
-          max_iter: int = 30, flow_steps: int = DEFAULT_FLOW_STEPS) -> Cycle:
+def shoot(field: VectorField, guess: Cycle, tol: float = 1e-10) -> Cycle:
     """Refine a guessed cycle by Newton on the return-map displacement."""
     if guess.period <= 0:
         raise ValueError("guess period must be positive")
@@ -90,7 +93,7 @@ def shoot(field: VectorField, guess: Cycle, tol: float = 1e-10,
             return np.full(dim + 1, np.inf)
         try:
             flowed["xT"], flowed["M"] = integrate.flow_with_monodromy(
-                field, x0, T, flow_steps)
+                field, x0, T, FLOW_STEPS)
         except NonFinite:
             return np.full(dim + 1, np.inf)
         return np.concatenate([flowed["xT"] - x0, [float(fa @ (x0 - a))]])
@@ -103,15 +106,14 @@ def shoot(field: VectorField, guess: Cycle, tol: float = 1e-10,
         return newton.dense_step(A, r, "shooting")
 
     z, _ = newton.damped_newton(residual, step, np.append(a, guess.period),
-                                tol, max_iter, "shooting")
+                                tol, SHOOT_MAX_ITER, "shooting")
     x0, T = z[:dim], float(z[dim])
     return Cycle(period=T, anchor_state=x0, samples=_sample_cycle(field, x0, T),
                  source="shooting")
 
 
 def settle_transient(field: VectorField, settle_time: float = 300.0,
-                     x_start=None, h: float = 0.01,
-                     min_amplitude: float = 1.0) -> Cycle:
+                     x_start=None) -> Cycle:
     """One-period cycle guess extracted from a settled transient.
 
     Integrates from x_start (or must be supplied by the caller for non-HH
@@ -121,12 +123,13 @@ def settle_transient(field: VectorField, settle_time: float = 300.0,
     """
     if x_start is None:
         raise ValueError("x_start required")
-    traj = integrate.integrate_rk4(field, x_start, 0.0, settle_time, h)
+    traj = integrate.integrate_rk4(field, x_start, 0.0, settle_time,
+                                   SETTLE_STEP)
     t = traj.times
     x = traj.states
     tail = t > 0.5 * settle_time
     V = x[:, 0]
-    if V[tail].max() - V[tail].min() < min_amplitude:
+    if V[tail].max() - V[tail].min() < MIN_AMPLITUDE:
         raise NoOscillation("transient settled onto an equilibrium")
     mean = 0.5 * (V[tail].max() + V[tail].min())
     up = np.where((V[:-1] < mean) & (V[1:] >= mean) & tail[1:])[0]

@@ -84,11 +84,10 @@ def _extrema_indices(branch):
 @pytest.fixture(scope="module")
 def fold_events(branch_down, hb_adapter):
     """Turning points refined from the I-extrema of the low-current chain."""
-    n = len(branch_down.points)
     events = []
     for j in _extrema_indices(branch_down):
         events.append(ct.locate_fold(
-            branch_down, (max(j - 4, 0), min(j + 4, n - 1)),
+            branch_down, ct.fold_bracket(branch_down, j),
             field_at=FAM, adapter=hb_adapter))
     return events
 
@@ -115,8 +114,7 @@ def colloc_fold(branch_down):
     ext = _extrema_indices(br)
     assert ext, "collocation run failed to round the bottom turning point"
     j = ext[-1]
-    ev = ct.locate_fold(br, (max(j - 4, 0), min(j + 4, len(br.points) - 1)),
-                        field_at=FAM, adapter=ad)
+    ev = ct.locate_fold(br, ct.fold_bracket(br, j), field_at=FAM, adapter=ad)
     return br, ev
 
 
@@ -229,7 +227,7 @@ def test_criterion_4_knee_folds(fold_events):
 
 def test_criterion_5_period_doubling(branch_down, hb_adapter):
     ev = ct.locate_pd(branch_down, ct.pd_bracket(branch_down), field_at=FAM,
-                      adapter=hb_adapter, tol=1e-9)
+                      adapter=hb_adapter)
     I6 = ev.I_star
     # multiplier table at the located point: nearest refinement row
     row = min(ev.evidence["rows"], key=lambda r: abs(r["I"] - I6))

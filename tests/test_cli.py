@@ -64,10 +64,13 @@ class TestConfig:
             cli.load_config(str(f))
         assert cli.main(["--config", str(f), "hopf", "--range", "1:2"]) == 1
 
-    @pytest.mark.parametrize("option", ["--harmonics", "--mesh"])
+    @pytest.mark.parametrize("option", ["--harmonics", "--mesh", "--steps"])
     def test_count_options_below_one_rejected(self, tmp_path, option):
-        assert cli.main(["--out", str(tmp_path), "cycle", "--current", "20",
-                         option, "0"]) == 1
+        # --steps is checked before its cycle file (absent here) is read
+        command = (["floquet", "--cycle-file", str(tmp_path / "c.json")]
+                   if option == "--steps" else ["cycle", "--current", "20"])
+        assert cli.main(["--out", str(tmp_path)] + command
+                        + [option, "0"]) == 1
 
     def test_integer_keys_stay_integer(self, tmp_path):
         f = tmp_path / "run.cfg"
@@ -224,8 +227,16 @@ class TestCommands:
 
     @pytest.mark.parametrize("content", [
         None, "{not json", "[1, 2]",
-        '{"schema": 1, "current": null, "method": "hb", "period": 1.0}'],
-        ids=["missing", "malformed", "not-an-object", "null-current"])
+        '{"schema": 1, "current": null, "method": "hb", "period": 1.0}',
+        '{"schema": 1, "current": 20, "method": "shoot", "period": 14.6, '
+        '"samples_t": [], "samples": []}',
+        '{"schema": 1, "current": 20, "method": "collocation", '
+        '"period": 14.6, "mesh_tau": [], "mesh_states": [], "mesh_mid": []}',
+        '{"schema": 1, "current": 20, "method": "shoot", "period": -3, '
+        '"samples_t": [0, 1], "samples": [[-60, 0.3, 0.6, 0.05], '
+        '[-60, 0.3, 0.6, 0.05]]}'],
+        ids=["missing", "malformed", "not-an-object", "null-current",
+             "empty-samples", "empty-mesh", "negative-period"])
     @pytest.mark.parametrize("command", [
         ["cycle", "--current", "20", "--method", "hb", "--init"],
         ["floquet", "--cycle-file"]], ids=["cycle-init", "floquet"])

@@ -140,12 +140,6 @@ class TestSolveHH:
 
 
 class TestRefineMesh:
-    def test_halves_worst_intervals_without_target(self):
-        mesh = collocation.Mesh(np.linspace(0.0, 1.0, 5))
-        prof = np.array([1.0, 0.1, 0.6, 0.2])
-        out = collocation.refine_mesh(mesh, prof)
-        assert out.N == 6   # intervals 0 and 2 split in two
-
     def test_target_mode_splits_proportionally(self):
         mesh = collocation.Mesh(np.linspace(0.0, 1.0, 3))
         prof = np.array([1.6e-3, 1e-8])

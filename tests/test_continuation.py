@@ -207,6 +207,27 @@ class TestLocators:
         with pytest.raises(NoExtremum):
             ct.locate_fold(br)
 
+    def test_fold_vertex_iteration_lands_on_the_turning_point(self,
+                                                              monkeypatch):
+        # samples of the synthetic fold I = 1 - (T - 2)^2 around its top
+        Ts = np.array([2.6, 2.35, 2.12, 1.93, 1.7, 1.45])
+        br = fake_branch(1.0 - (Ts - 2.0) ** 2, periods=Ts)
+        calls = []
+
+        def spectrum(cyc, fld, *args, **kwargs):
+            calls.append((cyc.period, fld))
+            return make_spec((1.0005, 0.1, 0.0))
+        monkeypatch.setattr(floquet, "spectrum", spectrum)
+        j, = ct.turning_indices([p.I for p in br.points])
+        assert ct.fold_bracket(br, j) == (0, 5)
+        ev = ct.locate_fold(br, ct.fold_bracket(br, j), field_at=lambda I: I,
+                            adapter=FoldCorrector())
+        assert ev.I_star == pytest.approx(1.0, abs=1e-12)
+        assert ev.evidence["period"] == pytest.approx(2.0)
+        assert ev.evidence["multiplier"] == pytest.approx(1.0005)
+        # one certificate spectrum, taken at the located fold
+        assert calls == [(ev.evidence["period"], ev.I_star)]
+
     def test_pd_needs_two_points(self):
         br = fake_branch([1.0])
         with pytest.raises(NoSignChange):
@@ -247,10 +268,3 @@ class TestAssembleDiagram:
         d = ct.assemble_diagram([a, b], extra)
         assert len(d.records) == 4
         assert [e.kind for e in d.events] == ["fold", "hopf", "hopf"]
-        assert d.region_split == pytest.approx(9.78)
-
-    def test_no_split_with_single_hopf(self):
-        a = fake_branch([1.0, 2.0])
-        a.events.append(ct.BifurcationEvent("hopf", 9.78, {}))
-        d = ct.assemble_diagram([a])
-        assert d.region_split is None

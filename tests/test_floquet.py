@@ -67,13 +67,9 @@ class TestSpectrum:
         assert allm[0] == spec.trivial
         assert len(allm) == 4
 
-    def test_default_field_from_stimulus(self, stable_cycle_20):
-        spec = floquet.spectrum(stable_cycle_20, I=20.0)
-        assert spec.stability == "stable"
-
-    def test_unknown_cycle_type_rejected(self):
+    def test_unknown_cycle_type_rejected(self, field20):
         with pytest.raises(TypeError):
-            floquet.spectrum(object(), I=20.0)
+            floquet.spectrum(object(), field20)
 
 
 class TestStabilizedProduct:
@@ -107,29 +103,14 @@ class TestDetectCrossing:
     def test_secant_refinement_finds_root(self):
         sat = self.family()
         pts = [(I, sat(I)) for I in (2.0, 2.7, 3.4, 4.0)]
-        I_star = floquet.detect_crossing(pts, "pd", spectrum_at=sat,
-                                         tol=1e-10)
+        I_star = floquet.detect_crossing(pts, spectrum_at=sat, tol=1e-10)
         assert I_star == pytest.approx(3.0, abs=1e-8)
-
-    def test_sampled_only_estimate(self):
-        sat = self.family()
-        pts = [(I, sat(I)) for I in (2.0, 4.0)]
-        I_star = floquet.detect_crossing(pts, "pd")
-        assert I_star == pytest.approx(3.0, abs=1e-6)
-
-    def test_fold_target(self):
-        def sat(I):
-            return make_spec([1.0 + 2.0 * (I - 5.0), 0.1])
-        pts = [(I, sat(I)) for I in (4.6, 5.3)]
-        I_star = floquet.detect_crossing(pts, "fold", spectrum_at=sat,
-                                         tol=1e-10)
-        assert I_star == pytest.approx(5.0, abs=1e-8)
 
     def test_no_sign_change_raises(self):
         sat = self.family()
         pts = [(I, sat(I)) for I in (3.2, 3.5, 3.9)]
         with pytest.raises(NoSignChange):
-            floquet.detect_crossing(pts, "pd")
+            floquet.detect_crossing(pts, spectrum_at=sat)
 
     def test_tightest_bracket_wins_over_collision_artifact(self):
         # a far sign flip caused by an eigenvalue collision (g jumps from
@@ -138,7 +119,8 @@ class TestDetectCrossing:
                (2.0, make_spec([8.0, 0.2])),     # fake flip, wide bracket
                (3.0, make_spec([-1.2, 0.2])),
                (4.0, make_spec([-0.8, 0.2]))]    # true flip, tight bracket
-        I_star = floquet.detect_crossing(seq, "pd")
+        I_star = floquet.detect_crossing(
+            seq, spectrum_at=lambda I: make_spec([-1.2 + 0.4 * (I - 3.0), 0.2]))
         assert 3.0 < I_star < 4.0
 
     def test_crossing_between_samples_found_by_bisection(self):
@@ -151,8 +133,7 @@ class TestDetectCrossing:
                 return make_spec([-0.97 - 0.3 * I, -0.2, 1e-9])
             return make_spec([0.4 + 0.5j, 0.4 - 0.5j, 1e-9])
         pts = [(I, sat(I)) for I in (-1.0, 0.0, 1.0)]
-        I_star = floquet.detect_crossing(pts, "pd", spectrum_at=sat,
-                                         tol=1e-10)
+        I_star = floquet.detect_crossing(pts, spectrum_at=sat, tol=1e-10)
         assert I_star == pytest.approx(0.1, abs=1e-8)
 
     def test_bisection_gives_up_below_tol(self):
@@ -160,7 +141,7 @@ class TestDetectCrossing:
             return make_spec([-0.9 + 0.01 * I, 0.2])
         pts = [(I, sat(I)) for I in (0.0, 1.0)]
         with pytest.raises(NoSignChange):
-            floquet.detect_crossing(pts, "pd", spectrum_at=sat, tol=1e-3)
+            floquet.detect_crossing(pts, spectrum_at=sat, tol=1e-3)
 
     def test_refinement_rejects_runaway_multiplier(self):
         # spectra whose candidate jumps far from the target mid-refinement
@@ -168,10 +149,9 @@ class TestDetectCrossing:
             return make_spec([-4.0 + 0.1 * (I - 3.0), 9.0])
         pts = [(0.0, make_spec([-0.5, 9.0])), (6.0, make_spec([0.2, 9.0]))]
         with pytest.raises((TrackingLost, NoSignChange)):
-            floquet.detect_crossing(pts, "pd", spectrum_at=sat, tol=1e-10)
+            floquet.detect_crossing(pts, spectrum_at=sat, tol=1e-10)
 
     def test_kind_validation(self):
-        with pytest.raises(ValueError):
-            floquet.detect_crossing([], "torus")
         with pytest.raises(NoSignChange):
-            floquet.detect_crossing([(1.0, make_spec([0.5, 0.1]))], "pd")
+            floquet.detect_crossing([(1.0, make_spec([0.5, 0.1]))],
+                                    spectrum_at=self.family())

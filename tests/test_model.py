@@ -123,11 +123,6 @@ class TestEquilibrium:
             x = model.find_equilibrium(float(I))
             assert np.all(np.isfinite(x))
 
-    def test_explicit_guess_converges_to_same_root(self):
-        a = model.find_equilibrium(20.0)
-        b = model.find_equilibrium(20.0, guess=a[0] + 0.5)
-        assert np.allclose(a, b, atol=1e-10)
-
 
 class TestHopfDetection:
     def test_low_current_crossing(self, hopf_points):

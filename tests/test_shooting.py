@@ -64,7 +64,7 @@ class TestShoot:
         guess = shooting.Cycle(period=10.0, anchor_state=eq + 1e-3,
                                samples=samples)
         with pytest.raises((NoConvergence, Exception)):
-            cyc = shooting.shoot(fld, guess, tol=1e-12, max_iter=8)
+            cyc = shooting.shoot(fld, guess, tol=1e-12)
             # a "cycle" collapsing onto the equilibrium must not slip through
             assert cyc.v_extrema()[1] - cyc.v_extrema()[0] > 1.0
 
