@@ -522,8 +522,7 @@ def _write_diagram_files(diagram, branches, out_dir, cfg):
                    "points": [{"I": pt.I, "period": pt.period,
                                "v_min": pt.v_min, "v_max": pt.v_max,
                                "stability": pt.spectrum.stability}
-                              for pt in br.points],
-                   "mode_history": br.mode_history}
+                              for pt in br.points]}
         with open(os.path.join(out_dir, f"branch_{bid}.json"), "w") as fh:
             json.dump(payload, fh)
             fh.write("\n")

@@ -140,13 +140,14 @@ class PhaseReference:
         self.dmid = dmid_ref
 
     @classmethod
-    def from_solution(cls, sol: CollocationSolution, mesh: Mesh):
+    def from_cycle(cls, cycle: PeriodicOrbit, mesh: Mesh, field: VectorField):
+        """Any cycle sampled at the breakpoints and midpoints of mesh."""
+        T = cycle.period
         tau_b = mesh.breakpoints[:-1]
         tau_m = 0.5 * (mesh.breakpoints[:-1] + mesh.breakpoints[1:])
-        y = sol.evaluate(tau_b)
-        m = sol.evaluate(tau_m)
-        return cls(mesh, y, m, sol.period * sol.field.f(y),
-                   sol.period * sol.field.f(m))
+        y = cycle.evaluate_time(tau_b * T)
+        m = cycle.evaluate_time(tau_m * T)
+        return cls(mesh, y, m, T * field.f(y), T * field.f(m))
 
     def weights(self):
         """Simpson weights pairing each unknown with <., dref>."""
@@ -165,46 +166,49 @@ def _phase_residual(mesh, y, mid, ref: PhaseReference):
                  + np.sum(wm[:, None] * (mid - ref.mid) * ref.dmid))
 
 
-def _newton_collocation(field, mesh, y, mid, T, ref, fixed_period=False,
-                        field_at=None, I=0.0):
-    """The shared damped Newton on the Hermite-Simpson system.
+def _newton_collocation(field_at, mesh, y, mid, T, I, ref, row):
+    """The shared damped Newton on the bordered Hermite-Simpson system.
 
     The unknowns are the breakpoint and midpoint values, interval by
-    interval, then T.  With fixed_period=True the last unknown is I instead
-    (field_at(I) required), and its column is the parameter derivative dF/dI.
+    interval, then T and I; the rows are the defects, the phase condition
+    and a_T*T + a_I*I = b for row = (a_T, a_I, b).  The T column is exact,
+    the I column dF/dI one forward difference of the residual.
     """
     N, dim = mesh.N, y.shape[1]
-    nun = 2 * N * dim + 1
+    nun = 2 * N * dim + 2
     h = mesh.widths
+    a_T, a_I, b = row
 
     def unpack(z):
-        u = z[:-1].reshape(N, 2, dim)
-        Tz, Iz = (T, z[-1]) if fixed_period else (z[-1], I)
-        return u[:, 0], u[:, 1], Tz, Iz, field_at(Iz) if fixed_period else field
+        u = z[:-2].reshape(N, 2, dim)
+        return u[:, 0], u[:, 1], z[-2], z[-1]
 
     def residual(z):
-        yz, mz, Tz, _, fld = unpack(z)
+        yz, mz, Tz, Iz = unpack(z)
         if Tz <= 0:
             return np.full(nun, np.inf)
-        r1, r2 = _defects(fld, mesh, yz, mz, Tz)
+        r1, r2 = _defects(field_at(Iz), mesh, yz, mz, Tz)
         ph = _phase_residual(mesh, yz, mz, ref)
-        return np.concatenate([np.stack([r1, r2], axis=1).ravel(), [ph]])
+        return np.concatenate([np.stack([r1, r2], axis=1).ravel(),
+                               [ph, a_T * Tz + a_I * Iz - b]])
 
     # sparsity pattern: per interval i the rows of both defects, against the
-    # columns of y_i, mid_i and y_{i+1}; then the last column and phase row
+    # columns of y_i, mid_i and y_{i+1}; then the T and I columns and the
+    # phase row (the constraint row is the last entry of those columns)
     Id = np.eye(dim)
     cy0 = 2 * np.arange(N) * dim   # first-defect rows and y_i columns
     cm = cy0 + dim                 # second-defect rows and mid_i columns
     cy1 = np.roll(cy0, -1)         # y_{i+1} columns
     rr, cc = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
     wy, wm = ref.weights()
-    ph_row = np.zeros(nun)
-    blocks = ph_row[:-1].reshape(2 * N, dim)
+    ph_row = np.zeros(nun - 2)
+    blocks = ph_row.reshape(2 * N, dim)
     blocks[0::2] = wy[:, None] * ref.dy
     blocks[1::2] = wm[:, None] * ref.dmid
 
     def step(z, r):
-        yz, mz, Tz, Iz, fld = unpack(z)
+        yz, mz, Tz, Iz = unpack(z)
+        fld = field_at(Iz)
         fy = fld.f(yz)
         fm = fld.f(mz)
         fy1 = np.roll(fy, -1, axis=0)
@@ -227,27 +231,28 @@ def _newton_collocation(field, mesh, y, mid, T, ref, fixed_period=False,
         add_blocks(cm, cm, Id)
         add_blocks(cm, cy1, -0.5 * Id + hT / 8.0 * Jy1)
 
-        # last column: d/dT (natural) or d/dI (fixed period)
-        if fixed_period:
-            dI = 1e-6 * max(1.0, abs(Iz))
-            zp = z.copy()
-            zp[-1] = Iz + dI
-            last = (residual(zp) - r) / dI
-        else:
-            dr1 = -(h[:, None] / 6.0) * (fy + 4.0 * fm + fy1)
-            dr2 = -(h[:, None] / 8.0) * (fy - fy1)
-            last = np.concatenate(
-                [np.stack([dr1, dr2], axis=1).ravel(), [0.0]])
-        rows += [np.arange(nun), np.full(nun, nun - 1)]
-        cols += [np.full(nun, nun - 1), np.arange(nun)]
-        vals += [last, ph_row]
+        dr1 = -(h[:, None] / 6.0) * (fy + 4.0 * fm + fy1)
+        dr2 = -(h[:, None] / 8.0) * (fy - fy1)
+        col_T = np.concatenate([np.stack([dr1, dr2], axis=1).ravel(),
+                                [0.0, a_T]])
+        dI = 1e-6 * max(1.0, abs(Iz))
+        zp = z.copy()
+        zp[-1] = Iz + dI
+        col_I = (residual(zp) - r) / dI
+        col_I[-1] = a_I
+        rows += [np.arange(nun), np.arange(nun), np.full(nun - 2, nun - 2)]
+        cols += [np.full(nun, nun - 2), np.full(nun, nun - 1),
+                 np.arange(nun - 2)]
+        vals += [col_T, col_I, ph_row]
 
         A = sp.coo_matrix(
             (np.concatenate(vals),
              (np.concatenate(rows), np.concatenate(cols))),
             shape=(nun, nun)).tocsc()
+        A.eliminate_zeros()   # dF/dI vanishes off the rows that I enters
         try:
-            lu = spla.splu(A)
+            # minimum degree on A^T + A fills ~40x less than COLAMD here
+            lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:
             raise SingularJacobian(f"collocation Newton matrix singular: {exc}")
         delta = lu.solve(-r)
@@ -255,12 +260,10 @@ def _newton_collocation(field, mesh, y, mid, T, ref, fixed_period=False,
             raise SingularJacobian("collocation Newton step not finite")
         return delta
 
-    z0 = np.concatenate([np.stack([y, mid], axis=1).ravel(),
-                         [I if fixed_period else T]])
-    z, rn = newton.damped_newton(residual, step, z0, NEWTON_TOL,
-                                 NEWTON_MAX_ITER, "collocation")
-    yz, mz, Tz, Iz, _ = unpack(z)
-    return yz, mz, Tz, Iz, rn
+    z0 = np.concatenate([np.stack([y, mid], axis=1).ravel(), [T, I]])
+    z, _ = newton.damped_newton(residual, step, z0, NEWTON_TOL,
+                                NEWTON_MAX_ITER, "collocation")
+    return unpack(z)
 
 
 def refine_mesh(mesh: Mesh, residual_profile: np.ndarray, target: float,
@@ -302,55 +305,52 @@ def refine_mesh(mesh: Mesh, residual_profile: np.ndarray, target: float,
     return Mesh(np.array(sorted(set(pts))))
 
 
-def _initial_data(init: PeriodicOrbit, mesh: Mesh):
-    """Breakpoint and midpoint states of any cycle on a mesh, plus its period."""
-    T = init.period
-    tau_b = mesh.breakpoints[:-1]
-    tau_m = 0.5 * (mesh.breakpoints[:-1] + mesh.breakpoints[1:])
-    return init.evaluate_time(tau_b * T), init.evaluate_time(tau_m * T), T
-
-
 def solve_bvp(field: VectorField, init, tol: float = 1e-8,
               N: int = 100, max_N: int = 2000, max_refinements: int = 8,
               mesh: Mesh | None = None) -> CollocationSolution:
     """Solve the periodic BVP with residual-driven mesh refinement.
 
-    tol bounds the sampled interior residual ||P'/T - f(P)|| everywhere;
-    NEWTON_TOL is the algebraic stopping tolerance for the discrete system.
+    This is solve_bvp_bordered with a field that does not depend on I and
+    the row pinning I at 0.
     """
     if mesh is None:
         mesh = Mesh(np.linspace(0.0, 1.0, N + 1))
-    y, mid, T = _initial_data(init, mesh)
-    speeds = np.max(np.abs(field.f(y)))
-    if speeds * T < 1e-8:
+    return solve_bvp_bordered(lambda _: field, init, 0.0, (0.0, 1.0, 0.0),
+                              tol, max_N, max_refinements, mesh)[0]
+
+
+def solve_bvp_bordered(field_at, init, I_guess: float, row, tol: float,
+                       max_N: int, max_refinements: int, mesh: Mesh):
+    """Solve over (cycle, T, I) with the row a_T*T + a_I*I = b appended.
+
+    field_at(I) returns the VectorField at I; init, any cycle, is sampled on
+    mesh, its period the initial T.  tol bounds the sampled interior residual
+    ||P'/T - f(P)|| everywhere; NEWTON_TOL is the algebraic one.  Returns
+    (CollocationSolution, I).
+    """
+    ref = PhaseReference.from_cycle(init, mesh, field_at(I_guess))
+    if np.max(np.abs(ref.dy)) < 1e-8:
         raise DegenerateCycle("initial guess has no motion along the orbit")
-    ref = PhaseReference(mesh, y, mid, T * field.f(y), T * field.f(mid))
+    y, mid, T, I = ref.y, ref.mid, init.period, I_guess
     for _ in range(max_refinements + 1):
-        y, mid, T, _, _ = _newton_collocation(field, mesh, y, mid, T, ref)
-        sol = CollocationSolution(mesh=mesh, y=y, mid=mid, period=T, field=field)
+        y, mid, T, I = _newton_collocation(field_at, mesh, y, mid, T, I, ref,
+                                           row)
+        sol = CollocationSolution(mesh=mesh, y=y, mid=mid, period=float(T),
+                                  field=field_at(I))
         prof = sol.residual_profile()
         if np.max(prof) < tol:
-            return sol
+            return sol, float(I)
         mesh = refine_mesh(mesh, prof, 0.25 * tol, max_N)
-        ref = PhaseReference.from_solution(sol, mesh)
+        ref = PhaseReference.from_cycle(sol, mesh, sol.field)
         y, mid = ref.y, ref.mid   # the solution resampled on the new mesh
     raise MeshTooCoarse(
         f"residual {np.max(prof):.3g} above {tol:.3g} after refinement cap")
 
 
 def solve_bvp_fixed_period(field_at, init, I_guess: float):
-    """Re-solve at frozen period with the parameter I as unknown.
-
-    The mesh of the initial CollocationSolution is reused (no refinement);
-    used for rounding turning points during continuation.  Returns
-    (CollocationSolution, I).
-    """
+    """solve_bvp_bordered with T pinned at init.period on init's own mesh,
+    accepted as it is (infinite tol); returns (CollocationSolution, I)."""
     if not isinstance(init, CollocationSolution):
         raise TypeError("fixed-period solve needs a CollocationSolution seed")
-    mesh = init.mesh
-    ref = PhaseReference.from_solution(init, mesh)
-    y, mid, T, I, _ = _newton_collocation(
-        init.field, mesh, init.y, init.mid, init.period, ref,
-        fixed_period=True, field_at=field_at, I=I_guess)
-    return CollocationSolution(mesh=mesh, y=y, mid=mid, period=T,
-                               field=field_at(I)), I
+    return solve_bvp_bordered(field_at, init, I_guess, (1.0, 0.0, init.period),
+                              np.inf, init.mesh.N, 0, init.mesh)

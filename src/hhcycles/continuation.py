@@ -1,16 +1,17 @@
 """Branch following in the stimulus current I with turning-point handling.
 
-Natural continuation: fix I, solve the periodic problem with the previous
-cycle as predictor, step, repeat.  Near a turning point dT/dI blows up while
-dI/dT stays finite, so the driver swaps the roles of I and the period (the
-solvers gain I as unknown at frozen T) and swaps back once the branch
-straightens out.  Folds are then pinned down as extrema of I along the
-branch, and period-doubling points by tracking a multiplier through -1.
+Secant pseudo-arclength continuation in the (I, T) plane: each step moves
+along the secant through the last two points and corrects on the line
+through the predicted point orthogonal to it, with (cycle, T, I) unknown,
+so a turning point in I is an ordinary step.  Folds are then pinned down as
+extrema of I(T) along the branch, and period-doubling points by tracking a
+multiplier through -1 along T; both searches take points that are monotone
+in T, the search parameter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,12 +52,14 @@ class Branch:
     points: List[BranchPoint]
     events: List[BifurcationEvent]
     solver: str
-    mode_history: List[Tuple[int, str]]  # (point index, driving parameter)
+
+    # one step loop, so one entry; the benchmark's tracing still reads it
+    mode_history = ((0, "I"),)
 
 
 @dataclass
 class StepControl:
-    initial: float = 0.25
+    initial: float = 0.25              # step bounds, in the (I, T) norm
     max_step: float = 2.0
     min_step: float = 1e-9
     collapse_amplitude: float = 0.75   # mV amplitude marking a Hopf endpoint
@@ -64,15 +67,17 @@ class StepControl:
 
 
 GROW_AFTER = 3        # accepted steps in a row before the step doubles
-SWITCH_STEP = 1e-6    # I-step below which the period takes over
-REVERT_SLOPE = 0.02   # |dI/dT| above which I takes over again
 NEWTON_TOL = 1e-10    # harmonic-balance corrector tolerance and budget
 NEWTON_MAX_ITER = 12
-FOLD_TOL = 1e-6       # locate_fold stops when the vertex I moves less
+COLL_REFINEMENTS = 2  # mesh refinements per collocation corrector solve
+# locate_fold stops when the vertex period moves less (ms).  I(T) is flat at
+# the fold, so a stop on the vertex I would fire with T* still ~1e-3 off;
+# below ~5e-6 the vertex of the flat bottom fold is lost in the I roundoff
+FOLD_TOL = 1e-5
 FOLD_MAX_ITER = 30
-# the multiplier moves by ~3e4 per unit I near the knee, so the
-# period-doubling crossing needs a much tighter current tolerance
-PD_TOL = 1e-9
+# locate_pd searches in T (ms); the crossing multiplier moves by ~15 per ms
+# near the knee, so this resolves it to ~1.5e-5
+PD_TOL = 1e-6
 
 
 def hh_family(p: model.HHParams = model.DEFAULT_PARAMS) -> Callable[[float], VectorField]:
@@ -86,41 +91,30 @@ def v_extrema(cyc) -> Tuple[float, float]:
 
 
 class _SolverAdapter:
-    """Corrector interface over the two solvers with a frozen-period mode."""
+    """The bordered corrector of either solver, behind one call."""
 
     def __init__(self, name: str, hb_K: int = 40, hb_oversample: int = hb.DEFAULT_OVERSAMPLE,
-                 coll_tol: float = 1e-6, coll_N: int = 100, coll_max_N: int = 2000):
+                 coll_tol: float = 1e-6, coll_max_N: int = 2000):
         if name not in ("hb", "collocation"):
             raise ValueError(f"unknown solver {name!r}")
         self.name = name
         self.hb_K = hb_K
         self.coll_tol = coll_tol
-        self.coll_N = coll_N
         self.coll_max_N = coll_max_N
         self._ops = hb.build_operators(hb_K, hb_oversample) if name == "hb" else None
 
-    def solve(self, fld: VectorField, predictor: PeriodicOrbit):
-        if self.name == "hb":
-            return hb.solve_hb(predictor.to_fourier(self.hb_K), fld, self._ops,
-                               tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER)
-        mesh = getattr(predictor, "mesh", None)
-        if mesh is None:
-            return collocation.solve_bvp(fld, predictor, tol=self.coll_tol,
-                                         N=self.coll_N, max_N=self.coll_max_N)
-        # a collocation predictor lends its mesh, refined at most twice
-        return collocation.solve_bvp(fld, predictor, tol=self.coll_tol,
-                                     mesh=mesh, max_N=self.coll_max_N,
-                                     max_refinements=2)
-
-    def solve_fixed_period(self, field_at, predictor, T: float, I_guess: float):
-        """Corrector at frozen period T; returns (cycle, I)."""
+    def correct(self, field_at, predictor: PeriodicOrbit, T: float, I: float,
+                row):
+        """Solve for (cycle, T, I) under a_T*T + a_I*I = b, row = (a_T, a_I, b),
+        from the predictor re-timed to T and from I; returns (cycle, I).
+        The collocation corrector starts on the predictor's own mesh."""
         if self.name == "hb":
             seed = replace(predictor.to_fourier(self.hb_K), period=T)
-            return hb.solve_hb_fixed_period(seed, I_guess, field_at, self._ops,
-                                            tol=NEWTON_TOL,
-                                            max_iter=NEWTON_MAX_ITER)
-        return collocation.solve_bvp_fixed_period(
-            field_at, replace(predictor, period=T), I_guess)
+            return hb.solve_hb_bordered(seed, I, field_at, self._ops, row,
+                                        NEWTON_TOL, NEWTON_MAX_ITER)
+        return collocation.solve_bvp_bordered(
+            field_at, replace(predictor, period=T), I, row, self.coll_tol,
+            self.coll_max_N, COLL_REFINEMENTS, predictor.mesh)
 
 
 SOLVER_ERRORS = (NoConvergence, SingularJacobian, MeshTooCoarse, DegenerateCycle)
@@ -141,16 +135,16 @@ def continue_branch(start: BranchPoint, direction: int,
                     adapter: Optional[_SolverAdapter] = None,
                     spectrum_steps: int = floquet.DEFAULT_SPECTRUM_STEPS,
                     max_points: int = 1000) -> Branch:
-    """Follow a branch of cycles from start in the given I direction.
+    """Follow a branch of cycles from start, first in the given I direction.
 
-    One step loop drives the branch by I or, at frozen period, by T: it
-    predicts from the previous cycle, corrects, vets the point, then halves
-    the step of the driving parameter on failure or doubles it after
-    GROW_AFTER successes.  When the I-step collapses below SWITCH_STEP the
-    period takes over (turning-point rounding); I takes over again once
-    |dI/dT| exceeds REVERT_SLOPE.  Terminates on the I_limits box, on
-    amplitude collapse (recorded as a Hopf endpoint event), on min-step
-    exhaustion, or after max_points.
+    One step loop: predict h along the secant of the last two points in the
+    (I, T) plane (along I at the start), correct on the line through the
+    predicted point orthogonal to the secant, vet the point, then halve h
+    on failure or double it after GROW_AFTER successes; h is measured in
+    the (I, T) Euclidean norm.  A step that would leave the I_limits box is
+    cut short to land on its edge, with I pinned there.  Terminates on the
+    box edge, on amplitude collapse (recorded as a Hopf endpoint event), on
+    min-step exhaustion, or after max_points.
     """
     if field_at is None:
         field_at = hh_family()
@@ -163,13 +157,9 @@ def continue_branch(start: BranchPoint, direction: int,
     lo, hi = min(I_limits), max(I_limits)
     points = [start]
     events: List[BifurcationEvent] = []
-    mode_history = [(0, "I")]
-    mode = "I"
-    step = {"I": ctrl.initial, "T": 0.0}
-    max_step = {"I": ctrl.max_step, "T": np.inf}   # T steps grow uncapped
+    h = ctrl.initial
     successes = 0
-    steps_in_mode = 0
-    cur_dir = 1.0 if direction > 0 else -1.0  # flips when a fold is rounded
+    tI, tT = (1.0 if direction > 0 else -1.0), 0.0   # unit step direction
 
     def accept(I_new, cyc) -> str:
         """Vet and append the corrected point: 'ok' | 'stop' | 'reject'.
@@ -177,12 +167,14 @@ def continue_branch(start: BranchPoint, direction: int,
         A sudden amplitude collapse means Newton slid onto the equilibrium
         (the predictor overshot a fold), not a Hopf endpoint; such steps are
         rejected, as are steps that move the orbit more than the acceptance
-        bound.
+        bound or leave the I_limits box.
         """
         cur = points[-1]
         vmin, vmax = v_extrema(cyc)
         amp = vmax - vmin
         T = float(cyc.period)
+        if not lo <= I_new <= hi:
+            return "reject"
         if amp < ctrl.collapse_amplitude and \
                 cur.amplitude > 4.0 * ctrl.collapse_amplitude:
             return "reject"
@@ -211,59 +203,43 @@ def continue_branch(start: BranchPoint, direction: int,
 
     while len(points) < max_points:
         cur = points[-1]
+        I_pred, T_pred = cur.I + h * tI, cur.period + h * tT
+        pinned = not lo <= I_pred <= hi
+        if pinned:
+            edge = hi if I_pred > hi else lo
+            if cur.I == edge:
+                break  # parked on the I-limits box
+            T_pred = cur.period + (edge - cur.I) / tI * tT
+            I_pred, row = edge, (0.0, 1.0, edge)
+        else:
+            row = (tT, tI, tT * T_pred + tI * I_pred)
         try:
-            if mode == "I":
-                I_new = float(np.clip(cur.I + cur_dir * step["I"], lo, hi))
-                if I_new == cur.I:
-                    break  # parked on the I-limits box
-                cyc = adapter.solve(field_at(I_new), cur.cycle)
-            else:
-                # walk in T along the last period change, recover I
-                T_dir = 1.0 if cur.period >= points[-2].period else -1.0
-                cyc, I_new = adapter.solve_fixed_period(
-                    field_at, cur.cycle, cur.period + T_dir * step["T"], cur.I)
+            cyc, I_new = adapter.correct(field_at, cur.cycle, T_pred, I_pred,
+                                         row)
         except SOLVER_ERRORS as exc:
             failure, verdict = exc, "reject"
         else:
-            if not (lo <= I_new <= hi):
-                break  # a frozen-period solve left the I-limits box
-            failure, verdict = None, accept(I_new, cyc)
+            # a pinned I is exact: the solver's roundoff must not leave the box
+            failure, verdict = None, accept(I_pred if pinned else I_new, cyc)
         if verdict == "stop":
             break
         if verdict == "reject":
             successes = 0
-            step[mode] *= 0.5
-            if mode == "I" and step["I"] < SWITCH_STEP and len(points) >= 2:
-                # the I-step collapsed at a turning point: freeze the period
-                mode = "T"
-                steps_in_mode = 0
-                step["T"] = max(abs(cur.period - points[-2].period), 1e-6)
-                mode_history.append((len(points) - 1, "T"))
-            elif step[mode] < ctrl.min_step:
+            h *= 0.5
+            if h < ctrl.min_step:
                 raise (type(failure) if failure else NoConvergence)(
-                    f"{mode}-mode continuation stalled at I={cur.I:.9g}, T="
+                    f"continuation stalled at I={cur.I:.9g}, T="
                     f"{cur.period:.9g}: {failure or 'steps kept being rejected'}")
             continue
         successes += 1
-        steps_in_mode += 1
         if successes >= GROW_AFTER:
-            step[mode] = min(2.0 * step[mode], max_step[mode])
+            h = min(2.0 * h, ctrl.max_step)
             successes = 0
-        dI = points[-1].I - points[-2].I
-        if mode == "T" and steps_in_mode >= 3 and abs(dI) / max(
-                abs(points[-1].period - points[-2].period), 1e-300) > REVERT_SLOPE:
-            # the branch has straightened out: I drives it again, in the
-            # direction it now moves (it flips around a fold)
-            mode = "I"
-            successes = 0
-            step["I"] = max(min(2.0 * abs(dI), ctrl.max_step),
-                            10.0 * ctrl.min_step)
-            if dI != 0.0:
-                cur_dir = 1.0 if dI > 0 else -1.0
-            mode_history.append((len(points) - 1, "I"))
+        # the secant of the last two points
+        dI, dT = points[-1].I - cur.I, points[-1].period - cur.period
+        tI, tT = dI / np.hypot(dI, dT), dT / np.hypot(dI, dT)
 
-    return Branch(points=points, events=events, solver=adapter.name,
-                  mode_history=mode_history)
+    return Branch(points=points, events=events, solver=adapter.name)
 
 
 def turning_indices(Is: Sequence[float]) -> List[int]:
@@ -288,7 +264,9 @@ def pd_bracket(branch: Branch) -> Optional[Tuple[int, int]]:
     ext = turning_indices([pt.I for pt in branch.points])
     if len(ext) < 2:
         return None
-    return (ext[0] + 3 * (ext[1] - ext[0]) // 4, ext[1])
+    # one point past the turn: the doubling can lie between the last point
+    # before the fold and the fold itself
+    return (ext[0] + 3 * (ext[1] - ext[0]) // 4, ext[1] + 1)
 
 
 def _bracket_slice(branch: Branch, bracket) -> List[int]:
@@ -311,10 +289,11 @@ def locate_fold(branch: Branch, bracket=None,
                 adapter: Optional[_SolverAdapter] = None) -> BifurcationEvent:
     """Pin down a turning point as the extremum of I along the branch.
 
-    T is monotone through the fold, so repeated frozen-period solves give
-    I(T) pointwise; a quadratic fit through the three samples nearest the
-    extremum is iterated until the vertex stops moving by more than FOLD_TOL.
-    The certificate is the nontrivial multiplier closest to +1 there.
+    T is monotone through the fold, so repeated T-pinned solves give I(T)
+    pointwise; a quadratic fit through the three samples nearest the
+    extremum is iterated until the vertex period stops moving by more than
+    FOLD_TOL.  The certificate is the nontrivial multiplier closest to +1
+    there.
     """
     field_at, adapter = _locator_defaults(branch, field_at, adapter)
     ids = _bracket_slice(branch, bracket)
@@ -327,7 +306,7 @@ def locate_fold(branch: Branch, bracket=None,
 
     samples = [(branch.points[ids[j]].period, branch.points[ids[j]].I,
                 branch.points[ids[j]].cycle) for j in (k - 1, k, k + 1)]
-    I_prev = None
+    T_prev = None
     for _ in range(FOLD_MAX_ITER):
         samples.sort(key=lambda s: s[0])
         Ts = np.array([s[0] for s in samples])
@@ -340,11 +319,11 @@ def locate_fold(branch: Branch, bracket=None,
                 <= Ts.max() + (Ts.max() - Ts.min())):
             raise NoExtremum("quadratic vertex escaped the sample window")
         seed = min(samples, key=lambda s: abs(s[0] - T_star))
-        cyc, I_star = adapter.solve_fixed_period(field_at, seed[2], T_star,
-                                                 seed[1])
-        if I_prev is not None and abs(I_star - I_prev) < FOLD_TOL:
+        cyc, I_star = adapter.correct(field_at, seed[2], T_star, seed[1],
+                                      (1.0, 0.0, T_star))
+        if T_prev is not None and abs(T_star - T_prev) < FOLD_TOL:
             break
-        I_prev = I_star
+        T_prev = T_star
         # replace the sample farthest from the vertex
         far = int(np.argmax(np.abs(Ts - T_star)))
         samples[far] = (T_star, I_star, cyc)
@@ -364,31 +343,38 @@ def locate_pd(branch: Branch, bracket,
               spectrum_steps: int = floquet.DEFAULT_SPECTRUM_STEPS) -> BifurcationEvent:
     """Locate a period-doubling point by tracking a multiplier through -1.
 
-    The bracketed branch points supply the initial sign change; refinement
-    re-solves the cycle at trial currents (seeded from the nearest accepted
-    point) and re-evaluates the spectrum.
+    The search parameter is T, monotone over the bracket even where it runs
+    past a turning point in I.  The bracketed branch points supply the
+    initial sign change; refinement re-solves the cycle at pinned trial
+    periods (seeded from the nearest accepted point) and re-evaluates the
+    spectrum.  I* comes from a last solve at the crossing period.
     """
     field_at, adapter = _locator_defaults(branch, field_at, adapter)
     ids = _bracket_slice(branch, bracket)
     if len(ids) < 2:
         raise NoSignChange("bracket holds fewer than two branch points")
-    ids.sort(key=lambda i: branch.points[i].I)
-    pts = [(branch.points[i].I, branch.points[i].spectrum) for i in ids]
+    ids.sort(key=lambda i: branch.points[i].period)
+    pts = [(branch.points[i].period, branch.points[i].spectrum) for i in ids]
     evidence_rows = []
 
-    def spectrum_at(I):
-        near = min((branch.points[i] for i in ids), key=lambda p: abs(p.I - I))
-        cyc = adapter.solve(field_at(I), near.cycle)
+    def solve_at(T):
+        near = min((branch.points[i] for i in ids),
+                   key=lambda p: abs(p.period - T))
+        return adapter.correct(field_at, near.cycle, T, near.I, (1.0, 0.0, T))
+
+    def spectrum_at(T):
+        cyc, I = solve_at(T)
         spec = floquet.spectrum(cyc, field_at(I), nsteps=spectrum_steps)
         evidence_rows.append(
-            {"I": float(I),
+            {"I": float(I), "period": float(T),
              "multipliers": [complex(m) for m in spec.all_multipliers()]})
         return spec
 
-    I_star = floquet.detect_crossing(pts, spectrum_at, tol=PD_TOL)
+    T_star = floquet.detect_crossing(pts, spectrum_at, tol=PD_TOL)
+    _, I_star = solve_at(T_star)
     return BifurcationEvent(
         kind="period_doubling", I_star=float(I_star),
-        evidence={"rows": evidence_rows,
+        evidence={"rows": evidence_rows, "period": float(T_star),
                   "bracket": [float(branch.points[ids[0]].I),
                               float(branch.points[ids[-1]].I)]})
 

@@ -153,12 +153,12 @@ def detect_crossing(points: Sequence[Tuple[float, FloquetSpectrum]],
                     tol: float = 1e-6) -> float:
     """Parameter value where the tracked multiplier crosses -1.
 
-    points is a monotone-in-I sequence of (I, FloquetSpectrum).  The signed
-    distance g(I) = Re(mu_tracked) + 1 must change sign between two
-    consecutive points; the root is then refined by secant steps on fresh
-    spectra from spectrum_at.  With no sampled sign change, the intervals
-    next to the sample of least |g| are bisected until one brackets a sign
-    change or shrinks below tol.
+    points is a sequence of (p, FloquetSpectrum) monotone in the search
+    parameter p.  The signed distance g(p) = Re(mu_tracked) + 1 must change
+    sign between two consecutive points; the root is then refined by secant
+    steps on fresh spectra from spectrum_at.  With no sampled sign change,
+    the intervals next to the sample of least |g| are bisected until one
+    brackets a sign change or shrinks below tol.
     """
     target = -1.0
     if len(points) < 2:

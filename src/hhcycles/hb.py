@@ -188,19 +188,6 @@ def hb_jacobian(xbar: FourierCycle, field: VectorField,
     return J
 
 
-def fixed_period_jacobian(xbar: FourierCycle, I: float, field_at,
-                          ops: SpectralOperators, r: np.ndarray) -> np.ndarray:
-    """Derivative of the frozen-period residual with respect to (coefficients, I).
-
-    The coefficient part is hb_jacobian's; the last column dR/dI is one
-    forward difference from r, the residual at I.
-    """
-    J = hb_jacobian(xbar, field_at(I), ops)
-    h = max(abs(I), 1.0) * 1e-7
-    J[:, -1] = (hb_residual(xbar, field_at(I + h), ops) - r) / h
-    return J
-
-
 def _newton(residual_fn, jacobian_fn, z0, tol, max_iter):
     """The shared damped Newton with dense steps on jacobian_fn(z, r)."""
     return newton.damped_newton(
@@ -231,31 +218,55 @@ def solve_hb(init: FourierCycle, field: VectorField, ops: SpectralOperators,
     return cycle(z)
 
 
-def solve_hb_fixed_period(init: FourierCycle, I_guess: float, field_at,
-                          ops: SpectralOperators, tol: float = 1e-10,
-                          max_iter: int = 40):
-    """HB solve with T frozen and the continuation parameter unknown.
+def bordered_jacobian(xbar: FourierCycle, I: float, field_at,
+                      ops: SpectralOperators, row, r: np.ndarray) -> np.ndarray:
+    """hb_jacobian bordered by the column dR/dI, one forward difference from
+    r (the HB residual at I), and by the row (a_T, a_I) of row = (a_T, a_I, b)."""
+    J = np.pad(hb_jacobian(xbar, field_at(I), ops), ((0, 1), (0, 1)))
+    h = max(abs(I), 1.0) * 1e-7
+    J[:-1, -1] = (hb_residual(xbar, field_at(I + h), ops) - r) / h
+    J[-1, -2:] = row[:2]
+    return J
 
-    field_at(I) must return the VectorField at parameter I.  Used to round
-    turning points where dI/dT is finite but dT/dI blows up.  Returns
-    (FourierCycle, I).
+
+def solve_hb_bordered(init: FourierCycle, I_guess: float, field_at,
+                      ops: SpectralOperators, row, tol: float, max_iter: int):
+    """Newton solve over (coefficients, T, I); returns (FourierCycle, I).
+
+    field_at(I) returns the VectorField at I.  The HB system gains the row
+    a_T*T + a_I*I = b for row = (a_T, a_I, b): I pinned, T pinned or the
+    pseudo-arclength condition.  The initial T is init.period.
     """
     init = rotate_phase(init)
     dim, K = init.dim, init.K
-    T = init.period
+    a_T, a_I, b = row
 
     def cycle(z):
-        return FourierCycle(K=K, period=T, coeffs=z[:-1].reshape(dim, 2 * K + 1))
+        return FourierCycle(K=K, period=float(z[-2]),
+                            coeffs=z[:-2].reshape(dim, 2 * K + 1))
 
     def residual(z):
-        return hb_residual(cycle(z), field_at(float(z[-1])), ops)
+        if z[-2] <= 0:
+            return np.full(len(z), np.inf)
+        return np.append(hb_residual(cycle(z), field_at(float(z[-1])), ops),
+                         a_T * z[-2] + a_I * z[-1] - b)
 
     def jacobian(z, r):
-        return fixed_period_jacobian(cycle(z), float(z[-1]), field_at, ops, r)
+        return bordered_jacobian(cycle(z), float(z[-1]), field_at, ops, row,
+                                 r[:-1])
 
-    z, _ = _newton(residual, jacobian, np.append(init.coeffs, I_guess),
+    z, _ = _newton(residual, jacobian,
+                   np.concatenate([init.coeffs.ravel(), [init.period, I_guess]]),
                    tol, max_iter)
     return cycle(z), float(z[-1])
+
+
+def solve_hb_fixed_period(init: FourierCycle, I_guess: float, field_at,
+                          ops: SpectralOperators, tol: float = 1e-10,
+                          max_iter: int = 40):
+    """solve_hb_bordered with T pinned at init.period; returns (FourierCycle, I)."""
+    return solve_hb_bordered(init, I_guess, field_at, ops,
+                             (1.0, 0.0, init.period), tol, max_iter)
 
 
 def resize(xbar: FourierCycle, K_new: int) -> FourierCycle:

@@ -112,17 +112,15 @@ def shoot(field: VectorField, guess: Cycle, tol: float = 1e-10) -> Cycle:
                  source="shooting")
 
 
-def settle_transient(field: VectorField, settle_time: float = 300.0,
-                     x_start=None) -> Cycle:
+def settle_transient(field: VectorField, settle_time: float,
+                     x_start) -> Cycle:
     """One-period cycle guess extracted from a settled transient.
 
-    Integrates from x_start (or must be supplied by the caller for non-HH
-    fields), then detects the period from upward crossings of the first state
-    component through its late-time mean.  Raises NoOscillation if the
-    trajectory has settled onto an equilibrium.
+    Integrates from x_start for settle_time, then detects the period from
+    upward crossings of the first state component through its late-time
+    mean.  Raises NoOscillation if the trajectory has settled onto an
+    equilibrium.
     """
-    if x_start is None:
-        raise ValueError("x_start required")
     traj = integrate.integrate_rk4(field, x_start, 0.0, settle_time,
                                    SETTLE_STEP)
     t = traj.times

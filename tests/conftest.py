@@ -3,8 +3,18 @@
 import numpy as np
 import pytest
 
-from hhcycles import continuation, hb, model, shooting
+from hhcycles import hb, model, shooting
 from hhcycles.fields import hh_field
+
+
+def cold_start(I):
+    """Shooting cycle at I from a 5 mV kick off the equilibrium, a 300 ms
+    settle and a 1e-12 shoot."""
+    fld = hh_field(I=I)
+    eq = model.find_equilibrium(I)
+    guess = shooting.settle_transient(fld, 300.0,
+                                      x_start=eq + np.array([5.0, 0, 0, 0]))
+    return shooting.shoot(fld, guess, tol=1e-12)
 
 
 @pytest.fixture(scope="session")
@@ -13,12 +23,9 @@ def field20():
 
 
 @pytest.fixture(scope="session")
-def stable_cycle_20(field20):
+def stable_cycle_20():
     """Converged shooting cycle on the stable branch at I=20."""
-    eq = model.find_equilibrium(20.0)
-    guess = shooting.settle_transient(field20, 300.0,
-                                      x_start=eq + np.array([5.0, 0, 0, 0]))
-    return shooting.shoot(field20, guess, tol=1e-12)
+    return cold_start(20.0)
 
 
 @pytest.fixture(scope="session")

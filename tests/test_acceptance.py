@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from hhcycles import collocation, continuation as ct
-from hhcycles import floquet, hb, integrate, model, shooting
-from hhcycles.fields import harmonic_oscillator, hh_field
+from hhcycles import floquet, hb, integrate, model
+from hhcycles.fields import harmonic_oscillator
+from conftest import cold_start
 
 FAM = ct.hh_family()
 CROSS_CURRENTS = (15.0, 20.0, 50.0, 100.0, 140.0)
@@ -41,14 +42,10 @@ def hb_adapter():
 
 
 @pytest.fixture(scope="module")
-def branch_up(hb_adapter):
+def branch_up(hb_adapter, stable_cycle_20):
     """Stable branch from I=20 up to the high-current oscillation endpoint."""
     fld = FAM(20.0)
-    eq = model.find_equilibrium(20.0)
-    guess = shooting.settle_transient(fld, 300.0,
-                                      x_start=eq + np.array([5.0, 0, 0, 0]))
-    stable = shooting.shoot(fld, guess, tol=1e-12)
-    fc = hb.solve_hb(stable.to_fourier(50), fld, hb_adapter._ops)
+    fc = hb.solve_hb(stable_cycle_20.to_fourier(50), fld, hb_adapter._ops)
     start = ct.make_point(20.0, fc, fld)
     ctrl = ct.StepControl(initial=0.5, max_step=2.0, collapse_amplitude=0.4,
                           max_orbit_jump=25.0)
@@ -102,9 +99,9 @@ def colloc_fold(branch_down):
     seed_pt = min((p for p in branch_down.points
                    if p.spectrum.stability == "stable" and 6.27 < p.I < 6.6),
                   key=lambda p: abs(p.I - 6.33))
-    ad = ct._SolverAdapter("collocation", coll_tol=2e-5, coll_N=300,
-                           coll_max_N=1200)
-    sol = ad.solve(FAM(seed_pt.I), seed_pt.cycle)
+    ad = ct._SolverAdapter("collocation", coll_tol=2e-5, coll_max_N=1200)
+    sol = collocation.solve_bvp(FAM(seed_pt.I), seed_pt.cycle, tol=2e-5,
+                                N=300, max_N=1200)
     start = ct.make_point(seed_pt.I, sol, FAM(seed_pt.I), spectrum_steps=1000)
     ctrl = ct.StepControl(initial=0.02, max_step=0.04,
                           collapse_amplitude=0.4, max_orbit_jump=25.0)
@@ -145,10 +142,7 @@ def cross_solver(hb_adapter):
     out = {}
     for I in CROSS_CURRENTS:
         fld = FAM(I)
-        eq = model.find_equilibrium(I)
-        guess = shooting.settle_transient(
-            fld, 300.0, x_start=eq + np.array([5.0, 0, 0, 0]))
-        sc = shooting.shoot(fld, guess, tol=1e-12)
+        sc = cold_start(I)
         fc = hb.solve_hb(sc.to_fourier(50), fld, hb_adapter._ops)
         cs = collocation.solve_bvp(fld, sc, tol=1e-5, N=200, max_N=2000)
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from hhcycles import cli, collocation, floquet, hb
+from hhcycles import cli, collocation, floquet
 from hhcycles.cli import ConfigError
 from test_floquet import make_spec
 

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from hhcycles import collocation, hb, shooting
+from hhcycles import collocation, shooting
 from hhcycles.errors import DegenerateCycle, MeshTooCoarse
-from hhcycles.fields import VectorField, harmonic_oscillator, hh_field
+from hhcycles.fields import VectorField, harmonic_oscillator
 from hhcycles.integrate import Trajectory
 
 

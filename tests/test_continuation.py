@@ -21,7 +21,7 @@ def fake_point(I, period=10.0, v_min=-90.0, v_max=8.0, mus=(0.1, 0.0, 0.0)):
 def fake_branch(Is, periods=None):
     periods = periods if periods is not None else 10.0 + 0.1 * np.arange(len(Is))
     pts = [fake_point(I, period=T) for I, T in zip(Is, periods)]
-    return ct.Branch(points=pts, events=[], solver="hb", mode_history=[(0, "I")])
+    return ct.Branch(points=pts, events=[], solver="hb")
 
 
 class TestHelpers:
@@ -69,10 +69,12 @@ class TestSolverAdapter:
         with pytest.raises(ValueError):
             ct._SolverAdapter("spectral-deferred")
 
-    def test_hb_adapter_solves_from_time_predictor(self, field20,
-                                                   stable_cycle_20):
+    def test_hb_adapter_solves_from_time_predictor(self, stable_cycle_20):
+        # the constraint row pins I at 20
         ad = ct._SolverAdapter("hb", hb_K=40)
-        sol = ad.solve(field20, stable_cycle_20)
+        sol, I = ad.correct(ct.hh_family(), stable_cycle_20,
+                            stable_cycle_20.period, 20.0, (0.0, 1.0, 20.0))
+        assert I == pytest.approx(20.0, abs=1e-12)
         assert sol.period == pytest.approx(stable_cycle_20.period, rel=1e-6)
 
 
@@ -113,66 +115,82 @@ class FoldCycle(PeriodicOrbit):
         return -1.0, 1.0
 
 
+def fold_current(T):
+    return 1.0 - (T - 2.0) ** 2
+
+
 class FoldCorrector:
     """Stub corrector for the synthetic fold I = 1 - (T - 2)^2.
 
-    The field handed to solve is the current itself.  At fixed I it returns
-    the root on the predictor's side of T=2 and fails past the fold at I=1;
-    at frozen T it returns I(T).
+    The field handed to it is the current itself.  It returns the point of
+    the curve on the constraint line a_T*T + a_I*I = b nearest the guessed
+    period, and fails where the line misses the curve.  Every row it gets
+    is recorded.
     """
 
     name = "stub"
 
-    def solve(self, I, predictor):
-        if I > 1.0:
-            raise NoConvergence("no cycle past the fold")
-        side = 1.0 if predictor.period >= 2.0 else -1.0
-        return FoldCycle(2.0 + side * np.sqrt(1.0 - I))
+    def __init__(self):
+        self.rows = []
 
-    def solve_fixed_period(self, field_at, predictor, T, I_guess):
-        return FoldCycle(T), 1.0 - (T - 2.0) ** 2
+    def correct(self, field_at, predictor, T, I, row):
+        self.rows.append(row)
+        a_T, a_I, b = row
+        if a_I == 0.0:
+            roots = np.array([b / a_T])
+        else:
+            # a_T*T + a_I*(1 - u^2) = b with u = T - 2
+            u = np.roots([-a_I, a_T, 2.0 * a_T + a_I - b])
+            roots = 2.0 + u[np.abs(u.imag) < 1e-12].real
+        if len(roots) == 0:
+            raise NoConvergence("the constraint line misses the curve")
+        T_new = roots[np.argmin(np.abs(roots - T))]
+        return FoldCycle(T_new), fold_current(T_new)
 
 
 class FailingCorrector(FoldCorrector):
-    def solve(self, I, predictor):
+    def correct(self, field_at, predictor, T, I, row):
         raise NoConvergence("corrector always fails")
 
 
-class TestModeSwitching:
-    """The step controller's decisions around a turning point."""
+@pytest.fixture
+def cheap_points(monkeypatch):
+    def make_point(I, cyc, fld, spectrum_steps=None):
+        vmin, vmax = cyc.v_extrema()
+        return ct.BranchPoint(I=float(I), cycle=cyc, period=cyc.period,
+                              v_min=vmin, v_max=vmax,
+                              spectrum=make_spec((0.5, 0.1, 0.0)))
+    monkeypatch.setattr(ct, "make_point", make_point)
 
-    @pytest.fixture(autouse=True)
-    def cheap_points(self, monkeypatch):
-        def make_point(I, cyc, fld, spectrum_steps=None):
-            vmin, vmax = cyc.v_extrema()
-            return ct.BranchPoint(I=float(I), cycle=cyc, period=cyc.period,
-                                  v_min=vmin, v_max=vmax,
-                                  spectrum=make_spec((0.5, 0.1, 0.0)))
-        monkeypatch.setattr(ct, "make_point", make_point)
+
+@pytest.mark.usefixtures("cheap_points")
+class TestArclength:
+    """The secant pseudo-arclength loop around a turning point."""
 
     def start(self):
         return ct.make_point(0.75, FoldCycle(2.5), None)
 
-    def test_fold_is_rounded_in_frozen_period_mode(self):
+    def test_fold_is_rounded_as_an_ordinary_step(self):
+        stub = FoldCorrector()
         br = ct.continue_branch(self.start(), +1, (-2.0, 2.0),
                                 step_ctrl=ct.StepControl(initial=0.1),
-                                adapter=FoldCorrector(),
-                                field_at=lambda I: I)
-        assert br.mode_history == [(0, "I"), (3, "T"), (6, "I")]
+                                adapter=stub, field_at=lambda I: I)
         Is = np.array([p.I for p in br.points])
         Ts = np.array([p.period for p in br.points])
-        top = int(np.argmax(Is))
-        # up to the fold in I, across T=2 at frozen periods, back down in I
-        assert 1.0 - 1e-6 < Is[top] <= 1.0
+        top, = ct.turning_indices(Is)
+        # up to the fold in I, back down past it, T falling all the way
+        assert 0.9 < Is[top] <= 1.0
         assert np.all(np.diff(Is[:top + 1]) > 0)
         assert np.all(np.diff(Is[top:]) < 0)
         assert np.all(np.diff(Ts) < 0)
         assert Ts[-1] < 2.0 < Ts[0]
-        assert Ts[3] >= 2.0 > Ts[6]
         assert Is[-1] == -2.0    # parked on the lower limit
-        assert np.allclose(Is, 1.0 - (Ts - 2.0) ** 2, atol=1e-12)
+        assert np.allclose(Is, fold_current(Ts), rtol=0.0, atol=1e-12)
+        # no frozen-period solve: every row holds I, alone or with T
+        assert all(row[1] != 0.0 for row in stub.rows)
+        assert any(row[0] != 0.0 for row in stub.rows)
 
-    def test_failing_corrector_without_a_second_point_raises(self):
+    def test_failing_corrector_raises(self):
         with pytest.raises(NoConvergence):
             ct.continue_branch(self.start(), +1, (-2.0, 2.0),
                                adapter=FailingCorrector(),
@@ -192,7 +210,7 @@ class TestBracketSlice:
         br = fake_branch([5.0, 4.0, 3.0, 2.0, 1.0, 0.0, 1.0, 2.0, 3.0, 4.0,
                           5.0, 6.0, 7.0, 8.0, 9.0, 8.0])
         assert ct.turning_indices([p.I for p in br.points]) == [5, 14]
-        assert ct.pd_bracket(br) == (11, 14)
+        assert ct.pd_bracket(br) == (11, 15)
         assert ct.pd_bracket(fake_branch([3.0, 2.0, 1.0, 2.0])) is None
 
 
@@ -211,7 +229,7 @@ class TestLocators:
                                                               monkeypatch):
         # samples of the synthetic fold I = 1 - (T - 2)^2 around its top
         Ts = np.array([2.6, 2.35, 2.12, 1.93, 1.7, 1.45])
-        br = fake_branch(1.0 - (Ts - 2.0) ** 2, periods=Ts)
+        br = fake_branch(fold_current(Ts), periods=Ts)
         calls = []
 
         def spectrum(cyc, fld, *args, **kwargs):
@@ -232,6 +250,27 @@ class TestLocators:
         br = fake_branch([1.0])
         with pytest.raises(NoSignChange):
             ct.locate_pd(br, None)
+
+    def test_pd_between_the_last_sample_and_the_fold(self, monkeypatch):
+        # the multiplier crosses -1 at T=2.03, between the sample at 2.06
+        # (the I maximum) and the fold at T=2; the first three points only
+        # make the turn in I that opens the bracket
+        def mu(T):
+            return -1.0 + 5.0 * (T - 2.03)
+
+        def spectrum(cyc, fld, nsteps=None):
+            return make_spec((mu(cyc.period), 0.1, 0.0))
+        monkeypatch.setattr(floquet, "spectrum", spectrum)
+        Ts = [4.0, 3.5, 3.0, 2.8, 2.6, 2.35, 2.06, 1.9, 1.7]
+        Is = [0.5, 0.2, 0.1] + [fold_current(T) for T in Ts[3:]]
+        br = ct.Branch(points=[fake_point(I, period=T, mus=(mu(T), 0.1, 0.0))
+                               for I, T in zip(Is, Ts)],
+                       events=[], solver="hb")
+        assert ct.pd_bracket(br) == (5, 7)
+        ev = ct.locate_pd(br, ct.pd_bracket(br), field_at=lambda I: I,
+                          adapter=FoldCorrector())
+        assert ev.evidence["period"] == pytest.approx(2.03, abs=1e-9)
+        assert ev.I_star == pytest.approx(fold_current(2.03), abs=1e-12)
 
 
 class TestHopfSeed:

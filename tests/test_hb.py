@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hhcycles import hb, integrate
-from hhcycles.errors import NoConvergence, SingularJacobian
+from hhcycles import hb
+from hhcycles.errors import SingularJacobian
 from hhcycles.fields import harmonic_oscillator
 
 
@@ -189,20 +189,28 @@ class TestNewtonMatrix:
         assert J.shape == (4 * (2 * self.K + 1) + 1,) * 2
         assert np.max(np.abs(J - ref)) < 1e-7 * np.max(np.abs(ref))
 
-    def test_fixed_period_jacobian_matches_central_differences(self, cycle_k):
+    def test_bordered_jacobian_matches_central_differences(self, cycle_k):
         from hhcycles.continuation import hh_family
+        from hhcycles.model import DEFAULT_PARAMS
         fam = hh_family()
         ops = hb.build_operators(self.K)
-        z = np.concatenate([cycle_k.coeffs.ravel(), [20.3]])
+        row = (0.6, -0.8, 3.0)
+        z = np.concatenate([cycle_k.coeffs.ravel(), [cycle_k.period, 20.3]])
 
         def residual(z):
-            xb = hb.FourierCycle(K=self.K, period=cycle_k.period,
-                                 coeffs=z[:-1].reshape(4, -1))
-            return hb.hb_residual(xb, fam(z[-1]), ops)
+            xb = hb.FourierCycle(K=self.K, period=z[-2],
+                                 coeffs=z[:-2].reshape(4, -1))
+            return np.append(hb.hb_residual(xb, fam(z[-1]), ops),
+                             row[0] * z[-2] + row[1] * z[-1] - row[2])
 
-        J = hb.fixed_period_jacobian(cycle_k, 20.3, fam, ops, residual(z))
+        J = hb.bordered_jacobian(cycle_k, 20.3, fam, ops, row,
+                                 residual(z)[:-1])
         ref = _central_jacobian(residual, z)
+        assert J.shape == (4 * (2 * self.K + 1) + 2,) * 2
         assert np.max(np.abs(J - ref)) < 1e-7 * np.max(np.abs(ref))
+        # the I column: only the mean of V carries the stimulus, +1/C
+        assert np.max(np.abs(J[1:-2, -1])) < 1e-6
+        assert J[0, -1] == pytest.approx(1.0 / DEFAULT_PARAMS.C, rel=1e-6)
 
     def test_newton_takes_minimum_norm_step_on_singular_system(self):
         # consistent but rank-deficient: a line of solutions, and the step

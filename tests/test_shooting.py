@@ -9,10 +9,6 @@ from hhcycles.fields import hh_field
 
 
 class TestSettleTransient:
-    def test_requires_start_state(self, field20):
-        with pytest.raises(ValueError):
-            shooting.settle_transient(field20, 300.0)
-
     def test_detects_oscillation_at_i20(self, field20):
         eq = model.find_equilibrium(20.0)
         guess = shooting.settle_transient(
