@@ -311,13 +311,15 @@ def locate_fold(branch: Branch, bracket=None,
         samples.sort(key=lambda s: s[0])
         Ts = np.array([s[0] for s in samples])
         Iv = np.array([s[1] for s in samples])
-        c = np.polyfit(Ts, Iv, 2)
-        if c[0] == 0.0:
-            raise NoExtremum("branch is locally linear in T")
-        T_star = -c[1] / (2.0 * c[0])
-        if not (Ts.min() - (Ts.max() - Ts.min()) <= T_star
-                <= Ts.max() + (Ts.max() - Ts.min())):
-            raise NoExtremum("quadratic vertex escaped the sample window")
+        # centred: the spread of T shrinks to ~FOLD_TOL at T of 10-20 ms
+        T_mid = Ts.mean()
+        c = np.polyfit(Ts - T_mid, Iv, 2)
+        T_star = T_mid - c[1] / (2.0 * c[0]) if c[0] != 0.0 else np.nan
+        spread = Ts.max() - Ts.min()
+        if not Ts.min() - spread <= T_star <= Ts.max() + spread:
+            if T_prev is None:
+                raise NoExtremum("no quadratic vertex near the turning point")
+            break   # I is flat to roundoff here: keep the last vertex
         seed = min(samples, key=lambda s: abs(s[0] - T_star))
         cyc, I_star = adapter.correct(field_at, seed[2], T_star, seed[1],
                                       (1.0, 0.0, T_star))

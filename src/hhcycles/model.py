@@ -7,11 +7,22 @@ In this convention a positive external stimulus I depolarizes the membrane,
 i.e. it enters the voltage equation with a minus sign; the usual bifurcation
 currents (repetitive firing between roughly 6.26 and 154.5 µA/cm²) then apply
 with positive I.
+
+The rates, the field and the Jacobian are each written once, as expressions
+over a set of elementary functions (exp, expc, expc_prime).  vector_field and
+jacobian evaluate them with numpy on a batch of states, (m, 4), and with
+Python floats and math on one state, (4,): the RK4 loops of integrate step
+one state at a time, where numpy's per-call overhead on a 4-vector would be
+most of the cost.  Both return arrays of the same shape and agree to a few
+ulps.  Where float arithmetic overflows (OverflowError) one state falls back
+to numpy, whose inf/nan the integrators turn into NonFinite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,6 +54,14 @@ DEFAULT_PARAMS = HHParams()
 _EXPC_SERIES_CUTOFF = 1e-4
 
 
+def _expc_series(x):
+    return 1.0 - x / 2.0 + x * x / 12.0 - x**4 / 720.0
+
+
+def _expc_prime_series(x):
+    return -0.5 + x / 6.0 - x**3 / 180.0
+
+
 def expc(x):
     """x / (exp(x) - 1), continued with value 1 at x = 0.
 
@@ -55,8 +74,7 @@ def expc(x):
     xs = np.where(small, 1.0, x)
     with np.errstate(over="ignore"):
         direct = np.where(small, 1.0, xs / np.expm1(xs))
-    series = 1.0 - x / 2.0 + x * x / 12.0 - x**4 / 720.0
-    out = np.where(small, series, direct)
+    out = np.where(small, _expc_series(x), direct)
     return out if out.ndim else float(out)
 
 
@@ -68,9 +86,55 @@ def expc_prime(x):
     with np.errstate(over="ignore"):
         em = np.expm1(xs)
         direct = (em - xs * np.exp(xs)) / np.where(small, 1.0, em * em)
-    series = -0.5 + x / 6.0 - x**3 / 180.0
-    out = np.where(small, series, direct)
+    out = np.where(small, _expc_prime_series(x), direct)
     return out if out.ndim else float(out)
+
+
+def _expc_float(x: float) -> float:
+    """expc of one Python float (raises OverflowError where expc gives 0)."""
+    if abs(x) < _EXPC_SERIES_CUTOFF:
+        return _expc_series(x)
+    return x / math.expm1(x)
+
+
+def _expc_prime_float(x: float) -> float:
+    """expc_prime of one Python float."""
+    if abs(x) < _EXPC_SERIES_CUTOFF:
+        return _expc_prime_series(x)
+    em = math.expm1(x)
+    return (em - x * math.exp(x)) / (em * em)
+
+
+class _Elementary(NamedTuple):
+    """The elementary functions the rate expressions are evaluated with."""
+
+    exp: Callable
+    expc: Callable
+    expc_prime: Callable
+
+
+_ARRAYS = _Elementary(np.exp, expc, expc_prime)
+_FLOATS = _Elementary(math.exp, _expc_float, _expc_prime_float)
+
+
+def _rates(V, ef: _Elementary):
+    """alpha_n, beta_n, alpha_h, beta_h, alpha_m, beta_m at V."""
+    return (0.1 * ef.expc(0.1 * (10.0 + V)),
+            ef.exp(V / 80.0) / 8.0,
+            0.07 * ef.exp(V / 20.0),
+            1.0 / (1.0 + ef.exp(0.1 * (30.0 + V))),
+            ef.expc(0.1 * (25.0 + V)),
+            4.0 * ef.exp(V / 18.0))
+
+
+def _rate_derivatives(V, beta_h, ef: _Elementary):
+    """d/dV of the six rates, same order as _rates; beta_h is its fourth."""
+    return (0.01 * ef.expc_prime(0.1 * (10.0 + V)),
+            ef.exp(V / 80.0) / 640.0,
+            0.0035 * ef.exp(V / 20.0),
+            -0.1 * beta_h * (1.0 - beta_h),
+            0.1 * ef.expc_prime(0.1 * (25.0 + V)),
+            (4.0 / 18.0) * ef.exp(V / 18.0))
 
 
 def rate_arrays(V):
@@ -78,28 +142,49 @@ def rate_arrays(V):
 
     Order: alpha_n, beta_n, alpha_h, beta_h, alpha_m, beta_m.
     """
-    V = np.asarray(V, dtype=float)
-    alpha_n = 0.1 * expc(0.1 * (10.0 + V))
-    beta_n = np.exp(V / 80.0) / 8.0
-    alpha_h = 0.07 * np.exp(V / 20.0)
-    beta_h = 1.0 / (1.0 + np.exp(0.1 * (30.0 + V)))
-    alpha_m = expc(0.1 * (25.0 + V))
-    beta_m = 4.0 * np.exp(V / 18.0)
-    return np.broadcast_arrays(alpha_n, beta_n, alpha_h, beta_h, alpha_m, beta_m)
+    return np.broadcast_arrays(*_rates(np.asarray(V, dtype=float), _ARRAYS))
 
 
 def rate_derivative_arrays(V):
     """d/dV of the six rates, same order as rate_arrays."""
     V = np.asarray(V, dtype=float)
-    d_alpha_n = 0.01 * expc_prime(0.1 * (10.0 + V))
-    d_beta_n = np.exp(V / 80.0) / 640.0
-    d_alpha_h = 0.0035 * np.exp(V / 20.0)
-    bh = 1.0 / (1.0 + np.exp(0.1 * (30.0 + V)))
-    d_beta_h = -0.1 * bh * (1.0 - bh)
-    d_alpha_m = 0.1 * expc_prime(0.1 * (25.0 + V))
-    d_beta_m = (4.0 / 18.0) * np.exp(V / 18.0)
-    return np.broadcast_arrays(d_alpha_n, d_beta_n, d_alpha_h, d_beta_h,
-                               d_alpha_m, d_beta_m)
+    return np.broadcast_arrays(*_rate_derivatives(V, _rates(V, _ARRAYS)[3],
+                                                  _ARRAYS))
+
+
+def _ionic_current(V, n, h, m, p: HHParams):
+    return (p.gNa * m**3 * h * (V - p.ENa)
+            + p.gK * n**4 * (V - p.EK)
+            + p.gL * (V - p.EL))
+
+
+def _field_terms(V, n, h, m, p: HHParams, I, ef: _Elementary):
+    """The four components of the field at (V, n, h, m)."""
+    a_n, b_n, a_h, b_h, a_m, b_m = _rates(V, ef)
+    return ((-I - _ionic_current(V, n, h, m, p)) / p.C,
+            a_n * (1.0 - n) - b_n * n,
+            a_h * (1.0 - h) - b_h * h,
+            a_m * (1.0 - m) - b_m * m)
+
+
+# flat (row * 4 + column) positions of the ten entries _jacobian_terms returns
+_JAC_FLAT = np.array([0, 1, 2, 3, 4, 5, 8, 10, 12, 15])
+
+
+def _jacobian_terms(V, n, h, m, p: HHParams, ef: _Elementary):
+    """The ten structurally nonzero entries of the Jacobian at (V, n, h, m)."""
+    a_n, b_n, a_h, b_h, a_m, b_m = _rates(V, ef)
+    da_n, db_n, da_h, db_h, da_m, db_m = _rate_derivatives(V, b_h, ef)
+    return (-(p.gNa * m**3 * h + p.gK * n**4 + p.gL) / p.C,
+            -4.0 * p.gK * n**3 * (V - p.EK) / p.C,
+            -p.gNa * m**3 * (V - p.ENa) / p.C,
+            -3.0 * p.gNa * m**2 * h * (V - p.ENa) / p.C,
+            da_n * (1.0 - n) - db_n * n,
+            -(a_n + b_n),
+            da_h * (1.0 - h) - db_h * h,
+            -(a_h + b_h),
+            da_m * (1.0 - m) - db_m * m,
+            -(a_m + b_m))
 
 
 def vector_field(x, p: HHParams = DEFAULT_PARAMS, I: float = 0.0):
@@ -109,38 +194,28 @@ def vector_field(x, p: HHParams = DEFAULT_PARAMS, I: float = 0.0):
     shape.
     """
     x = np.asarray(x, dtype=float)
-    V, n, h, m = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
-    a_n, b_n, a_h, b_h, a_m, b_m = rate_arrays(V)
-    ionic = (p.gNa * m**3 * h * (V - p.ENa)
-             + p.gK * n**4 * (V - p.EK)
-             + p.gL * (V - p.EL))
-    dV = (-I - ionic) / p.C
-    dn = a_n * (1.0 - n) - b_n * n
-    dh = a_h * (1.0 - h) - b_h * h
-    dm = a_m * (1.0 - m) - b_m * m
-    return np.stack([dV, dn, dh, dm], axis=-1)
+    if x.shape == (STATE_DIM,):
+        try:
+            return np.array(_field_terms(*x.tolist(), p, I, _FLOATS))
+        except OverflowError:
+            pass  # numpy returns inf/nan here; the integrators raise on it
+    return np.stack(_field_terms(*np.moveaxis(x, -1, 0), p, I, _ARRAYS),
+                    axis=-1)
 
 
 def jacobian(x, p: HHParams = DEFAULT_PARAMS, I: float = 0.0):
     """Analytic Jacobian d f / d x; shape (..., 4, 4) matching x."""
     x = np.asarray(x, dtype=float)
-    V, n, h, m = x[..., 0], x[..., 1], x[..., 2], x[..., 3]
-    a_n, b_n, a_h, b_h, a_m, b_m = rate_arrays(V)
-    da_n, db_n, da_h, db_h, da_m, db_m = rate_derivative_arrays(V)
-
-    J = np.zeros(x.shape[:-1] + (STATE_DIM, STATE_DIM))
-    J[..., 0, 0] = -(p.gNa * m**3 * h + p.gK * n**4 + p.gL) / p.C
-    J[..., 0, 1] = -4.0 * p.gK * n**3 * (V - p.EK) / p.C
-    J[..., 0, 2] = -p.gNa * m**3 * (V - p.ENa) / p.C
-    J[..., 0, 3] = -3.0 * p.gNa * m**2 * h * (V - p.ENa) / p.C
-
-    J[..., 1, 0] = da_n * (1.0 - n) - db_n * n
-    J[..., 1, 1] = -(a_n + b_n)
-    J[..., 2, 0] = da_h * (1.0 - h) - db_h * h
-    J[..., 2, 2] = -(a_h + b_h)
-    J[..., 3, 0] = da_m * (1.0 - m) - db_m * m
-    J[..., 3, 3] = -(a_m + b_m)
-    return J
+    J = np.zeros(x.shape[:-1] + (STATE_DIM * STATE_DIM,))
+    if x.shape == (STATE_DIM,):
+        try:
+            J[_JAC_FLAT] = _jacobian_terms(*x.tolist(), p, _FLOATS)
+            return J.reshape(STATE_DIM, STATE_DIM)
+        except OverflowError:
+            pass  # as in vector_field
+    J[..., _JAC_FLAT] = np.stack(
+        _jacobian_terms(*np.moveaxis(x, -1, 0), p, _ARRAYS), axis=-1)
+    return J.reshape(x.shape[:-1] + (STATE_DIM, STATE_DIM))
 
 
 def gating_steady_states(V):
@@ -158,9 +233,7 @@ def steady_state(V):
 def _reduced_current(V, p: HHParams, I: float):
     """Membrane current balance with gates eliminated via steady states."""
     n, h, m = gating_steady_states(V)
-    return (-I - (p.gNa * m**3 * h * (V - p.ENa)
-                  + p.gK * n**4 * (V - p.EK)
-                  + p.gL * (V - p.EL)))
+    return -I - _ionic_current(V, n, h, m, p)
 
 
 def find_equilibrium(I: float, p: HHParams = DEFAULT_PARAMS):

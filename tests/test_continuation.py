@@ -246,6 +246,38 @@ class TestLocators:
         # one certificate spectrum, taken at the located fold
         assert calls == [(ev.evidence["period"], ev.I_star)]
 
+    def fold_at_roundoff(self, monkeypatch):
+        """Branch samples 1e-9 apart around the top of I = 1 - (T - 2)^2.
+
+        There the exact currents agree to 1e-18, below the roundoff of I;
+        the outer two carry two ulps of it, which keeps the turn visible.
+        """
+        monkeypatch.setattr(floquet, "spectrum",
+                            lambda *args, **kwargs: make_spec((1.0, 0.1, 0.0)))
+        ulp = 2.0 ** -53
+        Ts = 2.0 + 1e-9 * np.array([-1.0, 0.0, 1.0])
+        return fake_branch([1.0 - 2 * ulp, 1.0, 1.0 - 2 * ulp], periods=Ts)
+
+    def test_fold_from_samples_closer_than_the_roundoff_of_i(self,
+                                                             monkeypatch):
+        br = self.fold_at_roundoff(monkeypatch)
+        ev = ct.locate_fold(br, field_at=lambda I: I, adapter=FoldCorrector())
+        assert ev.I_star == pytest.approx(1.0, abs=1e-15)
+        assert ev.evidence["period"] == pytest.approx(2.0, abs=1e-9)
+
+    def test_fold_keeps_the_last_vertex_once_the_fit_is_lost(self,
+                                                             monkeypatch):
+        # with no stop on the vertex period, the samples cluster until the
+        # quadratic fit of the flat I(T) gives no vertex in the window
+        br = self.fold_at_roundoff(monkeypatch)
+        monkeypatch.setattr(ct, "FOLD_TOL", 0.0)
+        ad = FoldCorrector()
+        ev = ct.locate_fold(br, field_at=lambda I: I, adapter=ad)
+        assert len(ad.rows) < ct.FOLD_MAX_ITER
+        assert ev.evidence["period"] == ad.rows[-1][2]
+        assert ev.I_star == pytest.approx(1.0, abs=1e-15)
+        assert ev.evidence["period"] == pytest.approx(2.0, abs=1e-9)
+
     def test_pd_needs_two_points(self):
         br = fake_branch([1.0])
         with pytest.raises(NoSignChange):

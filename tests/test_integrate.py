@@ -5,7 +5,7 @@ import pytest
 
 from hhcycles import floquet, integrate
 from hhcycles.errors import NonFinite
-from hhcycles.fields import VectorField, harmonic_oscillator
+from hhcycles.fields import VectorField, harmonic_oscillator, hh_field
 from hhcycles.hb import evaluate_series
 
 
@@ -69,6 +69,14 @@ class TestRK4:
                           jac=lambda x: 2.0 * np.asarray(x, float)[..., None])
         with pytest.raises(NonFinite):
             integrate.integrate_rk4(fld, [5.0], 0.0, 10.0, 0.05)
+
+    def test_hh_overflow_ends_in_nonfinite(self):
+        # n = 3 drives V far out; one-state float arithmetic overflows there
+        # (n**4, math.exp), which must still surface as NonFinite, the error
+        # shoot catches, and not as OverflowError
+        fld = hh_field(I=20.0)
+        with np.errstate(all="ignore"), pytest.raises(NonFinite):
+            integrate.flow(fld, (-50.0, 3.0, 0.5, 2.0), 50.0, 2000)
 
     def test_argument_validation(self):
         fld = harmonic_oscillator()

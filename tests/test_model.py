@@ -70,6 +70,18 @@ class TestRates:
             assert np.all((g > 0) & (g < 1))
 
 
+def assert_one_state_matches_batch(x, I):
+    """A 1-D state (the float path) against its row of a batched call."""
+    f, J = model.vector_field(x, I=I), model.jacobian(x, I=I)
+    fb = model.vector_field(x[None], I=I)[0]
+    Jb = model.jacobian(x[None], I=I)[0]
+    assert f.shape == (4,) and f.dtype == np.float64
+    assert J.shape == (4, 4) and J.dtype == np.float64
+    assert np.all(np.abs(f - fb) <= 1e-12 * (1.0 + np.abs(fb)))
+    row_scale = 1.0 + np.max(np.abs(Jb), axis=1, keepdims=True)
+    assert np.all(np.abs(J - Jb) <= 1e-12 * row_scale)
+
+
 class TestVectorField:
     def test_jacobian_matches_finite_difference(self):
         for _ in range(20):
@@ -95,6 +107,30 @@ class TestVectorField:
         for i, x in enumerate(xs):
             assert np.allclose(batch_f[i], model.vector_field(x, I=12.0))
             assert np.allclose(batch_J[i], model.jacobian(x, I=12.0))
+
+    @given(st.floats(-120.0, 40.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+           st.floats(0.0, 1.0), st.floats(0.0, 160.0))
+    @settings(max_examples=300, deadline=None)
+    def test_one_state_matches_its_batch_row(self, V, n, h, m, I):
+        assert_one_state_matches_batch(np.array([V, n, h, m]), I)
+
+    @given(st.sampled_from([-10.0, -25.0]), st.floats(-1e-3, 1e-3),
+           st.floats(0.0, 1.0), st.floats(0.0, 160.0))
+    @settings(max_examples=200, deadline=None)
+    def test_one_state_matches_batch_at_expc_series_switch(self, V0, dV, g, I):
+        # V = -10 and -25 put the expc argument of alpha_n, alpha_m at zero
+        assert_one_state_matches_batch(np.array([V0 + dV, g, 1.0 - g, g]), I)
+
+    def test_overflow_gives_nonfinite_values(self):
+        # float arithmetic raises OverflowError here; the result must be the
+        # array path's inf/nan instead
+        x = np.array([1e5, 1e80, 0.5, 0.5])
+        with np.errstate(all="ignore"):
+            f = model.vector_field(x, I=20.0)
+            J = model.jacobian(x, I=20.0)
+        assert f.shape == (4,) and J.shape == (4, 4)
+        assert not np.all(np.isfinite(f))
+        assert not np.all(np.isfinite(J))
 
     def test_stimulus_depolarizes(self):
         # larger I pushes the equilibrium potential to more negative V
