@@ -169,6 +169,7 @@ def _spectrum_dict(spec: floquet.FloquetSpectrum) -> dict:
     return {
         "trivial": [spec.trivial.real, spec.trivial.imag],
         "trivial_error": spec.trivial_error,
+        "liouville_error": spec.liouville_error,
         "multipliers": [[m.real, m.imag] for m in spec.multipliers],
         "stability": spec.stability,
         "flags": sorted(spec.flags),
@@ -375,8 +376,10 @@ def cmd_floquet(args, cfg) -> int:
     mus = spec.all_multipliers()
     cols = "  ".join(f"mu{j+1}={m.real:+.6g}{m.imag:+.3g}j"
                      for j, m in enumerate(mus))
+    liouville = ("n/a" if spec.liouville_error is None
+                 else f"{spec.liouville_error:.3g}")
     print(f"I={_fmt(float(I))}  {cols}  trivial_error={spec.trivial_error:.3g}"
-          f"  {spec.stability}")
+          f"  liouville_error={liouville}  {spec.stability}")
     return 0
 
 

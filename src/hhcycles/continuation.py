@@ -292,8 +292,8 @@ def locate_fold(branch: Branch, bracket=None,
     T is monotone through the fold, so repeated T-pinned solves give I(T)
     pointwise; a quadratic fit through the three samples nearest the
     extremum is iterated until the vertex period stops moving by more than
-    FOLD_TOL.  The certificate is the nontrivial multiplier closest to +1
-    there.
+    FOLD_TOL, or lands on the period of a sample it already holds.  The
+    certificate is the nontrivial multiplier closest to +1 there.
     """
     field_at, adapter = _locator_defaults(branch, field_at, adapter)
     ids = _bracket_slice(branch, bracket)
@@ -321,6 +321,11 @@ def locate_fold(branch: Branch, bracket=None,
                 raise NoExtremum("no quadratic vertex near the turning point")
             break   # I is flat to roundoff here: keep the last vertex
         seed = min(samples, key=lambda s: abs(s[0] - T_star))
+        if abs(seed[0] - T_star) <= 4.0 * np.spacing(T_star):
+            # the samples already hold this vertex: a solve there would
+            # only duplicate it and leave the next fit rank-deficient
+            _, I_star, cyc = seed
+            break
         cyc, I_star = adapter.correct(field_at, seed[2], T_star, seed[1],
                                       (1.0, 0.0, T_star))
         if T_prev is not None and abs(T_star - T_prev) < FOLD_TOL:

@@ -4,16 +4,19 @@ The monodromy matrix is obtained from the variational flow around one period
 (module integrate).  When the cycle is available as a Fourier series or a
 collocation solution the variational system is driven by the closed-form
 x(t), which keeps the multiplier accuracy at the level of the variational
-integrator alone.  Every monodromy matrix is a period-subdivided product
-accumulated through successive QR factorizations, so on strongly unstable
-cycles (multiplier magnitudes in the thousands) the small multipliers are
-not washed out by the ill-conditioned explicit product.
+integrator alone; the period's subinterval monodromies are then advanced
+together in one stacked RK4 pass, and the same Jacobians give the Liouville
+check (log det of the monodromy against the integral of trace J).  Every
+monodromy matrix is a period-subdivided product accumulated through
+successive QR factorizations, so on strongly unstable cycles (multiplier
+magnitudes in the thousands) the small multipliers are not washed out by the
+ill-conditioned explicit product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +38,8 @@ class FloquetSpectrum:
     multipliers holds the nontrivial eigenvalues sorted by modulus
     descending; the trivial one (the eigenvalue designated as the unit
     multiplier along the flow direction) is kept separately together with
-    its deviation from 1.
+    its deviation from 1.  liouville_error is |log|det M| - integral of
+    trace J| over the period, for dense cycles only (None for sampled ones).
     """
 
     multipliers: np.ndarray   # (dim-1,) complex, |.| descending
@@ -43,6 +47,7 @@ class FloquetSpectrum:
     trivial_error: float
     stability: str            # "stable" | "unstable"
     flags: frozenset
+    liouville_error: Optional[float] = None
 
     @property
     def low_confidence(self) -> bool:
@@ -53,20 +58,21 @@ class FloquetSpectrum:
         return np.concatenate([[self.trivial], self.multipliers])
 
 
-def _monodromy_matrix(cycle, field: VectorField,
-                      nsteps: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Chunk monodromies over SPECTRUM_CHUNKS equal subintervals, plus x(0).
+def _monodromy_matrix(cycle, field: VectorField, nsteps: int):
+    """Chunk monodromies over SPECTRUM_CHUNKS equal subintervals, plus x(0)
+    and the integral of trace J over the period.
 
-    Returns (chunks, x0) where chunks[j] maps variations at t_j to t_{j+1}.
+    Returns (chunks, x0, trace) where chunks[j] maps variations at t_j to
+    t_{j+1}; trace is None for a sampled cycle.
     """
     T = check_orbit(cycle).period
     x0 = np.asarray(cycle.evaluate_time(0.0), dtype=float)
     per_chunk = max(1, nsteps // SPECTRUM_CHUNKS)
     if cycle.dense:
         edges = np.linspace(0.0, T, SPECTRUM_CHUNKS + 1)
-        return [integrate.variational_along(field, cycle.evaluate_time,
-                                            edges[j], edges[j + 1], per_chunk)
-                for j in range(SPECTRUM_CHUNKS)], x0
+        chunks, traces = integrate.variational_along(
+            field, cycle.evaluate_time, edges, per_chunk)
+        return chunks, x0, float(np.sum(traces))
     # sampled cycle: coupled state+variational pass, restarting the
     # fundamental matrix at each chunk boundary
     chunks = []
@@ -75,7 +81,7 @@ def _monodromy_matrix(cycle, field: VectorField,
         x, Y = integrate.flow_with_monodromy(field, x, T / SPECTRUM_CHUNKS,
                                              per_chunk)
         chunks.append(Y)
-    return chunks, x0
+    return chunks, x0, None
 
 
 def _stabilized_product(chunks) -> np.ndarray:
@@ -115,7 +121,7 @@ def spectrum(cycle, field: VectorField,
 
     The eigenvalues are those of the QR-accumulated chunk product.
     """
-    chunks, x0 = _monodromy_matrix(cycle, field, nsteps)
+    chunks, x0, trace = _monodromy_matrix(cycle, field, nsteps)
     mu, vecs = np.linalg.eig(_stabilized_product(chunks))
     k = _designate_trivial(mu, vecs, field.f(x0))
     trivial = complex(mu[k])
@@ -131,9 +137,13 @@ def spectrum(cycle, field: VectorField,
         if 0.95 <= abs(m) <= 1.05 and abs(m.imag) > 1e-8:
             flags.add("near_torus")
     stability = "stable" if np.all(np.abs(rest) < 1.0) else "unstable"
+    liouville = None
+    if trace is not None:
+        liouville = abs(integrate.signed_log_determinant(chunks)[1] - trace)
     return FloquetSpectrum(multipliers=rest, trivial=trivial,
                            trivial_error=float(abs(trivial - 1.0)),
-                           stability=stability, flags=frozenset(flags))
+                           stability=stability, flags=frozenset(flags),
+                           liouville_error=liouville)
 
 
 def _tracked_value(spec: FloquetSpectrum, previous: complex,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -91,31 +91,46 @@ def flow_with_monodromy(field: VectorField, x0, T: float, nsteps: int):
 
 
 def variational_along(field: VectorField, x_of_t: Callable[[np.ndarray], np.ndarray],
-                      t0: float, t1: float, nsteps: int) -> np.ndarray:
-    """Integrate Ydot = J(x(t)) Y, Y(t0) = I, with x(t) supplied externally.
+                      edges, nsteps: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Integrate Ydot = J(x(t)) Y over each interval [edges[j], edges[j+1]],
+    Y(edges[j]) = I, with x(t) supplied externally.
 
-    Used when the cycle is available in closed form (Fourier series), so the
-    only discretization error is in the variational RK4 itself.
+    Used when the cycle is available in closed form (Fourier series or
+    collocation), so the only discretization error is in the variational
+    RK4 itself.  The intervals do not depend on each other: their
+    fundamental matrices are advanced as one (C, dim, dim) stack, nsteps
+    RK4 steps each.  Returns that stack and, per interval, the integral of
+    trace J(x(t)) by the composite Simpson rule on the same half-step grid.
+    By the Abel-Jacobi-Liouville identity that integral equals log det Y_j,
+    an independent check on the stack that costs no extra field calls.
     """
+    edges = np.asarray(edges, dtype=float)
     dim = field.dim
-    Y = np.eye(dim)
-    h = (t1 - t0) / nsteps
-    # all stage times up front so x and J evaluate in one batched call each
-    t_half = t0 + 0.5 * h * np.arange(2 * nsteps + 1)
-    xs = np.asarray(x_of_t(t_half))
-    Js = field.jac(xs)
+    h = (edges[1:] - edges[:-1]) / nsteps
+    # stage times per interval; x(t) is evaluated one interval at a time,
+    # which keeps the basis matrix of a long Fourier series small
+    half = np.arange(2 * nsteps + 1)
+    xs = np.concatenate([np.asarray(x_of_t(t0 + 0.5 * hj * half))
+                         for t0, hj in zip(edges[:-1], h)])
+    Js = field.jac(xs).reshape(len(h), 2 * nsteps + 1, dim, dim)
+    tr = np.trace(Js, axis1=-2, axis2=-1)
+    traces = h / 6.0 * (tr[:, 0] + tr[:, -1] + 4.0 * np.sum(tr[:, 1:-1:2], axis=1)
+                        + 2.0 * np.sum(tr[:, 2:-1:2], axis=1))
+    Js = np.ascontiguousarray(Js.swapaxes(0, 1))   # step-major
+    hh = h[:, None, None]
+    Y = np.tile(np.eye(dim), (len(h), 1, 1))
     for i in range(nsteps):
         J1 = Js[2 * i]
         Jm = Js[2 * i + 1]
         J2 = Js[2 * i + 2]
         k1 = J1 @ Y
-        k2 = Jm @ (Y + 0.5 * h * k1)
-        k3 = Jm @ (Y + 0.5 * h * k2)
-        k4 = J2 @ (Y + h * k3)
-        Y = Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k2 = Jm @ (Y + 0.5 * hh * k1)
+        k3 = Jm @ (Y + 0.5 * hh * k2)
+        k4 = J2 @ (Y + hh * k3)
+        Y = Y + (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.all(np.isfinite(Y)):
         raise NonFinite("variational flow blew up")
-    return Y
+    return Y, traces
 
 
 def signed_log_determinant(chunks) -> tuple:
@@ -134,19 +149,3 @@ def signed_log_determinant(chunks) -> tuple:
         sign *= s
         total += ld
     return float(sign), float(total)
-
-
-def trace_integral(field: VectorField, x_of_t: Callable[[np.ndarray], np.ndarray],
-                   t0: float, t1: float, nsteps: int = 4000) -> float:
-    """Integral of trace J(x(t)) over [t0, t1], composite Simpson rule.
-
-    By the Abel-Jacobi-Liouville identity this equals log det of the
-    fundamental matrix over the same interval, which gives an independent
-    consistency check on a computed monodromy product.
-    """
-    t = t0 + 0.5 * (t1 - t0) / nsteps * np.arange(2 * nsteps + 1)
-    Js = field.jac(np.asarray(x_of_t(t)))
-    tr = np.trace(Js, axis1=-2, axis2=-1)
-    h = (t1 - t0) / nsteps
-    return float(h / 6.0 * (tr[0] + tr[-1] + 4.0 * np.sum(tr[1:-1:2])
-                            + 2.0 * np.sum(tr[2:-1:2])))

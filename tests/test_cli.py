@@ -115,6 +115,7 @@ class TestCycleArtifacts:
         assert np.allclose(cyc.coeffs, hb_cycle_20.coeffs)
         doc = json.loads(path.read_text())
         assert doc["gibbs_warning"] is False
+        assert doc["spectrum"]["liouville_error"] == spec.liouville_error
         assert doc["_meta"]["config"] == cli.config_hash(cfg)
 
     def test_sampled_roundtrip(self, tmp_path, stable_cycle_20, field20):
@@ -124,6 +125,8 @@ class TestCycleArtifacts:
                              spec, 1e-12, cli.load_config(None))
         I, cyc = cli.read_cycle_json(str(path))
         assert cyc.period == pytest.approx(stable_cycle_20.period)
+        doc = json.loads(path.read_text())
+        assert doc["spectrum"]["liouville_error"] is None
         assert np.allclose(cyc.samples.states, stable_cycle_20.samples.states)
 
     @pytest.mark.parametrize("method, fixture", [
@@ -220,6 +223,10 @@ class TestCommands:
         assert rc == 0
         assert "stable" in out and "trivial_error" in out
         assert "mu1=" in out
+        # the verdict stays the last word, after the Liouville error
+        words = out.split()
+        assert words[-1] == "stable"
+        assert float(words[-2].removeprefix("liouville_error=")) < 1e-3
 
     def test_floquet_on_missing_file(self, tmp_path, capsys):
         rc = cli.main(["floquet", "--cycle-file", str(tmp_path / "x.json")])

@@ -14,8 +14,8 @@ from test_floquet import make_spec
 
 
 def fake_point(I, period=10.0, v_min=-90.0, v_max=8.0, mus=(0.1, 0.0, 0.0)):
-    return ct.BranchPoint(I=I, cycle=None, period=period, v_min=v_min,
-                          v_max=v_max, spectrum=make_spec(mus))
+    return ct.BranchPoint(I=I, cycle=FoldCycle(period), period=period,
+                          v_min=v_min, v_max=v_max, spectrum=make_spec(mus))
 
 
 def fake_branch(Is, periods=None):
@@ -246,8 +246,9 @@ class TestLocators:
         # one certificate spectrum, taken at the located fold
         assert calls == [(ev.evidence["period"], ev.I_star)]
 
-    def fold_at_roundoff(self, monkeypatch):
-        """Branch samples 1e-9 apart around the top of I = 1 - (T - 2)^2.
+    def fold_at_roundoff(self, monkeypatch, mid=0.0):
+        """Branch samples 1e-9 apart around the top of I = 1 - (T - 2)^2,
+        the middle one mid*1e-9 off the top.
 
         There the exact currents agree to 1e-18, below the roundoff of I;
         the outer two carry two ulps of it, which keeps the turn visible.
@@ -255,21 +256,27 @@ class TestLocators:
         monkeypatch.setattr(floquet, "spectrum",
                             lambda *args, **kwargs: make_spec((1.0, 0.1, 0.0)))
         ulp = 2.0 ** -53
-        Ts = 2.0 + 1e-9 * np.array([-1.0, 0.0, 1.0])
+        Ts = 2.0 + 1e-9 * np.array([-1.0, mid, 1.0])
         return fake_branch([1.0 - 2 * ulp, 1.0, 1.0 - 2 * ulp], periods=Ts)
 
     def test_fold_from_samples_closer_than_the_roundoff_of_i(self,
                                                              monkeypatch):
         br = self.fold_at_roundoff(monkeypatch)
-        ev = ct.locate_fold(br, field_at=lambda I: I, adapter=FoldCorrector())
+        ad = FoldCorrector()
+        ev = ct.locate_fold(br, field_at=lambda I: I, adapter=ad)
         assert ev.I_star == pytest.approx(1.0, abs=1e-15)
         assert ev.evidence["period"] == pytest.approx(2.0, abs=1e-9)
+        # the first vertex is the middle sample's period: no solve is spent
+        # on it, and no duplicate sample makes the next fit rank-deficient
+        assert ad.rows == []
+        assert ev.evidence["period"] == 2.0
 
     def test_fold_keeps_the_last_vertex_once_the_fit_is_lost(self,
                                                              monkeypatch):
         # with no stop on the vertex period, the samples cluster until the
-        # quadratic fit of the flat I(T) gives no vertex in the window
-        br = self.fold_at_roundoff(monkeypatch)
+        # quadratic fit of the flat I(T) gives no vertex in the window; the
+        # middle sample sits off the top so that the first vertex is solved
+        br = self.fold_at_roundoff(monkeypatch, mid=0.95)
         monkeypatch.setattr(ct, "FOLD_TOL", 0.0)
         ad = FoldCorrector()
         ev = ct.locate_fold(br, field_at=lambda I: I, adapter=ad)

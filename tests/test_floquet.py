@@ -32,6 +32,7 @@ class TestSpectrum:
         assert spec.multipliers[0].real == pytest.approx(np.exp(-4 * np.pi),
                                                          rel=1e-4)
         assert not spec.low_confidence
+        assert spec.liouville_error < 1e-10
 
     def test_degenerate_conservative_cycle(self):
         # harmonic oscillator: monodromy is the identity, both multipliers 1
@@ -60,6 +61,18 @@ class TestSpectrum:
         a = floquet.spectrum(stable_cycle_20, field=field20)
         b = floquet.spectrum(hb_cycle_20, field=field20)
         assert abs(a.multipliers[0] - b.multipliers[0]) < 1e-3
+
+    def test_liouville_error_of_a_dense_cycle(self, field20, hb_cycle_20,
+                                              stable_cycle_20):
+        # |log det M - integral of trace J| is the variational RK4's own
+        # determinant error: 5.2e-6 at 4000 steps, falling as h^4
+        spec = floquet.spectrum(hb_cycle_20, field=field20)
+        assert spec.liouville_error < 1e-5
+        finer = floquet.spectrum(hb_cycle_20, field=field20, nsteps=8000)
+        assert finer.liouville_error < spec.liouville_error / 10.0
+        # a sampled cycle has no x(t) between its samples to integrate along
+        assert floquet.spectrum(stable_cycle_20,
+                                field=field20).liouville_error is None
 
     def test_all_multipliers_order(self, field20, stable_cycle_20):
         spec = floquet.spectrum(stable_cycle_20, field=field20)

@@ -6,7 +6,7 @@ import pytest
 from hhcycles import floquet, integrate
 from hhcycles.errors import NonFinite
 from hhcycles.fields import VectorField, harmonic_oscillator, hh_field
-from hhcycles.hb import evaluate_series
+from test_collocation import stuart_landau
 
 
 def sho_fundamental(omega, t):
@@ -96,19 +96,36 @@ class TestVariationalFlow:
                            atol=1e-9)
 
     def test_variational_along_matches_coupled_pass(self):
-        gamma = 0.15
-        fld = damped_field(gamma)
-        x0 = np.array([1.0, 0.5])
-        _, Y_ref = integrate.flow_with_monodromy(fld, x0, 4.0, 800)
+        # Stuart-Landau transient from r=0.5 in closed form: J(x(t)) differs
+        # from interval to interval, and so do the interval lengths
+        fld = stuart_landau()
+        c, th0 = 3.0, 0.3   # r(t)^2 = 1 / (1 + c exp(-2t)), theta = th0 + t
 
-        A = np.array([[-gamma, 1.0], [-1.0, -gamma]])
-        from scipy.linalg import expm
-        x_of_t = lambda t: (expm_batch(A, t) @ x0)
-        def expm_batch(A, t):
+        def x_of_t(t):
             t = np.atleast_1d(t)
-            return np.stack([expm(A * ti) for ti in t])
-        Y = integrate.variational_along(fld, x_of_t, 0.0, 4.0, 800)
-        assert np.allclose(Y, Y_ref, atol=1e-9)
+            r = 1.0 / np.sqrt(1.0 + c * np.exp(-2.0 * t))
+            return np.stack([r * np.cos(th0 + t), r * np.sin(th0 + t)], axis=-1)
+
+        edges = np.array([0.0, 0.7, 1.5, 2.6, 4.0])
+        Ys, traces = integrate.variational_along(fld, x_of_t, edges, 400)
+        assert Ys.shape == (4, 2, 2) and traces.shape == (4,)
+        for j in range(4):
+            _, Y_ref = integrate.flow_with_monodromy(
+                fld, x_of_t(edges[j])[0], edges[j + 1] - edges[j], 400)
+            assert np.allclose(Ys[j], Y_ref, rtol=0.0, atol=1e-10)
+        # trace J = 2 - 4 r^2 integrates to 2t - 2 log(exp(2t) + c)
+        g = 2.0 * edges - 2.0 * np.log(np.exp(2.0 * edges) + c)
+        assert np.allclose(traces, np.diff(g), rtol=0.0, atol=1e-10)
+
+    def test_variational_along_sho_chunks_are_rotations(self):
+        fld = harmonic_oscillator(1.0)
+        edges = np.array([0.0, 0.5, 2.0, 2.25, 2.0 * np.pi])
+        Ys, traces = integrate.variational_along(
+            fld, lambda t: np.zeros((np.size(t), 2)), edges, 500)
+        for Y, L in zip(Ys, np.diff(edges)):
+            assert np.allclose(Y, sho_fundamental(1.0, L), rtol=0.0, atol=1e-9)
+            assert np.allclose(Y @ Y.T, np.eye(2), rtol=0.0, atol=1e-9)
+        assert np.all(traces == 0.0)
 
 
 class TestMonodromy:
@@ -137,20 +154,18 @@ class TestDeterminants:
 
     def test_trace_integral_constant_matrix(self):
         fld = damped_field(0.25)
-        val = integrate.trace_integral(
-            fld, lambda t: np.zeros((np.atleast_1d(t).size, 2)), 0.0, 3.0, 50)
-        assert val == pytest.approx(-2.0 * 0.25 * 3.0, rel=1e-12)
+        _, traces = integrate.variational_along(
+            fld, lambda t: np.zeros((np.size(t), 2)), [0.0, 1.0, 3.0], 50)
+        assert traces == pytest.approx([-2.0 * 0.25 * 1.0, -2.0 * 0.25 * 2.0],
+                                       rel=1e-12)
 
     def test_monodromy_determinant_matches_trace_integral(self, field20,
                                                           hb_cycle_20):
         # the full-period determinant here is ~1e-54 and underflows, so the
         # comparison is done chunk-wise in log space
-        chunks, _ = floquet._monodromy_matrix(hb_cycle_20, field20,
-                                              nsteps=4000)
+        chunks, _, trace = floquet._monodromy_matrix(hb_cycle_20, field20,
+                                                     nsteps=4000)
         sign, ld = integrate.signed_log_determinant(chunks)
-        ref = integrate.trace_integral(
-            field20, lambda t: evaluate_series(hb_cycle_20, t),
-            0.0, hb_cycle_20.period, 4000)
         assert sign > 0
-        assert ld == pytest.approx(ref, rel=1e-3)
+        assert ld == pytest.approx(trace, rel=1e-3)
         assert ld < np.log(1e-30)
