@@ -85,11 +85,12 @@ class SpectralOperators:
 def basis_matrix(theta: np.ndarray, K: int) -> np.ndarray:
     """Fourier basis values (1, cos k theta, sin k theta) at given phases."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    cols = [np.ones_like(theta)]
-    for k in range(1, K + 1):
-        cols.append(np.cos(k * theta))
-        cols.append(np.sin(k * theta))
-    return np.stack(cols, axis=1)
+    kt = np.multiply.outer(theta, np.arange(1, K + 1))
+    B = np.empty((theta.size, 2 * K + 1))
+    B[:, 0] = 1.0
+    np.cos(kt, out=B[:, 1::2])
+    np.sin(kt, out=B[:, 2::2])
+    return B
 
 
 def diff_operator(K: int) -> np.ndarray:
@@ -168,9 +169,10 @@ def hb_jacobian(xbar: FourierCycle, field: VectorField,
 
     Alternating-frequency-time construction: the field Jacobian is sampled
     once on the node grid, and block (i, j) of the coefficient part is
-    delta_ij*omega*D - analysis @ diag(J_ij(x_nodes)) @ synthesis.  The last
-    column is the period derivative -(2*pi/T^2) * D c_i, the last row the
-    phase anchor.
+    delta_ij*omega*D - analysis @ diag(J_ij(x_nodes)) @ synthesis; the
+    products are skipped where J_ij is zero at every node (6 of the 16 HH
+    entries).  The last column is the period derivative
+    -(2*pi/T^2) * D c_i, the last row the phase anchor.
     """
     if ops.K != xbar.K:
         raise ValueError("operator/coefficient harmonic count mismatch")
@@ -180,8 +182,9 @@ def hb_jacobian(xbar: FourierCycle, field: VectorField,
     for i in range(dim):
         rows = slice(i * nc, (i + 1) * nc)
         for j in range(dim):
-            J[rows, j * nc:(j + 1) * nc] = -ops.analysis @ (
-                Jn[:, i, j, None] * ops.synthesis)
+            if np.any(Jn[:, i, j]):
+                J[rows, j * nc:(j + 1) * nc] = -ops.analysis @ (
+                    Jn[:, i, j, None] * ops.synthesis)
         J[rows, rows] += xbar.omega * ops.D
     J[:-1, -1] = -(2.0 * np.pi / xbar.period ** 2) * (xbar.coeffs @ ops.D.T).ravel()
     J[-1, 2] = 1.0

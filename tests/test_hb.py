@@ -26,6 +26,15 @@ class TestBasisAndOperators:
             deriv = hb.basis_matrix(theta, K) @ (D @ c)
             assert np.allclose(deriv, -k * np.sin(k * theta), atol=1e-12)
 
+    @pytest.mark.parametrize("K", [1, 2, 30, 50])
+    def test_basis_matrix_matches_column_loop(self, K):
+        theta = np.linspace(0.0, 2 * np.pi, 501)
+        cols = [np.ones_like(theta)]
+        for k in range(1, K + 1):
+            cols += [np.cos(k * theta), np.sin(k * theta)]
+        assert np.array_equal(hb.basis_matrix(theta, K),
+                              np.stack(cols, axis=1))
+
     def test_operator_validation(self):
         with pytest.raises(ValueError):
             hb.build_operators(0)
@@ -188,6 +197,41 @@ class TestNewtonMatrix:
         ref = _central_jacobian(residual, z)
         assert J.shape == (4 * (2 * self.K + 1) + 1,) * 2
         assert np.max(np.abs(J - ref)) < 1e-7 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("K", [30, 50])
+    def test_hb_jacobian_equals_full_block_loop(self, field20, stable_cycle_20,
+                                                K):
+        # the skipped blocks (J_ij zero at every node) are zero either way
+        xb = hb.from_trajectory(stable_cycle_20.samples.states[:-1],
+                                stable_cycle_20.period, K)
+        ops = hb.build_operators(K)
+        Jn = field20.jac(hb.node_states(xb, ops))
+        nc = 2 * K + 1
+        ref = np.zeros((4 * nc + 1, 4 * nc + 1))
+        for i in range(4):
+            rows = slice(i * nc, (i + 1) * nc)
+            for j in range(4):
+                ref[rows, j * nc:(j + 1) * nc] = -ops.analysis @ (
+                    Jn[:, i, j, None] * ops.synthesis)
+            ref[rows, rows] += xb.omega * ops.D
+        ref[:-1, -1] = -(2.0 * np.pi / xb.period ** 2) * (
+            xb.coeffs @ ops.D.T).ravel()
+        ref[-1, 2] = 1.0
+        assert np.array_equal(hb.hb_jacobian(xb, field20, ops), ref)
+
+    def test_well_conditioned_solve_takes_no_svd(self, field20,
+                                                 stable_cycle_20, monkeypatch):
+        # every Newton matrix of this solve is far from singular, so the LU
+        # path of dense_step must carry it without the SVD fallback
+        seed = hb.from_trajectory(stable_cycle_20.samples.states[:-1],
+                                  stable_cycle_20.period, 10)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("SVD on a well-conditioned Newton matrix")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        sol = hb.solve_hb(seed, field20, hb.build_operators(10))
+        assert sol.period == pytest.approx(stable_cycle_20.period, rel=1e-2)
 
     def test_bordered_jacobian_matches_central_differences(self, cycle_k):
         from hhcycles.continuation import hh_family
