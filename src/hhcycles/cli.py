@@ -96,9 +96,14 @@ def load_config(path=None) -> dict:
 
 def _validate(cfg: dict):
     for key in ("solver.hb.tol", "solver.collocation.tol",
-                "solver.shooting.tol", "continuation.step.initial"):
+                "solver.shooting.tol", "continuation.step.initial",
+                "continuation.step.max", "continuation.step.min",
+                "continuation.collapse_amplitude",
+                "continuation.max_orbit_jump"):
         if cfg[key] <= 0:
             raise ConfigError(f"{key} must be positive")
+    if cfg["diagram.i_min"] >= cfg["diagram.i_max"]:
+        raise ConfigError("diagram.i_min must be below diagram.i_max")
     # every integer key is a count: harmonics, oversampling, mesh, points, steps
     for key, default in DEFAULT_CONFIG.items():
         if isinstance(default, int) and cfg[key] < 1:
@@ -196,7 +201,8 @@ def read_cycle_json(path, cfg=None):
 
     The artifact's method picks the cycle class.  A collocation cycle is
     rebuilt on the Hodgkin-Huxley field of cfg (default: DEFAULT_CONFIG) at
-    the artifact's current.  The period must be finite and positive.
+    the artifact's current.  The current must be finite, the period finite
+    and positive.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -213,6 +219,8 @@ def read_cycle_json(path, cfg=None):
         raise ConfigError(f"{path}: unknown cycle method {doc.get('method')!r}")
     try:
         I = float(doc["current"])
+        if not np.isfinite(I):
+            raise ConfigError(f"{path}: current {I!r} is not finite")
         T = float(doc["period"])
         if not 0.0 < T < np.inf:
             raise ConfigError(f"{path}: period {T!r} is not finite and positive")
@@ -305,15 +313,13 @@ def _solve_single_cycle(I, method, cfg, p, init=None):
     if init is None:
         init = _cold_start(p, I, cfg)
     elif method == "shoot":
-        init = shooting.shoot(fld, init.to_time_cycle(),
-                              tol=cfg["solver.shooting.tol"])
+        init = shooting.shoot(fld, init, tol=cfg["solver.shooting.tol"])
     if method == "shoot":
         xT = integrate.flow(fld, init.anchor_state, init.period, 4000)
         return init, float(np.max(np.abs(xT - init.anchor_state)))
     if method == "hb":
-        K = cfg["solver.hb.k"]
-        ops = hb.build_operators(K, cfg["solver.hb.oversample"])
-        cyc = hb.solve_hb(init.to_fourier(K), fld, ops, tol=cfg["solver.hb.tol"])
+        ops = hb.build_operators(cfg["solver.hb.k"], cfg["solver.hb.oversample"])
+        cyc = hb.solve_hb(init, fld, ops, tol=cfg["solver.hb.tol"])
         res = float(np.linalg.norm(hb.hb_residual(cyc, fld, ops), np.inf))
         return cyc, res
     if method == "collocation":
@@ -361,7 +367,8 @@ def cmd_cycle(args, cfg) -> int:
 
 
 def cmd_floquet(args, cfg) -> int:
-    if args.steps < 1:
+    steps = cfg["floquet.steps"] if args.steps is None else args.steps
+    if steps < 1:
         raise ConfigError("--steps must be >= 1")
     p = params_from_config(cfg)
     loaded = _load_cycle_file(args.cycle_file, cfg)
@@ -369,7 +376,7 @@ def cmd_floquet(args, cfg) -> int:
         return 2
     I, cyc = loaded
     try:
-        spec = floquet.spectrum(cyc, hh_field(p, I), nsteps=args.steps)
+        spec = floquet.spectrum(cyc, hh_field(p, I), nsteps=steps)
     except HHCyclesError as exc:
         print(f"floquet failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
@@ -410,8 +417,7 @@ def run_diagram(cfg, out_dir, verbose=False):
         collapse_amplitude=cfg["continuation.collapse_amplitude"],
         max_orbit_jump=cfg["continuation.max_orbit_jump"])
     max_pts = cfg["continuation.max_points"]
-    K = cfg["solver.hb.k"]
-    ad = continuation._SolverAdapter("hb", hb_K=K,
+    ad = continuation._SolverAdapter("hb", hb_K=cfg["solver.hb.k"],
                                      hb_oversample=cfg["solver.hb.oversample"])
 
     branches = []
@@ -426,7 +432,7 @@ def run_diagram(cfg, out_dir, verbose=False):
     I_seed = min(max(cfg["diagram.i_seed"], lo), hi)
     stable = _cold_start(p, I_seed, cfg)
     fld = hh_field(p, I_seed)
-    fc = hb.solve_hb(stable.to_fourier(K), fld, ad._ops)
+    fc = hb.solve_hb(stable, fld, ad._ops)
     start = continuation.make_point(I_seed, fc, fld,
                                     cfg["floquet.steps"])
 
@@ -451,7 +457,7 @@ def run_diagram(cfg, out_dir, verbose=False):
         I2, omega2 = hopfs[0]
         try:
             seed = continuation.hopf_branch_seed(I2 - 0.02, omega2, 1.0, p)
-            fc2 = hb.solve_hb(hb.resize(seed, K), fam(I2 - 0.02), ad._ops)
+            fc2 = hb.solve_hb(seed, fam(I2 - 0.02), ad._ops)
             start2 = continuation.make_point(I2 - 0.02, fc2, fam(I2 - 0.02),
                                              cfg["floquet.steps"])
             br_dn = continuation.continue_branch(
@@ -572,7 +578,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     fl = sub.add_parser("floquet", help="multiplier report for a cycle file")
     fl.add_argument("--cycle-file", required=True)
-    fl.add_argument("--steps", type=int, default=4000)
+    fl.add_argument("--steps", type=int, default=None,
+                    help="RK4 steps per period (default: floquet.steps)")
 
     hp = sub.add_parser("hopf", help="Hopf points from eigenvalue bisection")
     hp.add_argument("--range", default="1:160", help="I0:I1[:STEP]")

@@ -54,8 +54,6 @@ class CollocationSolution(PeriodicOrbit):
     period: float
     field: VectorField
 
-    source = "collocation"
-
     @property
     def dim(self) -> int:
         return self.y.shape[1]

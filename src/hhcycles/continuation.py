@@ -130,12 +130,13 @@ def make_point(I: float, cyc, fld: VectorField,
 
 def continue_branch(start: BranchPoint, direction: int,
                     I_limits: Tuple[float, float],
+                    field_at: Callable[[float], VectorField],
+                    adapter: _SolverAdapter,
                     step_ctrl: Optional[StepControl] = None,
-                    field_at: Optional[Callable[[float], VectorField]] = None,
-                    adapter: Optional[_SolverAdapter] = None,
                     spectrum_steps: int = floquet.DEFAULT_SPECTRUM_STEPS,
                     max_points: int = 1000) -> Branch:
-    """Follow a branch of cycles from start, first in the given I direction.
+    """Follow a branch of cycles from start, first in the given I direction,
+    with the corrector adapter on the field family field_at (I -> field).
 
     One step loop: predict h along the secant of the last two points in the
     (I, T) plane (along I at the start), correct on the line through the
@@ -146,11 +147,7 @@ def continue_branch(start: BranchPoint, direction: int,
     box edge, on amplitude collapse (recorded as a Hopf endpoint event), on
     min-step exhaustion, or after max_points.
     """
-    if field_at is None:
-        field_at = hh_family()
     ctrl = step_ctrl or StepControl()
-    if adapter is None:
-        adapter = _SolverAdapter("hb")
     if not np.isfinite(start.I) or start.period <= 0 or start.v_min >= start.v_max:
         raise StartInvalid("start point is not a converged nondegenerate cycle")
 
@@ -279,14 +276,9 @@ def _bracket_slice(branch: Branch, bracket) -> List[int]:
     return list(range(min(a, b), min(max(a, b) + 1, n)))
 
 
-def _locator_defaults(branch: Branch, field_at, adapter):
-    """HH family and the branch's own corrector."""
-    return field_at or hh_family(), adapter or _SolverAdapter(branch.solver)
-
-
-def locate_fold(branch: Branch, bracket=None,
-                field_at: Optional[Callable[[float], VectorField]] = None,
-                adapter: Optional[_SolverAdapter] = None) -> BifurcationEvent:
+def locate_fold(branch: Branch, bracket,
+                field_at: Callable[[float], VectorField],
+                adapter: _SolverAdapter) -> BifurcationEvent:
     """Pin down a turning point as the extremum of I along the branch.
 
     T is monotone through the fold, so repeated T-pinned solves give I(T)
@@ -295,7 +287,6 @@ def locate_fold(branch: Branch, bracket=None,
     FOLD_TOL, or lands on the period of a sample it already holds.  The
     certificate is the nontrivial multiplier closest to +1 there.
     """
-    field_at, adapter = _locator_defaults(branch, field_at, adapter)
     ids = _bracket_slice(branch, bracket)
     if len(ids) < 3:
         raise NoExtremum("bracket holds fewer than three branch points")
@@ -345,8 +336,8 @@ def locate_fold(branch: Branch, bracket=None,
 
 
 def locate_pd(branch: Branch, bracket,
-              field_at: Optional[Callable[[float], VectorField]] = None,
-              adapter: Optional[_SolverAdapter] = None,
+              field_at: Callable[[float], VectorField],
+              adapter: _SolverAdapter,
               spectrum_steps: int = floquet.DEFAULT_SPECTRUM_STEPS) -> BifurcationEvent:
     """Locate a period-doubling point by tracking a multiplier through -1.
 
@@ -356,7 +347,6 @@ def locate_pd(branch: Branch, bracket,
     periods (seeded from the nearest accepted point) and re-evaluates the
     spectrum.  I* comes from a last solve at the crossing period.
     """
-    field_at, adapter = _locator_defaults(branch, field_at, adapter)
     ids = _bracket_slice(branch, bracket)
     if len(ids) < 2:
         raise NoSignChange("bracket holds fewer than two branch points")

@@ -3,23 +3,22 @@
 shooting.Cycle (one period of RK4 samples), hb.FourierCycle (a truncated
 Fourier series) and collocation.CollocationSolution (the collocation cubic on
 a mesh) derive from PeriodicOrbit; the rest of the package reaches a cycle
-only through it.
+only through it, and each of the three solvers takes any of them as its
+guess.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .integrate import Trajectory
-
 
 class PeriodicOrbit:
     """Base of the cycle classes, frozen dataclasses with a `period` field.
 
-    Subclasses implement evaluate_time, to_json and from_json, and name the
-    solver that made them in `source`.  `dense` is False for an orbit known
-    only at sample points, whose evaluate_time interpolates linearly between
-    them; Floquet analysis re-integrates such an orbit instead.
+    Subclasses implement evaluate_time, to_json and from_json.  `dense` is
+    False for an orbit known only at sample points, whose evaluate_time
+    interpolates linearly between them; Floquet analysis re-integrates such
+    an orbit instead.
     """
 
     dense = True
@@ -39,15 +38,6 @@ class PeriodicOrbit:
         from .hb import from_trajectory  # hb's FourierCycle subclasses this
         t = np.linspace(0.0, self.period, 8 * K + 1, endpoint=False)
         return from_trajectory(self.evaluate_time(t), self.period, K)
-
-    def to_time_cycle(self):
-        """One closed period in 400 equal steps, as a shooting.Cycle."""
-        from .shooting import Cycle  # Cycle subclasses this
-        t = np.linspace(0.0, self.period, 401)
-        states = self.evaluate_time(t)
-        states[-1] = states[0]
-        return Cycle(period=self.period, anchor_state=states[0].copy(),
-                     samples=Trajectory(t, states), source=self.source)
 
     def to_json(self) -> dict:
         """Period and representation, as stored in a cycle artifact."""

@@ -12,6 +12,8 @@ The algebraic system solved by Newton is
     omega * D xbar - Y_F(xbar) = 0,   omega = 2*pi/T,
 
 per state variable, plus one phase-anchor row (B1 of the first variable = 0).
+solve_hb_bordered takes I as a further unknown under one more row,
+a_T*T + a_I*I = b; solve_hb is that solve with I pinned.
 """
 
 from __future__ import annotations
@@ -32,8 +34,6 @@ class FourierCycle(PeriodicOrbit):
     K: int
     period: float
     coeffs: np.ndarray  # (dim, 2K+1)
-
-    source = "harmonic-balance"
 
     def __post_init__(self):
         if self.coeffs.shape[1] != 2 * self.K + 1:
@@ -191,36 +191,6 @@ def hb_jacobian(xbar: FourierCycle, field: VectorField,
     return J
 
 
-def _newton(residual_fn, jacobian_fn, z0, tol, max_iter):
-    """The shared damped Newton with dense steps on jacobian_fn(z, r)."""
-    return newton.damped_newton(
-        residual_fn, lambda z, r: newton.dense_step(jacobian_fn(z, r), r, "HB"),
-        z0, tol, max_iter, "HB")
-
-
-def solve_hb(init: FourierCycle, field: VectorField, ops: SpectralOperators,
-             tol: float = 1e-10, max_iter: int = 40) -> FourierCycle:
-    """Newton solve of the HB system over (all coefficients, T)."""
-    init = rotate_phase(init)
-    dim, K = init.dim, init.K
-
-    def cycle(z):
-        return FourierCycle(K=K, period=float(z[-1]),
-                            coeffs=z[:-1].reshape(dim, 2 * K + 1))
-
-    def residual(z):
-        if z[-1] <= 0:
-            return np.full(len(z), np.inf)
-        return hb_residual(cycle(z), field, ops)
-
-    def jacobian(z, r):
-        return hb_jacobian(cycle(z), field, ops)
-
-    z, _ = _newton(residual, jacobian, np.append(init.coeffs, init.period),
-                   tol, max_iter)
-    return cycle(z)
-
-
 def bordered_jacobian(xbar: FourierCycle, I: float, field_at,
                       ops: SpectralOperators, row, r: np.ndarray) -> np.ndarray:
     """hb_jacobian bordered by the column dR/dI, one forward difference from
@@ -232,15 +202,16 @@ def bordered_jacobian(xbar: FourierCycle, I: float, field_at,
     return J
 
 
-def solve_hb_bordered(init: FourierCycle, I_guess: float, field_at,
+def solve_hb_bordered(init: PeriodicOrbit, I_guess: float, field_at,
                       ops: SpectralOperators, row, tol: float, max_iter: int):
     """Newton solve over (coefficients, T, I); returns (FourierCycle, I).
 
     field_at(I) returns the VectorField at I.  The HB system gains the row
     a_T*T + a_I*I = b for row = (a_T, a_I, b): I pinned, T pinned or the
-    pseudo-arclength condition.  The initial T is init.period.
+    pseudo-arclength condition.  init, any cycle, is taken as its K=ops.K
+    series; the initial T is init.period.
     """
-    init = rotate_phase(init)
+    init = rotate_phase(init.to_fourier(ops.K))
     dim, K = init.dim, init.K
     a_T, a_I, b = row
 
@@ -254,17 +225,27 @@ def solve_hb_bordered(init: FourierCycle, I_guess: float, field_at,
         return np.append(hb_residual(cycle(z), field_at(float(z[-1])), ops),
                          a_T * z[-2] + a_I * z[-1] - b)
 
-    def jacobian(z, r):
-        return bordered_jacobian(cycle(z), float(z[-1]), field_at, ops, row,
-                                 r[:-1])
+    def step(z, r):
+        J = bordered_jacobian(cycle(z), float(z[-1]), field_at, ops, row,
+                              r[:-1])
+        return newton.dense_step(J, r, "HB")
 
-    z, _ = _newton(residual, jacobian,
-                   np.concatenate([init.coeffs.ravel(), [init.period, I_guess]]),
-                   tol, max_iter)
+    z, _ = newton.damped_newton(
+        residual, step,
+        np.concatenate([init.coeffs.ravel(), [init.period, I_guess]]),
+        tol, max_iter, "HB")
     return cycle(z), float(z[-1])
 
 
-def solve_hb_fixed_period(init: FourierCycle, I_guess: float, field_at,
+def solve_hb(init: PeriodicOrbit, field: VectorField, ops: SpectralOperators,
+             tol: float = 1e-10, max_iter: int = 40) -> FourierCycle:
+    """Newton solve over (all coefficients, T): solve_hb_bordered with a
+    field that does not depend on I and the row pinning I at 0."""
+    return solve_hb_bordered(init, 0.0, lambda _: field, ops, (0.0, 1.0, 0.0),
+                             tol, max_iter)[0]
+
+
+def solve_hb_fixed_period(init: PeriodicOrbit, I_guess: float, field_at,
                           ops: SpectralOperators, tol: float = 1e-10,
                           max_iter: int = 40):
     """solve_hb_bordered with T pinned at init.period; returns (FourierCycle, I)."""

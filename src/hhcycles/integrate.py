@@ -17,6 +17,8 @@ class Trajectory:
     states: np.ndarray  # (m, dim)
 
     def __post_init__(self):
+        if len(self.times) == 0:
+            raise ValueError("empty trajectory")
         if len(self.times) != len(self.states):
             raise ValueError("times/states length mismatch")
         if np.any(np.diff(self.times) <= 0):

@@ -3,7 +3,7 @@
 Shooting solves the 5-unknown system
 
     G(X0, T) = phi(X0, T) - X0 = 0
-    <X0 - a, f(a)> = 0                (Poincare hyperplane at the guess anchor a)
+    <X0 - a, f(a)> = 0                (Poincare hyperplane at a = guess(t=0))
 
 by damped Newton, with the sensitivity dphi/dX0 obtained from a coupled
 variational pass.  It converges fast on stable cycles; for strongly unstable
@@ -30,11 +30,14 @@ class Cycle(PeriodicOrbit):
     """A periodic orbit in time-domain form: one period of samples."""
 
     period: float
-    anchor_state: np.ndarray
     samples: Trajectory
-    source: str = "shooting"  # shooting | collocation | harmonic-balance
 
     dense = False
+
+    @property
+    def anchor_state(self) -> np.ndarray:
+        """The first sample, where the period starts."""
+        return self.samples.states[0]
 
     def evaluate_time(self, t):
         """Linear interpolation between the samples, wrapped to one period."""
@@ -51,9 +54,6 @@ class Cycle(PeriodicOrbit):
     def to_fourier(self, K: int):
         return from_trajectory(self.samples.states[:-1], self.period, K)
 
-    def to_time_cycle(self):
-        return self
-
     def to_json(self) -> dict:
         return {"period": float(self.period),
                 "samples_t": self.samples.times.tolist(),
@@ -61,10 +61,9 @@ class Cycle(PeriodicOrbit):
 
     @classmethod
     def from_json(cls, doc: dict, field=None) -> "Cycle":
-        states = np.array(doc["samples"], dtype=float)
-        return cls(period=float(doc["period"]), anchor_state=states[0].copy(),
+        return cls(period=float(doc["period"]),
                    samples=Trajectory(np.array(doc["samples_t"], dtype=float),
-                                      states))
+                                      np.array(doc["samples"], dtype=float)))
 
 
 FLOW_STEPS = 2000       # RK4 steps of one coupled flow in the shooting residual
@@ -78,12 +77,13 @@ def _sample_cycle(field: VectorField, x0, T: float) -> Trajectory:
     return integrate.integrate_rk4(field, x0, 0.0, T, T / CYCLE_SAMPLES)
 
 
-def shoot(field: VectorField, guess: Cycle, tol: float = 1e-10) -> Cycle:
-    """Refine a guessed cycle by Newton on the return-map displacement."""
+def shoot(field: VectorField, guess: PeriodicOrbit, tol: float = 1e-10) -> Cycle:
+    """Refine a guessed cycle by Newton on the return-map displacement,
+    anchored at the guess's state at time 0."""
     if guess.period <= 0:
         raise ValueError("guess period must be positive")
     dim = field.dim
-    a = np.array(guess.anchor_state, dtype=float)
+    a = np.array(guess.evaluate_time(0.0), dtype=float)
     fa = field.f(a)
     flowed = {}  # flow end state and monodromy at the latest residual point
 
@@ -108,8 +108,7 @@ def shoot(field: VectorField, guess: Cycle, tol: float = 1e-10) -> Cycle:
     z, _ = newton.damped_newton(residual, step, np.append(a, guess.period),
                                 tol, SHOOT_MAX_ITER, "shooting")
     x0, T = z[:dim], float(z[dim])
-    return Cycle(period=T, anchor_state=x0, samples=_sample_cycle(field, x0, T),
-                 source="shooting")
+    return Cycle(period=T, samples=_sample_cycle(field, x0, T))
 
 
 def settle_transient(field: VectorField, settle_time: float,
@@ -139,6 +138,4 @@ def settle_transient(field: VectorField, settle_time: float,
     T = float(np.mean(periods))
     # anchor at the last crossing, re-integrate one period for the samples
     i0 = up[-2]
-    samples = _sample_cycle(field, x[i0], T)
-    return Cycle(period=T, anchor_state=x[i0].copy(), samples=samples,
-                 source="shooting")
+    return Cycle(period=T, samples=_sample_cycle(field, x[i0], T))

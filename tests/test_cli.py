@@ -72,6 +72,18 @@ class TestConfig:
         assert cli.main(["--out", str(tmp_path)] + command
                         + [option, "0"]) == 1
 
+    @pytest.mark.parametrize("lines", [
+        "diagram.i_min=20\ndiagram.i_max=10",
+        "diagram.i_min=10\ndiagram.i_max=10",
+        "continuation.step.max=-1", "continuation.step.min=0",
+        "continuation.collapse_amplitude=0", "continuation.max_orbit_jump=-5"])
+    def test_impossible_diagram_settings_rejected(self, tmp_path, lines):
+        f = tmp_path / "run.cfg"
+        f.write_text(lines + "\n")
+        with pytest.raises(ConfigError):
+            cli.load_config(str(f))
+        assert cli.main(["--config", str(f), "hopf", "--range", "1:2"]) == 1
+
     def test_integer_keys_stay_integer(self, tmp_path):
         f = tmp_path / "run.cfg"
         f.write_text("solver.collocation.n=250\n")
@@ -159,6 +171,16 @@ class TestCycleArtifacts:
         _, cyc = cli.read_cycle_json(str(tmp_path / "cycle_I20_hb.json"))
         assert cyc.period == pytest.approx(colloc_cycle_20.period, rel=1e-4)
 
+    def test_hb_artifact_seeds_a_shoot(self, tmp_path, hb_cycle_20,
+                                       stable_cycle_20):
+        path = tmp_path / "seed.json"
+        cli.write_cycle_json(str(path), 20.0, "hb", hb_cycle_20,
+                             make_spec([0.1]), 1e-11, cli.load_config(None))
+        assert cli.main(["--out", str(tmp_path), "cycle", "--current", "20",
+                         "--method", "shoot", "--init", str(path)]) == 0
+        _, cyc = cli.read_cycle_json(str(tmp_path / "cycle_I20_shoot.json"))
+        assert cyc.period == pytest.approx(stable_cycle_20.period, rel=1e-9)
+
     def test_unknown_method_rejected(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"schema": 1, "current": 5.0,
@@ -228,6 +250,25 @@ class TestCommands:
         assert words[-1] == "stable"
         assert float(words[-2].removeprefix("liouville_error=")) < 1e-3
 
+    def test_floquet_steps_default_to_the_config(self, tmp_path,
+                                                 stable_cycle_20,
+                                                 monkeypatch):
+        path = tmp_path / "c.json"
+        cli.write_cycle_json(str(path), 20.0, "shoot", stable_cycle_20,
+                             make_spec([0.1]), 1e-12, cli.load_config(None))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("floquet.steps=64\n")
+        steps = []
+
+        def spectrum(cyc, field, nsteps):
+            steps.append(nsteps)
+            return make_spec([0.1])
+        monkeypatch.setattr(floquet, "spectrum", spectrum)
+        base = ["--config", str(cfg), "floquet", "--cycle-file", str(path)]
+        assert cli.main(base) == 0
+        assert cli.main(base + ["--steps", "300"]) == 0
+        assert steps == [64, 300]
+
     def test_floquet_on_missing_file(self, tmp_path, capsys):
         rc = cli.main(["floquet", "--cycle-file", str(tmp_path / "x.json")])
         assert rc == 2
@@ -241,9 +282,12 @@ class TestCommands:
         '"period": 14.6, "mesh_tau": [], "mesh_states": [], "mesh_mid": []}',
         '{"schema": 1, "current": 20, "method": "shoot", "period": -3, '
         '"samples_t": [0, 1], "samples": [[-60, 0.3, 0.6, 0.05], '
+        '[-60, 0.3, 0.6, 0.05]]}',
+        '{"schema": 1, "current": NaN, "method": "shoot", "period": 14.6, '
+        '"samples_t": [0, 1], "samples": [[-60, 0.3, 0.6, 0.05], '
         '[-60, 0.3, 0.6, 0.05]]}'],
         ids=["missing", "malformed", "not-an-object", "null-current",
-             "empty-samples", "empty-mesh", "negative-period"])
+             "empty-samples", "empty-mesh", "negative-period", "nan-current"])
     @pytest.mark.parametrize("command", [
         ["cycle", "--current", "20", "--method", "hb", "--init"],
         ["floquet", "--cycle-file"]], ids=["cycle-init", "floquet"])

@@ -41,8 +41,7 @@ def circle_guess(amplitude=1.0, period_factor=1.0, nsamples=200):
     th = 2 * np.pi * t / T
     states = np.stack([amplitude * np.cos(th),
                        amplitude * np.sin(th)], axis=1)
-    return shooting.Cycle(period=T, anchor_state=states[0],
-                          samples=Trajectory(t, states))
+    return shooting.Cycle(period=T, samples=Trajectory(t, states))
 
 
 class TestMesh:
@@ -84,7 +83,7 @@ class TestSolvePlanar:
     def test_degenerate_guess_rejected(self):
         fld = harmonic_oscillator()
         t = np.linspace(0.0, 1.0, 11)
-        flat = shooting.Cycle(period=1.0, anchor_state=np.zeros(2),
+        flat = shooting.Cycle(period=1.0,
                               samples=Trajectory(t, np.zeros((11, 2))))
         with pytest.raises(DegenerateCycle):
             collocation.solve_bvp(fld, flat)
@@ -110,13 +109,6 @@ class TestSolveHH:
         sol = collocation.solve_bvp(field20, hb_cycle_20, tol=1e-4, N=300,
                                     max_N=1200)
         assert sol.period == pytest.approx(stable_cycle_20.period, rel=1e-6)
-
-    def test_to_cycle_closes(self, field20, stable_cycle_20):
-        sol = collocation.solve_bvp(field20, stable_cycle_20, tol=1e-4,
-                                    N=200, max_N=1200)
-        cyc = sol.to_time_cycle()
-        assert cyc.source == "collocation"
-        assert np.allclose(cyc.samples.states[-1], cyc.samples.states[0])
 
     def test_mesh_cap_raises(self, field20, stable_cycle_20):
         with pytest.raises(MeshTooCoarse):

@@ -51,13 +51,6 @@ class TestHelpers:
         fc = hb_cycle_20.to_fourier(20)
         assert fc.K == 20
 
-    def test_as_time_cycle_roundtrip(self, hb_cycle_20):
-        cyc = hb_cycle_20.to_time_cycle()
-        assert cyc.period == pytest.approx(hb_cycle_20.period)
-        t = cyc.samples.times
-        V = hb.evaluate_series(hb_cycle_20, t)[:, 0]
-        assert np.max(np.abs(cyc.samples.states[:-1, 0] - V[:-1])) < 1e-9
-
     def test_make_point(self, field20, stable_cycle_20):
         pt = ct.make_point(20.0, stable_cycle_20, field20)
         assert pt.amplitude == pytest.approx(98.7, abs=1.0)
@@ -82,13 +75,14 @@ class TestContinueBranch:
     def test_invalid_start_rejected(self):
         bad = fake_point(np.nan)
         with pytest.raises(StartInvalid):
-            ct.continue_branch(bad, +1, (10.0, 30.0))
+            ct.continue_branch(bad, +1, (10.0, 30.0), ct.hh_family(),
+                               ct._SolverAdapter("hb", hb_K=40))
 
     def test_short_stable_run(self, field20, stable_cycle_20):
         start = ct.make_point(20.0, stable_cycle_20, field20)
         br = ct.continue_branch(
-            start, +1, (20.0, 23.0),
-            adapter=ct._SolverAdapter("hb", hb_K=40),
+            start, +1, (20.0, 23.0), ct.hh_family(),
+            ct._SolverAdapter("hb", hb_K=40),
             step_ctrl=ct.StepControl(initial=1.0, max_step=1.0),
             max_points=4)
         Is = [p.I for p in br.points]
@@ -100,8 +94,8 @@ class TestContinueBranch:
 
     def test_parks_on_the_limit_box(self, field20, stable_cycle_20):
         start = ct.make_point(20.0, stable_cycle_20, field20)
-        br = ct.continue_branch(start, +1, (18.0, 20.0),
-                                adapter=ct._SolverAdapter("hb", hb_K=40))
+        br = ct.continue_branch(start, +1, (18.0, 20.0), ct.hh_family(),
+                                ct._SolverAdapter("hb", hb_K=40))
         assert len(br.points) == 1
 
 
@@ -218,12 +212,12 @@ class TestLocators:
     def test_fold_needs_three_points(self):
         br = fake_branch([1.0, 2.0])
         with pytest.raises(NoExtremum):
-            ct.locate_fold(br)
+            ct.locate_fold(br, None, lambda I: I, FoldCorrector())
 
     def test_fold_needs_an_extremum(self):
         br = fake_branch([1.0, 2.0, 3.0, 4.0])
         with pytest.raises(NoExtremum):
-            ct.locate_fold(br)
+            ct.locate_fold(br, None, lambda I: I, FoldCorrector())
 
     def test_fold_vertex_iteration_lands_on_the_turning_point(self,
                                                               monkeypatch):
@@ -263,7 +257,7 @@ class TestLocators:
                                                              monkeypatch):
         br = self.fold_at_roundoff(monkeypatch)
         ad = FoldCorrector()
-        ev = ct.locate_fold(br, field_at=lambda I: I, adapter=ad)
+        ev = ct.locate_fold(br, None, field_at=lambda I: I, adapter=ad)
         assert ev.I_star == pytest.approx(1.0, abs=1e-15)
         assert ev.evidence["period"] == pytest.approx(2.0, abs=1e-9)
         # the first vertex is the middle sample's period: no solve is spent
@@ -279,7 +273,7 @@ class TestLocators:
         br = self.fold_at_roundoff(monkeypatch, mid=0.95)
         monkeypatch.setattr(ct, "FOLD_TOL", 0.0)
         ad = FoldCorrector()
-        ev = ct.locate_fold(br, field_at=lambda I: I, adapter=ad)
+        ev = ct.locate_fold(br, None, field_at=lambda I: I, adapter=ad)
         assert len(ad.rows) < ct.FOLD_MAX_ITER
         assert ev.evidence["period"] == ad.rows[-1][2]
         assert ev.I_star == pytest.approx(1.0, abs=1e-15)
@@ -288,7 +282,7 @@ class TestLocators:
     def test_pd_needs_two_points(self):
         br = fake_branch([1.0])
         with pytest.raises(NoSignChange):
-            ct.locate_pd(br, None)
+            ct.locate_pd(br, None, lambda I: I, FoldCorrector())
 
     def test_pd_between_the_last_sample_and_the_fold(self, monkeypatch):
         # the multiplier crosses -1 at T=2.03, between the sample at 2.06

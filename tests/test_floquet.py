@@ -40,7 +40,7 @@ class TestSpectrum:
         T = 2 * np.pi
         traj = integrate.integrate_rk4(fld, [1.0, 0.0], 0.0, T, T / 2000)
         from hhcycles.shooting import Cycle
-        cyc = Cycle(period=T, anchor_state=np.array([1.0, 0.0]), samples=traj)
+        cyc = Cycle(period=T, samples=traj)
         spec = floquet.spectrum(cyc, field=fld)
         assert spec.trivial_error < 1e-8
         assert spec.multipliers[0].real == pytest.approx(1.0, abs=1e-8)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hhcycles import hb
-from hhcycles.errors import SingularJacobian
 from hhcycles.fields import harmonic_oscillator
 
 
@@ -156,6 +155,23 @@ class TestSolve:
             # if it "converges" it must be the trivial solution; reject it
             assert np.max(np.abs(sol.coeffs[:, 1:])) > 1e-6
 
+    @pytest.mark.parametrize("guess", ["shooting", "fourier-k2"])
+    def test_any_cycle_is_taken_as_its_series(self, guess, field20,
+                                              stable_cycle_20, hopf_points):
+        # the solve starts from init.to_fourier(ops.K), whatever init is
+        from hhcycles.continuation import hh_family, hopf_branch_seed
+        if guess == "shooting":
+            cyc, fld, ops = stable_cycle_20, field20, hb.build_operators(10)
+        else:
+            (I2, omega0), _ = hopf_points
+            cyc = hopf_branch_seed(I2 - 0.02, omega0, 2.0)
+            fld, ops = hh_family()(I2 - 0.02), hb.build_operators(20)
+        a = hb.solve_hb(cyc, fld, ops)
+        b = hb.solve_hb(cyc.to_fourier(ops.K), fld, ops)
+        assert a.K == ops.K
+        assert a.period == b.period
+        assert np.array_equal(a.coeffs, b.coeffs)
+
     def test_fixed_period_solve_recovers_stimulus(self, hb_cycle_20):
         from hhcycles.continuation import hh_family
         fam = hh_family()
@@ -255,26 +271,6 @@ class TestNewtonMatrix:
         # the I column: only the mean of V carries the stimulus, +1/C
         assert np.max(np.abs(J[1:-2, -1])) < 1e-6
         assert J[0, -1] == pytest.approx(1.0 / DEFAULT_PARAMS.C, rel=1e-6)
-
-    def test_newton_takes_minimum_norm_step_on_singular_system(self):
-        # consistent but rank-deficient: a line of solutions, and the step
-        # from the origin lands on the one of least norm
-        rng = np.random.default_rng(7)
-        A = rng.standard_normal((5, 3)) @ rng.standard_normal((3, 5))
-        b = A @ rng.standard_normal(5)
-        z, rn = hb._newton(lambda z: A @ z - b, lambda z, r: A,
-                           np.zeros(5), tol=1e-10, max_iter=5)
-        assert rn < 1e-10
-        assert np.allclose(z, np.linalg.pinv(A) @ b, atol=1e-10)
-
-    def test_newton_raises_on_ill_conditioned_full_rank_system(self):
-        rng = np.random.default_rng(8)
-        U, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-        V, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-        A = U @ np.diag(np.logspace(0, -15, 6)) @ V.T
-        with pytest.raises(SingularJacobian):
-            hb._newton(lambda z: A @ z - 1.0, lambda z, r: A, np.zeros(6),
-                       tol=1e-10, max_iter=5)
 
 
 class TestDiagnostics:

@@ -1,4 +1,5 @@
-"""The dense Newton step: its LU fast path must reach the SVD rule's verdicts."""
+"""The shared damped Newton and its dense step, whose LU fast path must
+reach the SVD rule's verdicts."""
 
 import numpy as np
 import pytest
@@ -85,3 +86,30 @@ def test_non_finite_matrix_raises():
     J[1, 3] = np.nan
     with pytest.raises(SingularJacobian):
         newton.dense_step(J, np.ones(4), "test")
+
+
+def dense_newton(A, residual, z0):
+    """damped_newton with the dense step on the constant matrix A."""
+    return newton.damped_newton(
+        residual, lambda z, r: newton.dense_step(A, r, "test"), z0,
+        tol=1e-10, max_iter=5, what="test")
+
+
+def test_newton_takes_minimum_norm_step_on_singular_system():
+    # consistent but rank-deficient: a line of solutions, and the step
+    # from the origin lands on the one of least norm
+    rng = np.random.default_rng(7)
+    A = rng.standard_normal((5, 3)) @ rng.standard_normal((3, 5))
+    b = A @ rng.standard_normal(5)
+    z, rn = dense_newton(A, lambda z: A @ z - b, np.zeros(5))
+    assert rn < 1e-10
+    assert np.allclose(z, np.linalg.pinv(A) @ b, atol=1e-10)
+
+
+def test_newton_raises_on_ill_conditioned_full_rank_system():
+    rng = np.random.default_rng(8)
+    U, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    V, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    A = U @ np.diag(np.logspace(0, -15, 6)) @ V.T
+    with pytest.raises(SingularJacobian):
+        dense_newton(A, lambda z: A @ z - 1.0, np.zeros(6))
