@@ -12,6 +12,7 @@ the sampled interior residual.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -58,6 +59,11 @@ class CollocationSolution(PeriodicOrbit):
     def dim(self) -> int:
         return self.y.shape[1]
 
+    @cached_property
+    def node_fields(self):
+        """(f(y), f(mid)): the field at the breakpoints and midpoints."""
+        return self.field.f(self.y), self.field.f(self.mid)
+
     def evaluate(self, tau):
         """Evaluate the collocation cubic at tau in [0,1] (scalar or array)."""
         scalar = np.ndim(tau) == 0
@@ -66,8 +72,7 @@ class CollocationSolution(PeriodicOrbit):
         idx = np.clip(np.searchsorted(b, tau, side="right") - 1, 0, self.mesh.N - 1)
         h = (b[idx + 1] - b[idx])
         s = ((tau - b[idx]) / h)[:, None]
-        f_y = self.field.f(self.y)
-        f_m = self.field.f(self.mid)
+        f_y, f_m = self.node_fields
         f0 = f_y[idx]
         fm = f_m[idx]
         f1 = f_y[(idx + 1) % self.mesh.N]
@@ -94,9 +99,9 @@ class CollocationSolution(PeriodicOrbit):
         h = self.mesh.widths[:, None, None]
         sigma = np.linspace(0.0, 1.0, 12)[1:-1]   # 10 interior samples
         s = sigma[None, :, None]
-        fy = self.field.f(self.y)
+        fy, fm = self.node_fields
         f0 = fy[:, None, :]
-        fm = self.field.f(self.mid)[:, None, :]
+        fm = fm[:, None, :]
         f1 = np.roll(fy, -1, axis=0)[:, None, :]
         P = _cubic(self.y[:, None, :], f0, fm, f1, h * self.period, s)
         q = (f0 * (2 * (s - 0.5) * (s - 1))

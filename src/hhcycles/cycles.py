@@ -15,7 +15,8 @@ import numpy as np
 class PeriodicOrbit:
     """Base of the cycle classes, frozen dataclasses with a `period` field.
 
-    Subclasses implement evaluate_time, to_json and from_json.  `dense` is
+    Subclasses implement evaluate_time, to_json and from_json, and may
+    override states_on_grid with a faster synthesis.  `dense` is
     False for an orbit known only at sample points, whose evaluate_time
     interpolates linearly between them; Floquet analysis re-integrates such
     an orbit instead.
@@ -27,10 +28,14 @@ class PeriodicOrbit:
         """State at time t (scalar or array; shape (dim,) or (m, dim))."""
         raise NotImplementedError
 
+    def states_on_grid(self, m: int) -> np.ndarray:
+        """States at t_j = j*T/m for j = 0..m-1, shape (m, dim)."""
+        return self.evaluate_time(np.linspace(0.0, self.period, m,
+                                              endpoint=False))
+
     def v_extrema(self):
         """Extrema of the first state component over one period."""
-        t = np.linspace(0.0, self.period, 1024, endpoint=False)
-        V = self.evaluate_time(t)[:, 0]
+        V = self.states_on_grid(1024)[:, 0]
         return float(V.min()), float(V.max())
 
     def to_fourier(self, K: int):

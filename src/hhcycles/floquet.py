@@ -4,9 +4,12 @@ The monodromy matrix is obtained from the variational flow around one period
 (module integrate).  When the cycle is available as a Fourier series or a
 collocation solution the variational system is driven by the closed-form
 x(t), which keeps the multiplier accuracy at the level of the variational
-integrator alone; the period's subinterval monodromies are then advanced
-together in one stacked RK4 pass, and the same Jacobians give the Liouville
-check (log det of the monodromy against the integral of trace J).  Every
+integrator alone.  The RK4 half-step times of the period's subintervals then
+form one uniform grid: x(t) is synthesized on it in one call (one inverse
+FFT for a Fourier series), the subinterval monodromies are products of RK4
+step matrices all built from one Jacobian call, and the same Jacobians give
+the Liouville check (log det of the monodromy against the integral of
+trace J).  Every
 monodromy matrix is a period-subdivided product accumulated through
 successive QR factorizations, so on strongly unstable cycles (multiplier
 magnitudes in the thousands) the small multipliers are not washed out by the
@@ -66,15 +69,18 @@ def _monodromy_matrix(cycle, field: VectorField, nsteps: int):
     t_{j+1}; trace is None for a sampled cycle.
     """
     T = check_orbit(cycle).period
-    x0 = np.asarray(cycle.evaluate_time(0.0), dtype=float)
     per_chunk = max(1, nsteps // SPECTRUM_CHUNKS)
     if cycle.dense:
-        edges = np.linspace(0.0, T, SPECTRUM_CHUNKS + 1)
+        # the RK4 half-step times of all chunks: one uniform grid, closed
+        # by x(0) again at t = T
+        xs = cycle.states_on_grid(2 * SPECTRUM_CHUNKS * per_chunk)
         chunks, traces = integrate.variational_along(
-            field, cycle.evaluate_time, edges, per_chunk)
-        return chunks, x0, float(np.sum(traces))
+            field, np.concatenate([xs, xs[:1]]),
+            T / (SPECTRUM_CHUNKS * per_chunk), SPECTRUM_CHUNKS)
+        return chunks, xs[0], float(np.sum(traces))
     # sampled cycle: coupled state+variational pass, restarting the
     # fundamental matrix at each chunk boundary
+    x0 = np.asarray(cycle.evaluate_time(0.0), dtype=float)
     chunks = []
     x = x0.copy()
     for _ in range(SPECTRUM_CHUNKS):

@@ -24,7 +24,10 @@ import numpy as np
 
 from . import newton
 from .cycles import PeriodicOrbit
+from .errors import DegenerateCycle
 from .fields import VectorField
+
+MOTION_TOL = 1e-8   # largest harmonic below which a series is an equilibrium
 
 
 @dataclass(frozen=True)
@@ -51,6 +54,22 @@ class FourierCycle(PeriodicOrbit):
 
     def evaluate_time(self, t):
         return evaluate_series(self, t)
+
+    def states_on_grid(self, m: int) -> np.ndarray:
+        """The series on j*T/m by one zero-padded inverse real FFT.
+
+        With c_0 = m*A0 and c_k = (m/2)*(A_k - i*B_k), irfft returns
+        A0 + sum_k (A_k cos + B_k sin)(2*pi*k*j/m).  Below m = 2K+2 the top
+        harmonics would alias onto lower ones (or the Nyquist bin), so such
+        a grid is synthesized pointwise.
+        """
+        if m < 2 * self.K + 2:
+            return super().states_on_grid(m)
+        c = np.zeros((self.dim, m // 2 + 1), dtype=complex)
+        c[:, 0] = m * self.coeffs[:, 0]
+        c[:, 1:self.K + 1] = (0.5 * m) * (self.coeffs[:, 1::2]
+                                          - 1j * self.coeffs[:, 2::2])
+        return np.fft.irfft(c, m, axis=1).T
 
     def to_fourier(self, K: int) -> "FourierCycle":
         return self if K == self.K else resize(self, K)
@@ -209,9 +228,12 @@ def solve_hb_bordered(init: PeriodicOrbit, I_guess: float, field_at,
     field_at(I) returns the VectorField at I.  The HB system gains the row
     a_T*T + a_I*I = b for row = (a_T, a_I, b): I pinned, T pinned or the
     pseudo-arclength condition.  init, any cycle, is taken as its K=ops.K
-    series; the initial T is init.period.
+    series; the initial T is init.period.  Raises DegenerateCycle when the
+    guess or the converged series has no harmonic above MOTION_TOL: an
+    equilibrium solves the HB system for every T.
     """
     init = rotate_phase(init.to_fourier(ops.K))
+    _check_motion(init, "initial guess")
     dim, K = init.dim, init.K
     a_T, a_I, b = row
 
@@ -234,7 +256,15 @@ def solve_hb_bordered(init: PeriodicOrbit, I_guess: float, field_at,
         residual, step,
         np.concatenate([init.coeffs.ravel(), [init.period, I_guess]]),
         tol, max_iter, "HB")
-    return cycle(z), float(z[-1])
+    return _check_motion(cycle(z), "converged series"), float(z[-1])
+
+
+def _check_motion(xbar: FourierCycle, what: str) -> FourierCycle:
+    """xbar itself, or DegenerateCycle if all its harmonics are below
+    MOTION_TOL."""
+    if np.max(np.abs(xbar.coeffs[:, 1:])) < MOTION_TOL:
+        raise DegenerateCycle(f"{what} has no motion along the orbit")
+    return xbar
 
 
 def solve_hb(init: PeriodicOrbit, field: VectorField, ops: SpectralOperators,
@@ -277,8 +307,7 @@ def gibbs_ripple(xbar: FourierCycle) -> float:
     A clean single-pulse cycle has total variation ~ 2*(Vmax-Vmin); Gibbs
     oscillations inflate it.  Returned value is the relative excess.
     """
-    t = np.linspace(0.0, xbar.period, 2048, endpoint=False)
-    V = evaluate_series(xbar, t)[:, 0]
+    V = xbar.states_on_grid(2048)[:, 0]
     tv = np.sum(np.abs(np.diff(V)))
     swing = V.max() - V.min()
     if swing == 0:

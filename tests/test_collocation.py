@@ -68,6 +68,30 @@ class TestSolvePlanar:
         r = np.hypot(pts[:, 0], pts[:, 1])
         assert np.allclose(r, 1.0, atol=1e-5)
 
+    def test_node_fields_are_computed_once(self):
+        # evaluate and residual_profile share f(y) and f(mid) of the solution
+        fld = stuart_landau()
+        sol = collocation.solve_bvp(fld, circle_guess(1.2, 1.03),
+                                    tol=1e-6, N=40)
+        calls = []
+
+        def counted(x):
+            calls.append(np.shape(x))
+            return fld.f(x)
+
+        fresh = collocation.CollocationSolution(
+            mesh=sol.mesh, y=sol.y, mid=sol.mid, period=sol.period,
+            field=VectorField(dim=2, f=counted, jac=fld.jac))
+        tau = np.linspace(0.0, 1.0, 97)
+        assert np.array_equal(fresh.evaluate(tau), sol.evaluate(tau))
+        assert np.array_equal(fresh.evaluate(tau[::3]), sol.evaluate(tau[::3]))
+        assert np.allclose(fresh.states_on_grid(64),
+                           sol.evaluate_time(np.arange(64) * sol.period / 64),
+                           rtol=0.0, atol=1e-12)
+        fresh.residual_profile()
+        assert calls.count(sol.y.shape) == 2   # f(y), f(mid): once each
+        assert len(calls) == 3                 # + the interior samples
+
     def test_fourth_order_period_convergence(self):
         fld = stuart_landau()
         errs = []

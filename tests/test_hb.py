@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hhcycles import hb
+from hhcycles.errors import DegenerateCycle
 from hhcycles.fields import harmonic_oscillator
+from test_integrate import damped_field
 
 
 class TestBasisAndOperators:
@@ -82,6 +84,21 @@ class TestFourierCycle:
         assert np.allclose(hb.evaluate_series(xb, 0.3),
                            hb.evaluate_series(xb, np.array([0.3]))[0])
 
+    @pytest.mark.parametrize("K", [1, 2, 30, 50])
+    @pytest.mark.parametrize("grid", ["2K+1", "2K+2", 1024, 8000])
+    def test_states_on_grid_matches_pointwise_synthesis(self, K, grid):
+        # m = 2K+1 takes the pointwise path (the top harmonic would alias),
+        # the others the inverse FFT
+        m = {"2K+1": 2 * K + 1, "2K+2": 2 * K + 2}.get(grid, grid)
+        rng = np.random.default_rng(K)
+        decay = 1.0 / (1.0 + np.repeat(np.arange(K + 1), 2)[1:])
+        xb = hb.FourierCycle(K=K, period=14.6,
+                             coeffs=rng.standard_normal((4, 2 * K + 1)) * decay)
+        states = xb.states_on_grid(m)
+        ref = xb.evaluate_time(np.arange(m) * (xb.period / m))
+        assert states.shape == (m, 4)
+        assert np.max(np.abs(states - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     def test_resize_pads_and_truncates(self):
         xb = hb.FourierCycle(K=3, period=1.0,
                              coeffs=np.arange(14.0).reshape(2, 7))
@@ -150,10 +167,20 @@ class TestSolve:
         coeffs[0, 0] = 40.0   # constant offset, no oscillatory content
         init = hb.FourierCycle(K=2, period=1.0, coeffs=coeffs)
         ops = hb.build_operators(2)
-        with pytest.raises(Exception):
-            sol = hb.solve_hb(init, fld, ops, tol=1e-12, max_iter=6)
-            # if it "converges" it must be the trivial solution; reject it
-            assert np.max(np.abs(sol.coeffs[:, 1:])) > 1e-6
+        with pytest.raises(DegenerateCycle):
+            hb.solve_hb(init, fld, ops, tol=1e-12, max_iter=6)
+
+    def test_convergence_to_an_equilibrium_is_rejected(self):
+        # a damped linear field has no cycle: from a moving guess the Newton
+        # iteration drives every harmonic to zero, which solves the HB
+        # system for any T
+        fld = damped_field(0.25)
+        coeffs = np.zeros((2, 5))
+        coeffs[0, 1], coeffs[1, 2] = 1.0, 0.5
+        init = hb.FourierCycle(K=2, period=6.0, coeffs=coeffs)
+        with pytest.raises(DegenerateCycle, match="converged"):
+            hb.solve_hb(init, fld, hb.build_operators(2), tol=1e-12,
+                        max_iter=40)
 
     @pytest.mark.parametrize("guess", ["shooting", "fourier-k2"])
     def test_any_cycle_is_taken_as_its_series(self, guess, field20,

@@ -97,7 +97,7 @@ class TestVariationalFlow:
 
     def test_variational_along_matches_coupled_pass(self):
         # Stuart-Landau transient from r=0.5 in closed form: J(x(t)) differs
-        # from interval to interval, and so do the interval lengths
+        # from interval to interval
         fld = stuart_landau()
         c, th0 = 3.0, 0.3   # r(t)^2 = 1 / (1 + c exp(-2t)), theta = th0 + t
 
@@ -106,12 +106,14 @@ class TestVariationalFlow:
             r = 1.0 / np.sqrt(1.0 + c * np.exp(-2.0 * t))
             return np.stack([r * np.cos(th0 + t), r * np.sin(th0 + t)], axis=-1)
 
-        edges = np.array([0.0, 0.7, 1.5, 2.6, 4.0])
-        Ys, traces = integrate.variational_along(fld, x_of_t, edges, 400)
+        C, n, h = 4, 400, 1e-3
+        states = x_of_t(np.arange(2 * C * n + 1) * (0.5 * h))
+        Ys, traces = integrate.variational_along(fld, states, h, C)
         assert Ys.shape == (4, 2, 2) and traces.shape == (4,)
-        for j in range(4):
+        edges = np.arange(C + 1) * (n * h)
+        for j in range(C):
             _, Y_ref = integrate.flow_with_monodromy(
-                fld, x_of_t(edges[j])[0], edges[j + 1] - edges[j], 400)
+                fld, x_of_t(edges[j])[0], n * h, n)
             assert np.allclose(Ys[j], Y_ref, rtol=0.0, atol=1e-10)
         # trace J = 2 - 4 r^2 integrates to 2t - 2 log(exp(2t) + c)
         g = 2.0 * edges - 2.0 * np.log(np.exp(2.0 * edges) + c)
@@ -119,13 +121,40 @@ class TestVariationalFlow:
 
     def test_variational_along_sho_chunks_are_rotations(self):
         fld = harmonic_oscillator(1.0)
-        edges = np.array([0.0, 0.5, 2.0, 2.25, 2.0 * np.pi])
+        C, n = 4, 500
+        h = 2.0 * np.pi / (C * n)
         Ys, traces = integrate.variational_along(
-            fld, lambda t: np.zeros((np.size(t), 2)), edges, 500)
-        for Y, L in zip(Ys, np.diff(edges)):
-            assert np.allclose(Y, sho_fundamental(1.0, L), rtol=0.0, atol=1e-9)
+            fld, np.zeros((2 * C * n + 1, 2)), h, C)
+        for Y in Ys:
+            assert np.allclose(Y, sho_fundamental(1.0, n * h), rtol=0.0,
+                               atol=1e-9)
             assert np.allclose(Y @ Y.T, np.eye(2), rtol=0.0, atol=1e-9)
         assert np.all(traces == 0.0)
+
+    def test_step_matrices_match_a_per_step_rk4_loop(self, field20,
+                                                     hb_cycle_20):
+        # the plain RK4 of Ydot = J Y, one step at a time per interval
+        C, n = 4, 60
+        h = hb_cycle_20.period / (C * n)
+        states = hb_cycle_20.states_on_grid(2 * C * n)
+        states = np.concatenate([states, states[:1]])
+        Ys, _ = integrate.variational_along(field20, states, h, C)
+        J = field20.jac(states)
+        for j in range(C):
+            Y = np.eye(4)
+            for i in range(j * n, (j + 1) * n):
+                J1, Jm, J2 = J[2 * i], J[2 * i + 1], J[2 * i + 2]
+                k1 = J1 @ Y
+                k2 = Jm @ (Y + 0.5 * h * k1)
+                k3 = Jm @ (Y + 0.5 * h * k2)
+                k4 = J2 @ (Y + h * k3)
+                Y = Y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            assert np.max(np.abs(Ys[j] - Y)) <= 1e-13 * np.max(np.abs(Y))
+
+    def test_states_must_tile_whole_steps(self):
+        fld = harmonic_oscillator(1.0)
+        with pytest.raises(ValueError):
+            integrate.variational_along(fld, np.zeros((2 * 4 * 5, 2)), 0.1, 4)
 
 
 class TestMonodromy:
@@ -155,9 +184,8 @@ class TestDeterminants:
     def test_trace_integral_constant_matrix(self):
         fld = damped_field(0.25)
         _, traces = integrate.variational_along(
-            fld, lambda t: np.zeros((np.size(t), 2)), [0.0, 1.0, 3.0], 50)
-        assert traces == pytest.approx([-2.0 * 0.25 * 1.0, -2.0 * 0.25 * 2.0],
-                                       rel=1e-12)
+            fld, np.zeros((2 * 2 * 50 + 1, 2)), 0.02, 2)
+        assert traces == pytest.approx([-2.0 * 0.25 * 1.0] * 2, rel=1e-12)
 
     def test_monodromy_determinant_matches_trace_integral(self, field20,
                                                           hb_cycle_20):
