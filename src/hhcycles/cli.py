@@ -383,10 +383,8 @@ def cmd_floquet(args, cfg) -> int:
     mus = spec.all_multipliers()
     cols = "  ".join(f"mu{j+1}={m.real:+.6g}{m.imag:+.3g}j"
                      for j, m in enumerate(mus))
-    liouville = ("n/a" if spec.liouville_error is None
-                 else f"{spec.liouville_error:.3g}")
     print(f"I={_fmt(float(I))}  {cols}  trivial_error={spec.trivial_error:.3g}"
-          f"  liouville_error={liouville}  {spec.stability}")
+          f"  liouville_error={spec.liouville_error:.3g}  {spec.stability}")
     return 0
 
 

@@ -2,13 +2,16 @@
 
 Every solver in this package works against a (f, jacobian) pair so the cheap
 analytic oracles (harmonic oscillator) can be swapped in for testing; the
-Hodgkin-Huxley binding is the default in the CLI.
+Hodgkin-Huxley binding is the default in the CLI.  The RK4 loops of
+integrate step one state as Python floats, through the field's f_floats
+member: the Hodgkin-Huxley field binds model.float_field there, any other
+field gets a wrapper around f.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -21,12 +24,21 @@ class VectorField:
 
     f and jac must accept either a single state (dim,) or a batch (m, dim)
     and return matching shapes ((m, dim) and (m, dim, dim) for batches).
+    f_floats is f on one state given as dim Python floats, returning its
+    dim components as floats; it defaults to a wrapper around f.
     """
 
     dim: int
     f: Callable[[np.ndarray], np.ndarray]
     jac: Callable[[np.ndarray], np.ndarray]
     name: str = "field"
+    f_floats: Optional[Callable[..., tuple]] = None
+
+    def __post_init__(self):
+        if self.f_floats is None:
+            f = self.f
+            object.__setattr__(self, "f_floats",
+                               lambda *x: tuple(f(np.array(x)).tolist()))
 
 
 def hh_field(p: model.HHParams = model.DEFAULT_PARAMS, I: float = 0.0) -> VectorField:
@@ -36,6 +48,7 @@ def hh_field(p: model.HHParams = model.DEFAULT_PARAMS, I: float = 0.0) -> Vector
         f=lambda x: model.vector_field(x, p, I),
         jac=lambda x: model.jacobian(x, p, I),
         name=f"hh(I={I:g})",
+        f_floats=model.float_field(p, I),
     )
 
 

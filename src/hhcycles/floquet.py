@@ -9,17 +9,19 @@ form one uniform grid: x(t) is synthesized on it in one call (one inverse
 FFT for a Fourier series), the subinterval monodromies are products of RK4
 step matrices all built from one Jacobian call, and the same Jacobians give
 the Liouville check (log det of the monodromy against the integral of
-trace J).  Every
-monodromy matrix is a period-subdivided product accumulated through
-successive QR factorizations, so on strongly unstable cycles (multiplier
-magnitudes in the thousands) the small multipliers are not washed out by the
-ill-conditioned explicit product.
+trace J).  A sampled (shooting) cycle has no x(t) between its samples, so
+the state is RK4-integrated from x(0) over the period in one pass; its step
+matrices and its Liouville check come from one Jacobian call at the stage
+states of that pass.  Every monodromy matrix is a period-subdivided product
+accumulated through successive QR factorizations, so on strongly unstable
+cycles (multiplier magnitudes in the thousands) the small multipliers are
+not washed out by the ill-conditioned explicit product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -42,7 +44,7 @@ class FloquetSpectrum:
     descending; the trivial one (the eigenvalue designated as the unit
     multiplier along the flow direction) is kept separately together with
     its deviation from 1.  liouville_error is |log|det M| - integral of
-    trace J| over the period, for dense cycles only (None for sampled ones).
+    trace J| over the period.
     """
 
     multipliers: np.ndarray   # (dim-1,) complex, |.| descending
@@ -50,7 +52,7 @@ class FloquetSpectrum:
     trivial_error: float
     stability: str            # "stable" | "unstable"
     flags: frozenset
-    liouville_error: Optional[float] = None
+    liouville_error: float
 
     @property
     def low_confidence(self) -> bool:
@@ -66,7 +68,7 @@ def _monodromy_matrix(cycle, field: VectorField, nsteps: int):
     and the integral of trace J over the period.
 
     Returns (chunks, x0, trace) where chunks[j] maps variations at t_j to
-    t_{j+1}; trace is None for a sampled cycle.
+    t_{j+1}.
     """
     T = check_orbit(cycle).period
     per_chunk = max(1, nsteps // SPECTRUM_CHUNKS)
@@ -78,16 +80,13 @@ def _monodromy_matrix(cycle, field: VectorField, nsteps: int):
             field, np.concatenate([xs, xs[:1]]),
             T / (SPECTRUM_CHUNKS * per_chunk), SPECTRUM_CHUNKS)
         return chunks, xs[0], float(np.sum(traces))
-    # sampled cycle: coupled state+variational pass, restarting the
-    # fundamental matrix at each chunk boundary
+    # sampled cycle: one RK4 pass of the state over the period, the
+    # fundamental matrix restarting at each chunk boundary
     x0 = np.asarray(cycle.evaluate_time(0.0), dtype=float)
-    chunks = []
-    x = x0.copy()
-    for _ in range(SPECTRUM_CHUNKS):
-        x, Y = integrate.flow_with_monodromy(field, x, T / SPECTRUM_CHUNKS,
-                                             per_chunk)
-        chunks.append(Y)
-    return chunks, x0, None
+    _, chunks, traces = integrate.variational_flow(
+        field, x0, T / SPECTRUM_CHUNKS / per_chunk, SPECTRUM_CHUNKS,
+        per_chunk)
+    return chunks, x0, float(np.sum(traces))
 
 
 def _stabilized_product(chunks) -> np.ndarray:
@@ -143,9 +142,7 @@ def spectrum(cycle, field: VectorField,
         if 0.95 <= abs(m) <= 1.05 and abs(m.imag) > 1e-8:
             flags.add("near_torus")
     stability = "stable" if np.all(np.abs(rest) < 1.0) else "unstable"
-    liouville = None
-    if trace is not None:
-        liouville = abs(integrate.signed_log_determinant(chunks)[1] - trace)
+    liouville = abs(integrate.signed_log_determinant(chunks)[1] - trace)
     return FloquetSpectrum(multipliers=rest, trivial=trivial,
                            trivial_error=float(abs(trivial - 1.0)),
                            stability=stability, flags=frozenset(flags),

@@ -183,7 +183,7 @@ def rotate_phase(xbar: FourierCycle) -> FourierCycle:
 
 
 def hb_jacobian(xbar: FourierCycle, field: VectorField,
-                ops: SpectralOperators) -> np.ndarray:
+                ops: SpectralOperators, out=None) -> np.ndarray:
     """Exact derivative of hb_residual with respect to (coefficients, T).
 
     Alternating-frequency-time construction: the field Jacobian is sampled
@@ -191,13 +191,15 @@ def hb_jacobian(xbar: FourierCycle, field: VectorField,
     delta_ij*omega*D - analysis @ diag(J_ij(x_nodes)) @ synthesis; the
     products are skipped where J_ij is zero at every node (6 of the 16 HH
     entries).  The last column is the period derivative
-    -(2*pi/T^2) * D c_i, the last row the phase anchor.
+    -(2*pi/T^2) * D c_i, the last row the phase anchor.  out, if given, is
+    the zeroed square array to fill, such as the top-left block of a
+    bordered matrix.
     """
     if ops.K != xbar.K:
         raise ValueError("operator/coefficient harmonic count mismatch")
     dim, nc = xbar.dim, 2 * xbar.K + 1
     Jn = field.jac(node_states(xbar, ops))     # (2n+1, dim, dim)
-    J = np.zeros((dim * nc + 1, dim * nc + 1))
+    J = np.zeros((dim * nc + 1, dim * nc + 1)) if out is None else out
     for i in range(dim):
         rows = slice(i * nc, (i + 1) * nc)
         for j in range(dim):
@@ -213,8 +215,15 @@ def hb_jacobian(xbar: FourierCycle, field: VectorField,
 def bordered_jacobian(xbar: FourierCycle, I: float, field_at,
                       ops: SpectralOperators, row, r: np.ndarray) -> np.ndarray:
     """hb_jacobian bordered by the column dR/dI, one forward difference from
-    r (the HB residual at I), and by the row (a_T, a_I) of row = (a_T, a_I, b)."""
-    J = np.pad(hb_jacobian(xbar, field_at(I), ops), ((0, 1), (0, 1)))
+    r (the HB residual at I), and by the row (a_T, a_I) of row = (a_T, a_I, b).
+
+    The HB block is written in place, not copied: one more full-size
+    temporary per Newton step can take the step's matrices past the C
+    allocator's heap trim threshold, and then they come back as fresh
+    pages on every step."""
+    n = xbar.dim * (2 * xbar.K + 1) + 1
+    J = np.zeros((n + 1, n + 1))
+    hb_jacobian(xbar, field_at(I), ops, out=J[:-1, :-1])
     h = max(abs(I), 1.0) * 1e-7
     J[:-1, -1] = (hb_residual(xbar, field_at(I + h), ops) - r) / h
     J[-1, -2:] = row[:2]

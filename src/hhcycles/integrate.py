@@ -1,7 +1,22 @@
-"""Fixed-step RK4 time integration and variational (monodromy) flow."""
+"""Fixed-step RK4 time integration and variational (monodromy) flow.
+
+Every RK4 loop here steps one state as a list of Python floats through the
+field's f_floats member, because numpy's per-call overhead on a 4-vector
+would be most of the cost of a step.  The stage arithmetic keeps numpy's
+operation order (x + (h/2) k, then x + (h/6) (k1 + 2 k2 + 2 k3 + k4)), so
+the states are those of the same loop on arrays.  Float overflow
+(OverflowError) surfaces as NonFinite.
+
+The fundamental matrix of the variational equations is the RK4 map
+differentiated step by step, which is the coupled state and variational RK4
+pass (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.6): the state is
+advanced alone, and all its step matrices are built from one batched
+Jacobian call at the stage states.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -9,6 +24,10 @@ import numpy as np
 
 from .errors import NonFinite
 from .fields import VectorField
+
+# a remainder of the span under this fraction of a step is roundoff, not a
+# step of its own
+STEP_ROUNDOFF = 1e-9
 
 
 @dataclass(frozen=True)
@@ -25,16 +44,14 @@ class Trajectory:
             raise ValueError("times must be strictly increasing")
 
 
-def _rk4_step(f, x, h):
-    k1 = f(x)
-    k2 = f(x + 0.5 * h * k1)
-    k3 = f(x + 0.5 * h * k2)
-    k4 = f(x + h * k3)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _floats(x0) -> list:
+    return np.asarray(x0, dtype=float).tolist()
 
 
 def integrate_rk4(field: VectorField, x0, t0: float, t1: float, h: float) -> Trajectory:
-    """Classical RK4 with fixed step; the last step is shortened to hit t1.
+    """Classical RK4 with fixed step h at the times t0 + i*h, the last of
+    them clamped to t1; a shorter last step hits t1 when h does not divide
+    t1 - t0.
 
     Raises NonFinite if the state blows up mid-integration.
     """
@@ -42,54 +59,146 @@ def integrate_rk4(field: VectorField, x0, t0: float, t1: float, h: float) -> Tra
         raise ValueError("step must be positive")
     if t1 <= t0:
         raise ValueError("t1 must exceed t0")
-    x = np.array(x0, dtype=float)
-    times = [t0]
-    states = [x.copy()]
-    t = t0
-    while t < t1 - 1e-14 * max(1.0, abs(t1)):
-        step = min(h, t1 - t)
-        x = _rk4_step(field.f, x, step)
-        t = t + step
-        if not np.all(np.isfinite(x)):
-            raise NonFinite(f"integration blew up at t={t:.6g}")
-        times.append(t)
-        states.append(x.copy())
-    return Trajectory(np.array(times), np.array(states))
+    n = max(1, math.ceil((t1 - t0) / h - STEP_ROUNDOFF))
+    times = t0 + h * np.arange(n + 1.0)
+    times[-1] = t1
+    last = t1 - times[-2]
+    if abs(last - h) <= STEP_ROUNDOFF * h:
+        last = h
+    F = field.f_floats
+    x = _floats(x0)
+    states = np.empty((n + 1, len(x)))
+    states[0] = x
+    isfinite = math.isfinite
+    try:
+        # steps of h to the last time but one, then the last step
+        for step, rows in ((h, range(1, n)), (last, (n,))):
+            hh, h6 = 0.5 * step, step / 6.0
+            for i in rows:
+                k1 = F(*x)
+                k2 = F(*[a + hh * b for a, b in zip(x, k1)])
+                k3 = F(*[a + hh * b for a, b in zip(x, k2)])
+                k4 = F(*[a + step * b for a, b in zip(x, k3)])
+                x = [a + h6 * (b + 2.0 * c + 2.0 * d + e)
+                     for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
+                if not all(map(isfinite, x)):
+                    raise NonFinite(f"integration blew up at t={times[i]:.6g}")
+                states[i] = x
+    except OverflowError as exc:
+        raise NonFinite(f"integration blew up at t={times[i]:.6g}") from exc
+    return Trajectory(times, states)
 
 
 def flow(field: VectorField, x0, T: float, nsteps: int) -> np.ndarray:
     """Endpoint of the flow over time T (no trajectory storage)."""
-    x = np.array(x0, dtype=float)
+    F = field.f_floats
+    x = _floats(x0)
     h = T / nsteps
-    for _ in range(nsteps):
-        x = _rk4_step(field.f, x, h)
+    hh, h6 = 0.5 * h, h / 6.0
+    try:
+        for _ in range(nsteps):
+            k1 = F(*x)
+            k2 = F(*[a + hh * b for a, b in zip(x, k1)])
+            k3 = F(*[a + hh * b for a, b in zip(x, k2)])
+            k4 = F(*[a + h * b for a, b in zip(x, k3)])
+            x = [a + h6 * (b + 2.0 * c + 2.0 * d + e)
+                 for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
+    except OverflowError as exc:
+        raise NonFinite("flow blew up") from exc
+    x = np.array(x)
     if not np.all(np.isfinite(x)):
         raise NonFinite("flow blew up")
     return x
 
 
 def flow_with_monodromy(field: VectorField, x0, T: float, nsteps: int):
-    """Flow endpoint plus the fundamental matrix Y(T), Y(0)=I.
+    """Flow endpoint plus the fundamental matrix Y(T), Y(0)=I, of nsteps
+    RK4 steps over time T."""
+    x, Y, _ = variational_flow(field, x0, T / nsteps, 1, nsteps)
+    return x, Y[0]
 
-    State and variational equations are advanced together in a single coupled
-    RK4 pass, which avoids interpolation error in J(x(t)).
+
+def variational_flow(field: VectorField, x0, h: float, chunks: int,
+                     n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The RK4 flow from x0 over `chunks` intervals of n steps of size h,
+    with the fundamental matrix of each interval (Y = I at its start) and
+    the integral of trace J(x(t)) over it.
+
+    The state is advanced alone, keeping the four stage states of every
+    step; one Jacobian call on all of them gives the step matrices (see
+    _step_products).  The trace integrals are the RK4 quadrature
+    h/6 (tr J_a + 2 tr J_b + 2 tr J_c + tr J_d) over the same stages, so the
+    Liouville check costs no extra field call.  Returns the endpoint, the
+    (chunks, dim, dim) stack and the (chunks,) trace integrals.
     """
     dim = field.dim
-    x = np.array(x0, dtype=float)
-    Y = np.eye(dim)
-
-    def f(z):
-        xx = z[:dim]
-        YY = z[dim:].reshape(dim, dim)
-        return np.concatenate([field.f(xx), (field.jac(xx) @ YY).ravel()])
-
-    z = np.concatenate([x, Y.ravel()])
-    h = T / nsteps
-    for _ in range(nsteps):
-        z = _rk4_step(f, z, h)
-    if not np.all(np.isfinite(z)):
+    F = field.f_floats
+    x = _floats(x0)
+    hh, h6 = 0.5 * h, h / 6.0
+    stages = np.empty((chunks * n, 4 * dim))
+    try:
+        for i in range(chunks * n):
+            k1 = F(*x)
+            xb = [a + hh * b for a, b in zip(x, k1)]
+            k2 = F(*xb)
+            xc = [a + hh * b for a, b in zip(x, k2)]
+            k3 = F(*xc)
+            xd = [a + h * b for a, b in zip(x, k3)]
+            k4 = F(*xd)
+            stages[i] = x + xb + xc + xd
+            x = [a + h6 * (b + 2.0 * c + 2.0 * d + e)
+                 for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
+    except OverflowError as exc:
+        raise NonFinite("variational flow blew up") from exc
+    x = np.array(x)
+    if not np.all(np.isfinite(x)):
         raise NonFinite("variational flow blew up")
-    return z[:dim], z[dim:].reshape(dim, dim)
+    J = field.jac(stages.reshape(-1, dim)).reshape(chunks, n, 4, dim, dim)
+    Y, traces = _step_products(J[:, :, 0], J[:, :, 1], J[:, :, 2],
+                               J[:, :, 3], h)
+    return x, Y, traces
+
+
+def _step_products(Ja, Jb, Jc, Jd, h: float):
+    """Per interval, the product of the RK4 step matrices of Ydot = J Y and
+    the RK4 quadrature of the integral of trace J.
+
+    Each argument is a (chunks, n, dim, dim) stack of the Jacobians at one
+    stage of every step: its start (a), the two midpoint stages (b, c) and
+    its end (d).  An RK4 step of the linear system is the matrix
+    Phi = I + h/6 (J_a + 2 k2 + 2 k3 + k4), with k2 = J_b (I + h/2 J_a),
+    k3 = J_c (I + h/2 k2) and k4 = J_d (I + h k3).  Returns the
+    (chunks, dim, dim) products Phi_n ... Phi_1 and the (chunks,)
+    integrals h/6 sum (tr J_a + 2 tr J_b + 2 tr J_c + tr J_d).
+    """
+    dim = Ja.shape[-1]
+    tr = [np.trace(Js, axis1=2, axis2=3) for Js in (Ja, Jb, Jc, Jd)]
+    traces = h / 6.0 * np.sum(tr[0] + 2.0 * tr[1] + 2.0 * tr[2] + tr[3],
+                              axis=1)
+    # Phi is built in place on three buffers: the spectra at fold
+    # certificates run at 4000 steps, where each buffer is 0.5 MB
+    k = np.matmul(Jb, Ja)
+    k *= 0.5 * h
+    k += Jb                                   # k2
+    phi = np.multiply(k, 2.0)
+    phi += Ja
+    k3 = np.matmul(Jc, k)
+    k3 *= 0.5 * h
+    k3 += Jc
+    np.multiply(k3, 2.0, out=k)
+    phi += k
+    np.matmul(Jd, k3, out=k)
+    k *= h
+    k += Jd                                   # k4
+    phi += k
+    phi *= h / 6.0
+    phi += np.eye(dim)
+    Y = phi[:, 0].copy()
+    for i in range(1, phi.shape[1]):
+        Y = np.matmul(phi[:, i], Y)
+    if not np.all(np.isfinite(Y)):
+        raise NonFinite("variational flow blew up")
+    return Y, traces
 
 
 def variational_along(field: VectorField, states: np.ndarray, h: float,
@@ -102,12 +211,10 @@ def variational_along(field: VectorField, states: np.ndarray, h: float,
     intervals, 2*chunks*n + 1 states (the last one closes the last interval).
     Used when the cycle is available in closed form (Fourier series or
     collocation), so the only discretization error is in the variational
-    RK4 itself.  An RK4 step of the linear system is the matrix
-    Phi = I + h/6 (J1 + 2 k2 + 2 k3 + k4), with k2 = Jm (I + h/2 J1),
-    k3 = Jm (I + h/2 k2) and k4 = J2 (I + h k3) from the Jacobians at the
-    step's start, middle and end; all (chunks, n) of them are built at once
-    from one Jacobian call, and each interval's matrix is their product.
-    Returns the (chunks, dim, dim) stack and, per interval, the integral of
+    RK4 itself.  The Jacobian at a step's middle serves both midpoint
+    stages of _step_products; all (chunks, n) step matrices come from one
+    Jacobian call, and each interval's matrix is their product.  Returns
+    the (chunks, dim, dim) stack and, per interval, the integral of
     trace J(x(t)) by the composite Simpson rule on the same half-step grid.
     By the Abel-Jacobi-Liouville identity that integral equals log det Y_j,
     an independent check on the stack that costs no extra field calls.
@@ -118,40 +225,11 @@ def variational_along(field: VectorField, states: np.ndarray, h: float,
         raise ValueError(f"{len(states)} states do not tile {chunks} "
                          "intervals of whole RK4 steps")
     J = field.jac(states)                    # (2*chunks*n + 1, dim, dim)
-    tr = np.trace(J, axis1=1, axis2=2)
-    blocks = tr[:-1].reshape(chunks, 2 * n)  # each interval without its end
-    traces = h / 6.0 * (blocks[:, 0] + tr[2 * n::2 * n]
-                        + 4.0 * np.sum(blocks[:, 1::2], axis=1)
-                        + 2.0 * np.sum(blocks[:, 2::2], axis=1))
     # strided views, no copies: start, middle and end of every step
     shape = (chunks, n, dim, dim)
-    J1 = J[0:-1:2].reshape(shape)
     Jm = J[1::2].reshape(shape)
-    J2 = J[2::2].reshape(shape)
-    # Phi is built in place on three buffers: the spectra at fold
-    # certificates run at 4000 steps, where each buffer is 0.5 MB
-    k = np.matmul(Jm, J1)
-    k *= 0.5 * h
-    k += Jm                                   # k2
-    phi = np.multiply(k, 2.0)
-    phi += J1
-    k3 = np.matmul(Jm, k)
-    k3 *= 0.5 * h
-    k3 += Jm
-    np.multiply(k3, 2.0, out=k)
-    phi += k
-    np.matmul(J2, k3, out=k)
-    k *= h
-    k += J2                                   # k4
-    phi += k
-    phi *= h / 6.0
-    phi += np.eye(dim)
-    Y = phi[:, 0].copy()
-    for i in range(1, n):
-        Y = np.matmul(phi[:, i], Y)
-    if not np.all(np.isfinite(Y)):
-        raise NonFinite("variational flow blew up")
-    return Y, traces
+    return _step_products(J[0:-1:2].reshape(shape), Jm, Jm,
+                          J[2::2].reshape(shape), h)
 
 
 def signed_log_determinant(chunks) -> tuple:

@@ -11,11 +11,15 @@ with positive I.
 The rates, the field and the Jacobian are each written once, as expressions
 over a set of elementary functions (exp, expc, expc_prime).  vector_field and
 jacobian evaluate them with numpy on a batch of states, (m, 4), and with
-Python floats and math on one state, (4,): the RK4 loops of integrate step
-one state at a time, where numpy's per-call overhead on a 4-vector would be
-most of the cost.  Both return arrays of the same shape and agree to a few
-ulps.  Where float arithmetic overflows (OverflowError) one state falls back
-to numpy, whose inf/nan the integrators turn into NonFinite.
+Python floats and math on one state, (4,), where numpy's per-call overhead
+on a 4-vector would be most of the cost.  Both return arrays of the same
+shape and agree to a few ulps.  Where float arithmetic overflows
+(OverflowError) one state falls back to numpy, which gives inf/nan there.
+
+float_field gives the field on one state as four floats in and a 4-tuple
+out, with no array at all: the RK4 loops of integrate step one state at a
+time through it, and turn its OverflowError into NonFinite.  They take the
+Jacobian at all the stage states of a pass in one batched call.
 """
 
 from __future__ import annotations
@@ -201,6 +205,14 @@ def vector_field(x, p: HHParams = DEFAULT_PARAMS, I: float = 0.0):
             pass  # numpy returns inf/nan here; the integrators raise on it
     return np.stack(_field_terms(*np.moveaxis(x, -1, 0), p, I, _ARRAYS),
                     axis=-1)
+
+
+def float_field(p: HHParams = DEFAULT_PARAMS, I: float = 0.0):
+    """The field on one state as Python floats: (V, n, h, m) -> 4-tuple.
+
+    Raises OverflowError where float arithmetic overflows.
+    """
+    return lambda V, n, h, m: _field_terms(V, n, h, m, p, I, _FLOATS)
 
 
 def jacobian(x, p: HHParams = DEFAULT_PARAMS, I: float = 0.0):

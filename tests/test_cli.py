@@ -138,7 +138,8 @@ class TestCycleArtifacts:
         I, cyc = cli.read_cycle_json(str(path))
         assert cyc.period == pytest.approx(stable_cycle_20.period)
         doc = json.loads(path.read_text())
-        assert doc["spectrum"]["liouville_error"] is None
+        assert doc["spectrum"]["liouville_error"] == spec.liouville_error
+        assert spec.liouville_error < 1e-5
         assert np.allclose(cyc.samples.states, stable_cycle_20.samples.states)
 
     @pytest.mark.parametrize("method, fixture", [
@@ -249,6 +250,20 @@ class TestCommands:
         words = out.split()
         assert words[-1] == "stable"
         assert float(words[-2].removeprefix("liouville_error=")) < 1e-3
+
+    def test_floquet_report_of_a_shooting_cycle(self, tmp_path, capsys,
+                                                stable_cycle_20, field20):
+        # a sampled cycle's line carries its Liouville error as a number
+        spec = floquet.spectrum(stable_cycle_20, field20, nsteps=400)
+        path = tmp_path / "c.json"
+        cli.write_cycle_json(str(path), 20.0, "shoot", stable_cycle_20,
+                             spec, 1e-12, cli.load_config(None))
+        assert cli.main(["floquet", "--cycle-file", str(path),
+                         "--steps", "400"]) == 0
+        words = capsys.readouterr().out.split()
+        assert words[-1] == "stable"
+        liouville = float(words[-2].removeprefix("liouville_error="))
+        assert liouville == pytest.approx(spec.liouville_error, rel=1e-2)
 
     def test_floquet_steps_default_to_the_config(self, tmp_path,
                                                  stable_cycle_20,

@@ -295,6 +295,9 @@ class TestNewtonMatrix:
         ref = _central_jacobian(residual, z)
         assert J.shape == (4 * (2 * self.K + 1) + 2,) * 2
         assert np.max(np.abs(J - ref)) < 1e-7 * np.max(np.abs(ref))
+        # the HB block, written in place, is hb_jacobian's matrix exactly
+        assert np.array_equal(J[:-1, :-1],
+                              hb.hb_jacobian(cycle_k, fam(20.3), ops))
         # the I column: only the mean of V carries the stimulus, +1/C
         assert np.max(np.abs(J[1:-2, -1])) < 1e-6
         assert J[0, -1] == pytest.approx(1.0 / DEFAULT_PARAMS.C, rel=1e-6)

@@ -3,10 +3,43 @@
 import numpy as np
 import pytest
 
-from hhcycles import floquet, integrate
+from hhcycles import floquet, integrate, model, shooting
 from hhcycles.errors import NonFinite
 from hhcycles.fields import VectorField, harmonic_oscillator, hh_field
 from test_collocation import stuart_landau
+
+
+def numpy_rk4_step(f, x, h):
+    """The RK4 step on arrays, in the operation order the float loops keep."""
+    k1 = f(x)
+    k2 = f(x + 0.5 * h * k1)
+    k3 = f(x + 0.5 * h * k2)
+    k4 = f(x + h * k3)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def coupled_monodromy(fld, x0, T, nsteps):
+    """State and variational equations as one (dim + dim^2)-vector, RK4."""
+    dim = fld.dim
+
+    def f(z):
+        x = z[:dim]
+        Y = z[dim:].reshape(dim, dim)
+        fx = np.array(fld.f_floats(*x.tolist()))
+        return np.concatenate([fx, (fld.jac(x) @ Y).ravel()])
+
+    z = np.concatenate([np.asarray(x0, dtype=float), np.eye(dim).ravel()])
+    for _ in range(nsteps):
+        z = numpy_rk4_step(f, z, T / nsteps)
+    return z[:dim], z[dim:].reshape(dim, dim)
+
+
+def stuart_landau_transient(t, c=3.0, th0=0.3):
+    """Stuart-Landau from r=0.5 in closed form: r(t)^2 = 1 / (1 + c
+    exp(-2t)), theta = th0 + t."""
+    t = np.atleast_1d(t)
+    r = 1.0 / np.sqrt(1.0 + c * np.exp(-2.0 * t))
+    return np.stack([r * np.cos(th0 + t), r * np.sin(th0 + t)], axis=-1)
 
 
 def sho_fundamental(omega, t):
@@ -62,6 +95,10 @@ class TestRK4:
         traj = integrate.integrate_rk4(fld, [1.0, 0.0], 0.0, 1.05, 0.1)
         assert traj.times[-1] == pytest.approx(1.05, abs=1e-12)
         assert traj.times[-1] - traj.times[-2] == pytest.approx(0.05, abs=1e-12)
+        # the last state is one RK4 step of that length
+        last = integrate.flow(fld, traj.states[-2],
+                              traj.times[-1] - traj.times[-2], 1)
+        assert np.array_equal(traj.states[-1], last)
 
     def test_blowup_raises(self):
         fld = VectorField(dim=1,
@@ -75,8 +112,66 @@ class TestRK4:
         # (n**4, math.exp), which must still surface as NonFinite, the error
         # shoot catches, and not as OverflowError
         fld = hh_field(I=20.0)
+        x0 = (-50.0, 3.0, 0.5, 2.0)
         with np.errstate(all="ignore"), pytest.raises(NonFinite):
-            integrate.flow(fld, (-50.0, 3.0, 0.5, 2.0), 50.0, 2000)
+            integrate.flow(fld, x0, 50.0, 2000)
+        with np.errstate(all="ignore"), pytest.raises(NonFinite):
+            integrate.integrate_rk4(fld, x0, 0.0, 50.0, 0.025)
+        with np.errstate(all="ignore"), pytest.raises(NonFinite):
+            integrate.flow_with_monodromy(fld, x0, 50.0, 2000)
+
+    def test_float_loop_matches_a_numpy_loop(self):
+        # the same field values stepped on arrays: the float loop keeps
+        # numpy's operation order, so the states agree bit for bit
+        fld = hh_field(I=20.0)
+        x0 = model.find_equilibrium(20.0) + np.array([5.0, 0.0, 0.0, 0.0])
+        traj = integrate.integrate_rk4(fld, x0, 0.0, 25.0, 0.01)
+        assert traj.states.shape == (2501, 4)
+
+        def f(x):
+            return np.array(fld.f_floats(*x.tolist()))
+
+        ref = [x0]
+        for _ in range(2500):
+            ref.append(numpy_rk4_step(f, ref[-1], 0.01))
+        assert np.array_equal(traj.states, np.array(ref))
+        assert np.array_equal(integrate.flow(fld, x0, 25.0, 2500), ref[-1])
+
+    def test_settle_has_one_sample_per_step(self, field20):
+        # 30,000 steps of 0.01 ms: summing the step would stop just short
+        # of 300 ms and add a step of about 1e-10 ms
+        eq = model.find_equilibrium(20.0)
+        traj = integrate.integrate_rk4(field20, eq + [5.0, 0.0, 0.0, 0.0],
+                                       0.0, 300.0, shooting.SETTLE_STEP)
+        assert len(traj.times) == 30001
+        assert traj.times[-1] == 300.0
+        assert np.min(np.diff(traj.times)) > 0.999 * shooting.SETTLE_STEP
+
+    def test_cycle_samples_over_a_sweep_of_periods(self):
+        # one sample per step of T / CYCLE_SAMPLES for every period; a
+        # near-duplicate last sample would be fitted as an even one
+        fld = VectorField(dim=1, f=lambda x: np.zeros_like(x),
+                          jac=lambda x: np.zeros(np.shape(x) + (1,)),
+                          f_floats=lambda x: (0.0,))
+        n = shooting.CYCLE_SAMPLES
+        for T in np.linspace(10.0, 20.0, 2001):
+            traj = integrate.integrate_rk4(fld, [0.0], 0.0, T, T / n)
+            assert len(traj.times) == n + 1
+            assert traj.times[-1] == T
+            assert np.min(np.diff(traj.times)) > 0.999 * T / n
+
+    def test_field_without_a_float_member(self):
+        # the harmonic oscillator gets the wrapper around f
+        fld = harmonic_oscillator(1.3)
+        assert fld.f_floats(1.0, 2.0) == (2.0, -1.3 * 1.3)
+        T = 2.0 * np.pi / 1.3
+        traj = integrate.integrate_rk4(fld, [1.0, 0.0], 0.0, T, T / 1000)
+        assert np.allclose(traj.states[-1], [1.0, 0.0], rtol=0.0, atol=1e-9)
+        x = integrate.flow(fld, [1.0, 0.0], T, 1000)
+        assert np.array_equal(x, traj.states[-1])
+        x, Y = integrate.flow_with_monodromy(fld, [1.0, 0.0], T, 1000)
+        assert np.array_equal(x, traj.states[-1])
+        assert np.allclose(Y, np.eye(2), rtol=0.0, atol=1e-9)
 
     def test_argument_validation(self):
         fld = harmonic_oscillator()
@@ -95,28 +190,53 @@ class TestVariationalFlow:
         assert np.allclose(x, sho_fundamental(omega, 3.0) @ [1.0, 0.0],
                            atol=1e-9)
 
+    @pytest.mark.parametrize("case", ["hh", "stuart-landau"])
+    def test_stage_jacobians_match_the_coupled_pass(self, case):
+        # the step matrices from the stage states against one RK4 of the
+        # (dim + dim^2)-vector: the same state bit for bit, Y to roundoff
+        if case == "hh":
+            fld = hh_field(I=20.0)
+            x0 = model.find_equilibrium(20.0) + np.array([5.0, 0, 0, 0])
+            T, nsteps = 12.0, 2000
+        else:
+            fld = stuart_landau()
+            x0, T, nsteps = stuart_landau_transient(0.0)[0], 1.6, 400
+        x, Y = integrate.flow_with_monodromy(fld, x0, T, nsteps)
+        x_ref, Y_ref = coupled_monodromy(fld, x0, T, nsteps)
+        assert np.array_equal(x, x_ref)
+        assert np.max(np.abs(Y - Y_ref)) <= 1e-12 * np.max(np.abs(Y_ref))
+
+    def test_chunked_pass_matches_chunk_by_chunk_flows(self):
+        # one pass over 4 chunks against 4 flows restarted at the chunk
+        # edges, and the RK4 trace quadrature against the exact integral
+        fld = stuart_landau()
+        C, n, h = 4, 400, 1e-3
+        x, Ys, traces = integrate.variational_flow(
+            fld, stuart_landau_transient(0.0)[0], h, C, n)
+        xj = stuart_landau_transient(0.0)[0]
+        for j in range(C):
+            xj, Y = integrate.flow_with_monodromy(fld, xj, n * h, n)
+            assert np.max(np.abs(Ys[j] - Y)) <= 1e-14 * np.max(np.abs(Y))
+        assert np.array_equal(x, xj)
+        edges = np.arange(C + 1) * (n * h)
+        g = 2.0 * edges - 2.0 * np.log(np.exp(2.0 * edges) + 3.0)
+        assert np.allclose(traces, np.diff(g), rtol=0.0, atol=1e-10)
+
     def test_variational_along_matches_coupled_pass(self):
         # Stuart-Landau transient from r=0.5 in closed form: J(x(t)) differs
         # from interval to interval
         fld = stuart_landau()
-        c, th0 = 3.0, 0.3   # r(t)^2 = 1 / (1 + c exp(-2t)), theta = th0 + t
-
-        def x_of_t(t):
-            t = np.atleast_1d(t)
-            r = 1.0 / np.sqrt(1.0 + c * np.exp(-2.0 * t))
-            return np.stack([r * np.cos(th0 + t), r * np.sin(th0 + t)], axis=-1)
-
         C, n, h = 4, 400, 1e-3
-        states = x_of_t(np.arange(2 * C * n + 1) * (0.5 * h))
+        states = stuart_landau_transient(np.arange(2 * C * n + 1) * (0.5 * h))
         Ys, traces = integrate.variational_along(fld, states, h, C)
         assert Ys.shape == (4, 2, 2) and traces.shape == (4,)
         edges = np.arange(C + 1) * (n * h)
         for j in range(C):
             _, Y_ref = integrate.flow_with_monodromy(
-                fld, x_of_t(edges[j])[0], n * h, n)
+                fld, stuart_landau_transient(edges[j])[0], n * h, n)
             assert np.allclose(Ys[j], Y_ref, rtol=0.0, atol=1e-10)
-        # trace J = 2 - 4 r^2 integrates to 2t - 2 log(exp(2t) + c)
-        g = 2.0 * edges - 2.0 * np.log(np.exp(2.0 * edges) + c)
+        # trace J = 2 - 4 r^2 integrates to 2t - 2 log(exp(2t) + 3)
+        g = 2.0 * edges - 2.0 * np.log(np.exp(2.0 * edges) + 3.0)
         assert np.allclose(traces, np.diff(g), rtol=0.0, atol=1e-10)
 
     def test_variational_along_sho_chunks_are_rotations(self):

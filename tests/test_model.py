@@ -73,6 +73,7 @@ class TestRates:
 def assert_one_state_matches_batch(x, I):
     """A 1-D state (the float path) against its row of a batched call."""
     f, J = model.vector_field(x, I=I), model.jacobian(x, I=I)
+    assert np.array_equal(model.float_field(I=I)(*x.tolist()), f)
     fb = model.vector_field(x[None], I=I)[0]
     Jb = model.jacobian(x[None], I=I)[0]
     assert f.shape == (4,) and f.dtype == np.float64
@@ -125,6 +126,8 @@ class TestVectorField:
         # float arithmetic raises OverflowError here; the result must be the
         # array path's inf/nan instead
         x = np.array([1e5, 1e80, 0.5, 0.5])
+        with pytest.raises(OverflowError):
+            model.float_field(I=20.0)(*x.tolist())
         with np.errstate(all="ignore"):
             f = model.vector_field(x, I=20.0)
             J = model.jacobian(x, I=20.0)
