@@ -315,7 +315,8 @@ def _solve_single_cycle(I, method, cfg, p, init=None):
     elif method == "shoot":
         init = shooting.shoot(fld, init, tol=cfg["solver.shooting.tol"])
     if method == "shoot":
-        xT = integrate.flow(fld, init.anchor_state, init.period, 4000)
+        xT = integrate.flow(fld, init.anchor_state, init.period,
+                            shooting.FLOW_STEPS)
         return init, float(np.max(np.abs(xT - init.anchor_state)))
     if method == "hb":
         ops = hb.build_operators(cfg["solver.hb.k"], cfg["solver.hb.oversample"])
@@ -478,7 +479,8 @@ def run_diagram(cfg, out_dir, verbose=False):
             try:
                 ev = continuation.locate_fold(
                     br_dn, continuation.fold_bracket(br_dn, j),
-                    field_at=fam, adapter=ad)
+                    field_at=fam, adapter=ad,
+                    spectrum_steps=cfg["floquet.steps"])
                 extra_events.append(ev)
                 if verbose:
                     print(f"fold at I={ev.I_star:.8f}")

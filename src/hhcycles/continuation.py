@@ -67,6 +67,9 @@ class StepControl:
 
 
 GROW_AFTER = 3        # accepted steps in a row before the step doubles
+# a step toward a Hopf end goes no further than where the square-root law
+# puts this fraction of the collapse amplitude
+HOPF_LANDING = 0.5
 NEWTON_TOL = 1e-10    # harmonic-balance corrector tolerance and budget
 NEWTON_MAX_ITER = 12
 COLL_REFINEMENTS = 2  # mesh refinements per collocation corrector solve
@@ -128,6 +131,18 @@ def make_point(I: float, cyc, fld: VectorField,
                        v_min=vmin, v_max=vmax, spectrum=spec)
 
 
+def _hopf_end(a: BranchPoint, b: BranchPoint) -> Optional[float]:
+    """Signed I-distance from b to where amplitude^2 vanishes on the line
+    through a and b, or None unless the amplitude falls from a to b.
+
+    Near a Hopf point amplitude^2 is linear in I (the square-root law).
+    """
+    a2, b2 = a.amplitude ** 2, b.amplitude ** 2
+    if not a2 > b2:
+        return None
+    return (b.I - a.I) * b2 / (a2 - b2)
+
+
 def continue_branch(start: BranchPoint, direction: int,
                     I_limits: Tuple[float, float],
                     field_at: Callable[[float], VectorField],
@@ -146,6 +161,13 @@ def continue_branch(start: BranchPoint, direction: int,
     cut short to land on its edge, with I pinned there.  Terminates on the
     box edge, on amplitude collapse (recorded as a Hopf endpoint event), on
     min-step exhaustion, or after max_points.
+
+    While the amplitude falls, the square-root law through the last two
+    points predicts the Hopf end, and h is capped so that the step moves I
+    no further than where the law puts HOPF_LANDING times the collapse
+    amplitude: the branch lands on the endpoint instead of stepping past it
+    onto the equilibrium.  The endpoint event extrapolates the same law
+    through the last two points, the collapsed one included.
     """
     ctrl = step_ctrl or StepControl()
     if not np.isfinite(start.I) or start.period <= 0 or start.v_min >= start.v_max:
@@ -181,16 +203,8 @@ def continue_branch(start: BranchPoint, direction: int,
         pt = make_point(I_new, cyc, field_at(I_new), spectrum_steps)
         points.append(pt)
         if pt.amplitude < ctrl.collapse_amplitude:
-            # near a Hopf point the amplitude obeys a square-root law, so
-            # extrapolate amplitude^2 -> 0 from the last healthy points
-            I_star = pt.I
-            healthy = [q for q in points[-3:] if
-                       q.amplitude >= ctrl.collapse_amplitude]
-            if len(healthy) >= 2:
-                a, b = healthy[-2], healthy[-1]
-                denom = a.amplitude ** 2 - b.amplitude ** 2
-                if denom != 0.0:
-                    I_star = a.I + (b.I - a.I) * a.amplitude ** 2 / denom
+            d = _hopf_end(points[-2], pt)
+            I_star = pt.I if d is None else pt.I + d
             events.append(BifurcationEvent(
                 kind="hopf", I_star=float(I_star),
                 evidence={"amplitude": pt.amplitude,
@@ -200,6 +214,10 @@ def continue_branch(start: BranchPoint, direction: int,
 
     while len(points) < max_points:
         cur = points[-1]
+        d = _hopf_end(points[-2], cur) if len(points) >= 2 else None
+        if d is not None and tI != 0.0:
+            land = (HOPF_LANDING * ctrl.collapse_amplitude / cur.amplitude) ** 2
+            h = min(h, abs(d) * (1.0 - land) / abs(tI))
         I_pred, T_pred = cur.I + h * tI, cur.period + h * tT
         pinned = not lo <= I_pred <= hi
         if pinned:
@@ -278,7 +296,8 @@ def _bracket_slice(branch: Branch, bracket) -> List[int]:
 
 def locate_fold(branch: Branch, bracket,
                 field_at: Callable[[float], VectorField],
-                adapter: _SolverAdapter) -> BifurcationEvent:
+                adapter: _SolverAdapter,
+                spectrum_steps: int = floquet.DEFAULT_SPECTRUM_STEPS) -> BifurcationEvent:
     """Pin down a turning point as the extremum of I along the branch.
 
     T is monotone through the fold, so repeated T-pinned solves give I(T)
@@ -325,7 +344,7 @@ def locate_fold(branch: Branch, bracket,
         # replace the sample farthest from the vertex
         far = int(np.argmax(np.abs(Ts - T_star)))
         samples[far] = (T_star, I_star, cyc)
-    spec = floquet.spectrum(cyc, field_at(I_star))
+    spec = floquet.spectrum(cyc, field_at(I_star), nsteps=spectrum_steps)
     mu_fold = spec.multipliers[int(np.argmin(np.abs(spec.multipliers - 1.0)))]
     return BifurcationEvent(
         kind="fold", I_star=float(I_star),

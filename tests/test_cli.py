@@ -251,6 +251,14 @@ class TestCommands:
         assert words[-1] == "stable"
         assert float(words[-2].removeprefix("liouville_error=")) < 1e-3
 
+    def test_shoot_reports_the_gap_of_its_own_flow(self, tmp_path):
+        # the return gap of the shooting flow, not its difference from a
+        # finer RK4 flow (about 1e-7 at I=20)
+        assert cli.main(["--out", str(tmp_path), "cycle", "--current", "20",
+                         "--method", "shoot"]) == 0
+        doc = json.loads((tmp_path / "cycle_I20_shoot.json").read_text())
+        assert doc["residual"] < cli.DEFAULT_CONFIG["solver.shooting.tol"]
+
     def test_floquet_report_of_a_shooting_cycle(self, tmp_path, capsys,
                                                 stable_cycle_20, field20):
         # a sampled cycle's line carries its Liouville error as a number

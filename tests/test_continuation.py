@@ -8,8 +8,8 @@ import pytest
 from hhcycles import continuation as ct
 from hhcycles import floquet, hb, model
 from hhcycles.cycles import PeriodicOrbit
-from hhcycles.errors import (NoConvergence, NoExtremum, NoSignChange,
-                             StartInvalid)
+from hhcycles.errors import (DegenerateCycle, NoConvergence, NoExtremum,
+                             NoSignChange, StartInvalid)
 from test_floquet import make_spec
 
 
@@ -184,11 +184,150 @@ class TestArclength:
         assert all(row[1] != 0.0 for row in stub.rows)
         assert any(row[0] != 0.0 for row in stub.rows)
 
+    def test_constant_amplitude_leaves_the_steps_alone(self, monkeypatch):
+        # the amplitude never falls, so no step is capped: the rows are the
+        # ones of a run with the Hopf-end law switched off
+        stub = FoldCorrector()
+        ct.continue_branch(self.start(), +1, (-2.0, 2.0),
+                           step_ctrl=ct.StepControl(initial=0.1),
+                           adapter=stub, field_at=lambda I: I)
+        monkeypatch.setattr(ct, "_hopf_end", lambda a, b: None)
+        plain = FoldCorrector()
+        ct.continue_branch(self.start(), +1, (-2.0, 2.0),
+                           step_ctrl=ct.StepControl(initial=0.1),
+                           adapter=plain, field_at=lambda I: I)
+        assert stub.rows == plain.rows
+
     def test_failing_corrector_raises(self):
         with pytest.raises(NoConvergence):
             ct.continue_branch(self.start(), +1, (-2.0, 2.0),
                                adapter=FailingCorrector(),
                                field_at=lambda I: I)
+
+
+@dataclass(frozen=True)
+class HopfCycle(PeriodicOrbit):
+    """A cycle reduced to its period and its V range."""
+
+    period: float
+    amplitude: float
+
+    def v_extrema(self):
+        return -0.5 * self.amplitude, 0.5 * self.amplitude
+
+
+HOPF_I = 10.0
+PERIOD_0, PERIOD_SLOPE = 2.0, 0.05   # the period along the branch
+
+
+class HopfEndCorrector:
+    """Stub corrector for a branch that dies in a Hopf point at HOPF_I.
+
+    The amplitude is sqrt(u)*(1 + beta*u) with u = HOPF_I - I, the period
+    PERIOD_0 + PERIOD_SLOPE*I; past the Hopf point only the equilibrium is
+    left, and the solve raises DegenerateCycle.  Every current it solves at
+    and every failure is recorded.
+    """
+
+    name = "stub"
+
+    def __init__(self, beta):
+        self.beta = beta
+        self.currents, self.failures = [], []
+
+    def cycle(self, I):
+        u = HOPF_I - I
+        return HopfCycle(PERIOD_0 + PERIOD_SLOPE * I,
+                         np.sqrt(u) * (1.0 + self.beta * u))
+
+    def correct(self, field_at, predictor, T, I, row):
+        # where the branch's line in (I, T) meets a_T*T + a_I*I = b
+        a_T, a_I, b = row
+        I_new = (b - a_T * PERIOD_0) / (a_T * PERIOD_SLOPE + a_I)
+        self.currents.append(I_new)
+        if I_new >= HOPF_I:
+            self.failures.append(I_new)
+            raise DegenerateCycle("Newton converged onto the equilibrium")
+        return self.cycle(I_new), I_new
+
+
+@pytest.mark.usefixtures("cheap_points")
+class TestHopfEnd:
+    """Steps toward a Hopf endpoint land on it by the square-root law."""
+
+    CTRL = ct.StepControl(initial=1.0, max_step=4.0, collapse_amplitude=0.4)
+
+    def run(self, stub):
+        start = ct.make_point(0.0, stub.cycle(0.0), None)
+        return ct.continue_branch(start, +1, (0.0, 20.0), field_at=lambda I: I,
+                                  adapter=stub, step_ctrl=self.CTRL)
+
+    def first_capped(self, br):
+        """Index of the first point reached by a capped step."""
+        pts = br.points
+        land = (ct.HOPF_LANDING * self.CTRL.collapse_amplitude) ** 2
+        for i in range(2, len(pts)):
+            d = ct._hopf_end(pts[i - 2], pts[i - 1])
+            cap = abs(d) * (1.0 - land / pts[i - 1].amplitude ** 2)
+            if pts[i].I - pts[i - 1].I == pytest.approx(cap, rel=1e-9):
+                return i
+        raise AssertionError("no step was capped")
+
+    # beta >= 0: amplitude^2 is convex in I, as on the Hodgkin-Huxley
+    # stable branch, so the law's endpoint is never past the true one
+    @pytest.mark.parametrize("beta", [0.0, 0.05, 0.2])
+    def test_lands_on_the_endpoint(self, beta):
+        stub = HopfEndCorrector(beta)
+        br = self.run(stub)
+        assert stub.failures == []
+        assert br.points[-1].amplitude < self.CTRL.collapse_amplitude
+        assert np.all(np.diff([p.I for p in br.points]) > 0)
+        # the capped steps close in on the end: at most four of them follow
+        # the first, even where beta*u is 2 at the first capped step
+        assert len(br.points) - 1 - self.first_capped(br) <= 4
+        ev, = br.events
+        assert ev.kind == "hopf"
+        # the secant of amplitude^2 through the last two points, at u1 and
+        # u2 from the end, misses the root by about 2*beta*u1*u2
+        u1, u2 = (HOPF_I - p.I for p in br.points[-1:-3:-1])
+        assert abs(ev.I_star - HOPF_I) <= 3.0 * abs(beta) * u1 * u2 + 1e-12
+
+    def test_exact_law_lands_on_half_the_collapse_amplitude(self):
+        br = self.run(HopfEndCorrector(0.0))
+        assert br.points[-1].amplitude == pytest.approx(
+            ct.HOPF_LANDING * self.CTRL.collapse_amplitude, rel=1e-9)
+        assert br.events[0].I_star == pytest.approx(HOPF_I, abs=1e-12)
+
+    def test_a_law_bent_the_other_way_costs_one_halving(self):
+        # concave amplitude^2: the law overshoots once, and the halved
+        # step lands
+        stub = HopfEndCorrector(-0.05)
+        br = self.run(stub)
+        assert len(stub.failures) == 1
+        assert br.points[-1].amplitude < self.CTRL.collapse_amplitude
+        assert br.events[0].I_star == pytest.approx(HOPF_I, abs=1e-3)
+
+    def test_steps_away_from_the_end_are_not_capped(self, monkeypatch):
+        # the amplitude rises along this run, its square threefold over the
+        # step before the step doubles: its currents are the ones of a run
+        # with the law switched off
+        def currents():
+            stub = HopfEndCorrector(10.0)
+            start = ct.make_point(9.9, stub.cycle(9.9), None)
+            ct.continue_branch(start, -1, (0.0, 10.0), field_at=lambda I: I,
+                               adapter=stub, step_ctrl=self.CTRL)
+            return stub.currents
+        capped = currents()
+        monkeypatch.setattr(ct, "_hopf_end", lambda a, b: None)
+        assert capped == currents()
+        assert len(capped) > 3
+
+    def test_uncapped_steps_run_onto_the_equilibrium(self, monkeypatch):
+        # without the law the same run steps past the endpoint
+        monkeypatch.setattr(ct, "_hopf_end", lambda a, b: None)
+        stub = HopfEndCorrector(0.0)
+        self.run(stub)
+        assert stub.failures
 
 
 class TestBracketSlice:
@@ -226,19 +365,20 @@ class TestLocators:
         br = fake_branch(fold_current(Ts), periods=Ts)
         calls = []
 
-        def spectrum(cyc, fld, *args, **kwargs):
-            calls.append((cyc.period, fld))
+        def spectrum(cyc, fld, nsteps):
+            calls.append((cyc.period, fld, nsteps))
             return make_spec((1.0005, 0.1, 0.0))
         monkeypatch.setattr(floquet, "spectrum", spectrum)
         j, = ct.turning_indices([p.I for p in br.points])
         assert ct.fold_bracket(br, j) == (0, 5)
         ev = ct.locate_fold(br, ct.fold_bracket(br, j), field_at=lambda I: I,
-                            adapter=FoldCorrector())
+                            adapter=FoldCorrector(), spectrum_steps=123)
         assert ev.I_star == pytest.approx(1.0, abs=1e-12)
         assert ev.evidence["period"] == pytest.approx(2.0)
         assert ev.evidence["multiplier"] == pytest.approx(1.0005)
-        # one certificate spectrum, taken at the located fold
-        assert calls == [(ev.evidence["period"], ev.I_star)]
+        # one certificate spectrum, taken at the located fold with the
+        # given step count
+        assert calls == [(ev.evidence["period"], ev.I_star, 123)]
 
     def fold_at_roundoff(self, monkeypatch, mid=0.0):
         """Branch samples 1e-9 apart around the top of I = 1 - (T - 2)^2,
