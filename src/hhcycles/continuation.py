@@ -167,7 +167,8 @@ def continue_branch(start: BranchPoint, direction: int,
     no further than where the law puts HOPF_LANDING times the collapse
     amplitude: the branch lands on the endpoint instead of stepping past it
     onto the equilibrium.  The endpoint event extrapolates the same law
-    through the last two points, the collapsed one included.
+    through the last two points, the collapsed one included.  A landing
+    step is exempt from the sudden-collapse rejection of accept().
     """
     ctrl = step_ctrl or StepControl()
     if not np.isfinite(start.I) or start.period <= 0 or start.v_min >= start.v_max:
@@ -180,13 +181,15 @@ def continue_branch(start: BranchPoint, direction: int,
     successes = 0
     tI, tT = (1.0 if direction > 0 else -1.0), 0.0   # unit step direction
 
-    def accept(I_new, cyc) -> str:
+    def accept(I_new, cyc, landing) -> str:
         """Vet and append the corrected point: 'ok' | 'stop' | 'reject'.
 
         A sudden amplitude collapse means Newton slid onto the equilibrium
         (the predictor overshot a fold), not a Hopf endpoint; such steps are
-        rejected, as are steps that move the orbit more than the acceptance
-        bound or leave the I_limits box.
+        rejected, unless the Hopf-end cap set the step (landing), which
+        aims below the collapse amplitude on purpose.  Steps that move the
+        orbit more than the acceptance bound or leave the I_limits box are
+        rejected too.
         """
         cur = points[-1]
         vmin, vmax = v_extrema(cyc)
@@ -194,7 +197,7 @@ def continue_branch(start: BranchPoint, direction: int,
         T = float(cyc.period)
         if not lo <= I_new <= hi:
             return "reject"
-        if amp < ctrl.collapse_amplitude and \
+        if amp < ctrl.collapse_amplitude and not landing and \
                 cur.amplitude > 4.0 * ctrl.collapse_amplitude:
             return "reject"
         jump = abs(T - cur.period) + abs(vmin - cur.v_min) + abs(vmax - cur.v_max)
@@ -215,9 +218,12 @@ def continue_branch(start: BranchPoint, direction: int,
     while len(points) < max_points:
         cur = points[-1]
         d = _hopf_end(points[-2], cur) if len(points) >= 2 else None
+        landing = False
         if d is not None and tI != 0.0:
             land = (HOPF_LANDING * ctrl.collapse_amplitude / cur.amplitude) ** 2
-            h = min(h, abs(d) * (1.0 - land) / abs(tI))
+            cap = abs(d) * (1.0 - land) / abs(tI)
+            landing = cap <= h
+            h = min(h, cap)
         I_pred, T_pred = cur.I + h * tI, cur.period + h * tT
         pinned = not lo <= I_pred <= hi
         if pinned:
@@ -235,7 +241,8 @@ def continue_branch(start: BranchPoint, direction: int,
             failure, verdict = exc, "reject"
         else:
             # a pinned I is exact: the solver's roundoff must not leave the box
-            failure, verdict = None, accept(I_pred if pinned else I_new, cyc)
+            failure, verdict = None, accept(I_pred if pinned else I_new, cyc,
+                                           landing)
         if verdict == "stop":
             break
         if verdict == "reject":

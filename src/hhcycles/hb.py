@@ -14,6 +14,14 @@ The algebraic system solved by Newton is
 per state variable, plus one phase-anchor row (B1 of the first variable = 0).
 solve_hb_bordered takes I as a further unknown under one more row,
 a_T*T + a_I*I = b; solve_hb is that solve with I pinned.
+
+Its Newton matrix is the alternating-frequency-time derivative (Cameron &
+Griffin, J. Appl. Mech. 56, 1989): block (i, j) is the Galerkin matrix of
+multiplication by J_ij(x(theta)), a Toeplitz-plus-Hankel matrix in the
+discrete Fourier coefficients of J_ij on the node grid.  hb_jacobian takes
+those from one FFT along the nodes and writes every block from strided
+windows of them; the harmonic indices run mod 2n+1, so the blocks equal
+the node-grid products even where those alias.
 """
 
 from __future__ import annotations
@@ -188,24 +196,57 @@ def hb_jacobian(xbar: FourierCycle, field: VectorField,
 
     Alternating-frequency-time construction: the field Jacobian is sampled
     once on the node grid, and block (i, j) of the coefficient part is
-    delta_ij*omega*D - analysis @ diag(J_ij(x_nodes)) @ synthesis; the
-    products are skipped where J_ij is zero at every node (6 of the 16 HH
-    entries).  The last column is the period derivative
-    -(2*pi/T^2) * D c_i, the last row the phase anchor.  out, if given, is
-    the zeroed square array to fill, such as the top-left block of a
-    bordered matrix.
+    delta_ij*omega*D - analysis @ diag(a) @ synthesis with a = J_ij(x_nodes),
+    the Galerkin matrix of multiplication by J_ij: Toeplitz plus Hankel in
+    the DFT coefficients of a.  With c_k = (1/m) sum_j a_j exp(-i k theta_j)
+    over the m = 2n+1 nodes, C_k = Re c_k and S_k = -Im c_k, the entry for
+    harmonics P, Q >= 0 (the constant as cos 0) is
+
+        [cos P, cos Q] = C_|P-Q| + C_P+Q    [sin P, sin Q] = C_|P-Q| - C_P+Q
+        [cos P, sin Q] = S_P+Q - S_P-Q      [sin P, cos Q] = S_P+Q + S_P-Q
+
+    and row 0 is half the cos row, [0, cos Q] = C_Q, [0, sin Q] = S_Q,
+    since analysis halves it.  c_k is read at k mod m, where the node sums
+    repeat, so the identity is exact where P+Q aliases on the node grid too
+    (oversample 1).  One FFT along the nodes gives c_-K..c_2K of every
+    block; each block is written in place from strided windows of that list
+    (no block-sized temporary), and blocks whose J_ij is zero at every node
+    (6 of the 16 HH entries) stay zero.  The last column is the period
+    derivative -(2*pi/T^2) * D c_i, the last row the phase anchor.  out, if
+    given, is the zeroed square array to fill, such as the top-left block
+    of a bordered matrix.
     """
     if ops.K != xbar.K:
         raise ValueError("operator/coefficient harmonic count mismatch")
-    dim, nc = xbar.dim, 2 * xbar.K + 1
-    Jn = field.jac(node_states(xbar, ops))     # (2n+1, dim, dim)
+    dim, K, m = xbar.dim, xbar.K, 2 * ops.n + 1
+    nc = 2 * K + 1
+    Jn = field.jac(node_states(xbar, ops)).reshape(m, dim * dim)
+    blocks = np.flatnonzero(np.any(Jn, axis=0))
+    # -C_k and -S_k of each block for k = -K..2K: the block's minus sign
+    c = np.fft.fft(Jn[:, blocks], axis=0)[np.arange(-K, 2 * K + 1) % m]
+    cos_k, sin_k = -c.real.T / m, c.imag.T / m
+    # windows: [.., p, q] is the coefficient of P-Q, resp. P+Q, for the
+    # harmonics P = p+1, Q = q+1
+    window = np.lib.stride_tricks.sliding_window_view
+    toep_c, toep_s = (window(x[:, 1:2 * K], K, axis=1)[:, :, ::-1]
+                      for x in (cos_k, sin_k))
+    hank_c, hank_s = (window(x[:, K + 2:], K, axis=1) for x in (cos_k, sin_k))
     J = np.zeros((dim * nc + 1, dim * nc + 1)) if out is None else out
+    ones = slice(K + 1, 2 * K + 1)    # k = 1..K
+    for b, ck, sk, tc, ts, hc, hs in zip(blocks, cos_k, sin_k, toep_c,
+                                         toep_s, hank_c, hank_s):
+        i, j = divmod(int(b), dim)
+        blk = J[i * nc:(i + 1) * nc, j * nc:(j + 1) * nc]
+        np.add(tc, hc, out=blk[1::2, 1::2])
+        np.subtract(tc, hc, out=blk[2::2, 2::2])
+        np.subtract(hs, ts, out=blk[1::2, 2::2])
+        np.add(hs, ts, out=blk[2::2, 1::2])
+        blk[0, 0] = ck[K]
+        blk[0, 1::2], blk[0, 2::2] = ck[ones], sk[ones]
+        np.multiply(2.0, ck[ones], out=blk[1::2, 0])
+        np.multiply(2.0, sk[ones], out=blk[2::2, 0])
     for i in range(dim):
         rows = slice(i * nc, (i + 1) * nc)
-        for j in range(dim):
-            if np.any(Jn[:, i, j]):
-                J[rows, j * nc:(j + 1) * nc] = -ops.analysis @ (
-                    Jn[:, i, j, None] * ops.synthesis)
         J[rows, rows] += xbar.omega * ops.D
     J[:-1, -1] = -(2.0 * np.pi / xbar.period ** 2) * (xbar.coeffs @ ops.D.T).ravel()
     J[-1, 2] = 1.0

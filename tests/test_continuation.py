@@ -1,6 +1,6 @@
 """Branch following, turning-point handling and diagram assembly."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -328,6 +328,56 @@ class TestHopfEnd:
         stub = HopfEndCorrector(0.0)
         self.run(stub)
         assert stub.failures
+
+    def test_a_landing_from_above_four_collapse_amplitudes_is_kept(self):
+        # the capped step from 2 mV aims at 0.2 mV, below the collapse
+        # amplitude on purpose: no sudden collapse, so no converged solve
+        # is thrown away
+        stub = HopfEndCorrector(0.0)
+        start = ct.make_point(-6.0, stub.cycle(-6.0), None)
+        ctrl = replace(self.CTRL, initial=6.0, max_step=8.0)
+        br = ct.continue_branch(start, +1, (-6.0, 20.0), field_at=lambda I: I,
+                                adapter=stub, step_ctrl=ctrl)
+        assert len(stub.currents) == len(br.points) - 1 == 3
+        assert br.points[-2].amplitude > 4.0 * ctrl.collapse_amplitude
+        assert br.points[-1].amplitude == pytest.approx(
+            ct.HOPF_LANDING * ctrl.collapse_amplitude, rel=1e-9)
+
+
+class OvershootCorrector:
+    """Stub corrector for a branch of steady 2 mV amplitude on which Newton
+    slides onto the equilibrium (amplitude 0.01 mV) from any step longer
+    than REACH in I, as past a fold the predictor overshot.  Every step
+    length in I it is asked for is recorded."""
+
+    name = "stub"
+    REACH = 1.5
+
+    def __init__(self):
+        self.steps = []
+
+    def correct(self, field_at, predictor, T, I, row):
+        a_T, a_I, b = row
+        I_new = (b - a_T * PERIOD_0) / (a_T * PERIOD_SLOPE + a_I)
+        step = I_new - (predictor.period - PERIOD_0) / PERIOD_SLOPE
+        self.steps.append(step)
+        amp = 0.01 if step > self.REACH else 2.0
+        return HopfCycle(PERIOD_0 + PERIOD_SLOPE * I_new, amp), I_new
+
+
+@pytest.mark.usefixtures("cheap_points")
+def test_a_sudden_collapse_is_rejected_and_halves_the_step():
+    stub = OvershootCorrector()
+    start = ct.make_point(0.0, HopfCycle(PERIOD_0, 2.0), None)
+    br = ct.continue_branch(start, +1, (0.0, 12.0), field_at=lambda I: I,
+                            adapter=stub, step_ctrl=TestHopfEnd.CTRL)
+    assert br.events == [] and br.points[-1].I == 12.0
+    assert all(p.amplitude == 2.0 for p in br.points)
+    over = [k for k, d in enumerate(stub.steps) if d > stub.REACH]
+    assert over
+    for k in over:
+        assert stub.steps[k + 1] == pytest.approx(0.5 * stub.steps[k],
+                                                  rel=1e-12)
 
 
 class TestBracketSlice:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from hhcycles import hb
 from hhcycles.errors import DegenerateCycle
-from hhcycles.fields import harmonic_oscillator
+from hhcycles.fields import VectorField, harmonic_oscillator
 from test_integrate import damped_field
 
 
@@ -218,6 +218,43 @@ def _central_jacobian(residual, z, rel=1e-6):
     return np.stack(cols, axis=1)
 
 
+def aft_jacobian(xb, field, ops):
+    """The Newton matrix of hb_residual from one dense product per block,
+    analysis @ diag(J_ij(x_nodes)) @ synthesis."""
+    Jn = field.jac(hb.node_states(xb, ops))
+    dim, nc = xb.dim, 2 * xb.K + 1
+    ref = np.zeros((dim * nc + 1, dim * nc + 1))
+    for i in range(dim):
+        rows = slice(i * nc, (i + 1) * nc)
+        for j in range(dim):
+            ref[rows, j * nc:(j + 1) * nc] = -ops.analysis @ (
+                Jn[:, i, j, None] * ops.synthesis)
+        ref[rows, rows] += xb.omega * ops.D
+    ref[:-1, -1] = -(2.0 * np.pi / xb.period ** 2) * (
+        xb.coeffs @ ops.D.T).ravel()
+    ref[-1, 2] = 1.0
+    return ref
+
+
+def _full_f(x):
+    u, v, w = x[..., 0], x[..., 1], x[..., 2]
+    return np.stack([u * w + np.sin(v), u * np.cos(w) + v * v,
+                     u * u + v * w + w ** 3], axis=-1)
+
+
+def _full_jac(x):
+    u, v, w = x[..., 0], x[..., 1], x[..., 2]
+    return np.stack([np.stack([w, np.cos(v), u], axis=-1),
+                     np.stack([np.cos(w), 2.0 * v, -u * np.sin(w)], axis=-1),
+                     np.stack([2.0 * u, w, v + 3.0 * w * w], axis=-1)],
+                    axis=-2)
+
+
+# a nonlinear 3-variable field whose nine Jacobian entries are all nonzero
+# along a generic series
+full_field = VectorField(dim=3, f=_full_f, jac=_full_jac, name="full3")
+
+
 class TestNewtonMatrix:
     K = 8
 
@@ -241,26 +278,43 @@ class TestNewtonMatrix:
         assert J.shape == (4 * (2 * self.K + 1) + 1,) * 2
         assert np.max(np.abs(J - ref)) < 1e-7 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("K", [30, 50])
+    # ids "30" and "50" are the default oversampling
+    @pytest.mark.parametrize("K, oversample", [
+        pytest.param(30, hb.DEFAULT_OVERSAMPLE, id="30"),
+        pytest.param(50, hb.DEFAULT_OVERSAMPLE, id="50"),
+        (30, 1), (30, 2), (50, 1), (50, 2)])
     def test_hb_jacobian_equals_full_block_loop(self, field20, stable_cycle_20,
-                                                K):
-        # the skipped blocks (J_ij zero at every node) are zero either way
+                                                K, oversample):
+        # the blocks from one FFT sum in another order than the block
+        # products: equal to roundoff, and the 6 blocks whose J_ij is zero
+        # at every node stay exactly zero
         xb = hb.from_trajectory(stable_cycle_20.samples.states[:-1],
                                 stable_cycle_20.period, K)
-        ops = hb.build_operators(K)
-        Jn = field20.jac(hb.node_states(xb, ops))
+        ops = hb.build_operators(K, oversample)
+        J = hb.hb_jacobian(xb, field20, ops)
+        ref = aft_jacobian(xb, field20, ops)
+        assert np.max(np.abs(J - ref)) <= 1e-13 * np.max(np.abs(ref))
+        zero = ~np.any(field20.jac(hb.node_states(xb, ops)), axis=0)
+        assert np.count_nonzero(zero) == 6
         nc = 2 * K + 1
-        ref = np.zeros((4 * nc + 1, 4 * nc + 1))
-        for i in range(4):
-            rows = slice(i * nc, (i + 1) * nc)
-            for j in range(4):
-                ref[rows, j * nc:(j + 1) * nc] = -ops.analysis @ (
-                    Jn[:, i, j, None] * ops.synthesis)
-            ref[rows, rows] += xb.omega * ops.D
-        ref[:-1, -1] = -(2.0 * np.pi / xb.period ** 2) * (
-            xb.coeffs @ ops.D.T).ravel()
-        ref[-1, 2] = 1.0
-        assert np.array_equal(hb.hb_jacobian(xb, field20, ops), ref)
+        for i, j in zip(*np.nonzero(zero)):
+            assert not np.any(J[i * nc:(i + 1) * nc, j * nc:(j + 1) * nc])
+
+    @pytest.mark.parametrize("oversample", [1, 2, 4])
+    @pytest.mark.parametrize("K", [1, 2, 7])
+    def test_hb_jacobian_equals_full_block_loop_on_a_full_field(self, K,
+                                                               oversample):
+        # every coupling block nonzero, so every sign case of the
+        # Toeplitz-plus-Hankel identity is read; at oversample 1 the P+Q
+        # terms alias on the node grid
+        rng = np.random.default_rng(10 * K + oversample)
+        xb = hb.FourierCycle(K=K, period=2.5, coeffs=rng.standard_normal(
+            (3, 2 * K + 1)) / np.arange(1, 2 * K + 2))
+        ops = hb.build_operators(K, oversample)
+        assert np.all(full_field.jac(hb.node_states(xb, ops)) != 0.0)
+        J = hb.hb_jacobian(xb, full_field, ops)
+        ref = aft_jacobian(xb, full_field, ops)
+        assert np.max(np.abs(J - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_well_conditioned_solve_takes_no_svd(self, field20,
                                                  stable_cycle_20, monkeypatch):
