@@ -21,7 +21,7 @@ import scipy.sparse.linalg as spla
 from . import newton
 from .cycles import PeriodicOrbit
 from .errors import DegenerateCycle, MeshTooCoarse, SingularJacobian
-from .fields import VectorField
+from .fields import VectorField, constant_family
 
 NEWTON_TOL = 1e-11     # algebraic stopping tolerance of the discrete system
 NEWTON_MAX_ITER = 30
@@ -132,41 +132,38 @@ def _defects(field, mesh, y, mid, T):
     return r1, r2
 
 
+@dataclass(frozen=True)
 class PhaseReference:
-    """Integral phase condition data: previous solution on the current mesh."""
+    """Integral phase condition data: the previous solution on the current
+    mesh, its tau-derivatives T*f(ref), and the Simpson weights pairing
+    each unknown with <., dref>."""
 
-    def __init__(self, mesh: Mesh, y_ref, mid_ref, dy_ref, dmid_ref):
-        self.mesh = mesh
-        self.y = y_ref
-        self.mid = mid_ref
-        self.dy = dy_ref      # tau-derivatives T*f(ref) at breakpoints
-        self.dmid = dmid_ref
+    y: np.ndarray      # (N, dim) breakpoint values
+    mid: np.ndarray    # (N, dim) midpoint values
+    dy: np.ndarray     # (N, dim) T*f(ref) at the breakpoints
+    dmid: np.ndarray   # (N, dim) T*f(ref) at the midpoints
+    wy: np.ndarray     # (N,) breakpoint weights
+    wm: np.ndarray     # (N,) midpoint weights
 
     @classmethod
     def from_cycle(cls, cycle: PeriodicOrbit, mesh: Mesh, field: VectorField):
         """Any cycle sampled at the breakpoints and midpoints of mesh."""
         T = cycle.period
+        h = mesh.widths
+        N = mesh.N
         tau_b = mesh.breakpoints[:-1]
         tau_m = 0.5 * (mesh.breakpoints[:-1] + mesh.breakpoints[1:])
         y = cycle.evaluate_time(tau_b * T)
         m = cycle.evaluate_time(tau_m * T)
-        return cls(mesh, y, m, T * field.f(y), T * field.f(m))
-
-    def weights(self):
-        """Simpson weights pairing each unknown with <., dref>."""
-        h = self.mesh.widths
-        N = self.mesh.N
         wy = np.zeros(N)
         np.add.at(wy, np.arange(N), h / 6.0)
         np.add.at(wy, (np.arange(N) + 1) % N, h / 6.0)
-        wm = 4.0 * h / 6.0
-        return wy, wm
+        return cls(y, m, T * field.f(y), T * field.f(m), wy, 4.0 * h / 6.0)
 
 
-def _phase_residual(mesh, y, mid, ref: PhaseReference):
-    wy, wm = ref.weights()
-    return float(np.sum(wy[:, None] * (y - ref.y) * ref.dy)
-                 + np.sum(wm[:, None] * (mid - ref.mid) * ref.dmid))
+def _phase_residual(y, mid, ref: PhaseReference):
+    return float(np.sum(ref.wy[:, None] * (y - ref.y) * ref.dy)
+                 + np.sum(ref.wm[:, None] * (mid - ref.mid) * ref.dmid))
 
 
 def _newton_collocation(field_at, mesh, y, mid, T, I, ref, row):
@@ -174,8 +171,9 @@ def _newton_collocation(field_at, mesh, y, mid, T, I, ref, row):
 
     The unknowns are the breakpoint and midpoint values, interval by
     interval, then T and I; the rows are the defects, the phase condition
-    and a_T*T + a_I*I = b for row = (a_T, a_I, b).  The T column is exact,
-    the I column dF/dI one forward difference of the residual.
+    and a_T*T + a_I*I = b for row = (a_T, a_I, b).  The T and I columns
+    are exact: I enters the field additively (field.dfdI), so it enters
+    only the first defects, as -hT dfdI.
     """
     N, dim = mesh.N, y.shape[1]
     nun = 2 * N * dim + 2
@@ -191,7 +189,7 @@ def _newton_collocation(field_at, mesh, y, mid, T, I, ref, row):
         if Tz <= 0:
             return np.full(nun, np.inf)
         r1, r2 = _defects(field_at(Iz), mesh, yz, mz, Tz)
-        ph = _phase_residual(mesh, yz, mz, ref)
+        ph = _phase_residual(yz, mz, ref)
         return np.concatenate([np.stack([r1, r2], axis=1).ravel(),
                                [ph, a_T * Tz + a_I * Iz - b]])
 
@@ -203,11 +201,10 @@ def _newton_collocation(field_at, mesh, y, mid, T, I, ref, row):
     cm = cy0 + dim                 # second-defect rows and mid_i columns
     cy1 = np.roll(cy0, -1)         # y_{i+1} columns
     rr, cc = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
-    wy, wm = ref.weights()
     ph_row = np.zeros(nun - 2)
     blocks = ph_row.reshape(2 * N, dim)
-    blocks[0::2] = wy[:, None] * ref.dy
-    blocks[1::2] = wm[:, None] * ref.dmid
+    blocks[0::2] = ref.wy[:, None] * ref.dy
+    blocks[1::2] = ref.wm[:, None] * ref.dmid
 
     def step(z, r):
         yz, mz, Tz, Iz = unpack(z)
@@ -238,10 +235,9 @@ def _newton_collocation(field_at, mesh, y, mid, T, I, ref, row):
         dr2 = -(h[:, None] / 8.0) * (fy - fy1)
         col_T = np.concatenate([np.stack([dr1, dr2], axis=1).ravel(),
                                 [0.0, a_T]])
-        dI = 1e-6 * max(1.0, abs(Iz))
-        zp = z.copy()
-        zp[-1] = Iz + dI
-        col_I = (residual(zp) - r) / dI
+        col_I = np.zeros(nun)
+        col_I[:-2].reshape(N, 2, dim)[:, 0] = (
+            -(h * Tz)[:, None] * fld.dfdI)
         col_I[-1] = a_I
         rows += [np.arange(nun), np.arange(nun), np.full(nun - 2, nun - 2)]
         cols += [np.full(nun, nun - 2), np.full(nun, nun - 1),
@@ -318,8 +314,9 @@ def solve_bvp(field: VectorField, init, tol: float = 1e-8,
     """
     if mesh is None:
         mesh = Mesh(np.linspace(0.0, 1.0, N + 1))
-    return solve_bvp_bordered(lambda _: field, init, 0.0, (0.0, 1.0, 0.0),
-                              tol, max_N, max_refinements, mesh)[0]
+    return solve_bvp_bordered(constant_family(field), init, 0.0,
+                              (0.0, 1.0, 0.0), tol, max_N, max_refinements,
+                              mesh)[0]
 
 
 def solve_bvp_bordered(field_at, init, I_guess: float, row, tol: float,

@@ -10,7 +10,7 @@ field gets a wrapper around f.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -25,7 +25,11 @@ class VectorField:
     f and jac must accept either a single state (dim,) or a batch (m, dim)
     and return matching shapes ((m, dim) and (m, dim, dim) for batches).
     f_floats is f on one state given as dim Python floats, returning its
-    dim components as floats; it defaults to a wrapper around f.
+    dim components as floats; it defaults to a wrapper around f.  dfdI is
+    the derivative of f with respect to the stimulus current I of the
+    field's family, a constant (dim,) tuple since I enters additively; the
+    bordered correctors write their I column from it.  It defaults to
+    zeros, a field that does not depend on I.
     """
 
     dim: int
@@ -33,8 +37,11 @@ class VectorField:
     jac: Callable[[np.ndarray], np.ndarray]
     name: str = "field"
     f_floats: Optional[Callable[..., tuple]] = None
+    dfdI: Optional[tuple] = None
 
     def __post_init__(self):
+        if self.dfdI is None:
+            object.__setattr__(self, "dfdI", (0.0,) * self.dim)
         if self.f_floats is None:
             f = self.f
             object.__setattr__(self, "f_floats",
@@ -49,7 +56,15 @@ def hh_field(p: model.HHParams = model.DEFAULT_PARAMS, I: float = 0.0) -> Vector
         jac=lambda x: model.jacobian(x, p, I),
         name=f"hh(I={I:g})",
         f_floats=model.float_field(p, I),
+        dfdI=(-1.0 / p.C, 0.0, 0.0, 0.0),
     )
+
+
+def constant_family(field: VectorField) -> Callable[[float], VectorField]:
+    """The family I -> field, for a solve whose field does not depend on I:
+    its members have dfdI zero."""
+    fixed = replace(field, dfdI=None)
+    return lambda _: fixed
 
 
 def harmonic_oscillator(omega: float = 1.0) -> VectorField:

@@ -33,7 +33,7 @@ import numpy as np
 from . import newton
 from .cycles import PeriodicOrbit
 from .errors import DegenerateCycle
-from .fields import VectorField
+from .fields import VectorField, constant_family
 
 MOTION_TOL = 1e-8   # largest harmonic below which a series is an equilibrium
 
@@ -253,20 +253,21 @@ def hb_jacobian(xbar: FourierCycle, field: VectorField,
     return J
 
 
-def bordered_jacobian(xbar: FourierCycle, I: float, field_at,
-                      ops: SpectralOperators, row, r: np.ndarray) -> np.ndarray:
-    """hb_jacobian bordered by the column dR/dI, one forward difference from
-    r (the HB residual at I), and by the row (a_T, a_I) of row = (a_T, a_I, b).
+def bordered_jacobian(xbar: FourierCycle, field: VectorField,
+                      ops: SpectralOperators, row) -> np.ndarray:
+    """hb_jacobian bordered by the column dR/dI and by the row (a_T, a_I)
+    of row = (a_T, a_I, b).
 
-    The HB block is written in place, not copied: one more full-size
-    temporary per Newton step can take the step's matrices past the C
-    allocator's heap trim threshold, and then they come back as fresh
-    pages on every step."""
-    n = xbar.dim * (2 * xbar.K + 1) + 1
+    I enters the field additively, so dR/dI = -analysis(field.dfdI): minus
+    dfdI_i at the A0 row of each state i and zero elsewhere.  The HB block
+    is written in place, not copied: one more full-size temporary per
+    Newton step can take the step's matrices past the C allocator's heap
+    trim threshold, and then they come back as fresh pages on every step."""
+    nc = 2 * xbar.K + 1
+    n = xbar.dim * nc + 1
     J = np.zeros((n + 1, n + 1))
-    hb_jacobian(xbar, field_at(I), ops, out=J[:-1, :-1])
-    h = max(abs(I), 1.0) * 1e-7
-    J[:-1, -1] = (hb_residual(xbar, field_at(I + h), ops) - r) / h
+    hb_jacobian(xbar, field, ops, out=J[:-1, :-1])
+    J[0:n - 1:nc, -1] = np.negative(field.dfdI)
     J[-1, -2:] = row[:2]
     return J
 
@@ -298,8 +299,7 @@ def solve_hb_bordered(init: PeriodicOrbit, I_guess: float, field_at,
                          a_T * z[-2] + a_I * z[-1] - b)
 
     def step(z, r):
-        J = bordered_jacobian(cycle(z), float(z[-1]), field_at, ops, row,
-                              r[:-1])
+        J = bordered_jacobian(cycle(z), field_at(float(z[-1])), ops, row)
         return newton.dense_step(J, r, "HB")
 
     z, _ = newton.damped_newton(
@@ -321,8 +321,8 @@ def solve_hb(init: PeriodicOrbit, field: VectorField, ops: SpectralOperators,
              tol: float = 1e-10, max_iter: int = 40) -> FourierCycle:
     """Newton solve over (all coefficients, T): solve_hb_bordered with a
     field that does not depend on I and the row pinning I at 0."""
-    return solve_hb_bordered(init, 0.0, lambda _: field, ops, (0.0, 1.0, 0.0),
-                             tol, max_iter)[0]
+    return solve_hb_bordered(init, 0.0, constant_family(field), ops,
+                             (0.0, 1.0, 0.0), tol, max_iter)[0]
 
 
 def solve_hb_fixed_period(init: PeriodicOrbit, I_guess: float, field_at,

@@ -1,11 +1,12 @@
 """Fixed-step RK4 time integration and variational (monodromy) flow.
 
-Every RK4 loop here steps one state as a list of Python floats through the
-field's f_floats member, because numpy's per-call overhead on a 4-vector
-would be most of the cost of a step.  The stage arithmetic keeps numpy's
-operation order (x + (h/2) k, then x + (h/6) (k1 + 2 k2 + 2 k3 + k4)), so
-the states are those of the same loop on arrays.  Float overflow
-(OverflowError) surfaces as NonFinite.
+integrate_rk4 is the one RK4 loop: it steps one state as a list of Python
+floats through the field's f_floats member, because numpy's per-call
+overhead on a 4-vector would be most of the cost of a step.  The stage
+arithmetic keeps numpy's operation order (x + (h/2) k, then
+x + (h/6) (k1 + 2 k2 + 2 k3 + k4)), so the states are those of the same
+loop on arrays.  flow and variational_flow take their states from it.
+Float overflow (OverflowError) and non-finite states surface as NonFinite.
 
 The fundamental matrix of the variational equations is the RK4 map
 differentiated step by step, which is the coupled state and variational RK4
@@ -44,16 +45,13 @@ class Trajectory:
             raise ValueError("times must be strictly increasing")
 
 
-def _floats(x0) -> list:
-    return np.asarray(x0, dtype=float).tolist()
-
-
 def integrate_rk4(field: VectorField, x0, t0: float, t1: float, h: float) -> Trajectory:
     """Classical RK4 with fixed step h at the times t0 + i*h, the last of
     them clamped to t1; a shorter last step hits t1 when h does not divide
     t1 - t0.
 
-    Raises NonFinite if the state blows up mid-integration.
+    Raises NonFinite, naming the first time with a non-finite state, if the
+    state blows up.
     """
     if h <= 0:
         raise ValueError("step must be positive")
@@ -66,10 +64,9 @@ def integrate_rk4(field: VectorField, x0, t0: float, t1: float, h: float) -> Tra
     if abs(last - h) <= STEP_ROUNDOFF * h:
         last = h
     F = field.f_floats
-    x = _floats(x0)
+    x = np.asarray(x0, dtype=float).tolist()
     states = np.empty((n + 1, len(x)))
     states[0] = x
-    isfinite = math.isfinite
     try:
         # steps of h to the last time but one, then the last step
         for step, rows in ((h, range(1, n)), (last, (n,))):
@@ -81,34 +78,19 @@ def integrate_rk4(field: VectorField, x0, t0: float, t1: float, h: float) -> Tra
                 k4 = F(*[a + step * b for a, b in zip(x, k3)])
                 x = [a + h6 * (b + 2.0 * c + 2.0 * d + e)
                      for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
-                if not all(map(isfinite, x)):
-                    raise NonFinite(f"integration blew up at t={times[i]:.6g}")
                 states[i] = x
     except OverflowError as exc:
         raise NonFinite(f"integration blew up at t={times[i]:.6g}") from exc
+    bad = ~np.all(np.isfinite(states), axis=1)
+    if bad.any():
+        raise NonFinite(
+            f"integration blew up at t={times[np.argmax(bad)]:.6g}")
     return Trajectory(times, states)
 
 
 def flow(field: VectorField, x0, T: float, nsteps: int) -> np.ndarray:
-    """Endpoint of the flow over time T (no trajectory storage)."""
-    F = field.f_floats
-    x = _floats(x0)
-    h = T / nsteps
-    hh, h6 = 0.5 * h, h / 6.0
-    try:
-        for _ in range(nsteps):
-            k1 = F(*x)
-            k2 = F(*[a + hh * b for a, b in zip(x, k1)])
-            k3 = F(*[a + hh * b for a, b in zip(x, k2)])
-            k4 = F(*[a + h * b for a, b in zip(x, k3)])
-            x = [a + h6 * (b + 2.0 * c + 2.0 * d + e)
-                 for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
-    except OverflowError as exc:
-        raise NonFinite("flow blew up") from exc
-    x = np.array(x)
-    if not np.all(np.isfinite(x)):
-        raise NonFinite("flow blew up")
-    return x
+    """Endpoint of nsteps RK4 steps of T / nsteps from x0."""
+    return integrate_rk4(field, x0, 0.0, T, T / nsteps).states[-1].copy()
 
 
 def flow_with_monodromy(field: VectorField, x0, T: float, nsteps: int):
@@ -124,39 +106,25 @@ def variational_flow(field: VectorField, x0, h: float, chunks: int,
     with the fundamental matrix of each interval (Y = I at its start) and
     the integral of trace J(x(t)) over it.
 
-    The state is advanced alone, keeping the four stage states of every
-    step; one Jacobian call on all of them gives the step matrices (see
-    _step_products).  The trace integrals are the RK4 quadrature
+    The states come from one integrate_rk4 pass.  The three inner stage
+    states of every step are rebuilt from them by three batched field
+    calls, and one Jacobian call on all four stages gives the step matrices
+    (see _step_products).  The trace integrals are the RK4 quadrature
     h/6 (tr J_a + 2 tr J_b + 2 tr J_c + tr J_d) over the same stages, so the
     Liouville check costs no extra field call.  Returns the endpoint, the
     (chunks, dim, dim) stack and the (chunks,) trace integrals.
     """
     dim = field.dim
-    F = field.f_floats
-    x = _floats(x0)
-    hh, h6 = 0.5 * h, h / 6.0
-    stages = np.empty((chunks * n, 4 * dim))
-    try:
-        for i in range(chunks * n):
-            k1 = F(*x)
-            xb = [a + hh * b for a, b in zip(x, k1)]
-            k2 = F(*xb)
-            xc = [a + hh * b for a, b in zip(x, k2)]
-            k3 = F(*xc)
-            xd = [a + h * b for a, b in zip(x, k3)]
-            k4 = F(*xd)
-            stages[i] = x + xb + xc + xd
-            x = [a + h6 * (b + 2.0 * c + 2.0 * d + e)
-                 for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
-    except OverflowError as exc:
-        raise NonFinite("variational flow blew up") from exc
-    x = np.array(x)
-    if not np.all(np.isfinite(x)):
-        raise NonFinite("variational flow blew up")
-    J = field.jac(stages.reshape(-1, dim)).reshape(chunks, n, 4, dim, dim)
+    states = integrate_rk4(field, x0, 0.0, chunks * n * h, h).states
+    xa = states[:-1]
+    xb = xa + (0.5 * h) * field.f(xa)
+    xc = xa + (0.5 * h) * field.f(xb)
+    xd = xa + h * field.f(xc)
+    stages = np.stack([xa, xb, xc, xd], axis=1).reshape(-1, dim)
+    J = field.jac(stages).reshape(chunks, n, 4, dim, dim)
     Y, traces = _step_products(J[:, :, 0], J[:, :, 1], J[:, :, 2],
                                J[:, :, 3], h)
-    return x, Y, traces
+    return states[-1].copy(), Y, traces
 
 
 def _step_products(Ja, Jb, Jc, Jd, h: float):

@@ -1,7 +1,10 @@
-"""Source hygiene: every imported name in the package and the tests is read."""
+"""Source hygiene: every imported name in the package and the tests is read,
+and every package name the benchmark under bench/ patches or calls exists."""
 
 import ast
 from pathlib import Path
+
+from hhcycles import continuation
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "hhcycles").glob("*.py")) + sorted(
@@ -37,3 +40,18 @@ def unused_imports(path):
 def test_no_unused_imports():
     found = [u for path in SOURCES for u in unused_imports(path)]
     assert not found, "imported but never read:\n" + "\n".join(found)
+
+
+def test_benchmark_names_exist(monkeypatch):
+    # bench/tracing.py patches these by name: deleting one breaks the traced
+    # benchmark, not the package's own tests
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import tracing
+    points = ([(module, name) for module, name, _ in tracing.SPAN_POINTS]
+              + [(module, name) for module, name, _ in tracing.LEAF_POINTS]
+              + list(tracing.CallLog.ENTRY_POINTS)
+              + [(continuation, "_SolverAdapter")])
+    missing = [f"{module.__name__}.{name}" for module, name in points
+               if not hasattr(module, name)]
+    assert not missing, "the benchmark needs: " + ", ".join(missing)
+    assert hasattr(continuation.Branch, "mode_history")

@@ -1,5 +1,7 @@
 """RK4 flow, variational flow, and determinant identities."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,15 @@ def stuart_landau_transient(t, c=3.0, th0=0.3):
     t = np.atleast_1d(t)
     r = 1.0 / np.sqrt(1.0 + c * np.exp(-2.0 * t))
     return np.stack([r * np.cos(th0 + t), r * np.sin(th0 + t)], axis=-1)
+
+
+def pass_case(case):
+    """(field, x0, T, nsteps): Hodgkin-Huxley at I=20 from a 5 mV kick, or
+    the Stuart-Landau transient."""
+    if case == "hh":
+        x0 = model.find_equilibrium(20.0) + np.array([5.0, 0, 0, 0])
+        return hh_field(I=20.0), x0, 12.0, 2000
+    return stuart_landau(), stuart_landau_transient(0.0)[0], 1.6, 400
 
 
 def sho_fundamental(omega, t):
@@ -101,11 +112,18 @@ class TestRK4:
         assert np.array_equal(traj.states[-1], last)
 
     def test_blowup_raises(self):
+        # x' = x^2 from 5 blows up near t = 0.2; the error names the time of
+        # the first non-finite state of the same steps on arrays
         fld = VectorField(dim=1,
                           f=lambda x: np.asarray(x, float) ** 2,
                           jac=lambda x: 2.0 * np.asarray(x, float)[..., None])
-        with pytest.raises(NonFinite):
-            integrate.integrate_rk4(fld, [5.0], 0.0, 10.0, 0.05)
+        x, i = np.array([5.0]), 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            while np.all(np.isfinite(x)):
+                x, i = numpy_rk4_step(fld.f, x, 0.05), i + 1
+            message = re.escape(f"at t={i * 0.05:.6g}") + "$"
+            with pytest.raises(NonFinite, match=message):
+                integrate.integrate_rk4(fld, [5.0], 0.0, 10.0, 0.05)
 
     def test_hh_overflow_ends_in_nonfinite(self):
         # n = 3 drives V far out; one-state float arithmetic overflows there
@@ -136,6 +154,17 @@ class TestRK4:
             ref.append(numpy_rk4_step(f, ref[-1], 0.01))
         assert np.array_equal(traj.states, np.array(ref))
         assert np.array_equal(integrate.flow(fld, x0, 25.0, 2500), ref[-1])
+
+    @pytest.mark.parametrize("case", ["hh", "stuart-landau"])
+    def test_every_pass_ends_on_the_loops_last_state(self, case):
+        # flow and variational_flow take their states from integrate_rk4
+        fld, x0, T, n = pass_case(case)
+        end = integrate.integrate_rk4(fld, x0, 0.0, T, T / n).states[-1]
+        assert np.array_equal(integrate.flow(fld, x0, T, n), end)
+        x, _ = integrate.flow_with_monodromy(fld, x0, T, n)
+        assert np.array_equal(x, end)
+        x, _, _ = integrate.variational_flow(fld, x0, T / n, 4, n // 4)
+        assert np.array_equal(x, end)
 
     def test_settle_has_one_sample_per_step(self, field20):
         # 30,000 steps of 0.01 ms: summing the step would stop just short
@@ -194,13 +223,7 @@ class TestVariationalFlow:
     def test_stage_jacobians_match_the_coupled_pass(self, case):
         # the step matrices from the stage states against one RK4 of the
         # (dim + dim^2)-vector: the same state bit for bit, Y to roundoff
-        if case == "hh":
-            fld = hh_field(I=20.0)
-            x0 = model.find_equilibrium(20.0) + np.array([5.0, 0, 0, 0])
-            T, nsteps = 12.0, 2000
-        else:
-            fld = stuart_landau()
-            x0, T, nsteps = stuart_landau_transient(0.0)[0], 1.6, 400
+        fld, x0, T, nsteps = pass_case(case)
         x, Y = integrate.flow_with_monodromy(fld, x0, T, nsteps)
         x_ref, Y_ref = coupled_monodromy(fld, x0, T, nsteps)
         assert np.array_equal(x, x_ref)
