@@ -143,6 +143,23 @@ def _hopf_end(a: BranchPoint, b: BranchPoint) -> Optional[float]:
     return (b.I - a.I) * b2 / (a2 - b2)
 
 
+def _secant_cycle(prev: BranchPoint, cur: BranchPoint,
+                  reach: float) -> PeriodicOrbit:
+    """The corrector's guess reach secant lengths beyond cur: the Fourier
+    coefficients extrapolated along the secant from prev when both points
+    are series of one K, else cur's cycle.
+
+    Every harmonic-balance point sits on one phase anchor (B1 of V = 0,
+    A1 >= 0), so the coefficients of successive points lie on one smooth
+    curve; two collocation cycles need not share a mesh.
+    """
+    a, b = prev.cycle, cur.cycle
+    if isinstance(a, FourierCycle) and isinstance(b, FourierCycle) \
+            and a.K == b.K:
+        return replace(b, coeffs=b.coeffs + reach * (b.coeffs - a.coeffs))
+    return b
+
+
 def continue_branch(start: BranchPoint, direction: int,
                     I_limits: Tuple[float, float],
                     field_at: Callable[[float], VectorField],
@@ -162,6 +179,11 @@ def continue_branch(start: BranchPoint, direction: int,
     box edge, on amplitude collapse (recorded as a Hopf endpoint event), on
     min-step exhaustion, or after max_points.
 
+    The cycle is predicted along the same secant: from the second step on,
+    a harmonic-balance corrector starts from the coefficients extrapolated
+    by the step taken over the (I, T) length of the secant (_secant_cycle);
+    the first step starts from the start cycle.
+
     While the amplitude falls, the square-root law through the last two
     points predicts the Hopf end, and h is capped so that the step moves I
     no further than where the law puts HOPF_LANDING times the collapse
@@ -180,6 +202,7 @@ def continue_branch(start: BranchPoint, direction: int,
     h = ctrl.initial
     successes = 0
     tI, tT = (1.0 if direction > 0 else -1.0), 0.0   # unit step direction
+    secant = 0.0   # (I, T) length of the secant; 0 before the first step
 
     def accept(I_new, cyc, landing) -> str:
         """Vet and append the corrected point: 'ok' | 'stop' | 'reject'.
@@ -224,19 +247,22 @@ def continue_branch(start: BranchPoint, direction: int,
             cap = abs(d) * (1.0 - land) / abs(tI)
             landing = cap <= h
             h = min(h, cap)
-        I_pred, T_pred = cur.I + h * tI, cur.period + h * tT
+        s = h   # the length taken along the secant
+        I_pred, T_pred = cur.I + s * tI, cur.period + s * tT
         pinned = not lo <= I_pred <= hi
         if pinned:
             edge = hi if I_pred > hi else lo
             if cur.I == edge:
                 break  # parked on the I-limits box
-            T_pred = cur.period + (edge - cur.I) / tI * tT
+            s = (edge - cur.I) / tI
+            T_pred = cur.period + s * tT
             I_pred, row = edge, (0.0, 1.0, edge)
         else:
             row = (tT, tI, tT * T_pred + tI * I_pred)
+        guess = (_secant_cycle(points[-2], cur, s / secant) if secant
+                 else cur.cycle)
         try:
-            cyc, I_new = adapter.correct(field_at, cur.cycle, T_pred, I_pred,
-                                         row)
+            cyc, I_new = adapter.correct(field_at, guess, T_pred, I_pred, row)
         except SOLVER_ERRORS as exc:
             failure, verdict = exc, "reject"
         else:
@@ -259,7 +285,8 @@ def continue_branch(start: BranchPoint, direction: int,
             successes = 0
         # the secant of the last two points
         dI, dT = points[-1].I - cur.I, points[-1].period - cur.period
-        tI, tT = dI / np.hypot(dI, dT), dT / np.hypot(dI, dT)
+        secant = float(np.hypot(dI, dT))
+        tI, tT = dI / secant, dT / secant
 
     return Branch(points=points, events=events, solver=adapter.name)
 
@@ -271,8 +298,9 @@ def turning_indices(Is: Sequence[float]) -> List[int]:
 
 
 def fold_bracket(branch: Branch, j: int) -> Tuple[int, int]:
-    """Index window of the fold search around the turning index j."""
-    return max(j - 4, 0), min(j + 4, len(branch.points) - 1)
+    """Index window of the fold search centred on the turning index j; the
+    search takes the part of it on the branch."""
+    return j - 4, j + 4
 
 
 def pd_bracket(branch: Branch) -> Optional[Tuple[int, int]]:
@@ -298,7 +326,7 @@ def _bracket_slice(branch: Branch, bracket) -> List[int]:
     """
     n = len(branch.points)
     a, b = bracket or (0, n - 1)
-    return list(range(min(a, b), min(max(a, b) + 1, n)))
+    return list(range(max(min(a, b), 0), min(max(a, b) + 1, n)))
 
 
 def locate_fold(branch: Branch, bracket,
@@ -307,6 +335,8 @@ def locate_fold(branch: Branch, bracket,
                 spectrum_steps: int = floquet.DEFAULT_SPECTRUM_STEPS) -> BifurcationEvent:
     """Pin down a turning point as the extremum of I along the branch.
 
+    The turning point refined is the one nearest the middle of the bracket,
+    the j of fold_bracket(branch, j): the bracket can hold a second fold.
     T is monotone through the fold, so repeated T-pinned solves give I(T)
     pointwise; a quadratic fit through the three samples nearest the
     extremum is iterated until the vertex period stops moving by more than
@@ -319,7 +349,8 @@ def locate_fold(branch: Branch, bracket,
     ext = turning_indices([branch.points[i].I for i in ids])
     if not ext:
         raise NoExtremum("no interior extremum of I in the bracket")
-    k = ext[-1]
+    mid = 0.5 * sum(bracket or (0, len(branch.points) - 1))
+    k = min(ext, key=lambda e: abs(ids[e] - mid))
 
     samples = [(branch.points[ids[j]].period, branch.points[ids[j]].I,
                 branch.points[ids[j]].cycle) for j in (k - 1, k, k + 1)]
@@ -442,8 +473,11 @@ def assemble_diagram(branches: Sequence[Branch],
     """Merge branches into one diagram, deduplicating overlap.
 
     Points from different branches that agree in I to 1e-9 and in orbit
-    signature (period, V extrema) to 1e-6 are kept once.  Events of the same
-    kind within 1e-6 in I are merged.
+    signature (period, V extrema) to 1e-6 are kept once.  A branch's Hopf
+    endpoint within the branch's last I-step of a Hopf event among
+    extra_events (located on the equilibrium) is that event: it keeps the
+    located I_star and gains the branch's estimate and amplitude as
+    evidence.  Other events of the same kind within 1e-6 in I are merged.
     """
     records: List[dict] = []
     seen: List[Tuple[float, float, float, float]] = []
@@ -463,8 +497,24 @@ def assemble_diagram(branches: Sequence[Branch],
                             "period": pt.period})
     records.sort(key=lambda r: (r["branch_id"], r["I"]))
 
+    located = list(extra_events)
+    ends: List[BifurcationEvent] = []
+    for br in branches:
+        pts = br.points
+        reach = abs(pts[-1].I - pts[-2].I) if len(pts) > 1 else 0.0
+        for ev in br.events:
+            k = next((i for i, e in enumerate(located)
+                      if e.kind == ev.kind == "hopf"
+                      and abs(e.I_star - ev.I_star) <= reach), None)
+            if k is None:
+                ends.append(ev)
+                continue
+            located[k] = replace(located[k], evidence={
+                **located[k].evidence, "branch_I_star": ev.I_star,
+                "branch_amplitude": ev.evidence["amplitude"]})
+
     events: List[BifurcationEvent] = []
-    for ev in [e for br in branches for e in br.events] + list(extra_events):
+    for ev in ends + located:
         if any(e.kind == ev.kind and abs(e.I_star - ev.I_star) < 1e-6
                for e in events):
             continue

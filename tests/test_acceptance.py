@@ -5,7 +5,9 @@ results table.  The expensive branch computations are module-scoped and
 shared across criteria.
 """
 
+import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -115,13 +117,22 @@ def colloc_fold(branch_down):
     return br, ev
 
 
-def _aligned_v_deviation(eval_a, eval_b, T, nsamples=4096, nscan=800):
-    """Max |V_a - V_b| over one period, minimized over the relative phase."""
-    t = np.linspace(0.0, T, nsamples, endpoint=False)
-    Vb = eval_b(t)
+V_SAMPLES = 4096   # points of the uniform grid over one period
+
+
+def _v_grid(T):
+    return np.linspace(0.0, T, V_SAMPLES, endpoint=False)
+
+
+def _aligned_v_deviation(shifted_a, eval_b, T, nscan=800):
+    """Max |V_a - V_b| over one period, minimized over the relative phase.
+
+    shifted_a(shift) is V_a at the times _v_grid(T) + shift.
+    """
+    Vb = eval_b(_v_grid(T))
 
     def f(shift):
-        return float(np.max(np.abs(eval_a(t + shift) - Vb)))
+        return float(np.max(np.abs(shifted_a(shift) - Vb)))
 
     shifts = np.linspace(0.0, T, nscan, endpoint=False)
     devs = [f(s) for s in shifts]
@@ -134,6 +145,46 @@ def _aligned_v_deviation(eval_a, eval_b, T, nsamples=4096, nscan=800):
         else:
             a = m1
     return f(0.5 * (a + b))
+
+
+def _shifted_series_v(fc, T):
+    """V of the series fc at _v_grid(T) + shift, as a function of shift.
+
+    With theta_j = 2*pi*j/V_SAMPLES, phi = 2*pi*shift/fc.period and
+    eps = T/fc.period - 1, that is V(theta_j + phi + eps*theta_j): the
+    series' own uniform grid, rotated by phi, drifting by eps*theta_j where
+    the two periods differ (by 2e-3 near the fold of criterion 9).  Its
+    Taylor series in the drift comes from one inverse FFT of the scaled
+    derivatives rotated by phi, where the pointwise sum of the series takes
+    a 4096 x 101 cos/sin table per shift.  The series stops where
+    x^p/p! < 1e-17 with x = 2*pi*|eps|*K, which bounds the remainder
+    relative to the coefficients.
+    """
+    k = np.arange(fc.K + 1)
+    # V(theta) = Re sum_k c_k exp(i*k*theta)
+    c = np.append(fc.coeffs[0, 0],
+                  fc.coeffs[0, 1::2] - 1j * fc.coeffs[0, 2::2])
+    eps = T / fc.period - 1.0
+    x = 2.0 * np.pi * abs(eps) * fc.K
+    order = 1
+    while x ** order / math.factorial(order) >= 1e-17:
+        order += 1
+    # row p: the coefficients of the p-th derivative over p!
+    derivs = np.array([c * (1j * k) ** p / math.factorial(p)
+                       for p in range(order)])
+    drift = eps * _v_grid(2.0 * np.pi)
+    rows = np.empty((order, 2 * fc.K + 1))
+
+    def at(shift):
+        z = derivs * np.exp(2j * np.pi * k * shift / fc.period)
+        rows[:, 0] = z[:, 0].real
+        rows[:, 1::2], rows[:, 2::2] = z[:, 1:].real, -z[:, 1:].imag
+        terms = replace(fc, coeffs=rows).states_on_grid(V_SAMPLES).T
+        V = terms[-1]
+        for term in terms[-2::-1]:
+            V = term + drift * V
+        return V
+    return at
 
 
 @pytest.fixture(scope="module")
@@ -150,13 +201,13 @@ def cross_solver(hb_adapter):
                                      sc.period / 16384)
         T = cs.period
         coll_V = lambda t: cs.evaluate_time(t)[:, 0]
-        hb_V = lambda t: hb.evaluate_series(fc, t)[:, 0]
-        shoot_V = lambda t: np.interp(np.asarray(t) % sc.period,
+        shoot_V = lambda s: np.interp((_v_grid(T) + s) % sc.period,
                                       tr.times, tr.states[:, 0])
         out[I] = {
             "periods": (sc.period, cs.period, fc.period),
             "dev_shoot_coll": _aligned_v_deviation(shoot_V, coll_V, T),
-            "dev_hb_coll": _aligned_v_deviation(hb_V, coll_V, T),
+            "dev_hb_coll": _aligned_v_deviation(_shifted_series_v(fc, T),
+                                                coll_V, T),
             "hb_cycle": fc,
         }
     return out
@@ -346,7 +397,7 @@ def test_criterion_9_gibbs_ripple(branch_down, hb_adapter, cross_solver):
     fc = hb.solve_hb(seed_pt.cycle.to_fourier(50), FAM(I),
                      hb_adapter._ops)
     cs = collocation.solve_bvp(FAM(I), fc, tol=1e-5, N=400, max_N=1600)
-    dev = _aligned_v_deviation(lambda t: hb.evaluate_series(fc, t)[:, 0],
+    dev = _aligned_v_deviation(_shifted_series_v(fc, cs.period),
                                lambda t: cs.evaluate_time(t)[:, 0],
                                cs.period)
     ref = cross_solver[20.0]["dev_hb_coll"]

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from hhcycles import continuation as ct
-from hhcycles import floquet, hb, model
+from hhcycles import collocation, floquet, hb, model
 from hhcycles.cycles import PeriodicOrbit
 from hhcycles.errors import (DegenerateCycle, NoConvergence, NoExtremum,
                              NoSignChange, StartInvalid)
+from hhcycles.fields import harmonic_oscillator
 from test_floquet import make_spec
 
 
@@ -380,6 +381,101 @@ def test_a_sudden_collapse_is_rejected_and_halves_the_step():
                                                   rel=1e-12)
 
 
+def bent_series(I):
+    """The K=2 series of V along a branch that bends in I: its harmonics
+    move quadratically, so every extrapolation reads a fresh secant."""
+    return hb.FourierCycle(K=2, period=PERIOD_0 + PERIOD_SLOPE * I,
+                           coeffs=np.array([[-60.0 + I, 20.0 + 0.1 * I * I,
+                                             0.0, 3.0 - I, 0.5 * I * I]]))
+
+
+def mesh_cycle(I):
+    """A collocation cycle of the same branch, on one fixed mesh."""
+    tau = np.linspace(0.0, 1.0, 17)
+    mid = 0.5 * (tau[:-1] + tau[1:])
+    ring = lambda s: (20.0 + I) * np.stack([np.cos(2 * np.pi * s),
+                                            -np.sin(2 * np.pi * s)], axis=1)
+    return collocation.CollocationSolution(
+        mesh=collocation.Mesh(tau), y=ring(tau[:-1]), mid=ring(mid),
+        period=PERIOD_0 + PERIOD_SLOPE * I, field=harmonic_oscillator())
+
+
+class SpyCorrector:
+    """Stub corrector for the branch T = PERIOD_0 + PERIOD_SLOPE*I with the
+    cycles cycle_at(I).  Every call records its guess, the predicted (T, I)
+    and the last two accepted (I, T, cycle); the calls numbered in fail_at
+    raise NoConvergence."""
+
+    name = "stub"
+
+    def __init__(self, cycle_at, start_I, fail_at=()):
+        self.cycle_at, self.fail_at = cycle_at, fail_at
+        cyc = cycle_at(start_I)
+        self.accepted = [(start_I, cyc.period, cyc)]
+        self.calls = []
+
+    def correct(self, field_at, predictor, T, I, row):
+        self.calls.append((predictor, T, I, self.accepted[-2:]))
+        if len(self.calls) - 1 in self.fail_at:
+            raise NoConvergence("scripted failure")
+        a_T, a_I, b = row
+        I_new = (b - a_T * PERIOD_0) / (a_T * PERIOD_SLOPE + a_I)
+        cyc = self.cycle_at(I_new)
+        self.accepted.append((I_new, cyc.period, cyc))
+        return cyc, I_new
+
+
+@pytest.mark.usefixtures("cheap_points")
+class TestCyclePredictor:
+    """Each corrector starts from the cycle predicted along the secant."""
+
+    CTRL = ct.StepControl(initial=0.5, max_step=1.0)
+    LIMITS = (0.0, 6.0)
+
+    def run(self, cycle_at, fail_at=()):
+        spy = SpyCorrector(cycle_at, 0.0, fail_at)
+        start = ct.make_point(0.0, spy.accepted[0][2], None)
+        br = ct.continue_branch(start, +1, self.LIMITS, field_at=lambda I: I,
+                                adapter=spy, step_ctrl=self.CTRL)
+        assert br.points[-1].I == self.LIMITS[1]
+        return br, spy
+
+    @staticmethod
+    def secant_coeffs(prev, cur, T, I):
+        """c + (s/|delta|)(c - c_prev): s from cur to the predicted (I, T),
+        |delta| from prev to cur."""
+        s = np.hypot(I - cur[0], T - cur[1])
+        delta = np.hypot(cur[0] - prev[0], cur[1] - prev[1])
+        return cur[2].coeffs + (s / delta) * (cur[2].coeffs - prev[2].coeffs)
+
+    def test_the_first_step_starts_from_the_start_cycle(self):
+        br, spy = self.run(bent_series)
+        assert spy.calls[0][0] is br.points[0].cycle
+
+    def test_later_steps_start_from_the_extrapolated_series(self):
+        # the fifth solve fails, so the sixth retries the same secant with
+        # half the step; the last one is pinned on the box edge
+        br, spy = self.run(bent_series, fail_at=(4,))
+        _, T, I, (_, cur) = spy.calls[5]
+        _, T_no, I_no, (_, cur_no) = spy.calls[4]
+        assert cur is cur_no
+        assert np.hypot(I - cur[0], T - cur[1]) == pytest.approx(
+            0.5 * np.hypot(I_no - cur[0], T_no - cur[1]), rel=1e-12)
+        assert spy.calls[-1][2] == self.LIMITS[1]
+        assert len(spy.calls) == len(br.points)
+        for guess, T, I, (prev, cur) in spy.calls[1:]:
+            expected = self.secant_coeffs(prev, cur, T, I)
+            assert guess.K == 2
+            assert np.allclose(guess.coeffs, expected, rtol=1e-12, atol=1e-12)
+            assert not np.allclose(guess.coeffs, cur[2].coeffs)
+
+    def test_a_collocation_branch_starts_from_the_current_cycle(self):
+        _, spy = self.run(mesh_cycle)
+        assert len(spy.calls) > 3
+        for guess, _, _, accepted in spy.calls:
+            assert guess is accepted[-1][2]
+
+
 class TestBracketSlice:
     def test_none_selects_all(self):
         br = fake_branch([1.0, 2.0, 3.0])
@@ -388,6 +484,11 @@ class TestBracketSlice:
     def test_index_pair_selects_window(self):
         br = fake_branch([5.0, 4.0, 3.0, 4.0, 5.0])
         assert ct._bracket_slice(br, (1, 3)) == [1, 2, 3]
+
+    def test_window_is_clipped_to_the_branch(self):
+        br = fake_branch([5.0, 4.0, 3.0, 4.0, 5.0])
+        assert ct.fold_bracket(br, 2) == (-2, 6)
+        assert ct._bracket_slice(br, ct.fold_bracket(br, 2)) == [0, 1, 2, 3, 4]
 
     def test_pd_bracket_is_the_quarter_before_the_second_turn(self):
         br = fake_branch([5.0, 4.0, 3.0, 2.0, 1.0, 0.0, 1.0, 2.0, 3.0, 4.0,
@@ -420,7 +521,7 @@ class TestLocators:
             return make_spec((1.0005, 0.1, 0.0))
         monkeypatch.setattr(floquet, "spectrum", spectrum)
         j, = ct.turning_indices([p.I for p in br.points])
-        assert ct.fold_bracket(br, j) == (0, 5)
+        assert ct.fold_bracket(br, j) == (-1, 7)
         ev = ct.locate_fold(br, ct.fold_bracket(br, j), field_at=lambda I: I,
                             adapter=FoldCorrector(), spectrum_steps=123)
         assert ev.I_star == pytest.approx(1.0, abs=1e-12)
@@ -468,6 +569,34 @@ class TestLocators:
         assert ev.evidence["period"] == ad.rows[-1][2]
         assert ev.I_star == pytest.approx(1.0, abs=1e-15)
         assert ev.evidence["period"] == pytest.approx(2.0, abs=1e-9)
+
+    def test_two_folds_three_points_apart_are_each_located(self,
+                                                           monkeypatch):
+        # I = u^3/3 - u with u = T - 2 turns at T = 1 (I = 2/3) and at
+        # T = 3 (I = -2/3); each fold's bracket holds the other one too
+        monkeypatch.setattr(floquet, "spectrum",
+                            lambda *args, **kwargs: make_spec((1.0, 0.1, 0.0)))
+
+        def current(T):
+            return (T - 2.0) ** 3 / 3.0 - (T - 2.0)
+
+        class CubicCorrector:
+            def correct(self, field_at, predictor, T, I, row):
+                a_T, a_I, b = row
+                assert a_I == 0.0    # the fold search pins T
+                return FoldCycle(b / a_T), current(b / a_T)
+
+        Ts = np.array([-0.2, 0.4, 1.1, 1.7, 2.3, 2.9, 3.5, 4.1])
+        br = fake_branch(current(Ts), periods=Ts)
+        turns = ct.turning_indices([p.I for p in br.points])
+        assert turns == [2, 5]
+        folds = [ct.locate_fold(br, ct.fold_bracket(br, j), lambda I: I,
+                                CubicCorrector()) for j in turns]
+        assert [ev.evidence["period"] for ev in folds] == [
+            pytest.approx(1.0, abs=1e-4), pytest.approx(3.0, abs=1e-4)]
+        assert [ev.I_star for ev in folds] == [
+            pytest.approx(2.0 / 3.0, abs=1e-9),
+            pytest.approx(-2.0 / 3.0, abs=1e-9)]
 
     def test_pd_needs_two_points(self):
         br = fake_branch([1.0])
@@ -530,3 +659,23 @@ class TestAssembleDiagram:
         d = ct.assemble_diagram([a, b], extra)
         assert len(d.records) == 4
         assert [e.kind for e in d.events] == ["fold", "hopf", "hopf"]
+
+    def test_a_branch_end_within_its_last_step_joins_the_located_hopf(self):
+        br = fake_branch([150.0, 152.0, 154.3, 154.52])     # last step 0.22
+        br.events.append(ct.BifurcationEvent(
+            "hopf", 154.526619, {"amplitude": 0.32, "omega": 1.06}))
+        scan = {"omega": 1.063, "source": "equilibrium eigenvalues"}
+        located = [ct.BifurcationEvent("hopf", 9.78, scan),
+                   ct.BifurcationEvent("hopf", 154.526634, scan)]
+        d = ct.assemble_diagram([br], located)
+        assert [(e.kind, e.I_star) for e in d.events] == [
+            ("hopf", 9.78), ("hopf", 154.526634)]
+        assert d.events[0].evidence == scan
+        assert d.events[1].evidence == {**scan, "branch_I_star": 154.526619,
+                                        "branch_amplitude": 0.32}
+        # further than the last step, or another kind: two events
+        for other in (ct.BifurcationEvent("hopf", 154.526619 + 0.23, scan),
+                      ct.BifurcationEvent("fold", 154.526634, {})):
+            d = ct.assemble_diagram([br], [other])
+            assert sorted(e.I_star for e in d.events) == sorted(
+                [154.526619, other.I_star])
