@@ -299,7 +299,7 @@ def cmd_equilibria(args, cfg) -> int:
 
 def _cold_start(p, I, cfg):
     """Shooting cycle at I, started from a 5 mV kick off the equilibrium
-    and a 300 ms settling transient."""
+    and a settling transient of at most 300 ms."""
     fld = hh_field(p, I)
     eq = model.find_equilibrium(I, p)
     guess = shooting.settle_transient(fld, 300.0,

@@ -31,7 +31,6 @@ from .errors import NoSignChange, TrackingLost
 from .fields import VectorField
 
 NEAR_THRESHOLD = 0.05
-LOW_CONFIDENCE_TRIVIAL = 1e-2
 SPECTRUM_CHUNKS = 16      # subintervals of the period in the monodromy product
 CROSSING_MAX_ITER = 60    # bisection and secant budget of detect_crossing
 
@@ -53,10 +52,6 @@ class FloquetSpectrum:
     stability: str            # "stable" | "unstable"
     flags: frozenset
     liouville_error: float
-
-    @property
-    def low_confidence(self) -> bool:
-        return self.trivial_error > LOW_CONFIDENCE_TRIVIAL
 
     def all_multipliers(self) -> np.ndarray:
         """Trivial first, then the nontrivial ones in stored order."""

@@ -149,13 +149,6 @@ def rate_arrays(V):
     return np.broadcast_arrays(*_rates(np.asarray(V, dtype=float), _ARRAYS))
 
 
-def rate_derivative_arrays(V):
-    """d/dV of the six rates, same order as rate_arrays."""
-    V = np.asarray(V, dtype=float)
-    return np.broadcast_arrays(*_rate_derivatives(V, _rates(V, _ARRAYS)[3],
-                                                  _ARRAYS))
-
-
 def _ionic_current(V, n, h, m, p: HHParams):
     return (p.gNa * m**3 * h * (V - p.ENa)
             + p.gK * n**4 * (V - p.EK)

@@ -8,8 +8,8 @@ from hhcycles.fields import hh_field
 
 
 def cold_start(I):
-    """Shooting cycle at I from a 5 mV kick off the equilibrium, a 300 ms
-    settle and a 1e-12 shoot."""
+    """Shooting cycle at I from a 5 mV kick off the equilibrium, a settle of
+    at most 300 ms and a 1e-12 shoot."""
     fld = hh_field(I=I)
     eq = model.find_equilibrium(I)
     guess = shooting.settle_transient(fld, 300.0,

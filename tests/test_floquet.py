@@ -31,7 +31,6 @@ class TestSpectrum:
         assert spec.stability == "stable"
         assert spec.multipliers[0].real == pytest.approx(np.exp(-4 * np.pi),
                                                          rel=1e-4)
-        assert not spec.low_confidence
         assert spec.liouville_error < 1e-10
 
     def test_degenerate_conservative_cycle(self):

@@ -2,9 +2,10 @@
 and every package name the benchmark under bench/ patches or calls exists."""
 
 import ast
+import inspect
 from pathlib import Path
 
-from hhcycles import continuation
+from hhcycles import continuation, shooting
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "hhcycles").glob("*.py")) + sorted(
@@ -55,3 +56,10 @@ def test_benchmark_names_exist(monkeypatch):
                if not hasattr(module, name)]
     assert not missing, "the benchmark needs: " + ", ".join(missing)
     assert hasattr(continuation.Branch, "mode_history")
+
+
+def test_settle_transient_takes_the_benchmark_call():
+    # bench/workloads.py calls settle_transient(fld, 300.0, x_start=...);
+    # bind raises TypeError if the signature no longer accepts that call
+    inspect.signature(shooting.settle_transient).bind(
+        object(), 300.0, x_start=object())

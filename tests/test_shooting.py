@@ -8,22 +8,70 @@ from hhcycles.errors import NoConvergence, NoOscillation
 from hhcycles.fields import hh_field
 
 
+def kick(I):
+    return model.find_equilibrium(I) + np.array([5.0, 0, 0, 0])
+
+
+def counting(monkeypatch, name, count=lambda result: 1):
+    """Wrap integrate.<name> to total count(result) over its calls."""
+    total = [0]
+    original = getattr(integrate, name)
+
+    def counted(*args):
+        result = original(*args)
+        total[0] += count(result)
+        return result
+    monkeypatch.setattr(integrate, name, counted)
+    return total
+
+
+def count_rk4_steps(monkeypatch):
+    return counting(monkeypatch, "integrate_rk4",
+                    lambda traj: len(traj.times) - 1)
+
+
 class TestSettleTransient:
-    def test_detects_oscillation_at_i20(self, field20):
-        eq = model.find_equilibrium(20.0)
-        guess = shooting.settle_transient(
-            field20, 300.0, x_start=eq + np.array([5.0, 0, 0, 0]))
+    def test_detects_oscillation_at_i20(self, field20, stable_cycle_20,
+                                        monkeypatch):
+        steps = count_rk4_steps(monkeypatch)
+        guess = shooting.settle_transient(field20, 300.0, x_start=kick(20.0))
+        # the spike intervals agree long before the 300 ms cap (30,000 steps)
+        assert steps[0] <= 15_000
+        assert guess.period == pytest.approx(stable_cycle_20.period,
+                                             abs=1e-5)
         # frozen oracle: the I=20 cycle period is near 11.5655 ms
         assert guess.period == pytest.approx(11.5655, abs=0.05)
         vmin, vmax = guess.v_extrema()
         assert vmin < -80.0 and vmax > 5.0
 
-    def test_raises_on_equilibrium(self):
+    def test_raises_on_equilibrium(self, monkeypatch):
         fld = hh_field(I=2.0)   # below the oscillatory range
         eq = model.find_equilibrium(2.0)
+        steps = count_rk4_steps(monkeypatch)
         with pytest.raises(NoOscillation):
             shooting.settle_transient(fld, 300.0,
                                       x_start=eq + np.array([3.0, 0, 0, 0]))
+        # no swing ends the settle early: it runs to the cap
+        assert steps[0] == 30_000
+
+    def test_bistable_knee_current_returns_a_cycle(self):
+        # at I=7 the kicked state is attracted by the stable cycle, not by
+        # the stable equilibrium beside it
+        guess = shooting.settle_transient(hh_field(I=7.0), 300.0,
+                                          x_start=kick(7.0))
+        assert guess.period == pytest.approx(17.151, abs=0.01)
+        vmin, vmax = guess.v_extrema()
+        assert vmax - vmin > 80.0
+
+    @pytest.mark.parametrize("I, max_flows", [(20.0, 2), (50.0, 2),
+                                              (100.0, 2), (150.0, 3)])
+    def test_shooting_from_the_guess_takes_few_flows(self, I, max_flows,
+                                                     monkeypatch):
+        fld = hh_field(I=I)
+        guess = shooting.settle_transient(fld, 300.0, x_start=kick(I))
+        flows = counting(monkeypatch, "flow_with_monodromy")
+        shooting.shoot(fld, guess, tol=1e-10)
+        assert 1 <= flows[0] <= max_flows
 
 
 class TestShoot:
