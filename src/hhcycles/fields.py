@@ -2,10 +2,11 @@
 
 Every solver in this package works against a (f, jacobian) pair so the cheap
 analytic oracles (harmonic oscillator) can be swapped in for testing; the
-Hodgkin-Huxley binding is the default in the CLI.  The RK4 loops of
-integrate step one state as Python floats, through the field's f_floats
-member: the Hodgkin-Huxley field binds model.float_field there, any other
-field gets a wrapper around f.
+Hodgkin-Huxley binding is the default in the CLI.  The RK4 loop of
+integrate steps one state as Python floats, through the field's f_floats
+member, with one loop written out per state dimension: the Hodgkin-Huxley
+field binds model.float_field there (one function frame per call), any
+other field gets a wrapper around f.
 """
 
 from __future__ import annotations

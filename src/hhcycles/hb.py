@@ -254,18 +254,24 @@ def hb_jacobian(xbar: FourierCycle, field: VectorField,
 
 
 def bordered_jacobian(xbar: FourierCycle, field: VectorField,
-                      ops: SpectralOperators, row) -> np.ndarray:
+                      ops: SpectralOperators, row, out=None) -> np.ndarray:
     """hb_jacobian bordered by the column dR/dI and by the row (a_T, a_I)
     of row = (a_T, a_I, b).
 
     I enters the field additively, so dR/dI = -analysis(field.dfdI): minus
     dfdI_i at the A0 row of each state i and zero elsewhere.  The HB block
-    is written in place, not copied: one more full-size temporary per
-    Newton step can take the step's matrices past the C allocator's heap
-    trim threshold, and then they come back as fresh pages on every step."""
+    is written in place, not copied, into out if it is given (a square
+    array of the bordered size, overwritten) or else into a new array: one
+    more full-size temporary per Newton step can take the step's matrices
+    past the C allocator's heap trim threshold, and then they come back as
+    fresh pages on every step."""
     nc = 2 * xbar.K + 1
     n = xbar.dim * nc + 1
-    J = np.zeros((n + 1, n + 1))
+    if out is None:
+        J = np.zeros((n + 1, n + 1))
+    else:
+        J = out
+        J.fill(0.0)
     hb_jacobian(xbar, field, ops, out=J[:-1, :-1])
     J[0:n - 1:nc, -1] = np.negative(field.dfdI)
     J[-1, -2:] = row[:2]
@@ -298,9 +304,14 @@ def solve_hb_bordered(init: PeriodicOrbit, I_guess: float, field_at,
         return np.append(hb_residual(cycle(z), field_at(float(z[-1])), ops),
                          a_T * z[-2] + a_I * z[-1] - b)
 
+    # the Newton matrix and its LU factors, in Fortran order for LAPACK:
+    # allocated once per solve, not once per step
+    size = dim * (2 * K + 1) + 2
+    J, lu = (np.empty((size, size), order="F") for _ in range(2))
+
     def step(z, r):
-        J = bordered_jacobian(cycle(z), field_at(float(z[-1])), ops, row)
-        return newton.dense_step(J, r, "HB")
+        bordered_jacobian(cycle(z), field_at(float(z[-1])), ops, row, out=J)
+        return newton.dense_step(J, r, "HB", work=lu)
 
     z, _ = newton.damped_newton(
         residual, step,

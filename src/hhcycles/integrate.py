@@ -1,9 +1,12 @@
 """Fixed-step RK4 time integration and variational (monodromy) flow.
 
-integrate_rk4 is the one RK4 loop: it steps one state as a list of Python
-floats through the field's f_floats member, because numpy's per-call
-overhead on a 4-vector would be most of the cost of a step.  The stage
-arithmetic keeps numpy's operation order (x + (h/2) k, then
+integrate_rk4 is the one RK4 loop: it steps one state as Python floats
+through the field's f_floats member, because numpy's per-call overhead on a
+4-vector would be most of the cost of a step.  The loop body is written out
+per state component, from one template, once for each state dimension
+(_rk4_loop), the way dataclasses writes __init__: a list comprehension and
+zip per stage cost about as much as the field call.  The stage arithmetic
+keeps numpy's operation order (x + (h/2) k, then
 x + (h/6) (k1 + 2 k2 + 2 k3 + k4)), so the states are those of the same
 loop on arrays.  flow and variational_flow take their states from it.
 Float overflow (OverflowError) and non-finite states surface as NonFinite.
@@ -17,7 +20,9 @@ Jacobian call at the stage states.
 
 from __future__ import annotations
 
+import functools
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -29,6 +34,55 @@ from .fields import VectorField
 # a remainder of the span under this fraction of a step is roundoff, not a
 # step of its own
 STEP_ROUNDOFF = 1e-9
+
+# steps between two finiteness checks of the state: a pass that turns
+# non-finite without an OverflowError stops within this many steps
+CHECK_BLOCK = 1000
+
+_LOOP_TEMPLATE = """\
+def rk4_loop(F, x, h, count, append):
+    {x}, = x
+    hh = 0.5 * h
+    h6 = h / 6.0
+    for _ in range(count):
+        {k1}, = F({x})
+        {k2}, = F({x_k1})
+        {k3}, = F({x_k2})
+        {k4}, = F({x_k3})
+{update}
+{store}
+    return {x},
+"""
+
+
+@functools.cache
+def _rk4_loop(dim: int):
+    """rk4_loop(F, x, h, count, append) for states of dim components.
+
+    It takes count RK4 steps of size h from the state x (a sequence of dim
+    floats) through F, passes every new component to append in order and
+    returns the last state as a tuple.  The state lives in local floats
+    x0, x1, ..., and every stage sum is written out per component.
+    """
+    def names(stem):
+        return [f"{stem}{i}" for i in range(dim)]
+
+    x, k1, k2, k3, k4 = (names(stem) for stem in "xabcd")
+
+    def stage(step, k):
+        return ", ".join(f"{a} + {step} * {b}" for a, b in zip(x, k))
+
+    source = _LOOP_TEMPLATE.format(
+        x=", ".join(x), k1=", ".join(k1), k2=", ".join(k2),
+        k3=", ".join(k3), k4=", ".join(k4), x_k1=stage("hh", k1),
+        x_k2=stage("hh", k2), x_k3=stage("h", k3),
+        update="\n".join(
+            f"        {a} = {a} + h6 * ({b} + 2.0 * {c} + 2.0 * {d} + {e})"
+            for a, b, c, d, e in zip(x, k1, k2, k3, k4)),
+        store="\n".join(f"        append({a})" for a in x))
+    namespace = {}
+    exec(compile(source, f"<rk4_loop dim={dim}>", "exec"), namespace)
+    return namespace["rk4_loop"]
 
 
 @dataclass(frozen=True)
@@ -50,8 +104,10 @@ def integrate_rk4(field: VectorField, x0, t0: float, t1: float, h: float) -> Tra
     them clamped to t1; a shorter last step hits t1 when h does not divide
     t1 - t0.
 
-    Raises NonFinite, naming the first time with a non-finite state, if the
-    state blows up.
+    The states are stored as raw doubles as the pass goes and viewed as an
+    (n+1, dim) array after it.  Raises NonFinite, naming the first time with
+    a non-finite state, if the state blows up; the state is checked every
+    CHECK_BLOCK steps, so a blow-up ends the pass within one block.
     """
     if h <= 0:
         raise ValueError("step must be positive")
@@ -63,24 +119,22 @@ def integrate_rk4(field: VectorField, x0, t0: float, t1: float, h: float) -> Tra
     last = t1 - times[-2]
     if abs(last - h) <= STEP_ROUNDOFF * h:
         last = h
-    F = field.f_floats
     x = np.asarray(x0, dtype=float).tolist()
-    states = np.empty((n + 1, len(x)))
-    states[0] = x
+    dim = len(x)
+    loop, F = _rk4_loop(dim), field.f_floats
+    buf = array("d", x)
+    # steps of h to the last time but one, in check blocks, then the last
+    runs = [(h, min(CHECK_BLOCK, n - 1 - i))
+            for i in range(0, n - 1, CHECK_BLOCK)] + [(last, 1)]
     try:
-        # steps of h to the last time but one, then the last step
-        for step, rows in ((h, range(1, n)), (last, (n,))):
-            hh, h6 = 0.5 * step, step / 6.0
-            for i in rows:
-                k1 = F(*x)
-                k2 = F(*[a + hh * b for a, b in zip(x, k1)])
-                k3 = F(*[a + hh * b for a, b in zip(x, k2)])
-                k4 = F(*[a + step * b for a, b in zip(x, k3)])
-                x = [a + h6 * (b + 2.0 * c + 2.0 * d + e)
-                     for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
-                states[i] = x
+        for step, count in runs:
+            x = loop(F, x, step, count, buf.append)
+            if not all(map(math.isfinite, x)):
+                break
     except OverflowError as exc:
-        raise NonFinite(f"integration blew up at t={times[i]:.6g}") from exc
+        raise NonFinite("integration blew up at "
+                        f"t={times[len(buf) // dim]:.6g}") from exc
+    states = np.frombuffer(buf).reshape(-1, dim)
     bad = ~np.all(np.isfinite(states), axis=1)
     if bad.any():
         raise NonFinite(

@@ -17,9 +17,10 @@ shape and agree to a few ulps.  Where float arithmetic overflows
 (OverflowError) one state falls back to numpy, which gives inf/nan there.
 
 float_field gives the field on one state as four floats in and a 4-tuple
-out, with no array at all: the RK4 loops of integrate step one state at a
-time through it, and turn its OverflowError into NonFinite.  They take the
-Jacobian at all the stage states of a pass in one batched call.
+out, with no array at all and one function frame per call (the rates
+inlined): the RK4 loop of integrate steps one state at a time through it,
+and turns its OverflowError into NonFinite.  It takes the Jacobian at all
+the stage states of a pass in one batched call.
 """
 
 from __future__ import annotations
@@ -203,9 +204,33 @@ def vector_field(x, p: HHParams = DEFAULT_PARAMS, I: float = 0.0):
 def float_field(p: HHParams = DEFAULT_PARAMS, I: float = 0.0):
     """The field on one state as Python floats: (V, n, h, m) -> 4-tuple.
 
-    Raises OverflowError where float arithmetic overflows.
+    One function frame per call: _field_terms with _FLOATS written out, the
+    six rates and expc inlined and the parameters bound as locals, in the
+    same operation order, so the values are those of the one-state
+    vector_field bit for bit.  Raises OverflowError where float arithmetic
+    overflows.
     """
-    return lambda V, n, h, m: _field_terms(V, n, h, m, p, I, _FLOATS)
+    exp, expm1 = math.exp, math.expm1
+    cut = _EXPC_SERIES_CUTOFF
+    C, gNa, gK, gL = p.C, p.gNa, p.gK, p.gL
+    ENa, EK, EL = p.ENa, p.EK, p.EL
+    minus_I = -float(I)
+
+    def field(V, n, h, m):
+        u = 0.1 * (10.0 + V)
+        w = 0.1 * (25.0 + V)
+        a_n = 0.1 * (1.0 - u / 2.0 + u * u / 12.0 - u**4 / 720.0
+                     if abs(u) < cut else u / expm1(u))
+        a_m = (1.0 - w / 2.0 + w * w / 12.0 - w**4 / 720.0
+               if abs(w) < cut else w / expm1(w))
+        return ((minus_I - (gNa * m**3 * h * (V - ENa) + gK * n**4 * (V - EK)
+                            + gL * (V - EL))) / C,
+                a_n * (1.0 - n) - exp(V / 80.0) / 8.0 * n,
+                0.07 * exp(V / 20.0) * (1.0 - h)
+                - 1.0 / (1.0 + exp(0.1 * (30.0 + V))) * h,
+                a_m * (1.0 - m) - 4.0 * exp(V / 18.0) * m)
+
+    return field
 
 
 def jacobian(x, p: HHParams = DEFAULT_PARAMS, I: float = 0.0):

@@ -53,7 +53,8 @@ def damped_newton(residual, step, z0, tol: float, max_iter: int, what: str):
     raise NoConvergence(f"{what} Newton stalled at residual {rn:.3g}")
 
 
-def dense_step(J: np.ndarray, r: np.ndarray, what: str) -> np.ndarray:
+def dense_step(J: np.ndarray, r: np.ndarray, what: str,
+               work=None) -> np.ndarray:
     """Newton correction -J^{-1} r for a dense matrix J.
 
     A matrix whose 2-norm condition exceeds 1e14 raises
@@ -69,12 +70,20 @@ def dense_step(J: np.ndarray, r: np.ndarray, what: str) -> np.ndarray:
     the 10 covers its shortfall.  So no matrix that the SVD rule would raise
     on or solve by least squares takes the LU step.  Every other matrix,
     also one that getrf finds exactly singular, goes through the SVD rule.
+
+    work, if given, is a Fortran-order array of J's shape that J is copied
+    into and factored in, so a Newton step of a large system makes no
+    matrix-sized temporary; J itself is left as it was, for the SVD rule.
     """
     if not np.all(np.isfinite(J)):
         raise SingularJacobian(f"{what} Newton matrix not finite")
-    lu, piv, info = lapack.dgetrf(J)
+    if work is None:
+        lu, piv, info = lapack.dgetrf(J)
+    else:
+        np.copyto(work, J)
+        lu, piv, info = lapack.dgetrf(work, overwrite_a=1)
     if info == 0:
-        rcond, _ = lapack.dgecon(lu, np.linalg.norm(J, 1))
+        rcond, _ = lapack.dgecon(lu, lapack.dlange("1", J))
         # 10: margin for gecon underestimating kappa_1
         if rcond > 0 and 10 * len(J) / rcond < 1e14:
             return lapack.dgetrs(lu, piv, -r)[0]

@@ -357,6 +357,19 @@ class TestNewtonMatrix:
         assert np.all(J[1:-1, -1] == 0.0)
         assert J[0, -1] == 1.0 / DEFAULT_PARAMS.C
 
+    def test_bordered_jacobian_into_a_given_buffer(self, cycle_k):
+        # the Fortran-order matrix a solve reuses for every Newton step,
+        # holding an older step's values, is overwritten with the same matrix
+        from hhcycles.continuation import hh_family
+        fam = hh_family()
+        ops = hb.build_operators(self.K)
+        row = (0.6, -0.8, 3.0)
+        fresh = hb.bordered_jacobian(cycle_k, fam(20.3), ops, row)
+        out = np.full(fresh.shape, np.nan, order="F")
+        J = hb.bordered_jacobian(cycle_k, fam(20.3), ops, row, out=out)
+        assert J is out and out.flags.f_contiguous
+        assert np.array_equal(out, fresh)
+
 
 class TestDiagnostics:
     def test_gibbs_ripple_small_on_smooth_cycle(self, hb_cycle_20):

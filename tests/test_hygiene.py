@@ -43,6 +43,28 @@ def test_no_unused_imports():
     assert not found, "imported but never read:\n" + "\n".join(found)
 
 
+def test_rk4_loop_runs_only_inside_integrate_rk4():
+    # bench/tracing.py times every RK4 pass by wrapping integrate_rk4; the
+    # generated stage loop taken from anywhere else would run outside the
+    # integrate.rk4 span and the benchmark's timers
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        inside = set()
+        if path.name == "integrate.py":
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.FunctionDef)
+                        and node.name == "integrate_rk4"):
+                    inside = {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name) else node.attr
+                    if isinstance(node, ast.Attribute) else None)
+            if name == "_rk4_loop" and id(node) not in inside:
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert not found, "_rk4_loop used outside integrate_rk4: " + ", ".join(
+        found)
+
+
 def test_benchmark_names_exist(monkeypatch):
     # bench/tracing.py patches these by name: deleting one breaks the traced
     # benchmark, not the package's own tests

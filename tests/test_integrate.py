@@ -1,6 +1,7 @@
 """RK4 flow, variational flow, and determinant identities."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,6 +155,76 @@ class TestRK4:
             ref.append(numpy_rk4_step(f, ref[-1], 0.01))
         assert np.array_equal(traj.states, np.array(ref))
         assert np.array_equal(integrate.flow(fld, x0, 25.0, 2500), ref[-1])
+
+    @pytest.mark.parametrize("case", ["decay", "stuart-landau", "hh"])
+    @pytest.mark.parametrize("span", [
+        pytest.param(25.037, id="short-last-step"),
+        pytest.param(0.004, id="one-step")])
+    def test_loop_matches_numpy_steps_in_every_dimension(self, case, span):
+        # the loop written out for 1, 2 and 4 components against the RK4
+        # step on arrays: 2503 steps of 0.01 (three check blocks) and a
+        # last step of 0.007, or one step of 0.004
+        fld, x0 = {
+            "decay": (VectorField(dim=1, f=lambda x: -0.3 * np.asarray(x),
+                                  jac=lambda x: np.full(np.shape(x) + (1,),
+                                                        -0.3),
+                                  f_floats=lambda x: (-0.3 * x,)), [1.7]),
+            "stuart-landau": (stuart_landau(),
+                              stuart_landau_transient(0.0)[0]),
+            "hh": (hh_field(I=20.0), model.find_equilibrium(20.0)
+                   + np.array([5.0, 0.0, 0.0, 0.0]))}[case]
+        traj = integrate.integrate_rk4(fld, x0, 0.0, span, 0.01)
+
+        def f(x):
+            return np.array(fld.f_floats(*x.tolist()))
+
+        steps = np.diff(traj.times)
+        assert len(steps) == {25.037: 2504, 0.004: 1}[span]
+        ref = [np.asarray(x0, dtype=float)]
+        for _ in steps[:-1]:
+            ref.append(numpy_rk4_step(f, ref[-1], 0.01))
+        ref.append(numpy_rk4_step(f, ref[-1], span - traj.times[-2]))
+        assert traj.states.shape == (len(ref), fld.dim)
+        assert np.array_equal(traj.states, np.array(ref))
+
+    def test_pass_stores_its_states_compactly(self, field20):
+        # 30,000 steps: the pass's peak allocation stays near its (30001, 4)
+        # result, not one Python object per step
+        x0 = model.find_equilibrium(20.0) + np.array([5.0, 0.0, 0.0, 0.0])
+        integrate.integrate_rk4(field20, x0, 0.0, 1.0, 0.01)   # warm up
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            traj = integrate.integrate_rk4(field20, x0, 0.0, 300.0, 0.01)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert traj.states.shape == (30001, 4)
+        assert peak <= 2.0 * traj.states.nbytes
+
+    def test_blowup_stops_within_one_check_block(self):
+        # x' = x^2 in floats overflows to inf, not OverflowError: the pass
+        # stops at the end of the check block that turned non-finite, and
+        # still names the first non-finite time of the steps on arrays
+        calls = []
+
+        def f_floats(x):
+            calls.append(x)
+            return (x * x,)
+
+        fld = VectorField(dim=1, f=lambda x: np.asarray(x, float) ** 2,
+                          jac=lambda x: 2.0 * np.asarray(x, float)[..., None],
+                          f_floats=f_floats)
+        x, i = np.array([5.0]), 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            while np.all(np.isfinite(x)):
+                x, i = numpy_rk4_step(fld.f, x, 0.05), i + 1
+        calls.clear()
+        message = re.escape(f"at t={i * 0.05:.6g}") + "$"
+        with pytest.raises(NonFinite, match=message):
+            integrate.integrate_rk4(fld, [5.0], 0.0, 1000.0, 0.05)
+        assert i < integrate.CHECK_BLOCK
+        assert len(calls) == 4 * integrate.CHECK_BLOCK
 
     @pytest.mark.parametrize("case", ["hh", "stuart-landau"])
     def test_every_pass_ends_on_the_loops_last_state(self, case):

@@ -20,7 +20,7 @@ def svd_rule(J, r):
     return "step", np.linalg.solve(J, -r)
 
 
-def dense_step_verdict(J, r, monkeypatch):
+def dense_step_verdict(J, r, monkeypatch, work=None):
     """dense_step's verdict, read from whether it reached lstsq or raised."""
     lstsq = np.linalg.lstsq
     calls = []
@@ -32,7 +32,7 @@ def dense_step_verdict(J, r, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(np.linalg, "lstsq", spy)
         try:
-            dx = newton.dense_step(J, r, "test")
+            dx = newton.dense_step(J, r, "test", work=work)
         except SingularJacobian:
             return "raise", None
     return ("min-norm" if calls else "step"), dx
@@ -47,20 +47,32 @@ def conditioned_matrix(n, c, seed):
     return J, rng.standard_normal(n)
 
 
-@pytest.mark.parametrize("n", [5, 40, 120])
-@given(c=st.floats(min_value=0.0, max_value=17.0),
-       seed=st.integers(min_value=0, max_value=2**32 - 1))
-@example(c=0.0, seed=0)
-@example(c=12.5, seed=1)
-@example(c=13.0, seed=2)
-@example(c=14.5, seed=3)
-@example(c=17.0, seed=4)
-@settings(max_examples=40, deadline=None)
-def test_verdict_matches_svd_rule(n, c, seed):
+def conditioned_cases(test):
+    """test(n, c, seed) over sizes n and 2-norm conditions 10^c."""
+    for mark in (settings(max_examples=40, deadline=None),
+                 example(c=17.0, seed=4), example(c=14.5, seed=3),
+                 example(c=13.0, seed=2), example(c=12.5, seed=1),
+                 example(c=0.0, seed=0),
+                 given(c=st.floats(min_value=0.0, max_value=17.0),
+                       seed=st.integers(min_value=0, max_value=2**32 - 1)),
+                 pytest.mark.parametrize("n", [5, 40, 120])):
+        test = mark(test)
+    return test
+
+
+def assert_verdict_matches_svd_rule(n, c, seed, in_work):
+    """dense_step against the SVD rule; with in_work, J is in Fortran order,
+    as the HB solve keeps it, and is factored in a work array, so it must
+    be left as it was for the SVD rule."""
     J, r = conditioned_matrix(n, c, seed)
     want, ref = svd_rule(J, r)
+    work = None
+    if in_work:
+        J, work = np.asfortranarray(J), np.empty(J.shape, order="F")
+    J_before = J.copy()
     with pytest.MonkeyPatch.context() as mp:
-        got, dx = dense_step_verdict(J, r, mp)
+        got, dx = dense_step_verdict(J, r, mp, work)
+    assert np.array_equal(J, J_before)
     assert got == want
     if want == "step":
         # two LU solves differ by roundoff that grows with kappa and with n
@@ -68,6 +80,16 @@ def test_verdict_matches_svd_rule(n, c, seed):
         assert np.linalg.norm(dx - ref) <= bound * np.linalg.norm(ref)
     elif want == "min-norm":
         assert np.array_equal(dx, ref)
+
+
+@conditioned_cases
+def test_verdict_matches_svd_rule(n, c, seed):
+    assert_verdict_matches_svd_rule(n, c, seed, in_work=False)
+
+
+@conditioned_cases
+def test_verdict_matches_svd_rule_in_a_work_array(n, c, seed):
+    assert_verdict_matches_svd_rule(n, c, seed, in_work=True)
 
 
 def test_exactly_singular_matrix_takes_minimum_norm_step(monkeypatch):
