@@ -157,6 +157,13 @@ def _parse_range(spec: str):
     return lo, hi, step
 
 
+def _range_samples(lo, hi, step):
+    """lo, lo + step, ... below hi, then hi itself: the grid ends on hi
+    whether or not step divides the range."""
+    Is = np.arange(lo, hi + 0.5 * step, step)
+    return np.append(Is[Is < hi], hi)
+
+
 # ---------------------------------------------------------------------------
 # cycle JSON serialization
 
@@ -260,7 +267,7 @@ def cmd_hopf(args, cfg) -> int:
 
 def scan_hopf(lo, hi, step, p):
     """Sign changes of the complex pair's real part, bisected."""
-    Is = np.arange(lo, hi + 0.5 * step, step)
+    Is = _range_samples(lo, hi, step)
     vals = [model._complex_pair_real_part(float(I), p) for I in Is]
     found = []
     for a in range(len(Is) - 1):
@@ -273,7 +280,7 @@ def scan_hopf(lo, hi, step, p):
 def cmd_equilibria(args, cfg) -> int:
     p = params_from_config(cfg)
     lo, hi, step = _parse_range(args.range)
-    Is = np.arange(lo, hi + 0.5 * step, step)
+    Is = _range_samples(lo, hi, step)
 
     def row(I):
         I = float(I)

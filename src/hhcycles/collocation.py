@@ -285,23 +285,15 @@ def refine_mesh(mesh: Mesh, residual_profile: np.ndarray, target: float,
             raise MeshTooCoarse(
                 f"refinement would exceed {max_N} subintervals")
         order = np.argsort(-residual_profile)
-        scaled = np.ones(mesh.N, dtype=int)
-        for i in order:
-            want = pieces[i] - 1
-            take = min(want, budget)
-            scaled[i] = 1 + take
-            budget -= take
-            if budget == 0:
-                break
-        pieces = scaled
-    pts = [mesh.breakpoints[0]]
-    for i in range(mesh.N):
-        for j in range(1, pieces[i]):
-            pts.append(mesh.breakpoints[i]
-                       + (mesh.breakpoints[i + 1] - mesh.breakpoints[i])
-                       * j / pieces[i])
-        pts.append(mesh.breakpoints[i + 1])
-    return Mesh(np.array(sorted(set(pts))))
+        want = pieces[order] - 1
+        pieces[order] = 1 + np.clip(budget - (np.cumsum(want) - want), 0,
+                                    want)
+    b = mesh.breakpoints
+    cuts = pieces - 1
+    i = np.repeat(np.arange(mesh.N), cuts)               # interval of a cut
+    j = np.arange(i.size) - np.repeat(np.cumsum(cuts) - cuts, cuts) + 1
+    return Mesh(np.unique(np.concatenate(
+        [b, b[i] + (b[i + 1] - b[i]) * j / pieces[i]])))
 
 
 def solve_bvp(field: VectorField, init, tol: float = 1e-8,

@@ -8,26 +8,19 @@ i.e. it enters the voltage equation with a minus sign; the usual bifurcation
 currents (repetitive firing between roughly 6.26 and 154.5 µA/cm²) then apply
 with positive I.
 
-The rates, the field and the Jacobian are each written once, as expressions
-over a set of elementary functions (exp, expc, expc_prime).  vector_field and
-jacobian evaluate them with numpy on a batch of states, (m, 4), and with
-Python floats and math on one state, (4,), where numpy's per-call overhead
-on a 4-vector would be most of the cost.  Both return arrays of the same
-shape and agree to a few ulps.  Where float arithmetic overflows
-(OverflowError) one state falls back to numpy, which gives inf/nan there.
-
-float_field gives the field on one state as four floats in and a 4-tuple
-out, with no array at all and one function frame per call (the rates
-inlined): the RK4 loop of integrate steps one state at a time through it,
-and turns its OverflowError into NonFinite.  It takes the Jacobian at all
-the stage states of a pass in one batched call.
+The rates, the field and the Jacobian are each written once as numpy
+expressions over a batch of states, (m, 4), or one state, (4,).  The one
+exception is float_field, the field on one state in Python floats and math,
+where numpy's per-call overhead on a 4-vector would be most of the cost: the
+RK4 loop of integrate steps one state at a time through it, and vector_field
+on one state returns its values.  Where float arithmetic overflows
+(OverflowError) vector_field falls back to numpy, which gives inf/nan there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -95,51 +88,24 @@ def expc_prime(x):
     return out if out.ndim else float(out)
 
 
-def _expc_float(x: float) -> float:
-    """expc of one Python float (raises OverflowError where expc gives 0)."""
-    if abs(x) < _EXPC_SERIES_CUTOFF:
-        return _expc_series(x)
-    return x / math.expm1(x)
-
-
-def _expc_prime_float(x: float) -> float:
-    """expc_prime of one Python float."""
-    if abs(x) < _EXPC_SERIES_CUTOFF:
-        return _expc_prime_series(x)
-    em = math.expm1(x)
-    return (em - x * math.exp(x)) / (em * em)
-
-
-class _Elementary(NamedTuple):
-    """The elementary functions the rate expressions are evaluated with."""
-
-    exp: Callable
-    expc: Callable
-    expc_prime: Callable
-
-
-_ARRAYS = _Elementary(np.exp, expc, expc_prime)
-_FLOATS = _Elementary(math.exp, _expc_float, _expc_prime_float)
-
-
-def _rates(V, ef: _Elementary):
+def _rates(V):
     """alpha_n, beta_n, alpha_h, beta_h, alpha_m, beta_m at V."""
-    return (0.1 * ef.expc(0.1 * (10.0 + V)),
-            ef.exp(V / 80.0) / 8.0,
-            0.07 * ef.exp(V / 20.0),
-            1.0 / (1.0 + ef.exp(0.1 * (30.0 + V))),
-            ef.expc(0.1 * (25.0 + V)),
-            4.0 * ef.exp(V / 18.0))
+    return (0.1 * expc(0.1 * (10.0 + V)),
+            np.exp(V / 80.0) / 8.0,
+            0.07 * np.exp(V / 20.0),
+            1.0 / (1.0 + np.exp(0.1 * (30.0 + V))),
+            expc(0.1 * (25.0 + V)),
+            4.0 * np.exp(V / 18.0))
 
 
-def _rate_derivatives(V, beta_h, ef: _Elementary):
+def _rate_derivatives(V, beta_h):
     """d/dV of the six rates, same order as _rates; beta_h is its fourth."""
-    return (0.01 * ef.expc_prime(0.1 * (10.0 + V)),
-            ef.exp(V / 80.0) / 640.0,
-            0.0035 * ef.exp(V / 20.0),
+    return (0.01 * expc_prime(0.1 * (10.0 + V)),
+            np.exp(V / 80.0) / 640.0,
+            0.0035 * np.exp(V / 20.0),
             -0.1 * beta_h * (1.0 - beta_h),
-            0.1 * ef.expc_prime(0.1 * (25.0 + V)),
-            (4.0 / 18.0) * ef.exp(V / 18.0))
+            0.1 * expc_prime(0.1 * (25.0 + V)),
+            (4.0 / 18.0) * np.exp(V / 18.0))
 
 
 def rate_arrays(V):
@@ -147,7 +113,7 @@ def rate_arrays(V):
 
     Order: alpha_n, beta_n, alpha_h, beta_h, alpha_m, beta_m.
     """
-    return np.broadcast_arrays(*_rates(np.asarray(V, dtype=float), _ARRAYS))
+    return np.broadcast_arrays(*_rates(np.asarray(V, dtype=float)))
 
 
 def _ionic_current(V, n, h, m, p: HHParams):
@@ -156,9 +122,9 @@ def _ionic_current(V, n, h, m, p: HHParams):
             + p.gL * (V - p.EL))
 
 
-def _field_terms(V, n, h, m, p: HHParams, I, ef: _Elementary):
+def _field_terms(V, n, h, m, p: HHParams, I):
     """The four components of the field at (V, n, h, m)."""
-    a_n, b_n, a_h, b_h, a_m, b_m = _rates(V, ef)
+    a_n, b_n, a_h, b_h, a_m, b_m = _rates(V)
     return ((-I - _ionic_current(V, n, h, m, p)) / p.C,
             a_n * (1.0 - n) - b_n * n,
             a_h * (1.0 - h) - b_h * h,
@@ -169,10 +135,10 @@ def _field_terms(V, n, h, m, p: HHParams, I, ef: _Elementary):
 _JAC_FLAT = np.array([0, 1, 2, 3, 4, 5, 8, 10, 12, 15])
 
 
-def _jacobian_terms(V, n, h, m, p: HHParams, ef: _Elementary):
+def _jacobian_terms(V, n, h, m, p: HHParams):
     """The ten structurally nonzero entries of the Jacobian at (V, n, h, m)."""
-    a_n, b_n, a_h, b_h, a_m, b_m = _rates(V, ef)
-    da_n, db_n, da_h, db_h, da_m, db_m = _rate_derivatives(V, b_h, ef)
+    a_n, b_n, a_h, b_h, a_m, b_m = _rates(V)
+    da_n, db_n, da_h, db_h, da_m, db_m = _rate_derivatives(V, b_h)
     return (-(p.gNa * m**3 * h + p.gK * n**4 + p.gL) / p.C,
             -4.0 * p.gK * n**3 * (V - p.EK) / p.C,
             -p.gNa * m**3 * (V - p.ENa) / p.C,
@@ -194,21 +160,19 @@ def vector_field(x, p: HHParams = DEFAULT_PARAMS, I: float = 0.0):
     x = np.asarray(x, dtype=float)
     if x.shape == (STATE_DIM,):
         try:
-            return np.array(_field_terms(*x.tolist(), p, I, _FLOATS))
+            return np.array(float_field(p, I)(*x.tolist()))
         except OverflowError:
             pass  # numpy returns inf/nan here; the integrators raise on it
-    return np.stack(_field_terms(*np.moveaxis(x, -1, 0), p, I, _ARRAYS),
-                    axis=-1)
+    return np.stack(_field_terms(*np.moveaxis(x, -1, 0), p, I), axis=-1)
 
 
 def float_field(p: HHParams = DEFAULT_PARAMS, I: float = 0.0):
     """The field on one state as Python floats: (V, n, h, m) -> 4-tuple.
 
-    One function frame per call: _field_terms with _FLOATS written out, the
-    six rates and expc inlined and the parameters bound as locals, in the
-    same operation order, so the values are those of the one-state
-    vector_field bit for bit.  Raises OverflowError where float arithmetic
-    overflows.
+    One function frame per call: _field_terms with the six rates and expc
+    inlined and the parameters bound as locals, in the same operation order,
+    so the values agree with the batch path to a few ulps.  Raises
+    OverflowError where float arithmetic overflows.
     """
     exp, expm1 = math.exp, math.expm1
     cut = _EXPC_SERIES_CUTOFF
@@ -234,17 +198,16 @@ def float_field(p: HHParams = DEFAULT_PARAMS, I: float = 0.0):
 
 
 def jacobian(x, p: HHParams = DEFAULT_PARAMS, I: float = 0.0):
-    """Analytic Jacobian d f / d x; shape (..., 4, 4) matching x."""
+    """Analytic Jacobian d f / d x; shape (..., 4, 4) matching x.
+
+    One state is evaluated as a batch of one: numpy's scalar power rounds
+    differently from its array power, and a batch row must not depend on
+    the shape it came in.
+    """
     x = np.asarray(x, dtype=float)
-    J = np.zeros(x.shape[:-1] + (STATE_DIM * STATE_DIM,))
-    if x.shape == (STATE_DIM,):
-        try:
-            J[_JAC_FLAT] = _jacobian_terms(*x.tolist(), p, _FLOATS)
-            return J.reshape(STATE_DIM, STATE_DIM)
-        except OverflowError:
-            pass  # as in vector_field
-    J[..., _JAC_FLAT] = np.stack(
-        _jacobian_terms(*np.moveaxis(x, -1, 0), p, _ARRAYS), axis=-1)
+    states = x.reshape(-1, STATE_DIM)
+    J = np.zeros((len(states), STATE_DIM * STATE_DIM))
+    J[:, _JAC_FLAT] = np.stack(_jacobian_terms(*states.T, p), axis=-1)
     return J.reshape(x.shape[:-1] + (STATE_DIM, STATE_DIM))
 
 

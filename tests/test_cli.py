@@ -210,6 +210,15 @@ class TestCommands:
         assert rc == 0
         assert "hopf I=9.7796" in out
 
+    def test_hopf_command_samples_the_range_end(self, capsys):
+        # 2 does not divide 150..155: the scan must still sample 155, past
+        # the upper Hopf point, and no sample may lie beyond the range
+        rc = cli.main(["hopf", "--range", "150:155:2"])
+        assert rc == 0
+        assert "hopf I=154.5266" in capsys.readouterr().out
+        assert list(cli._range_samples(150.0, 155.0, 3.0)) == [150.0, 153.0,
+                                                               155.0]
+
     def test_hopf_command_empty_range(self, capsys):
         rc = cli.main(["hopf", "--range", "20:30"])
         assert rc == 0

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hhcycles import collocation, shooting
 from hhcycles.errors import DegenerateCycle, MeshTooCoarse
@@ -155,7 +156,47 @@ class TestSolveHH:
                                                20.0)
 
 
+def refine_mesh_loop(mesh, residual_profile, target, max_N):
+    """refine_mesh written as Python loops, the oracle for its array form."""
+    pieces = np.ones(mesh.N, dtype=int)
+    above = residual_profile > target
+    pieces[above] = np.clip(
+        np.ceil((residual_profile[above] / target) ** 0.25).astype(int), 2, 16)
+    if mesh.N + int(np.sum(pieces - 1)) > max_N:
+        budget = max_N - mesh.N
+        scaled = np.ones(mesh.N, dtype=int)
+        for i in np.argsort(-residual_profile):
+            take = min(pieces[i] - 1, budget)
+            scaled[i] = 1 + take
+            budget -= take
+            if budget == 0:
+                break
+        pieces = scaled
+    pts = [mesh.breakpoints[0]]
+    for i in range(mesh.N):
+        for j in range(1, pieces[i]):
+            pts.append(mesh.breakpoints[i]
+                       + (mesh.breakpoints[i + 1] - mesh.breakpoints[i])
+                       * j / pieces[i])
+        pts.append(mesh.breakpoints[i + 1])
+    return np.array(sorted(set(pts)))
+
+
 class TestRefineMesh:
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.integers(1, 300))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_loop_oracle(self, N, seed, extra_cap):
+        rng = np.random.default_rng(seed)
+        inner = np.sort(rng.choice(np.arange(1, 1000), N - 1, replace=False))
+        mesh = collocation.Mesh(np.concatenate([[0.0], inner / 1000.0, [1.0]]))
+        # ties in the profile exercise argsort's order in the budget cut
+        prof = 10.0 ** rng.integers(-10, 0, N).astype(float)
+        max_N = N + extra_cap
+        out = collocation.refine_mesh(mesh, prof, 1e-6, max_N)
+        assert np.array_equal(out.breakpoints,
+                              refine_mesh_loop(mesh, prof, 1e-6, max_N))
+        assert out.N <= max_N
+
     def test_target_mode_splits_proportionally(self):
         mesh = collocation.Mesh(np.linspace(0.0, 1.0, 3))
         prof = np.array([1.6e-3, 1e-8])

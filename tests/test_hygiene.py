@@ -65,6 +65,21 @@ def test_rk4_loop_runs_only_inside_integrate_rk4():
         found)
 
 
+def test_model_uses_math_only_in_float_field():
+    # float_field is the one float implementation of the field; math named
+    # anywhere else in model.py starts a second one beside it
+    path = ROOT / "src" / "hhcycles" / "model.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    inside = {id(n) for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef)
+              and node.name == "float_field" for n in ast.walk(node)}
+    found = [node.lineno for node in ast.walk(tree)
+             if (isinstance(node, ast.Name) and node.id == "math"
+                 or isinstance(node, ast.ImportFrom) and node.module == "math")
+             and id(node) not in inside]
+    assert not found, f"math used outside float_field at lines {found}"
+
+
 def test_benchmark_names_exist(monkeypatch):
     # bench/tracing.py patches these by name: deleting one breaks the traced
     # benchmark, not the package's own tests

@@ -54,7 +54,7 @@ def rate_derivative_arrays(V):
     uses, same order as model.rate_arrays."""
     V = np.asarray(V, dtype=float)
     return np.broadcast_arrays(*model._rate_derivatives(
-        V, model._rates(V, model._ARRAYS)[3], model._ARRAYS))
+        V, model._rates(V)[3]))
 
 
 class TestRates:
@@ -79,16 +79,15 @@ class TestRates:
 
 
 def assert_one_state_matches_batch(x, I):
-    """A 1-D state (the float path) against its row of a batched call."""
+    """A 1-D state against its row of a batched call: the field (the float
+    path) to a few ulps, the Jacobian (one numpy path) bit for bit."""
     f, J = model.vector_field(x, I=I), model.jacobian(x, I=I)
     assert np.array_equal(model.float_field(I=I)(*x.tolist()), f)
     fb = model.vector_field(x[None], I=I)[0]
-    Jb = model.jacobian(x[None], I=I)[0]
     assert f.shape == (4,) and f.dtype == np.float64
     assert J.shape == (4, 4) and J.dtype == np.float64
     assert np.all(np.abs(f - fb) <= 1e-12 * (1.0 + np.abs(fb)))
-    row_scale = 1.0 + np.max(np.abs(Jb), axis=1, keepdims=True)
-    assert np.all(np.abs(J - Jb) <= 1e-12 * row_scale)
+    assert np.array_equal(J, model.jacobian(x[None], I=I)[0])
 
 
 class TestVectorField:
