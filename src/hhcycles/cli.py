@@ -268,7 +268,7 @@ def cmd_hopf(args, cfg) -> int:
 def scan_hopf(lo, hi, step, p):
     """Sign changes of the complex pair's real part, bisected."""
     Is = _range_samples(lo, hi, step)
-    vals = [model._complex_pair_real_part(float(I), p) for I in Is]
+    vals = [model._complex_pair_real_part(float(I), p)[0] for I in Is]
     found = []
     for a in range(len(Is) - 1):
         if np.sign(vals[a]) != np.sign(vals[a + 1]):

@@ -173,7 +173,8 @@ def _newton_collocation(field_at, mesh, y, mid, T, I, ref, row):
     interval, then T and I; the rows are the defects, the phase condition
     and a_T*T + a_I*I = b for row = (a_T, a_I, b).  The T and I columns
     are exact: I enters the field additively (field.dfdI), so it enters
-    only the first defects, as -hT dfdI.
+    only the first defects, as -hT dfdI.  A step returns the splu object's
+    solve for the steps that damped_newton takes from the same factors.
     """
     N, dim = mesh.N, y.shape[1]
     nun = 2 * N * dim + 2
@@ -254,10 +255,13 @@ def _newton_collocation(field_at, mesh, y, mid, T, I, ref, row):
             lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:
             raise SingularJacobian(f"collocation Newton matrix singular: {exc}")
-        delta = lu.solve(-r)
-        if not np.all(np.isfinite(delta)):
-            raise SingularJacobian("collocation Newton step not finite")
-        return delta
+
+        def again(r):
+            delta = lu.solve(-r)
+            if not np.all(np.isfinite(delta)):
+                raise SingularJacobian("collocation Newton step not finite")
+            return delta
+        return again(r), again
 
     z0 = np.concatenate([np.stack([y, mid], axis=1).ravel(), [T, I]])
     z, _ = newton.damped_newton(residual, step, z0, NEWTON_TOL,

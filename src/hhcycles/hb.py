@@ -305,7 +305,8 @@ def solve_hb_bordered(init: PeriodicOrbit, I_guess: float, field_at,
                          a_T * z[-2] + a_I * z[-1] - b)
 
     # the Newton matrix and its LU factors, in Fortran order for LAPACK:
-    # allocated once per solve, not once per step
+    # allocated once per solve, not once per step; the factors stay in lu
+    # for the steps that damped_newton takes from them
     size = dim * (2 * K + 1) + 2
     J, lu = (np.empty((size, size), order="F") for _ in range(2))
 

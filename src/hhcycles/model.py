@@ -236,27 +236,36 @@ def find_equilibrium(I: float, p: HHParams = DEFAULT_PARAMS):
     scalar current balance in V, then reconstructs the gates.  Raises
     NoConvergence if Newton does not settle within 100 iterations.
     """
-    # coarse scan; the reduced equation has a single physical root
-    Vs = np.linspace(-120.0, 80.0, 401)
-    V = float(Vs[np.argmin(np.abs(_reduced_current(Vs, p, I)))])
+    return _equilibrium(I, p, None)
+
+
+def _equilibrium(I: float, p: HHParams, V):
+    """find_equilibrium with Newton started at V, such as the equilibrium
+    potential at a nearby current, or from a coarse scan when V is None."""
+    if V is None:
+        # the reduced equation has a single physical root
+        Vs = np.linspace(-120.0, 80.0, 401)
+        V = float(Vs[np.argmin(np.abs(_reduced_current(Vs, p, I)))])
     dV_fd = 1e-6
-    for _ in range(100):
-        g = _reduced_current(V, p, I)
-        dg = (_reduced_current(V + dV_fd, p, I)
-              - _reduced_current(V - dV_fd, p, I)) / (2.0 * dV_fd)
+    shifts = np.array([0.0, dV_fd, -dV_fd])
+
+    def newton_step(V):
+        # the current and its central difference from one batch of three
+        g, g_up, g_down = _reduced_current(V + shifts, p, I)
+        dg = (g_up - g_down) / (2.0 * dV_fd)
         if dg == 0.0:
             raise NoConvergence(f"flat reduced current at I={I}")
-        step = g / dg
+        return float(g / dg)
+
+    for _ in range(100):
+        step = newton_step(V)
         V -= step
         if abs(step) < 1e-14 * max(1.0, abs(V)):
             break
     else:
         raise NoConvergence(f"equilibrium Newton stalled at I={I}")
     # polish once more so the residual is at roundoff level
-    g = _reduced_current(V, p, I)
-    dg = (_reduced_current(V + dV_fd, p, I)
-          - _reduced_current(V - dV_fd, p, I)) / (2.0 * dV_fd)
-    V -= g / dg
+    V -= newton_step(V)
     x = steady_state(V)
     if np.max(np.abs(vector_field(x, p, I))) > 1e-12:
         raise NoConvergence(f"equilibrium residual above 1e-12 at I={I}")
@@ -265,19 +274,27 @@ def find_equilibrium(I: float, p: HHParams = DEFAULT_PARAMS):
 
 def equilibrium_eigenvalues(I: float, p: HHParams = DEFAULT_PARAMS):
     """Eigenvalues of the Jacobian at the equilibrium, real part descending."""
-    x = find_equilibrium(I, p)
+    return _equilibrium_spectrum(I, p, None)[1]
+
+
+def _equilibrium_spectrum(I: float, p: HHParams, V):
+    """The equilibrium at I, its Newton started at V (see _equilibrium),
+    and its eigenvalues, real part descending."""
+    x = _equilibrium(I, p, V)
     lam = np.linalg.eigvals(jacobian(x, p, I))
-    return lam[np.argsort(-lam.real)]
+    return x, lam[np.argsort(-lam.real)]
 
 
-def _complex_pair_real_part(I: float, p: HHParams) -> float:
-    """Max real part among genuinely complex eigenvalues of the equilibrium."""
-    lam = equilibrium_eigenvalues(I, p)
+def _complex_pair_real_part(I: float, p: HHParams, V=None):
+    """Max real part among genuinely complex eigenvalues of the equilibrium,
+    and the equilibrium potential; its Newton starts at V (see
+    _equilibrium)."""
+    x, lam = _equilibrium_spectrum(I, p, V)
     cplx = lam[np.abs(lam.imag) > 1e-12]
     if cplx.size == 0:
         # fall back to the leading eigenvalue; keeps bisection well defined
-        return float(lam[0].real)
-    return float(np.max(cplx.real))
+        return float(lam[0].real), float(x[0])
+    return float(np.max(cplx.real)), float(x[0])
 
 
 HOPF_TOL = 1e-6   # width of the final bisection bracket in I
@@ -287,10 +304,11 @@ def detect_hopf(I_lo: float, I_hi: float, p: HHParams = DEFAULT_PARAMS):
     """Bisect the sign change of the complex pair's real part on [I_lo, I_hi].
 
     Returns (I_star, omega0) with omega0 the imaginary part at the crossing.
-    Raises NoSignChange if the bracket is invalid.
+    Raises NoSignChange if the bracket is invalid.  Each equilibrium inside
+    the bracket is solved from the one at its lower end.
     """
-    f_lo = _complex_pair_real_part(I_lo, p)
-    f_hi = _complex_pair_real_part(I_hi, p)
+    f_lo, V_lo = _complex_pair_real_part(I_lo, p)
+    f_hi, _ = _complex_pair_real_part(I_hi, p, V_lo)
     if f_lo == 0.0:
         I_hi = I_lo
     elif f_hi != 0.0 and np.sign(f_lo) == np.sign(f_hi):
@@ -300,16 +318,16 @@ def detect_hopf(I_lo: float, I_hi: float, p: HHParams = DEFAULT_PARAMS):
     else:
         while I_hi - I_lo > HOPF_TOL:
             I_mid = 0.5 * (I_lo + I_hi)
-            f_mid = _complex_pair_real_part(I_mid, p)
+            f_mid, V_mid = _complex_pair_real_part(I_mid, p, V_lo)
             if f_mid == 0.0:
                 I_lo = I_hi = I_mid
                 break
             if np.sign(f_mid) == np.sign(f_lo):
-                I_lo, f_lo = I_mid, f_mid
+                I_lo, f_lo, V_lo = I_mid, f_mid, V_mid
             else:
                 I_hi = I_mid
     I_star = 0.5 * (I_lo + I_hi)
-    lam = equilibrium_eigenvalues(I_star, p)
+    lam = _equilibrium_spectrum(I_star, p, V_lo)[1]
     cplx = lam[np.abs(lam.imag) > 1e-12]
     idx = int(np.argmax(cplx.real))
     omega0 = abs(float(cplx[idx].imag))

@@ -1,7 +1,8 @@
 """The damped Newton iteration shared by the three cycle solvers.
 
 Each solver brings its residual and its Newton step (Jacobian assembly and
-linear solve); the step halving, acceptance rule and stall stop live here.
+linear solve); the step halving, acceptance rule, stall stop and the rule
+for taking a step from the last factors live here.
 """
 
 from __future__ import annotations
@@ -15,23 +16,46 @@ from .errors import NoConvergence, SingularJacobian
 def damped_newton(residual, step, z0, tol: float, max_iter: int, what: str):
     """Solve residual(z) = 0 from z0; returns (z, max-norm of the residual).
 
-    step(z, r) returns the Newton correction at z, where r = residual(z); it
-    is always called at the latest residual point, so a residual may leave
-    by-products there for the step.  A correction is halved, up to 8 tries,
-    until the residual is finite and smaller, and taken anyway once the
-    factor is down to 1/64.  Three consecutive steps without decrease, an
-    exhausted halving or max_iter iterations raise NoConvergence.
+    step(z, r) factors the Newton matrix at z, where r = residual(z), and
+    returns (delta, again): the correction delta = -J^{-1} r, and either
+    None or a function again(r') that returns -J^{-1} r' from the same
+    factors.  step is called only at the latest residual point, so a
+    residual may leave by-products there for it.
+
+    The next correction comes from again, with no new matrix, while the
+    step just taken was undamped and contracted the residual by
+    rho = |r_new| / |r| < 1 fast enough to reach tol within the iterations
+    left (|r_new| * rho^left < tol): the chord step of Shamanskii's method,
+    kept only while the measured contraction says it still converges in
+    the budget.  Otherwise the old factors are dropped before step factors
+    anew, so two sets are never held at once.
+
+    A correction, fresh or not, is halved, up to 8 tries, until the
+    residual is finite and smaller, and taken anyway once the factor is
+    down to 1/64.  Three consecutive steps without decrease, an exhausted
+    halving or max_iter iterations raise NoConvergence, whose message
+    counts the steps taken and the fresh factorizations among them.
     """
     z = np.array(z0, dtype=float)
     r = residual(z)
     if not np.all(np.isfinite(r)):
         raise NoConvergence(f"{what} residual not finite at the initial guess")
     rn = np.linalg.norm(r, np.inf)
-    stall = 0
-    for _ in range(max_iter):
+    stall = fresh = 0
+    again = None
+
+    def failed(message, steps):
+        return NoConvergence(f"{what} {message} after {steps} steps, "
+                             f"{fresh} of them freshly factored")
+
+    for it in range(max_iter):
         if rn < tol:
             return z, rn
-        delta = step(z, r)
+        if again is None:
+            delta, again = step(z, r)
+            fresh += 1
+        else:
+            delta = again(r)
         lam = 1.0
         for _ in range(8):
             z_new = z + lam * delta
@@ -41,21 +65,28 @@ def damped_newton(residual, step, z0, tol: float, max_iter: int, what: str):
                 break
             lam *= 0.5
         else:
-            raise NoConvergence(f"{what} damping exhausted")
+            raise failed("damping exhausted", it + 1)
         rn_new = np.linalg.norm(r_new, np.inf)
         stall = stall + 1 if rn_new >= rn else 0
         if stall >= 3:
-            raise NoConvergence(
-                f"{what} Newton stopped improving (residual {rn_new:.3g})")
+            raise failed(f"Newton stopped improving (residual {rn_new:.3g})",
+                         it + 1)
+        # keep the factors while this undamped step's contraction would
+        # reach tol within the iterations left
+        rho = rn_new / rn
+        if not (lam == 1.0 and rho < 1.0
+                and rn_new * rho ** (max_iter - it - 1) < tol):
+            again = None
         z, r, rn = z_new, r_new, rn_new
     if rn < tol:
         return z, rn
-    raise NoConvergence(f"{what} Newton stalled at residual {rn:.3g}")
+    raise failed(f"Newton stalled at residual {rn:.3g}", max_iter)
 
 
-def dense_step(J: np.ndarray, r: np.ndarray, what: str,
-               work=None) -> np.ndarray:
-    """Newton correction -J^{-1} r for a dense matrix J.
+def dense_step(J: np.ndarray, r: np.ndarray, what: str, work=None):
+    """Newton correction -J^{-1} r for a dense matrix J, as the pair
+    (correction, again) that damped_newton takes from a step: again(r')
+    solves with the LU factors of J, or is None where there are none.
 
     A matrix whose 2-norm condition exceeds 1e14 raises
     SingularJacobian, unless it is rank-deficient to roundoff (smallest
@@ -69,11 +100,13 @@ def dense_step(J: np.ndarray, r: np.ndarray, what: str,
     kappa_2 <= n * kappa_1; the estimate is a lower bound on kappa_1, and
     the 10 covers its shortfall.  So no matrix that the SVD rule would raise
     on or solve by least squares takes the LU step.  Every other matrix,
-    also one that getrf finds exactly singular, goes through the SVD rule.
+    also one that getrf finds exactly singular, goes through the SVD rule,
+    and its step offers no reuse.
 
     work, if given, is a Fortran-order array of J's shape that J is copied
     into and factored in, so a Newton step of a large system makes no
     matrix-sized temporary; J itself is left as it was, for the SVD rule.
+    The factors stay in work, so again is valid until work is written.
     """
     if not np.all(np.isfinite(J)):
         raise SingularJacobian(f"{what} Newton matrix not finite")
@@ -86,10 +119,12 @@ def dense_step(J: np.ndarray, r: np.ndarray, what: str,
         rcond, _ = lapack.dgecon(lu, lapack.dlange("1", J))
         # 10: margin for gecon underestimating kappa_1
         if rcond > 0 and 10 * len(J) / rcond < 1e14:
-            return lapack.dgetrs(lu, piv, -r)[0]
+            def again(r):
+                return lapack.dgetrs(lu, piv, -r)[0]
+            return again(r), again
     sv = np.linalg.svd(J, compute_uv=False)
     if sv[-1] <= np.finfo(float).eps * sv[0]:
-        return np.linalg.lstsq(J, -r, rcond=None)[0]
+        return np.linalg.lstsq(J, -r, rcond=None)[0], None
     if sv[0] > 1e14 * sv[-1]:
         raise SingularJacobian(f"{what} Newton matrix cond={sv[0] / sv[-1]:.3g}")
-    return np.linalg.solve(J, -r)
+    return np.linalg.solve(J, -r), None

@@ -109,7 +109,8 @@ def shoot(field: VectorField, guess: PeriodicOrbit, tol: float = 1e-10) -> Cycle
         A[:dim, :dim] = flowed["M"] - np.eye(dim)
         A[:dim, dim] = field.f(flowed["xT"])
         A[dim, :dim] = fa
-        return newton.dense_step(A, r, "shooting")
+        # no reuse: the residual is a coupled flow, as costly as this step
+        return newton.dense_step(A, r, "shooting")[0], None
 
     z, _ = newton.damped_newton(residual, step, np.append(a, guess.period),
                                 tol, SHOOT_MAX_ITER, "shooting")

@@ -8,6 +8,7 @@ from hhcycles import collocation, shooting
 from hhcycles.errors import DegenerateCycle, MeshTooCoarse
 from hhcycles.fields import VectorField, harmonic_oscillator
 from hhcycles.integrate import Trajectory
+from test_newton import count_factorizations
 
 
 def stuart_landau():
@@ -148,6 +149,30 @@ class TestSolveHH:
         sol2, I = collocation.solve_bvp_fixed_period(hh_family(), sol, 20.3)
         assert I == pytest.approx(20.0, abs=1e-6)
         assert sol2.period == pytest.approx(sol.period, rel=1e-10)
+
+    def test_step_from_reused_factors_matches_plain_newton(
+            self, stable_cycle_20, monkeypatch):
+        # the I=20 shooting cycle as the predictor at I=21, on a mesh that
+        # refinement changes
+        from hhcycles.continuation import hh_family
+
+        def solve(reuse):
+            with monkeypatch.context() as m:
+                log = count_factorizations(m, reuse)
+                sol, I = collocation.solve_bvp_bordered(
+                    hh_family(), stable_cycle_20, 21.0, (0.0, 1.0, 21.0),
+                    1e-4, 1200, 2, collocation.Mesh(np.linspace(0, 1, 201)))
+            return sol, log
+
+        sol, log = solve(reuse=True)
+        oracle, plain = solve(reuse=False)
+        assert sol.mesh.N == oracle.mesh.N > 200
+        assert np.array_equal(sol.mesh.breakpoints, oracle.mesh.breakpoints)
+        assert abs(sol.period - oracle.period) < 1e-9
+        assert np.max(np.abs(sol.y - oracle.y)) < 1e-9
+        assert np.max(np.abs(sol.mid - oracle.mid)) < 1e-9
+        assert "R" in log and "R" not in plain
+        assert log.count("F") < plain.count("F")
 
     def test_fixed_period_needs_collocation_seed(self, stable_cycle_20):
         from hhcycles.continuation import hh_family

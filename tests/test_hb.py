@@ -8,6 +8,7 @@ from hhcycles import hb
 from hhcycles.errors import DegenerateCycle
 from hhcycles.fields import VectorField, harmonic_oscillator
 from test_integrate import damped_field
+from test_newton import count_factorizations
 
 
 class TestBasisAndOperators:
@@ -208,6 +209,28 @@ class TestSolve:
         sol, I = hb.solve_hb_fixed_period(hb_cycle_20, 20.5, fam, ops,
                                           tol=1e-9)
         assert I == pytest.approx(20.0, abs=1e-6)
+
+    def test_corrector_step_from_reused_factors_matches_plain_newton(
+            self, hb_cycle_20, hb_ops_50, monkeypatch):
+        # a continuation corrector on the stable branch: the I=20 cycle as
+        # the predictor at I=30, under the branch's tolerance and budget
+        from hhcycles.continuation import NEWTON_MAX_ITER, NEWTON_TOL, hh_family
+
+        def solve(reuse):
+            with monkeypatch.context() as m:
+                log = count_factorizations(m, reuse)
+                sol, I = hb.solve_hb_bordered(
+                    hb_cycle_20, 30.0, hh_family(), hb_ops_50,
+                    (0.0, 1.0, 30.0), NEWTON_TOL, NEWTON_MAX_ITER)
+            return sol, I, log
+
+        sol, I, log = solve(reuse=True)
+        oracle, I_oracle, plain = solve(reuse=False)
+        assert I == I_oracle == 30.0
+        assert abs(sol.period - oracle.period) < 1e-9
+        assert np.max(np.abs(sol.coeffs - oracle.coeffs)) < 1e-9
+        assert "R" in log and "R" not in plain
+        assert log.count("F") < plain.count("F")
 
 
 def _central_jacobian(residual, z, rel=1e-6):

@@ -169,6 +169,16 @@ class TestEquilibrium:
             x = model.find_equilibrium(float(I))
             assert np.all(np.isfinite(x))
 
+    @pytest.mark.parametrize("I", [0.0, 9.8, 154.5, 250.0])
+    def test_any_start_in_the_scan_range_reaches_the_root(self, I):
+        # detect_hopf starts each equilibrium Newton from the potential at
+        # its bracket's lower end; from anywhere in the coarse scan's range
+        # it must land on the root the scan finds
+        x = model.find_equilibrium(I)
+        for V in np.linspace(-120.0, 80.0, 21):
+            y = model._equilibrium(I, model.DEFAULT_PARAMS, float(V))
+            assert np.max(np.abs(y - x)) < 1e-12
+
 
 class TestHopfDetection:
     def test_low_current_crossing(self, hopf_points):

@@ -1,13 +1,15 @@
 """The shared damped Newton and its dense step, whose LU fast path must
-reach the SVD rule's verdicts."""
+reach the SVD rule's verdicts, and the rule for stepping from the last
+factors."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import lapack
 
-from hhcycles import newton
-from hhcycles.errors import SingularJacobian
+from hhcycles import hb, newton
+from hhcycles.errors import NoConvergence, SingularJacobian
+from hhcycles.fields import harmonic_oscillator
 
 
 def svd_rule(J, r):
@@ -32,7 +34,7 @@ def dense_step_verdict(J, r, monkeypatch, work=None):
     with monkeypatch.context() as m:
         m.setattr(np.linalg, "lstsq", spy)
         try:
-            dx = newton.dense_step(J, r, "test", work=work)
+            dx, _ = newton.dense_step(J, r, "test", work=work)
         except SingularJacobian:
             return "raise", None
     return ("min-norm" if calls else "step"), dx
@@ -135,3 +137,126 @@ def test_newton_raises_on_ill_conditioned_full_rank_system():
     A = U @ np.diag(np.logspace(0, -15, 6)) @ V.T
     with pytest.raises(SingularJacobian):
         dense_newton(A, lambda z: A @ z - 1.0, np.zeros(6))
+
+
+def counted(step, log, reuse=True):
+    """step with its fresh factorizations logged as "F" and its steps from
+    reused factors as "R"; with reuse=False it offers no reuse, which makes
+    damped_newton plain Newton."""
+    def counted_step(z, r):
+        log.append("F")
+        delta, again = step(z, r)
+        if again is None or not reuse:
+            return delta, None
+
+        def counted_again(r):
+            log.append("R")
+            return again(r)
+        return delta, counted_again
+    return counted_step
+
+
+def count_factorizations(monkeypatch, reuse=True):
+    """Route every solver's damped_newton through counted; returns the log."""
+    log = []
+    damped_newton = newton.damped_newton
+
+    def counting(residual, step, z0, tol, max_iter, what):
+        return damped_newton(residual, counted(step, log, reuse), z0, tol,
+                             max_iter, what)
+
+    monkeypatch.setattr(newton, "damped_newton", counting)
+    return log
+
+
+def logged_newton(F, J, z0, tol, max_iter, reuse=True):
+    """damped_newton on F with the dense step on its Jacobian J; returns
+    (z, residual, log), where the log also marks each residual with "r"."""
+    log = []
+
+    def residual(z):
+        log.append("r")
+        return F(z)
+
+    step = counted(lambda z, r: newton.dense_step(J(z), r, "test"), log,
+                   reuse)
+    z, rn = newton.damped_newton(residual, step, np.asarray(z0, dtype=float),
+                                 tol, max_iter, "test")
+    return z, rn, "".join(log)
+
+
+def sphere_system(z):
+    """Three equations with the root (1, 1, 1)."""
+    x, y, w = z
+    return np.array([x * x + y * y + w * w - 3.0, x * y - w,
+                     np.exp(x - 1.0) - y])
+
+
+def sphere_jacobian(z):
+    x, y, w = z
+    return np.array([[2 * x, 2 * y, 2 * w], [y, x, -1.0],
+                     [np.exp(x - 1.0), -1.0, 0.0]])
+
+
+class TestFactorReuse:
+    @pytest.mark.parametrize("z0", [[0.5, 0.5, 0.5], [2.0, 0.1, 1.0],
+                                    [3.0, 3.0, 3.0]])
+    def test_reaches_the_root_with_fewer_factorizations(self, z0):
+        tol = 1e-12
+        z, rn, log = logged_newton(sphere_system, sphere_jacobian, z0, tol, 20)
+        z_plain, _, plain = logged_newton(sphere_system, sphere_jacobian, z0,
+                                          tol, 20, reuse=False)
+        assert rn < tol
+        assert np.max(np.abs(z - z_plain)) < 1e-12
+        assert "R" in log and "R" not in plain
+        assert log.count("F") < plain.count("F")
+
+    def test_too_slow_a_contraction_refactors_at_every_step(self):
+        # Newton on z^3 contracts the residual by (2/3)^3 per step, which
+        # cannot reach 1e-10 from 1 in 10 steps: no step reuses factors, and
+        # the failure counts the steps and the factorizations
+        with pytest.raises(NoConvergence,
+                           match="after 10 steps, 10 of them freshly factored"):
+            logged_newton(lambda z: z ** 3, lambda z: np.diag(3 * z ** 2),
+                          [1.0], 1e-10, 10)
+
+    @pytest.mark.parametrize("z0", [1.5, 2.0, 3.0, 10.0])
+    def test_a_damped_step_makes_the_next_one_refactor(self, z0):
+        # Newton on arctan overshoots from |z| > 1.4, so its first steps
+        # are halved; more than one residual after a step marks it damped
+        z, rn, log = logged_newton(np.arctan,
+                                   lambda z: np.diag(1 / (1 + z * z)),
+                                   [z0], 1e-12, 30)
+        assert rn < 1e-12
+        steps = log.split("r")[1:-1]    # what follows each residual
+        taken = [(i, s) for i, s in enumerate(steps) if s]
+        damped = [(i, j) for (i, _), (j, _) in zip(taken, taken[1:])
+                  if j - i > 1]
+        assert damped and "R" in log
+        for _, j in damped:
+            assert steps[j] == "F"
+
+    def test_least_squares_steps_never_reuse(self):
+        # consistent and rank-deficient: every step is a minimum-norm one
+        rng = np.random.default_rng(7)
+        A = rng.standard_normal((5, 3)) @ rng.standard_normal((3, 5))
+        b = A @ rng.standard_normal(5)
+        z, rn, log = logged_newton(lambda z: A @ (z + 0.1 * z ** 3) - b,
+                                   lambda z: A * (1 + 0.3 * z ** 2),
+                                   np.zeros(5), 1e-10, 30)
+        assert rn < 1e-10
+        assert "R" not in log and log.count("F") > 1
+
+    def test_rotation_field_oracle_converges_without_reuse(self,
+                                                           monkeypatch):
+        # the single-harmonic solve of criterion 8: the rotation field has
+        # a family of cycles, so every HB Newton matrix is rank-deficient
+        log = count_factorizations(monkeypatch)
+        coeffs = np.zeros((2, 3))
+        coeffs[0, 1], coeffs[1, 2] = 1.0, -1.0
+        one = hb.solve_hb(hb.FourierCycle(K=1, period=2 * np.pi * 1.05,
+                                          coeffs=coeffs),
+                          harmonic_oscillator(), hb.build_operators(1),
+                          tol=1e-12)
+        assert one.period == pytest.approx(2 * np.pi, rel=1e-10)
+        assert log and "R" not in log
