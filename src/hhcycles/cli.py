@@ -266,9 +266,10 @@ def cmd_hopf(args, cfg) -> int:
 
 
 def scan_hopf(lo, hi, step, p):
-    """Sign changes of the complex pair's real part, bisected."""
+    """Sign changes of the leading equilibrium eigenvalue's real part,
+    bisected."""
     Is = _range_samples(lo, hi, step)
-    vals = [model._complex_pair_real_part(float(I), p)[0] for I in Is]
+    vals = [model.equilibrium_eigenvalues(float(I), p)[0].real for I in Is]
     found = []
     for a in range(len(Is) - 1):
         if np.sign(vals[a]) != np.sign(vals[a + 1]):
@@ -285,8 +286,7 @@ def cmd_equilibria(args, cfg) -> int:
     def row(I):
         I = float(I)
         x = model.find_equilibrium(I, p)
-        lam = model.equilibrium_eigenvalues(I, p)
-        max_re = float(np.max(lam.real))
+        max_re = float(np.max(np.linalg.eigvals(model.jacobian(x, p)).real))
         return (I, float(x[0]), float(x[1]), float(x[2]), float(x[3]),
                 max_re, "stable" if max_re < 0 else "unstable")
 

@@ -88,11 +88,6 @@ def hh_family(p: model.HHParams = model.DEFAULT_PARAMS) -> Callable[[float], Vec
     return lambda I: hh_field(p, I)
 
 
-def v_extrema(cyc) -> Tuple[float, float]:
-    """Extrema of the first state component over one period."""
-    return check_orbit(cyc).v_extrema()
-
-
 class _SolverAdapter:
     """The bordered corrector of either solver, behind one call."""
 
@@ -125,7 +120,7 @@ SOLVER_ERRORS = (NoConvergence, SingularJacobian, MeshTooCoarse, DegenerateCycle
 
 def make_point(I: float, cyc, fld: VectorField,
                spectrum_steps: int = floquet.DEFAULT_SPECTRUM_STEPS) -> BranchPoint:
-    vmin, vmax = v_extrema(cyc)
+    vmin, vmax = check_orbit(cyc).v_extrema()
     spec = floquet.spectrum(cyc, fld, nsteps=spectrum_steps)
     return BranchPoint(I=float(I), cycle=cyc, period=float(cyc.period),
                        v_min=vmin, v_max=vmax, spectrum=spec)
@@ -215,7 +210,7 @@ def continue_branch(start: BranchPoint, direction: int,
         rejected too.
         """
         cur = points[-1]
-        vmin, vmax = v_extrema(cyc)
+        vmin, vmax = cyc.v_extrema()
         amp = vmax - vmin
         T = float(cyc.period)
         if not lo <= I_new <= hi:
@@ -226,7 +221,9 @@ def continue_branch(start: BranchPoint, direction: int,
         jump = abs(T - cur.period) + abs(vmin - cur.v_min) + abs(vmax - cur.v_max)
         if jump > ctrl.max_orbit_jump:
             return "reject"
-        pt = make_point(I_new, cyc, field_at(I_new), spectrum_steps)
+        pt = BranchPoint(I=float(I_new), cycle=cyc, period=T, v_min=vmin,
+                         v_max=vmax, spectrum=floquet.spectrum(
+                             cyc, field_at(I_new), nsteps=spectrum_steps))
         points.append(pt)
         if pt.amplitude < ctrl.collapse_amplitude:
             d = _hopf_end(points[-2], pt)

@@ -15,6 +15,12 @@ where numpy's per-call overhead on a 4-vector would be most of the cost: the
 RK4 loop of integrate steps one state at a time through it, and vector_field
 on one state returns its values.  Where float arithmetic overflows
 (OverflowError) vector_field falls back to numpy, which gives inf/nan there.
+The Jacobian takes each rate's slope from the rate itself.
+
+The equilibria lie on a curve explicit in the potential: at V the gates sit
+at their steady states and the stimulus is I(V) = -I_ion(V, n_inf, h_inf,
+m_inf).  find_equilibrium inverts it by Newton; detect_hopf bisects along it
+in V.
 """
 
 from __future__ import annotations
@@ -53,11 +59,8 @@ _EXPC_SERIES_CUTOFF = 1e-4
 
 
 def _expc_series(x):
-    return 1.0 - x / 2.0 + x * x / 12.0 - x**4 / 720.0
-
-
-def _expc_prime_series(x):
-    return -0.5 + x / 6.0 - x**3 / 180.0
+    # products, not powers: numpy's power of a negative base is far slower
+    return 1.0 - x / 2.0 + x * x / 12.0 - x * x * x * x / 720.0
 
 
 def expc(x):
@@ -76,16 +79,13 @@ def expc(x):
     return out if out.ndim else float(out)
 
 
-def expc_prime(x):
-    """Derivative of expc; series -1/2 + x/6 - x^3/180 near zero."""
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < _EXPC_SERIES_CUTOFF
-    xs = np.where(small, 1.0, x)
-    with np.errstate(over="ignore"):
-        em = np.expm1(xs)
-        direct = (em - xs * np.exp(xs)) / np.where(small, 1.0, em * em)
-    out = np.where(small, _expc_prime_series(x), direct)
-    return out if out.ndim else float(out)
+def _expc_slope(x, e):
+    """Derivative of expc at x from its value e = expc(x): e((1 - e)/x - 1),
+    and the Taylor series -1/2 + x/6 - x^3/180 for |x| < 1e-4."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        direct = e * ((1.0 - e) / x - 1.0)
+    return np.where(np.abs(x) < _EXPC_SERIES_CUTOFF,
+                    -0.5 + x / 6.0 - x * x * x / 180.0, direct)
 
 
 def _rates(V):
@@ -96,16 +96,6 @@ def _rates(V):
             1.0 / (1.0 + np.exp(0.1 * (30.0 + V))),
             expc(0.1 * (25.0 + V)),
             4.0 * np.exp(V / 18.0))
-
-
-def _rate_derivatives(V, beta_h):
-    """d/dV of the six rates, same order as _rates; beta_h is its fourth."""
-    return (0.01 * expc_prime(0.1 * (10.0 + V)),
-            np.exp(V / 80.0) / 640.0,
-            0.0035 * np.exp(V / 20.0),
-            -0.1 * beta_h * (1.0 - beta_h),
-            0.1 * expc_prime(0.1 * (25.0 + V)),
-            (4.0 / 18.0) * np.exp(V / 18.0))
 
 
 def rate_arrays(V):
@@ -129,26 +119,6 @@ def _field_terms(V, n, h, m, p: HHParams, I):
             a_n * (1.0 - n) - b_n * n,
             a_h * (1.0 - h) - b_h * h,
             a_m * (1.0 - m) - b_m * m)
-
-
-# flat (row * 4 + column) positions of the ten entries _jacobian_terms returns
-_JAC_FLAT = np.array([0, 1, 2, 3, 4, 5, 8, 10, 12, 15])
-
-
-def _jacobian_terms(V, n, h, m, p: HHParams):
-    """The ten structurally nonzero entries of the Jacobian at (V, n, h, m)."""
-    a_n, b_n, a_h, b_h, a_m, b_m = _rates(V)
-    da_n, db_n, da_h, db_h, da_m, db_m = _rate_derivatives(V, b_h)
-    return (-(p.gNa * m**3 * h + p.gK * n**4 + p.gL) / p.C,
-            -4.0 * p.gK * n**3 * (V - p.EK) / p.C,
-            -p.gNa * m**3 * (V - p.ENa) / p.C,
-            -3.0 * p.gNa * m**2 * h * (V - p.ENa) / p.C,
-            da_n * (1.0 - n) - db_n * n,
-            -(a_n + b_n),
-            da_h * (1.0 - h) - db_h * h,
-            -(a_h + b_h),
-            da_m * (1.0 - m) - db_m * m,
-            -(a_m + b_m))
 
 
 def vector_field(x, p: HHParams = DEFAULT_PARAMS, I: float = 0.0):
@@ -200,14 +170,27 @@ def float_field(p: HHParams = DEFAULT_PARAMS, I: float = 0.0):
 def jacobian(x, p: HHParams = DEFAULT_PARAMS, I: float = 0.0):
     """Analytic Jacobian d f / d x; shape (..., 4, 4) matching x.
 
-    One state is evaluated as a batch of one: numpy's scalar power rounds
-    differently from its array power, and a batch row must not depend on
-    the shape it came in.
+    Each rate's slope in V is taken from the rate itself, so the six rates
+    are the only transcendental evaluations.  One state is evaluated as a
+    batch of one: numpy's scalar power rounds differently from its array
+    power, and a batch row must not depend on the shape it came in.
     """
     x = np.asarray(x, dtype=float)
-    states = x.reshape(-1, STATE_DIM)
-    J = np.zeros((len(states), STATE_DIM * STATE_DIM))
-    J[:, _JAC_FLAT] = np.stack(_jacobian_terms(*states.T, p), axis=-1)
+    V, n, h, m = x.reshape(-1, STATE_DIM).T
+    a_n, b_n, a_h, b_h, a_m, b_m = _rates(V)
+    J = np.zeros((len(V), STATE_DIM, STATE_DIM))
+    J[:, 0, 0] = -(p.gNa * m**3 * h + p.gK * n**4 + p.gL) / p.C
+    J[:, 0, 1] = -4.0 * p.gK * n**3 * (V - p.EK) / p.C
+    J[:, 0, 2] = -p.gNa * m**3 * (V - p.ENa) / p.C
+    J[:, 0, 3] = -3.0 * p.gNa * m**2 * h * (V - p.ENa) / p.C
+    J[:, 1, 0] = (0.01 * _expc_slope(0.1 * (10.0 + V), 10.0 * a_n) * (1.0 - n)
+                  - b_n / 80.0 * n)
+    J[:, 1, 1] = -(a_n + b_n)
+    J[:, 2, 0] = a_h / 20.0 * (1.0 - h) + 0.1 * b_h * (1.0 - b_h) * h
+    J[:, 2, 2] = -(a_h + b_h)
+    J[:, 3, 0] = (0.1 * _expc_slope(0.1 * (25.0 + V), a_m) * (1.0 - m)
+                  - b_m / 18.0 * m)
+    J[:, 3, 3] = -(a_m + b_m)
     return J.reshape(x.shape[:-1] + (STATE_DIM, STATE_DIM))
 
 
@@ -233,19 +216,13 @@ def find_equilibrium(I: float, p: HHParams = DEFAULT_PARAMS):
     """Equilibrium state at external current I.
 
     Eliminates the gates through their steady states and Newton-solves the
-    scalar current balance in V, then reconstructs the gates.  Raises
-    NoConvergence if Newton does not settle within 100 iterations.
+    scalar current balance in V from the best potential of a coarse scan
+    (the reduced equation has a single physical root), then reconstructs
+    the gates.  Raises NoConvergence if Newton does not settle within 100
+    iterations.
     """
-    return _equilibrium(I, p, None)
-
-
-def _equilibrium(I: float, p: HHParams, V):
-    """find_equilibrium with Newton started at V, such as the equilibrium
-    potential at a nearby current, or from a coarse scan when V is None."""
-    if V is None:
-        # the reduced equation has a single physical root
-        Vs = np.linspace(-120.0, 80.0, 401)
-        V = float(Vs[np.argmin(np.abs(_reduced_current(Vs, p, I)))])
+    Vs = np.linspace(-120.0, 80.0, 401)
+    V = float(Vs[np.argmin(np.abs(_reduced_current(Vs, p, I)))])
     dV_fd = 1e-6
     shifts = np.array([0.0, dV_fd, -dV_fd])
 
@@ -272,63 +249,59 @@ def _equilibrium(I: float, p: HHParams, V):
     return x
 
 
+def _eigenvalues(x, p: HHParams):
+    """Eigenvalues of the Jacobian at state x, real part descending."""
+    lam = np.linalg.eigvals(jacobian(x, p))
+    return lam[np.argsort(-lam.real)]
+
+
 def equilibrium_eigenvalues(I: float, p: HHParams = DEFAULT_PARAMS):
     """Eigenvalues of the Jacobian at the equilibrium, real part descending."""
-    return _equilibrium_spectrum(I, p, None)[1]
-
-
-def _equilibrium_spectrum(I: float, p: HHParams, V):
-    """The equilibrium at I, its Newton started at V (see _equilibrium),
-    and its eigenvalues, real part descending."""
-    x = _equilibrium(I, p, V)
-    lam = np.linalg.eigvals(jacobian(x, p, I))
-    return x, lam[np.argsort(-lam.real)]
-
-
-def _complex_pair_real_part(I: float, p: HHParams, V=None):
-    """Max real part among genuinely complex eigenvalues of the equilibrium,
-    and the equilibrium potential; its Newton starts at V (see
-    _equilibrium)."""
-    x, lam = _equilibrium_spectrum(I, p, V)
-    cplx = lam[np.abs(lam.imag) > 1e-12]
-    if cplx.size == 0:
-        # fall back to the leading eigenvalue; keeps bisection well defined
-        return float(lam[0].real), float(x[0])
-    return float(np.max(cplx.real)), float(x[0])
+    return _eigenvalues(find_equilibrium(I, p), p)
 
 
 HOPF_TOL = 1e-6   # width of the final bisection bracket in I
 
 
 def detect_hopf(I_lo: float, I_hi: float, p: HHParams = DEFAULT_PARAMS):
-    """Bisect the sign change of the complex pair's real part on [I_lo, I_hi].
+    """Bisect the equilibrium curve between the equilibria at I_lo and I_hi
+    for the sign change of the leading eigenvalue's real part.
+
+    The curve is explicit in the potential: at V the gates sit at their
+    steady states and the current is I(V) = _reduced_current(V, p, 0).  The
+    Jacobian does not depend on I, so the bisection runs in V, one
+    eigenvalue solve at steady_state(V) a step, and stops once the currents
+    at the bracket's ends are HOPF_TOL apart.  det J vanishes only where
+    dI/dV does, and with the default parameters I(V) falls strictly, so no
+    real eigenvalue crosses zero: the sign change is a complex pair's.
 
     Returns (I_star, omega0) with omega0 the imaginary part at the crossing.
-    Raises NoSignChange if the bracket is invalid.  Each equilibrium inside
-    the bracket is solved from the one at its lower end.
+    Raises NoSignChange if the bracket is invalid.
     """
-    f_lo, V_lo = _complex_pair_real_part(I_lo, p)
-    f_hi, _ = _complex_pair_real_part(I_hi, p, V_lo)
+    def leading(V):
+        return _eigenvalues(steady_state(V), p)[0]
+
+    V_lo = float(find_equilibrium(I_lo, p)[0])
+    V_hi = float(find_equilibrium(I_hi, p)[0])
+    f_lo, f_hi = leading(V_lo).real, leading(V_hi).real
     if f_lo == 0.0:
-        I_hi = I_lo
+        V_hi = V_lo
     elif f_hi != 0.0 and np.sign(f_lo) == np.sign(f_hi):
         raise NoSignChange(
             f"no eigenvalue crossing in [{I_lo}, {I_hi}] "
             f"(real parts {f_lo:.3g}, {f_hi:.3g})")
     else:
-        while I_hi - I_lo > HOPF_TOL:
-            I_mid = 0.5 * (I_lo + I_hi)
-            f_mid, V_mid = _complex_pair_real_part(I_mid, p, V_lo)
+        while np.ptp(_reduced_current(np.array([V_lo, V_hi]), p, 0.0)) \
+                > HOPF_TOL:
+            V_mid = 0.5 * (V_lo + V_hi)
+            f_mid = leading(V_mid).real
             if f_mid == 0.0:
-                I_lo = I_hi = I_mid
+                V_lo = V_hi = V_mid
                 break
             if np.sign(f_mid) == np.sign(f_lo):
-                I_lo, f_lo, V_lo = I_mid, f_mid, V_mid
+                V_lo, f_lo = V_mid, f_mid
             else:
-                I_hi = I_mid
-    I_star = 0.5 * (I_lo + I_hi)
-    lam = _equilibrium_spectrum(I_star, p, V_lo)[1]
-    cplx = lam[np.abs(lam.imag) > 1e-12]
-    idx = int(np.argmax(cplx.real))
-    omega0 = abs(float(cplx[idx].imag))
-    return I_star, omega0
+                V_hi = V_mid
+    V_star = 0.5 * (V_lo + V_hi)
+    return (float(_reduced_current(V_star, p, 0.0)),
+            abs(float(leading(V_star).imag)))

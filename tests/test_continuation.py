@@ -34,14 +34,15 @@ class TestHelpers:
 
     def test_v_extrema_representations_agree(self, stable_cycle_20,
                                              hb_cycle_20):
-        a = ct.v_extrema(stable_cycle_20)
-        b = ct.v_extrema(hb_cycle_20)
+        a = stable_cycle_20.v_extrema()
+        b = hb_cycle_20.v_extrema()
         assert a[0] == pytest.approx(b[0], abs=0.1)
         assert a[1] == pytest.approx(b[1], abs=0.1)
 
     def test_v_extrema_rejects_unknown(self):
+        # a branch point's extrema are taken only from a PeriodicOrbit
         with pytest.raises(TypeError):
-            ct.v_extrema(3.14)
+            ct.make_point(0.0, 3.14, None)
 
     def test_as_fourier_from_time_cycle(self, stable_cycle_20):
         fc = stable_cycle_20.to_fourier(30)
@@ -150,12 +151,9 @@ class FailingCorrector(FoldCorrector):
 
 @pytest.fixture
 def cheap_points(monkeypatch):
-    def make_point(I, cyc, fld, spectrum_steps=None):
-        vmin, vmax = cyc.v_extrema()
-        return ct.BranchPoint(I=float(I), cycle=cyc, period=cyc.period,
-                              v_min=vmin, v_max=vmax,
-                              spectrum=make_spec((0.5, 0.1, 0.0)))
-    monkeypatch.setattr(ct, "make_point", make_point)
+    # every branch point gets one fixed spectrum, with no flow of the stub
+    monkeypatch.setattr(floquet, "spectrum",
+                        lambda cyc, fld, nsteps=None: make_spec((0.5, 0.1, 0.0)))
 
 
 @pytest.mark.usefixtures("cheap_points")
@@ -643,7 +641,7 @@ class TestHopfSeed:
         ops = hb.build_operators(20)
         sol = hb.solve_hb(seed, ct.hh_family()(I), ops, tol=1e-10)
         assert sol.period == pytest.approx(2 * np.pi / omega0, rel=0.1)
-        vmin, vmax = ct.v_extrema(sol)
+        vmin, vmax = sol.v_extrema()
         assert 0.5 < vmax - vmin < 30.0
 
 

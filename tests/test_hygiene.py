@@ -1,8 +1,10 @@
 """Source hygiene: every imported name in the package and the tests is read,
-and every package name the benchmark under bench/ patches or calls exists."""
+every public package definition has a user outside the tests, and every
+package name the benchmark under bench/ patches or calls exists."""
 
 import ast
 import inspect
+from collections import Counter
 from pathlib import Path
 
 from hhcycles import continuation, shooting
@@ -41,6 +43,38 @@ def unused_imports(path):
 def test_no_unused_imports():
     found = [u for path in SOURCES for u in unused_imports(path)]
     assert not found, "imported but never read:\n" + "\n".join(found)
+
+
+def identifiers(node):
+    """Every name node mentions: loaded or stored names, attributes,
+    imported names and string constants (bench/tracing.py patches functions
+    by name and __all__ lists the re-exports)."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            yield n.value
+
+
+def test_every_public_definition_is_used_outside_the_tests():
+    # a public function or class that only the tests name is code kept
+    # for the tests alone
+    package = sorted((ROOT / "src" / "hhcycles").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in package + sorted((ROOT / "bench").glob("*.py"))}
+    named = Counter(name for tree in trees.values()
+                    for name in identifiers(tree))
+    found = [f"{path.relative_to(ROOT)}:{node.lineno}: {node.name}"
+             for path in package for node in trees[path].body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+             and not node.name.startswith("_")
+             and named[node.name] == Counter(identifiers(node))[node.name]]
+    assert not found, "named only in its own definition:\n" + "\n".join(
+        found)
 
 
 def test_rk4_loop_runs_only_inside_integrate_rk4():

@@ -8,6 +8,9 @@ from hhcycles import model
 from hhcycles.errors import NoSignChange
 
 RNG = np.random.default_rng(20260826)
+# offsets from V = -10 and -25, where the expc arguments of alpha_n and
+# alpha_m are zero: the series inside |dV| < 1e-3, the closed form outside
+NEAR_SERIES = np.linspace(-1.2e-3, 1.2e-3, 9)
 
 
 class TestExpc:
@@ -43,18 +46,25 @@ class TestExpc:
             assert model.expc(x) == pytest.approx(closed, rel=1e-11)
 
     def test_prime_matches_finite_difference(self):
-        xs = np.array([-3.0, -0.3, 1e-5, 0.2, 4.0])
+        # the slope the Jacobian takes from expc's value, on both sides of
+        # the series cutoff |x| = 1e-4 (x +- h stays on one side)
+        xs = np.array([-3.0, -0.3, -1.05e-4, -9.5e-5, 1e-5, 9.5e-5, 1.05e-4,
+                       0.2, 4.0])
         h = 1e-6
         fd = (model.expc(xs + h) - model.expc(xs - h)) / (2 * h)
-        assert np.allclose(model.expc_prime(xs), fd, atol=1e-9)
+        slope = model._expc_slope(xs, model.expc(xs))
+        assert np.allclose(slope, fd, rtol=0.0, atol=1e-9)
 
 
-def rate_derivative_arrays(V):
-    """d/dV of the six rates from the analytic derivatives the Jacobian
-    uses, same order as model.rate_arrays."""
+def rate_slopes(V):
+    """d/dV of the six rates, same order as model.rate_arrays, read off the
+    Jacobian: with a gate at 0 its row's V entry is the alpha slope, at 1
+    it is minus the beta slope."""
     V = np.asarray(V, dtype=float)
-    return np.broadcast_arrays(*model._rate_derivatives(
-        V, model._rates(V)[3]))
+    J0, J1 = (model.jacobian(np.column_stack([V] + [np.full_like(V, g)] * 3))
+              for g in (0.0, 1.0))
+    return [sign * J[:, row, 0] for row in (1, 2, 3)
+            for sign, J in ((1.0, J0), (-1.0, J1))]
 
 
 class TestRates:
@@ -64,11 +74,12 @@ class TestRates:
             assert np.all(arr > 0)
 
     def test_rate_derivatives_match_finite_difference(self):
-        V = np.linspace(-100.0, 30.0, 53)
+        V = np.concatenate([np.linspace(-100.0, 30.0, 53),
+                            -10.0 + NEAR_SERIES, -25.0 + NEAR_SERIES])
         h = 1e-6
         up = model.rate_arrays(V + h)
         dn = model.rate_arrays(V - h)
-        exact = rate_derivative_arrays(V)
+        exact = rate_slopes(V)
         for e, u, d in zip(exact, up, dn):
             assert np.allclose(e, (u - d) / (2 * h), atol=1e-8)
 
@@ -92,8 +103,10 @@ def assert_one_state_matches_batch(x, I):
 
 class TestVectorField:
     def test_jacobian_matches_finite_difference(self):
-        for _ in range(20):
-            x = np.array([RNG.uniform(-110, 30), RNG.uniform(0.05, 0.95),
+        Vs = np.concatenate([RNG.uniform(-110, 30, 20), -10.0 + NEAR_SERIES,
+                             -25.0 + NEAR_SERIES])
+        for V in Vs:
+            x = np.array([V, RNG.uniform(0.05, 0.95),
                           RNG.uniform(0.05, 0.95), RNG.uniform(0.05, 0.95)])
             I = RNG.uniform(0, 160)
             J = model.jacobian(x, I=I)
@@ -169,15 +182,18 @@ class TestEquilibrium:
             x = model.find_equilibrium(float(I))
             assert np.all(np.isfinite(x))
 
-    @pytest.mark.parametrize("I", [0.0, 9.8, 154.5, 250.0])
-    def test_any_start_in_the_scan_range_reaches_the_root(self, I):
-        # detect_hopf starts each equilibrium Newton from the potential at
-        # its bracket's lower end; from anywhere in the coarse scan's range
-        # it must land on the root the scan finds
-        x = model.find_equilibrium(I)
-        for V in np.linspace(-120.0, 80.0, 21):
-            y = model._equilibrium(I, model.DEFAULT_PARAMS, float(V))
-            assert np.max(np.abs(y - x)) < 1e-12
+    def test_current_map_round_trips(self):
+        # detect_hopf reads the current of an equilibrium off its potential
+        p = model.DEFAULT_PARAMS
+        for I in np.linspace(0.0, 250.0, 26):
+            V = model.find_equilibrium(float(I))[0]
+            assert abs(model._reduced_current(V, p, 0.0) - I) < 1e-12
+
+    def test_current_map_falls_strictly_over_the_scan_range(self):
+        # one equilibrium per current, and detect_hopf may bisect in V
+        V = np.linspace(-120.0, 80.0, 20001)
+        I = model._reduced_current(V, model.DEFAULT_PARAMS, 0.0)
+        assert np.all(np.diff(I) < 0)
 
 
 class TestHopfDetection:
@@ -192,6 +208,14 @@ class TestHopfDetection:
         _, (I_high, omega_high) = hopf_points
         assert I_high == pytest.approx(154.52663, abs=5e-5)
         assert omega_high == pytest.approx(1.06292, abs=1e-3)
+
+    def test_complex_pair_on_the_imaginary_axis(self, hopf_points):
+        for I_star, omega in hopf_points:
+            lam = model.equilibrium_eigenvalues(I_star)
+            pair = lam[np.abs(lam.imag) > 1e-12]
+            assert len(pair) == 2
+            assert np.all(np.abs(pair.real) < 1e-8)
+            assert np.abs(pair.imag) == pytest.approx([omega, omega])
 
     def test_equilibrium_stability_flips_across_crossings(self, hopf_points):
         (I_low, _), (I_high, _) = hopf_points
