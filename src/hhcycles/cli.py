@@ -152,8 +152,8 @@ def _parse_range(spec: str):
         raise ConfigError(f"malformed range {spec!r}")
     lo, hi = vals[0], vals[1]
     step = vals[2] if len(vals) == 3 else 1.0
-    if hi <= lo or step <= 0:
-        raise ConfigError(f"empty range {spec!r}")
+    if not (np.all(np.isfinite(vals)) and lo < hi and step > 0):
+        raise ConfigError(f"empty or non-finite range {spec!r}")
     return lo, hi, step
 
 
@@ -269,32 +269,24 @@ def scan_hopf(lo, hi, step, p):
     """Sign changes of the leading equilibrium eigenvalue's real part,
     bisected."""
     Is = _range_samples(lo, hi, step)
-    vals = [model.equilibrium_eigenvalues(float(I), p)[0].real for I in Is]
-    found = []
-    for a in range(len(Is) - 1):
-        if np.sign(vals[a]) != np.sign(vals[a + 1]):
-            found.append(model.detect_hopf(float(Is[a]), float(Is[a + 1]),
-                                           p=p))
-    return found
+    lam = model.eigenvalues(model.find_equilibrium(Is, p), p)
+    sign = np.sign(lam[:, 0].real)
+    return [model.detect_hopf(float(Is[a]), float(Is[a + 1]), p=p)
+            for a in np.flatnonzero(sign[:-1] != sign[1:])]
 
 
 def cmd_equilibria(args, cfg) -> int:
     p = params_from_config(cfg)
     lo, hi, step = _parse_range(args.range)
     Is = _range_samples(lo, hi, step)
-
-    def row(I):
-        I = float(I)
-        x = model.find_equilibrium(I, p)
-        max_re = float(np.max(np.linalg.eigvals(model.jacobian(x, p)).real))
-        return (I, float(x[0]), float(x[1]), float(x[2]), float(x[3]),
-                max_re, "stable" if max_re < 0 else "unstable")
-
     try:
-        rows = [row(I) for I in Is]
+        xs = model.find_equilibrium(Is, p)
     except HHCyclesError as exc:
         print(f"equilibrium solve failed: {exc}", file=sys.stderr)
         return 2
+    max_re = model.eigenvalues(xs, p)[:, 0].real
+    rows = [(I, *x, re, "stable" if re < 0 else "unstable")
+            for I, x, re in zip(Is.tolist(), xs.tolist(), max_re.tolist())]
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "equilibria.csv")
     _write_csv(path, cfg,
@@ -342,6 +334,8 @@ def _solve_single_cycle(I, method, cfg, p, init=None):
 def cmd_cycle(args, cfg) -> int:
     p = params_from_config(cfg)
     I = args.current
+    if not np.isfinite(I):
+        raise ConfigError(f"--current must be finite, got {I}")
     if args.harmonics is not None:
         cfg = dict(cfg)
         cfg["solver.hb.k"] = args.harmonics

@@ -19,8 +19,9 @@ The Jacobian takes each rate's slope from the rate itself.
 
 The equilibria lie on a curve explicit in the potential: at V the gates sit
 at their steady states and the stimulus is I(V) = -I_ion(V, n_inf, h_inf,
-m_inf).  find_equilibrium inverts it by Newton; detect_hopf bisects along it
-in V.
+m_inf).  find_equilibrium inverts it, all currents at once, by Newton with
+the analytic slope (a Schur complement of the Jacobian); detect_hopf bisects
+along it in V.
 """
 
 from __future__ import annotations
@@ -81,11 +82,14 @@ def expc(x):
 
 def _expc_slope(x, e):
     """Derivative of expc at x from its value e = expc(x): e((1 - e)/x - 1),
-    and the Taylor series -1/2 + x/6 - x^3/180 for |x| < 1e-4."""
+    which cancels as x -> 0, and for |x| < 0.1 the Taylor series
+    -1/2 + x/6 - x^3/180 + x^5/5040 - x^7/151200 (next term < 3e-16)."""
     with np.errstate(divide="ignore", invalid="ignore"):
         direct = e * ((1.0 - e) / x - 1.0)
-    return np.where(np.abs(x) < _EXPC_SERIES_CUTOFF,
-                    -0.5 + x / 6.0 - x * x * x / 180.0, direct)
+    x2 = x * x
+    series = -0.5 + x * (1.0 / 6.0 + x2 * (-1.0 / 180.0 + x2 * (
+        1.0 / 5040.0 - x2 / 151200.0)))
+    return np.where(np.abs(x) < 0.1, series, direct)
 
 
 def _rates(V):
@@ -96,14 +100,6 @@ def _rates(V):
             1.0 / (1.0 + np.exp(0.1 * (30.0 + V))),
             expc(0.1 * (25.0 + V)),
             4.0 * np.exp(V / 18.0))
-
-
-def rate_arrays(V):
-    """The six alpha/beta rates at potential(s) V, as arrays in a fixed order.
-
-    Order: alpha_n, beta_n, alpha_h, beta_h, alpha_m, beta_m.
-    """
-    return np.broadcast_arrays(*_rates(np.asarray(V, dtype=float)))
 
 
 def _ionic_current(V, n, h, m, p: HHParams):
@@ -194,70 +190,76 @@ def jacobian(x, p: HHParams = DEFAULT_PARAMS, I: float = 0.0):
     return J.reshape(x.shape[:-1] + (STATE_DIM, STATE_DIM))
 
 
-def gating_steady_states(V):
-    """Steady-state gate values (n_inf, h_inf, m_inf) at potential(s) V."""
-    a_n, b_n, a_h, b_h, a_m, b_m = rate_arrays(V)
-    return a_n / (a_n + b_n), a_h / (a_h + b_h), a_m / (a_m + b_m)
-
-
 def steady_state(V):
-    """Full state with gates at their V-dependent steady states."""
-    n, h, m = gating_steady_states(V)
-    return np.array([np.asarray(V, dtype=float) * 1.0, n, h, m]).T
+    """State(s) (V, n_inf, h_inf, m_inf), the gates at their steady states
+    at potential(s) V: shape (4,) for a scalar, (m, 4) for m potentials."""
+    V = np.asarray(V, dtype=float)
+    a_n, b_n, a_h, b_h, a_m, b_m = _rates(V)
+    return np.array([V, a_n / (a_n + b_n), a_h / (a_h + b_h),
+                     a_m / (a_m + b_m)]).T
 
 
-def _reduced_current(V, p: HHParams, I: float):
-    """Membrane current balance with gates eliminated via steady states."""
-    n, h, m = gating_steady_states(V)
-    return -I - _ionic_current(V, n, h, m, p)
+def _equilibrium_current(V, p: HHParams):
+    """The equilibrium curve: the stimulus I(V) that holds the membrane at
+    rest at potential(s) V, minus the ionic current at steady_state(V)."""
+    return -_ionic_current(*steady_state(V).T, p)
 
 
-def find_equilibrium(I: float, p: HHParams = DEFAULT_PARAMS):
-    """Equilibrium state at external current I.
+def _equilibrium_slope(V, p: HHParams):
+    """dI/dV along the equilibrium curve at potential(s) V: C times the Schur
+    complement of the gate block of the Jacobian at steady_state(V).  Each
+    gate row vanishes on the curve and is diagonal in the gates, so a
+    gate's slope is g_k' = -J_k0 / J_kk."""
+    J = jacobian(steady_state(V), p)
+    gates = np.diagonal(J, axis1=-2, axis2=-1)[..., 1:]
+    return p.C * (J[..., 0, 0]
+                  - np.sum(J[..., 0, 1:] * J[..., 1:, 0] / gates, axis=-1))
 
-    Eliminates the gates through their steady states and Newton-solves the
-    scalar current balance in V from the best potential of a coarse scan
-    (the reduced equation has a single physical root), then reconstructs
-    the gates.  Raises NoConvergence if Newton does not settle within 100
-    iterations.
+
+def find_equilibrium(I, p: HHParams = DEFAULT_PARAMS):
+    """Equilibrium state(s) at current(s) I, shape I.shape + (4,).
+
+    Newton in V on the equilibrium curve with its analytic slope, all
+    currents at once, each from the nearest of 401 samples of the curve on
+    [-120, 80] mV; a root stops once its step is below 1e-14 relative, then
+    takes one polishing step.  Raises ValueError on a non-finite current,
+    before any step, and NoConvergence after 100 steps or on a residual
+    above 1e-12.
     """
-    Vs = np.linspace(-120.0, 80.0, 401)
-    V = float(Vs[np.argmin(np.abs(_reduced_current(Vs, p, I)))])
-    dV_fd = 1e-6
-    shifts = np.array([0.0, dV_fd, -dV_fd])
+    I = np.asarray(I, dtype=float)
+    if not np.all(np.isfinite(I)):
+        raise ValueError(f"equilibrium current must be finite, got {I}")
+    Is = I.reshape(-1)
+    grid = np.linspace(-120.0, 80.0, 401)
+    V = grid[np.argmin(np.abs(_equilibrium_current(grid, p)[:, None] - Is),
+                       axis=0)]
 
-    def newton_step(V):
-        # the current and its central difference from one batch of three
-        g, g_up, g_down = _reduced_current(V + shifts, p, I)
-        dg = (g_up - g_down) / (2.0 * dV_fd)
-        if dg == 0.0:
-            raise NoConvergence(f"flat reduced current at I={I}")
-        return float(g / dg)
+    def newton_step(V, target):
+        return (_equilibrium_current(V, p) - target) / _equilibrium_slope(V, p)
 
+    todo = np.arange(len(Is))
     for _ in range(100):
-        step = newton_step(V)
-        V -= step
-        if abs(step) < 1e-14 * max(1.0, abs(V)):
+        step = newton_step(V[todo], Is[todo])
+        V[todo] -= step
+        todo = todo[~(np.abs(step) < 1e-14 * np.maximum(1.0, np.abs(V[todo])))]
+        if not len(todo):
             break
     else:
-        raise NoConvergence(f"equilibrium Newton stalled at I={I}")
+        raise NoConvergence(f"equilibrium Newton stalled at I={Is[todo]}")
     # polish once more so the residual is at roundoff level
-    V -= newton_step(V)
+    V -= newton_step(V, Is)
     x = steady_state(V)
-    if np.max(np.abs(vector_field(x, p, I))) > 1e-12:
-        raise NoConvergence(f"equilibrium residual above 1e-12 at I={I}")
-    return x
+    bad = ~(np.max(np.abs(_field_terms(*x.T, p, Is)), axis=0) <= 1e-12)
+    if bad.any():
+        raise NoConvergence(f"equilibrium residual above 1e-12 at I={Is[bad]}")
+    return x.reshape(I.shape + (STATE_DIM,))
 
 
-def _eigenvalues(x, p: HHParams):
-    """Eigenvalues of the Jacobian at state x, real part descending."""
+def eigenvalues(x, p: HHParams = DEFAULT_PARAMS):
+    """Eigenvalues of the Jacobian at state(s) x, largest real part first:
+    shape (4,) for one state, (..., 4) for a batch."""
     lam = np.linalg.eigvals(jacobian(x, p))
-    return lam[np.argsort(-lam.real)]
-
-
-def equilibrium_eigenvalues(I: float, p: HHParams = DEFAULT_PARAMS):
-    """Eigenvalues of the Jacobian at the equilibrium, real part descending."""
-    return _eigenvalues(find_equilibrium(I, p), p)
+    return np.take_along_axis(lam, np.argsort(-lam.real, axis=-1), axis=-1)
 
 
 HOPF_TOL = 1e-6   # width of the final bisection bracket in I
@@ -268,7 +270,7 @@ def detect_hopf(I_lo: float, I_hi: float, p: HHParams = DEFAULT_PARAMS):
     for the sign change of the leading eigenvalue's real part.
 
     The curve is explicit in the potential: at V the gates sit at their
-    steady states and the current is I(V) = _reduced_current(V, p, 0).  The
+    steady states and the current is I(V) = _equilibrium_current(V, p).  The
     Jacobian does not depend on I, so the bisection runs in V, one
     eigenvalue solve at steady_state(V) a step, and stops once the currents
     at the bracket's ends are HOPF_TOL apart.  det J vanishes only where
@@ -279,10 +281,9 @@ def detect_hopf(I_lo: float, I_hi: float, p: HHParams = DEFAULT_PARAMS):
     Raises NoSignChange if the bracket is invalid.
     """
     def leading(V):
-        return _eigenvalues(steady_state(V), p)[0]
+        return eigenvalues(steady_state(V), p)[0]
 
-    V_lo = float(find_equilibrium(I_lo, p)[0])
-    V_hi = float(find_equilibrium(I_hi, p)[0])
+    V_lo, V_hi = find_equilibrium([I_lo, I_hi], p)[:, 0].tolist()
     f_lo, f_hi = leading(V_lo).real, leading(V_hi).real
     if f_lo == 0.0:
         V_hi = V_lo
@@ -291,7 +292,7 @@ def detect_hopf(I_lo: float, I_hi: float, p: HHParams = DEFAULT_PARAMS):
             f"no eigenvalue crossing in [{I_lo}, {I_hi}] "
             f"(real parts {f_lo:.3g}, {f_hi:.3g})")
     else:
-        while np.ptp(_reduced_current(np.array([V_lo, V_hi]), p, 0.0)) \
+        while np.ptp(_equilibrium_current(np.array([V_lo, V_hi]), p)) \
                 > HOPF_TOL:
             V_mid = 0.5 * (V_lo + V_hi)
             f_mid = leading(V_mid).real
@@ -303,5 +304,5 @@ def detect_hopf(I_lo: float, I_hi: float, p: HHParams = DEFAULT_PARAMS):
             else:
                 V_hi = V_mid
     V_star = 0.5 * (V_lo + V_hi)
-    return (float(_reduced_current(V_star, p, 0.0)),
+    return (float(_equilibrium_current(V_star, p)),
             abs(float(leading(V_star).imag)))

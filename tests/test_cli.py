@@ -109,7 +109,8 @@ class TestRangeParsing:
         assert cli._parse_range("2:5:0.5") == (2.0, 5.0, 0.5)
 
     def test_rejects_malformed(self):
-        for bad in ("5", "5:2", "2:5:0", "a:b", "1:2:3:4"):
+        for bad in ("5", "5:2", "2:5:0", "a:b", "1:2:3:4", "0:nan", "nan:5",
+                    "0:inf:1", "0:5:inf"):
             with pytest.raises(ConfigError):
                 cli._parse_range(bad)
 
@@ -242,6 +243,17 @@ class TestCommands:
 
     def test_bad_subcommand_is_usage_error(self):
         assert cli.main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize("current", ["nan", "inf", "-inf"])
+    def test_non_finite_current_is_usage_error(self, tmp_path, capsys,
+                                               monkeypatch, current):
+        def solve(*args):
+            raise AssertionError("a cycle solve ran")
+        monkeypatch.setattr(cli, "_solve_single_cycle", solve)
+        rc = cli.main(["--out", str(tmp_path), "cycle",
+                       f"--current={current}"])
+        assert rc == 1
+        assert "must be finite" in capsys.readouterr().err
 
     def test_cycle_then_floquet_report(self, tmp_path, capsys):
         rc = cli.main(["--out", str(tmp_path), "--verbose", "cycle",

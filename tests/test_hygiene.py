@@ -7,7 +7,7 @@ import inspect
 from collections import Counter
 from pathlib import Path
 
-from hhcycles import continuation, shooting
+from hhcycles import continuation, model, shooting
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "hhcycles").glob("*.py")) + sorted(
@@ -134,3 +134,9 @@ def test_settle_transient_takes_the_benchmark_call():
     # bind raises TypeError if the signature no longer accepts that call
     inspect.signature(shooting.settle_transient).bind(
         object(), 300.0, x_start=object())
+
+
+def test_find_equilibrium_takes_the_benchmark_call():
+    # bench/workloads.py adds a (4,) kick to find_equilibrium(20.0): a
+    # scalar current must still give one state, not a batch of one
+    assert model.find_equilibrium(20.0).shape == (model.STATE_DIM,)

@@ -1,5 +1,7 @@
 """Vector field, rate functions, equilibria and eigenvalue crossings."""
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,9 +57,26 @@ class TestExpc:
         slope = model._expc_slope(xs, model.expc(xs))
         assert np.allclose(slope, fd, rtol=0.0, atol=1e-9)
 
+    def test_slope_matches_a_decimal_reference(self):
+        # expc'(x) = (e^x - 1 - x e^x) / (e^x - 1)^2 in 60 digits: the
+        # cancellation near zero costs the reference at most 17 of them
+        mag = np.logspace(-8.0, 1.0, 361)
+        xs = np.concatenate([-mag, mag])
+
+        def reference(x):
+            with localcontext() as ctx:
+                ctx.prec = 60
+                d = Decimal(x)
+                e = d.exp()
+                return float((e - 1 - d * e) / (e - 1) ** 2)
+
+        ref = np.array([reference(x) for x in xs.tolist()])
+        slope = model._expc_slope(xs, model.expc(xs))
+        assert np.max(np.abs(slope / ref - 1.0)) <= 1e-14
+
 
 def rate_slopes(V):
-    """d/dV of the six rates, same order as model.rate_arrays, read off the
+    """d/dV of the six rates, same order as model._rates, read off the
     Jacobian: with a gate at 0 its row's V entry is the alpha slope, at 1
     it is minus the beta slope."""
     V = np.asarray(V, dtype=float)
@@ -70,23 +89,23 @@ def rate_slopes(V):
 class TestRates:
     def test_all_rates_positive_over_physical_range(self):
         V = np.linspace(-120.0, 40.0, 500)
-        for arr in model.rate_arrays(V):
+        for arr in model._rates(V):
             assert np.all(arr > 0)
 
     def test_rate_derivatives_match_finite_difference(self):
         V = np.concatenate([np.linspace(-100.0, 30.0, 53),
                             -10.0 + NEAR_SERIES, -25.0 + NEAR_SERIES])
         h = 1e-6
-        up = model.rate_arrays(V + h)
-        dn = model.rate_arrays(V - h)
+        up = model._rates(V + h)
+        dn = model._rates(V - h)
         exact = rate_slopes(V)
         for e, u, d in zip(exact, up, dn):
             assert np.allclose(e, (u - d) / (2 * h), atol=1e-8)
 
     def test_gating_steady_states_in_unit_interval(self):
         V = np.linspace(-110.0, 30.0, 200)
-        for g in model.gating_steady_states(V):
-            assert np.all((g > 0) & (g < 1))
+        gates = model.steady_state(V)[:, 1:]
+        assert np.all((gates > 0) & (gates < 1))
 
 
 def assert_one_state_matches_batch(x, I):
@@ -187,13 +206,44 @@ class TestEquilibrium:
         p = model.DEFAULT_PARAMS
         for I in np.linspace(0.0, 250.0, 26):
             V = model.find_equilibrium(float(I))[0]
-            assert abs(model._reduced_current(V, p, 0.0) - I) < 1e-12
+            assert abs(model._equilibrium_current(V, p) - I) < 1e-12
 
     def test_current_map_falls_strictly_over_the_scan_range(self):
         # one equilibrium per current, and detect_hopf may bisect in V
         V = np.linspace(-120.0, 80.0, 20001)
-        I = model._reduced_current(V, model.DEFAULT_PARAMS, 0.0)
+        I = model._equilibrium_current(V, model.DEFAULT_PARAMS)
         assert np.all(np.diff(I) < 0)
+
+    def test_slope_matches_central_difference(self):
+        # the Schur-complement slope against a difference of the curve,
+        # whose own error is about 1e-8 relative at h = 1e-5
+        p = model.DEFAULT_PARAMS
+        V = np.concatenate([np.linspace(-110.0, 70.0, 37),
+                            -10.0 + NEAR_SERIES, -25.0 + NEAR_SERIES])
+        h = 1e-5
+        fd = (model._equilibrium_current(V + h, p)
+              - model._equilibrium_current(V - h, p)) / (2 * h)
+        slope = model._equilibrium_slope(V, p)
+        assert np.max(np.abs(slope / fd - 1.0)) < 1e-7
+
+    def test_array_of_currents_gives_the_scalar_states(self):
+        Is = np.linspace(0.0, 250.0, 51)
+        xs = model.find_equilibrium(Is)
+        assert xs.shape == (51, 4)
+        for I, x in zip(Is, xs):
+            one = model.find_equilibrium(float(I))
+            assert one.shape == (4,)
+            assert np.max(np.abs(x - one)) <= 1e-13
+        assert model.find_equilibrium(Is.reshape(3, 17)).shape == (3, 17, 4)
+
+    @pytest.mark.parametrize("I", [np.nan, np.inf, -np.inf, [1.0, np.nan]])
+    def test_non_finite_current_raises_before_any_iteration(self, I,
+                                                            monkeypatch):
+        def curve(V, p):
+            raise AssertionError("the curve was evaluated")
+        monkeypatch.setattr(model, "_equilibrium_current", curve)
+        with pytest.raises(ValueError, match="finite"):
+            model.find_equilibrium(I)
 
 
 class TestHopfDetection:
@@ -211,7 +261,7 @@ class TestHopfDetection:
 
     def test_complex_pair_on_the_imaginary_axis(self, hopf_points):
         for I_star, omega in hopf_points:
-            lam = model.equilibrium_eigenvalues(I_star)
+            lam = model.eigenvalues(model.find_equilibrium(I_star))
             pair = lam[np.abs(lam.imag) > 1e-12]
             assert len(pair) == 2
             assert np.all(np.abs(pair.real) < 1e-8)
@@ -219,11 +269,17 @@ class TestHopfDetection:
 
     def test_equilibrium_stability_flips_across_crossings(self, hopf_points):
         (I_low, _), (I_high, _) = hopf_points
-        def max_re(I):
-            return float(np.max(model.equilibrium_eigenvalues(I).real))
-        assert max_re(I_low - 0.5) < 0
-        assert max_re(0.5 * (I_low + I_high)) > 0
-        assert max_re(I_high + 0.5) < 0
+        Is = [I_low - 0.5, 0.5 * (I_low + I_high), I_high + 0.5]
+        lam = model.eigenvalues(model.find_equilibrium(Is))
+        assert np.all(np.sign(lam[:, 0].real) == [-1.0, 1.0, -1.0])
+
+    def test_eigenvalues_of_a_batch_are_each_states_sorted(self):
+        xs = model.find_equilibrium(np.linspace(0.0, 160.0, 9))
+        lam = model.eigenvalues(xs)
+        assert lam.shape == (9, 4)
+        for x, row in zip(xs, lam):
+            assert np.array_equal(row, model.eigenvalues(x))
+            assert np.all(np.diff(row.real) <= 0)
 
     def test_no_crossing_raises(self):
         with pytest.raises(NoSignChange):
