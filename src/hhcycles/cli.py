@@ -5,7 +5,7 @@ Commands
     hhc cycle --current I --method hb     single-cycle JSON artifact
     hhc diagram                           full bifurcation-diagram pipeline
     hhc floquet --cycle-file F            multiplier report for a saved cycle
-    hhc hopf --range I0:I1                Hopf points from eigenvalue bisection
+    hhc hopf --range I0:I1                Hopf points from equilibrium eigenvalues
 
 Configuration is a flat key=value text file ('#' comments, dotted keys);
 unknown keys are rejected so typos fail loudly.  Every artifact header
@@ -69,9 +69,12 @@ def _parse_value(key: str, raw: str):
     try:
         if isinstance(default, int) and not isinstance(default, bool):
             return int(raw)
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"cannot parse value for {key!r}: {raw!r}")
+    if not np.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {raw!r}")
+    return value
 
 
 def load_config(path=None) -> dict:
@@ -266,8 +269,8 @@ def cmd_hopf(args, cfg) -> int:
 
 
 def scan_hopf(lo, hi, step, p):
-    """Sign changes of the leading equilibrium eigenvalue's real part,
-    bisected."""
+    """Sign changes of the leading equilibrium eigenvalue's real part on
+    the grid, each refined by detect_hopf."""
     Is = _range_samples(lo, hi, step)
     lam = model.eigenvalues(model.find_equilibrium(Is, p), p)
     sign = np.sign(lam[:, 0].real)
@@ -582,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     fl.add_argument("--steps", type=int, default=None,
                     help="RK4 steps per period (default: floquet.steps)")
 
-    hp = sub.add_parser("hopf", help="Hopf points from eigenvalue bisection")
+    hp = sub.add_parser("hopf", help="Hopf points from equilibrium eigenvalues")
     hp.add_argument("--range", default="1:160", help="I0:I1[:STEP]")
     return ap
 

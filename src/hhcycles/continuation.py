@@ -4,8 +4,8 @@ Secant pseudo-arclength continuation in the (I, T) plane: each step moves
 along the secant through the last two points and corrects on the line
 through the predicted point orthogonal to it, with (cycle, T, I) unknown,
 so a turning point in I is an ordinary step.  Folds are then pinned down as
-extrema of I(T) along the branch, and period-doubling points by tracking a
-multiplier through -1 along T; both searches take points that are monotone
+extrema of I(T) along the branch, and period-doubling points as sign
+changes of det(M + I) along T; both searches take points that are monotone
 in T, the search parameter.
 """
 
@@ -393,7 +393,8 @@ def locate_pd(branch: Branch, bracket,
               field_at: Callable[[float], VectorField],
               adapter: _SolverAdapter,
               spectrum_steps: int = floquet.DEFAULT_SPECTRUM_STEPS) -> BifurcationEvent:
-    """Locate a period-doubling point by tracking a multiplier through -1.
+    """Locate a period-doubling point, where a real multiplier crosses -1
+    (floquet.detect_crossing).
 
     The search parameter is T, monotone over the bracket even where it runs
     past a turning point in I.  The bracketed branch points supply the

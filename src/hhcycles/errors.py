@@ -34,7 +34,8 @@ class DegenerateCycle(HHCyclesError):
 
 
 class TrackingLost(HHCyclesError):
-    """Floquet multiplier continuity matching became ambiguous."""
+    """A multiplier test function changed sign with no multiplier at its
+    target: a jump across a gap in the branch, not a crossing."""
 
 
 class NoExtremum(HHCyclesError):

@@ -1,4 +1,4 @@
-"""Floquet multipliers of periodic orbits and unit-circle crossing detection.
+"""Floquet multipliers of periodic orbits and period-doubling detection.
 
 The monodromy matrix is obtained from the variational flow around one period
 (module integrate).  When the cycle is available as a Fourier series or a
@@ -16,6 +16,10 @@ states of that pass.  Every monodromy matrix is a period-subdivided product
 accumulated through successive QR factorizations, so on strongly unstable
 cycles (multiplier magnitudes in the thousands) the small multipliers are
 not washed out by the ill-conditioned explicit product.
+
+A period doubling is a sign change of prod(mu + 1) over the nontrivial
+multipliers, det(M + I) / 2, refined by the regula falsi of
+newton.bracketed_root; no multiplier is tracked from spectrum to spectrum.
 """
 
 from __future__ import annotations
@@ -29,10 +33,10 @@ from . import integrate
 from .cycles import check_orbit
 from .errors import NoSignChange, TrackingLost
 from .fields import VectorField
+from .newton import bracketed_root
 
 NEAR_THRESHOLD = 0.05
 SPECTRUM_CHUNKS = 16      # subintervals of the period in the monodromy product
-CROSSING_MAX_ITER = 60    # bisection and secant budget of detect_crossing
 
 
 @dataclass(frozen=True)
@@ -144,109 +148,54 @@ def spectrum(cycle, field: VectorField,
                            liouville_error=liouville)
 
 
-def _tracked_value(spec: FloquetSpectrum, previous: complex,
-                   threshold: float) -> complex:
-    """The nontrivial multiplier nearest previous, if within threshold."""
-    mus = spec.multipliers
-    d = np.abs(mus - previous)
-    j = int(np.argmin(d))
-    if d[j] > threshold * max(1.0, abs(previous)):
-        raise TrackingLost(
-            f"multiplier moved {d[j]:.3g} between consecutive spectra")
-    return complex(mus[j])
+def _pd_test(spec: FloquetSpectrum) -> float:
+    """prod(mu + 1) over the nontrivial multipliers, det(M + I) / 2.  A
+    complex pair contributes |mu + 1|^2 > 0, so the sign flips exactly
+    where a real multiplier crosses -1."""
+    return float(np.prod(spec.multipliers + 1.0).real)
+
+
+def _gap(spec: FloquetSpectrum) -> float:
+    """Distance from -1 to the nearest nontrivial multiplier."""
+    return float(np.min(np.abs(spec.multipliers + 1.0)))
 
 
 def detect_crossing(points: Sequence[Tuple[float, FloquetSpectrum]],
                     spectrum_at: Callable[[float], FloquetSpectrum],
                     tol: float = 1e-6) -> float:
-    """Parameter value where the tracked multiplier crosses -1.
+    """Parameter value where a real multiplier crosses -1.
 
     points is a sequence of (p, FloquetSpectrum) monotone in the search
-    parameter p.  The signed distance g(p) = Re(mu_tracked) + 1 must change
-    sign between two consecutive points; the root is then refined by secant
-    steps on fresh spectra from spectrum_at.  With no sampled sign change,
-    the intervals next to the sample of least |g| are bisected until one
-    brackets a sign change or shrinks below tol.
+    parameter p.  The test function prod(mu + 1) over the nontrivial
+    multipliers (Kuznetsov, Elements of Applied Bifurcation Theory, 10.2)
+    changes sign exactly where a real multiplier crosses -1, also when it
+    then collides with another and leaves the real axis before the next
+    sample.  Of the sampled sign changes, the one whose ends hold
+    multipliers nearest -1 is refined by newton.bracketed_root on fresh
+    spectra from spectrum_at, until a step is below tol.  A jump of the
+    test function is a sign change but no crossing, so the last spectrum
+    evaluated must hold a multiplier within 0.5 of -1, or TrackingLost is
+    raised.
     """
-    target = -1.0
     if len(points) < 2:
         raise NoSignChange("need at least two sampled spectra")
-
-    # per-point candidate: the real multiplier nearest the target.  Tracking
-    # from the first point alone fails when the crossing multiplier starts
-    # far from the target while another one idles nearby.
-    def candidate(spec):
-        mus = spec.multipliers
-        real = mus[np.abs(mus.imag) < 1e-6 * np.maximum(1.0, np.abs(mus))]
-        if len(real) == 0:
-            return None
-        return complex(real[int(np.argmin(np.abs(real - target)))])
-
-    tracked = [(I, candidate(spec)) for I, spec in points]
-    tracked = [(I, m) for I, m in tracked if m is not None]
-    for I, m in tracked[:-1]:
-        if m.real == target:
-            return I
-
-    def tightest():
-        # among all sign changes keep the tightest one; eigenvalue collisions
-        # (real pairs merging into complex) can fake a distant sign flip
-        g = [m.real - target for _, m in tracked]
-        bracket, best = None, np.inf
-        for a in range(len(g) - 1):
-            if g[a] * g[a + 1] < 0.0 and abs(g[a]) + abs(g[a + 1]) < best:
-                best = abs(g[a]) + abs(g[a + 1])
-                bracket = a
-        return bracket
-
-    bracket = tightest()
-    # a multiplier pair can pass the target, collide and leave the real axis
-    # between two samples, so no sampled sign change shows; bisect the
-    # intervals next to the sample nearest the target until one does
-    for _ in range(CROSSING_MAX_ITER):
-        if bracket is not None or not tracked:
-            break
-        k = int(np.argmin([abs(m.real - target) for _, m in tracked]))
-        sides = [a for a in (k, k - 1) if 0 <= a < len(tracked) - 1
-                 and abs(tracked[a + 1][0] - tracked[a][0]) >= tol]
-        if not sides:
-            break
-        for a in sides:  # right side first keeps the left index valid
-            Ic = 0.5 * (tracked[a][0] + tracked[a + 1][0])
-            mc = candidate(spectrum_at(Ic))
-            if mc is not None:
-                tracked.insert(a + 1, (Ic, mc))
-        bracket = tightest()
-    if bracket is None:
+    ps = [p for p, _ in points]
+    psi = [_pd_test(spec) for _, spec in points]
+    flips = [a for a in range(len(ps) - 1) if psi[a] * psi[a + 1] < 0.0]
+    if not flips:
         raise NoSignChange("no period-doubling crossing in the sampled range")
+    gaps = [_gap(spec) for _, spec in points]
+    a = min(flips, key=lambda a: gaps[a] + gaps[a + 1])
+    evaluated = [points[a + 1][1]]
 
-    (Ia, ma), (Ib, mb) = tracked[bracket], tracked[bracket + 1]
-    ga, gb = ma.real - target, mb.real - target
-    prev = mb
-    # the crossing multiplier may move fast across the bracket; scale the
-    # continuity threshold to the observed endpoint spread
-    thr = max(0.5, 2.0 * abs(mb - ma))
-    def finish(I_out):
-        if abs(prev.real - target) > 0.5:
-            raise TrackingLost(
-                f"refinement converged on a multiplier at {prev:.4g}, "
-                f"far from the target {target:+g}")
-        return I_out
+    def psi_at(p):
+        evaluated.append(spectrum_at(p))
+        return _pd_test(evaluated[-1])
 
-    for _ in range(CROSSING_MAX_ITER):
-        Ic = Ib - gb * (Ib - Ia) / (gb - ga)
-        if abs(Ic - Ib) < tol or abs(Ic - Ia) < tol:
-            return finish(Ic)
-        mc = _tracked_value(spectrum_at(Ic), prev, thr)
-        prev = mc
-        gc = mc.real - target
-        if gc == 0.0:
-            return finish(Ic)
-        # keep the bracket if the new point preserves a sign change
-        if ga * gc < 0.0:
-            Ib, gb = Ic, gc
-        else:
-            Ia, ga = Ic, gc
-        if abs(Ib - Ia) < tol:
-            return finish(0.5 * (Ia + Ib))
-    return finish(0.5 * (Ia + Ib))
+    p_star = bracketed_root(psi_at, ps[a], ps[a + 1], psi[a], psi[a + 1], tol)
+    gap = _gap(evaluated[-1])
+    if gap > 0.5:
+        raise TrackingLost(
+            f"prod(mu + 1) changes sign at {p_star:.8g}, but no multiplier "
+            f"lies within 0.5 of -1 there (nearest {gap:.3g} away)")
+    return p_star

@@ -20,8 +20,9 @@ The Jacobian takes each rate's slope from the rate itself.
 The equilibria lie on a curve explicit in the potential: at V the gates sit
 at their steady states and the stimulus is I(V) = -I_ion(V, n_inf, h_inf,
 m_inf).  find_equilibrium inverts it, all currents at once, by Newton with
-the analytic slope (a Schur complement of the Jacobian); detect_hopf bisects
-along it in V.
+the analytic slope (a Schur complement of the Jacobian); detect_hopf finds
+the root of the leading eigenvalue's real part along it in V, by the
+regula falsi of newton.bracketed_root.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NoSignChange
+from .errors import NoConvergence
+from .newton import bracketed_root
 
 STATE_DIM = 4
 
@@ -205,12 +207,12 @@ def _equilibrium_current(V, p: HHParams):
     return -_ionic_current(*steady_state(V).T, p)
 
 
-def _equilibrium_slope(V, p: HHParams):
-    """dI/dV along the equilibrium curve at potential(s) V: C times the Schur
-    complement of the gate block of the Jacobian at steady_state(V).  Each
-    gate row vanishes on the curve and is diagonal in the gates, so a
+def _equilibrium_slope(x, p: HHParams):
+    """dI/dV along the equilibrium curve at its state(s) x = steady_state(V):
+    C times the Schur complement of the gate block of the Jacobian at x.
+    Each gate row vanishes on the curve and is diagonal in the gates, so a
     gate's slope is g_k' = -J_k0 / J_kk."""
-    J = jacobian(steady_state(V), p)
+    J = jacobian(x, p)
     gates = np.diagonal(J, axis1=-2, axis2=-1)[..., 1:]
     return p.C * (J[..., 0, 0]
                   - np.sum(J[..., 0, 1:] * J[..., 1:, 0] / gates, axis=-1))
@@ -235,7 +237,8 @@ def find_equilibrium(I, p: HHParams = DEFAULT_PARAMS):
                        axis=0)]
 
     def newton_step(V, target):
-        return (_equilibrium_current(V, p) - target) / _equilibrium_slope(V, p)
+        x = steady_state(V)
+        return (-_ionic_current(*x.T, p) - target) / _equilibrium_slope(x, p)
 
     todo = np.arange(len(Is))
     for _ in range(100):
@@ -262,47 +265,32 @@ def eigenvalues(x, p: HHParams = DEFAULT_PARAMS):
     return np.take_along_axis(lam, np.argsort(-lam.real, axis=-1), axis=-1)
 
 
-HOPF_TOL = 1e-6   # width of the final bisection bracket in I
+HOPF_TOL = 1e-9   # step in V (mV) that ends the root search
 
 
 def detect_hopf(I_lo: float, I_hi: float, p: HHParams = DEFAULT_PARAMS):
-    """Bisect the equilibrium curve between the equilibria at I_lo and I_hi
-    for the sign change of the leading eigenvalue's real part.
+    """The root of the leading eigenvalue's real part along the equilibrium
+    curve between the equilibria at I_lo and I_hi.
 
     The curve is explicit in the potential: at V the gates sit at their
     steady states and the current is I(V) = _equilibrium_current(V, p).  The
-    Jacobian does not depend on I, so the bisection runs in V, one
-    eigenvalue solve at steady_state(V) a step, and stops once the currents
-    at the bracket's ends are HOPF_TOL apart.  det J vanishes only where
-    dI/dV does, and with the default parameters I(V) falls strictly, so no
-    real eigenvalue crosses zero: the sign change is a complex pair's.
+    Jacobian does not depend on I, so the search runs in V, by
+    newton.bracketed_root with one eigenvalue solve at steady_state(V) a
+    step, until a step is below HOPF_TOL.  det J vanishes only where dI/dV
+    does, and with the default parameters I(V) falls strictly, so no real
+    eigenvalue crosses zero: the sign change is a complex pair's.
 
     Returns (I_star, omega0) with omega0 the imaginary part at the crossing.
-    Raises NoSignChange if the bracket is invalid.
+    Raises NoSignChange if the real parts at I_lo and I_hi share a sign.
     """
     def leading(V):
         return eigenvalues(steady_state(V), p)[0]
 
+    def growth(V):
+        return float(leading(V).real)
+
     V_lo, V_hi = find_equilibrium([I_lo, I_hi], p)[:, 0].tolist()
-    f_lo, f_hi = leading(V_lo).real, leading(V_hi).real
-    if f_lo == 0.0:
-        V_hi = V_lo
-    elif f_hi != 0.0 and np.sign(f_lo) == np.sign(f_hi):
-        raise NoSignChange(
-            f"no eigenvalue crossing in [{I_lo}, {I_hi}] "
-            f"(real parts {f_lo:.3g}, {f_hi:.3g})")
-    else:
-        while np.ptp(_equilibrium_current(np.array([V_lo, V_hi]), p)) \
-                > HOPF_TOL:
-            V_mid = 0.5 * (V_lo + V_hi)
-            f_mid = leading(V_mid).real
-            if f_mid == 0.0:
-                V_lo = V_hi = V_mid
-                break
-            if np.sign(f_mid) == np.sign(f_lo):
-                V_lo, f_lo = V_mid, f_mid
-            else:
-                V_hi = V_mid
-    V_star = 0.5 * (V_lo + V_hi)
+    V_star = bracketed_root(growth, V_lo, V_hi, growth(V_lo), growth(V_hi),
+                            HOPF_TOL)
     return (float(_equilibrium_current(V_star, p)),
             abs(float(leading(V_star).imag)))

@@ -1,4 +1,5 @@
-"""The damped Newton iteration shared by the three cycle solvers.
+"""The damped Newton iteration shared by the three cycle solvers, and the
+bracketed scalar root finder shared by the Hopf and period-doubling searches.
 
 Each solver brings its residual and its Newton step (Jacobian assembly and
 linear solve); the step halving, acceptance rule, stall stop and the rule
@@ -10,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import NoConvergence, SingularJacobian
+from .errors import NoConvergence, NoSignChange, SingularJacobian
 
 
 def damped_newton(residual, step, z0, tol: float, max_iter: int, what: str):
@@ -81,6 +82,39 @@ def damped_newton(residual, step, z0, tol: float, max_iter: int, what: str):
     if rn < tol:
         return z, rn
     raise failed(f"Newton stalled at residual {rn:.3g}", max_iter)
+
+
+def bracketed_root(g, a: float, b: float, ga: float, gb: float,
+                   tol: float) -> float:
+    """Root of the scalar function g between a and b, from g(a) = ga and
+    g(b) = gb of opposite signs: Illinois regula falsi (Dowell & Jarratt,
+    BIT 11, 1971).
+
+    Each step evaluates g at the secant point of the bracket and keeps the
+    part that still holds a sign change.  Where the same end stays, its g
+    value is halved, so that end is released too and both ends close in on
+    the root, with order about 1.44.  The secant point is returned once it
+    is within tol of the latest point, without evaluating g there, or once g
+    vanishes at it.  Raises NoSignChange if ga and gb have the same sign and
+    NoConvergence after 100 evaluations.
+    """
+    if ga * gb > 0.0:
+        raise NoSignChange(f"no sign change between {a:.12g} and {b:.12g} "
+                           f"(g = {ga:.3g}, {gb:.3g})")
+    for _ in range(100):
+        c = b - gb * (b - a) / (gb - ga)
+        if abs(c - b) <= tol:
+            return c
+        gc = g(c)
+        if gc == 0.0:
+            return c
+        if (gc > 0.0) == (gb > 0.0):
+            ga *= 0.5
+        else:
+            a, ga = b, gb
+        b, gb = c, gc
+    raise NoConvergence(f"regula falsi step above {tol:.3g} after 100 "
+                        f"evaluations, bracket [{a:.12g}, {b:.12g}]")
 
 
 def dense_step(J: np.ndarray, r: np.ndarray, what: str, work=None):

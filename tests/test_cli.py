@@ -84,6 +84,20 @@ class TestConfig:
             cli.load_config(str(f))
         assert cli.main(["--config", str(f), "hopf", "--range", "1:2"]) == 1
 
+    @pytest.mark.parametrize("line", ["diagram.i_max = nan",
+                                      "solver.hb.tol = nan",
+                                      "diagram.i_min = -inf"])
+    def test_non_finite_value_is_a_config_error(self, tmp_path, capsys,
+                                                monkeypatch, line):
+        def run(*args, **kwargs):
+            raise AssertionError("the diagram ran")
+        monkeypatch.setattr(cli, "run_diagram", run)
+        f = tmp_path / "run.cfg"
+        f.write_text(line + "\n")
+        assert cli.main(["--config", str(f), "--out", str(tmp_path),
+                         "diagram"]) == 1
+        assert "must be finite" in capsys.readouterr().err
+
     def test_integer_keys_stay_integer(self, tmp_path):
         f = tmp_path / "run.cfg"
         f.write_text("solver.collocation.n=250\n")

@@ -141,32 +141,38 @@ class TestDetectCrossing:
             seq, spectrum_at=lambda I: make_spec([-1.2 + 0.4 * (I - 3.0), 0.2]))
         assert 3.0 < I_star < 4.0
 
-    def test_crossing_between_samples_found_by_bisection(self):
-        # the crossing multiplier passes -1 just above the middle sample and
-        # collides with its partner before the next one, where the pair is
-        # complex and the real multiplier nearest -1 is roundoff: no sampled
-        # sign change, so fresh spectra must bracket one
-        def sat(I):
-            if I < 0.5:
-                return make_spec([-0.97 - 0.3 * I, -0.2, 1e-9])
-            return make_spec([0.4 + 0.5j, 0.4 - 0.5j, 1e-9])
-        pts = [(I, sat(I)) for I in (-1.0, 0.0, 1.0)]
-        I_star = floquet.detect_crossing(pts, spectrum_at=sat, tol=1e-10)
-        assert I_star == pytest.approx(0.1, abs=1e-8)
+    def test_crossing_before_a_collision_is_bracketed_by_the_samples(self):
+        # multipliers -10 +- sqrt(100 (1 - I^2)): the upper one crosses -1 at
+        # I = sqrt(0.19) and meets the lower one at I = 1, after which the
+        # pair is complex.  At the samples the real multiplier nearest -1 is
+        # 0 or 1e-9, on the same side of -1, but prod(mu + 1) = 100 I^2 - 19
+        # (times 1 + 1e-9) changes sign between them
+        calls = []
 
-    def test_bisection_gives_up_below_tol(self):
         def sat(I):
-            return make_spec([-0.9 + 0.01 * I, 0.2])
-        pts = [(I, sat(I)) for I in (0.0, 1.0)]
+            calls.append(I)
+            s = np.sqrt(complex(100.0 * (1.0 - I * I)))
+            return make_spec([-10.0 + s, -10.0 - s, 1e-9])
+        pts = [(I, sat(I)) for I in (0.0, 1.5)]
+        del calls[:]
+        I_star = floquet.detect_crossing(pts, spectrum_at=sat, tol=1e-10)
+        assert I_star == pytest.approx(np.sqrt(0.19), abs=1e-9)
+        assert len(calls) <= 12
+
+    def test_no_sampled_sign_change_takes_no_spectrum(self):
+        def sat(I):
+            raise AssertionError("a spectrum was evaluated")
+        pts = [(I, make_spec([-0.9 + 0.01 * I, 0.2])) for I in (0.0, 1.0)]
         with pytest.raises(NoSignChange):
             floquet.detect_crossing(pts, spectrum_at=sat, tol=1e-3)
 
     def test_refinement_rejects_runaway_multiplier(self):
-        # spectra whose candidate jumps far from the target mid-refinement
+        # the samples bracket a sign change, but the fresh spectra hold no
+        # multiplier near -1: the refinement closes in on a jump, not a root
         def sat(I):
             return make_spec([-4.0 + 0.1 * (I - 3.0), 9.0])
-        pts = [(0.0, make_spec([-0.5, 9.0])), (6.0, make_spec([0.2, 9.0]))]
-        with pytest.raises((TrackingLost, NoSignChange)):
+        pts = [(0.0, make_spec([-0.5, 9.0])), (6.0, make_spec([-1.5, 9.0]))]
+        with pytest.raises(TrackingLost):
             floquet.detect_crossing(pts, spectrum_at=sat, tol=1e-10)
 
     def test_kind_validation(self):

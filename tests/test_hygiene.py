@@ -4,6 +4,9 @@ package name the benchmark under bench/ patches or calls exists."""
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -140,3 +143,13 @@ def test_find_equilibrium_takes_the_benchmark_call():
     # bench/workloads.py adds a (4,) kick to find_equilibrium(20.0): a
     # scalar current must still give one state, not a batch of one
     assert model.find_equilibrium(20.0).shape == (model.STATE_DIM,)
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # importing scipy.optimize takes about 0.2 s and 15 MB more, on every run
+    code = ("import sys, hhcycles.cli; "
+            "print([m for m in sys.modules if m.startswith('scipy.optimize')])")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

@@ -209,7 +209,7 @@ class TestEquilibrium:
             assert abs(model._equilibrium_current(V, p) - I) < 1e-12
 
     def test_current_map_falls_strictly_over_the_scan_range(self):
-        # one equilibrium per current, and detect_hopf may bisect in V
+        # one equilibrium per current, and detect_hopf may search in V
         V = np.linspace(-120.0, 80.0, 20001)
         I = model._equilibrium_current(V, model.DEFAULT_PARAMS)
         assert np.all(np.diff(I) < 0)
@@ -223,7 +223,7 @@ class TestEquilibrium:
         h = 1e-5
         fd = (model._equilibrium_current(V + h, p)
               - model._equilibrium_current(V - h, p)) / (2 * h)
-        slope = model._equilibrium_slope(V, p)
+        slope = model._equilibrium_slope(model.steady_state(V), p)
         assert np.max(np.abs(slope / fd - 1.0)) < 1e-7
 
     def test_array_of_currents_gives_the_scalar_states(self):
@@ -249,8 +249,8 @@ class TestEquilibrium:
 class TestHopfDetection:
     def test_low_current_crossing(self, hopf_points):
         (I_low, omega_low), _ = hopf_points
-        # frozen oracle values for this vector field (bisection to 1e-6,
-        # verified against an independent eigenvalue sweep)
+        # frozen oracle values for this vector field (regula falsi in V to
+        # roundoff, verified against an independent eigenvalue sweep)
         assert I_low == pytest.approx(9.779638, abs=5e-5)
         assert omega_low == pytest.approx(0.58623, abs=1e-3)
 
@@ -264,8 +264,14 @@ class TestHopfDetection:
             lam = model.eigenvalues(model.find_equilibrium(I_star))
             pair = lam[np.abs(lam.imag) > 1e-12]
             assert len(pair) == 2
-            assert np.all(np.abs(pair.real) < 1e-8)
+            assert np.all(np.abs(pair.real) < 1e-12)
             assert np.abs(pair.imag) == pytest.approx([omega, omega])
+
+    def test_current_does_not_depend_on_the_bracket(self):
+        found = [model.detect_hopf(lo, hi)
+                 for lo, hi in ((9.0, 10.5), (9.5, 10.5), (8.8, 9.8))]
+        I_star = [I for I, _ in found]
+        assert max(I_star) - min(I_star) < 1e-12
 
     def test_equilibrium_stability_flips_across_crossings(self, hopf_points):
         (I_low, _), (I_high, _) = hopf_points

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import lapack
 
 from hhcycles import hb, newton
-from hhcycles.errors import NoConvergence, SingularJacobian
+from hhcycles.errors import NoConvergence, NoSignChange, SingularJacobian
 from hhcycles.fields import harmonic_oscillator
 
 
@@ -260,3 +260,24 @@ class TestFactorReuse:
                           tol=1e-12)
         assert one.period == pytest.approx(2 * np.pi, rel=1e-10)
         assert log and "R" not in log
+
+
+class TestBracketedRoot:
+    def test_the_end_that_stays_is_released(self):
+        # x^8 - 1/2 on [0, 1] is convex, so plain regula falsi keeps x = 1
+        # and closes in from the left only, linearly: 23 evaluations to a
+        # residual of 1e-12
+        calls = []
+
+        def g(x):
+            calls.append(x)
+            return x ** 8 - 0.5
+        root = newton.bracketed_root(g, 0.0, 1.0, -0.5, 0.5, 1e-12)
+        assert root == pytest.approx(0.5 ** 0.125, abs=1e-13)
+        assert len(calls) <= 15
+
+    def test_ends_of_one_sign_raise_before_any_evaluation(self):
+        def g(x):
+            raise AssertionError("g was evaluated")
+        with pytest.raises(NoSignChange):
+            newton.bracketed_root(g, 0.0, 1.0, 0.2, 0.7, 1e-12)
