@@ -12,10 +12,12 @@ the Liouville check (log det of the monodromy against the integral of
 trace J).  A sampled (shooting) cycle has no x(t) between its samples, so
 the state is RK4-integrated from x(0) over the period in one pass; its step
 matrices and its Liouville check come from one Jacobian call at the stage
-states of that pass.  Every monodromy matrix is a period-subdivided product
-accumulated through successive QR factorizations, so on strongly unstable
-cycles (multiplier magnitudes in the thousands) the small multipliers are
-not washed out by the ill-conditioned explicit product.
+states of that pass.  The monodromy matrix is the explicit product of the
+step matrices, formed in pairwise levels (integrate.ordered_product):
+within each of SPECTRUM_CHUNKS subintervals, then across them.  Its
+eigenvalues are taken of that product, so a QR accumulation of the factors
+would protect nothing; along a pairwise tree the rounding of a product of
+thousands of factors grows more slowly than along a sequential chain.
 
 A period doubling is a sign change of prod(mu + 1) over the nontrivial
 multipliers, det(M + I) / 2, refined by the regula falsi of
@@ -88,17 +90,6 @@ def _monodromy_matrix(cycle, field: VectorField, nsteps: int):
     return chunks, x0, float(np.sum(traces))
 
 
-def _stabilized_product(chunks) -> np.ndarray:
-    """Product of the chunk matrices via successive QR accumulation."""
-    dim = chunks[0].shape[0]
-    Q = np.eye(dim)
-    R_acc = np.eye(dim)
-    for M in chunks:
-        Q, R = np.linalg.qr(M @ Q)
-        R_acc = R @ R_acc
-    return Q @ R_acc
-
-
 def _designate_trivial(mu: np.ndarray, vecs: np.ndarray,
                        flow_dir: np.ndarray) -> int:
     """Index of the trivial multiplier: closest to 1, ties broken by
@@ -123,10 +114,12 @@ def spectrum(cycle, field: VectorField,
              nsteps: int = DEFAULT_SPECTRUM_STEPS) -> FloquetSpectrum:
     """Floquet spectrum of a converged cycle (any cycles.PeriodicOrbit).
 
-    The eigenvalues are those of the QR-accumulated chunk product.
+    The eigenvalues are those of the explicit product of the
+    SPECTRUM_CHUNKS subinterval monodromies, formed pairwise
+    (integrate.ordered_product) like the step products inside each of them.
     """
     chunks, x0, trace = _monodromy_matrix(cycle, field, nsteps)
-    mu, vecs = np.linalg.eig(_stabilized_product(chunks))
+    mu, vecs = np.linalg.eig(integrate.ordered_product(chunks))
     k = _designate_trivial(mu, vecs, field.f(x0))
     trivial = complex(mu[k])
     rest = np.delete(mu, k)

@@ -5,17 +5,22 @@ through the field's f_floats member, because numpy's per-call overhead on a
 4-vector would be most of the cost of a step.  The loop body is written out
 per state component, from one template, once for each state dimension
 (_rk4_loop), the way dataclasses writes __init__: a list comprehension and
-zip per stage cost about as much as the field call.  The stage arithmetic
-keeps numpy's operation order (x + (h/2) k, then
-x + (h/6) (k1 + 2 k2 + 2 k3 + k4)), so the states are those of the same
-loop on arrays.  flow and variational_flow take their states from it.
+zip per stage cost about as much as the field call.  The loop takes its
+step as a Python float, whatever type the caller passes: a numpy scalar
+step (a period read from a Newton vector) would make every stage sum a
+numpy-scalar operation.  The stage arithmetic keeps numpy's operation
+order (x + (h/2) k, then x + (h/6) (k1 + 2 k2 + 2 k3 + k4)), so the states
+are those of the same loop on arrays.  flow and variational_flow take
+their states from it.
 Float overflow (OverflowError) and non-finite states surface as NonFinite.
 
 The fundamental matrix of the variational equations is the RK4 map
 differentiated step by step, which is the coupled state and variational RK4
 pass (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.6): the state is
 advanced alone, and all its step matrices are built from one batched
-Jacobian call at the stage states.
+Jacobian call at the stage states.  Each interval's fundamental matrix is
+the product of its step matrices, formed in pairwise levels
+(ordered_product).
 """
 
 from __future__ import annotations
@@ -116,7 +121,10 @@ def integrate_rk4(field: VectorField, x0, t0: float, t1: float, h: float) -> Tra
     n = max(1, math.ceil((t1 - t0) / h - STEP_ROUNDOFF))
     times = t0 + h * np.arange(n + 1.0)
     times[-1] = t1
-    last = t1 - times[-2]
+    # Python floats: an np.float64 step makes every stage sum numpy-scalar
+    # arithmetic, which nearly trebles the cost of a pass
+    h = float(h)
+    last = float(t1 - times[-2])
     if abs(last - h) <= STEP_ROUNDOFF * h:
         last = h
     x = np.asarray(x0, dtype=float).tolist()
@@ -194,9 +202,9 @@ def _step_products(Ja, Jb, Jc, Jd, h: float):
     integrals h/6 sum (tr J_a + 2 tr J_b + 2 tr J_c + tr J_d).
     """
     dim = Ja.shape[-1]
-    tr = [np.trace(Js, axis1=2, axis2=3) for Js in (Ja, Jb, Jc, Jd)]
-    traces = h / 6.0 * np.sum(tr[0] + 2.0 * tr[1] + 2.0 * tr[2] + tr[3],
-                              axis=1)
+    # per chunk, the traces summed over its steps
+    tr = [np.einsum("cnii->c", Js) for Js in (Ja, Jb, Jc, Jd)]
+    traces = h / 6.0 * (tr[0] + 2.0 * tr[1] + 2.0 * tr[2] + tr[3])
     # Phi is built in place on three buffers: the spectra at fold
     # certificates run at 4000 steps, where each buffer is 0.5 MB
     k = np.matmul(Jb, Ja)
@@ -215,12 +223,28 @@ def _step_products(Ja, Jb, Jc, Jd, h: float):
     phi += k
     phi *= h / 6.0
     phi += np.eye(dim)
-    Y = phi[:, 0].copy()
-    for i in range(1, phi.shape[1]):
-        Y = np.matmul(phi[:, i], Y)
+    Y = ordered_product(phi)
     if not np.all(np.isfinite(Y)):
         raise NonFinite("variational flow blew up")
     return Y, traces
+
+
+def ordered_product(stack) -> np.ndarray:
+    """Product M_n ... M_1 of a (..., n, dim, dim) stack M_1, ..., M_n, the
+    later factors on the left.
+
+    The factors are multiplied in pairwise levels, (M_2 M_1), (M_4 M_3),
+    ..., an odd last factor carried to the next level: about log2(n)
+    batched matmul calls where a sequential product takes n, and each entry
+    sums over a tree of depth log2(n) rather than a chain of length n, so
+    the rounding grows more slowly too.
+    """
+    P = np.asarray(stack)
+    while P.shape[-3] > 1:
+        pairs = np.matmul(P[..., 1::2, :, :], P[..., 0:-1:2, :, :])
+        P = (np.concatenate([pairs, P[..., -1:, :, :]], axis=-3)
+             if P.shape[-3] % 2 else pairs)
+    return P[..., 0, :, :]
 
 
 def variational_along(field: VectorField, states: np.ndarray, h: float,
@@ -255,18 +279,14 @@ def variational_along(field: VectorField, states: np.ndarray, h: float,
 
 
 def signed_log_determinant(chunks) -> tuple:
-    """(sign, log|det|) of a product of matrices, one slogdet per factor.
+    """(sign, log|det|) of a product of matrices, from one batched slogdet
+    of its factors.
 
     The determinant of a strongly dissipative monodromy matrix underflows
     double precision (values near 1e-54 occur here), so the product is never
     formed; the signs and log magnitudes are accumulated instead.
     """
-    sign = 1.0
-    total = 0.0
-    for M in chunks:
-        s, ld = np.linalg.slogdet(M)
-        if s == 0.0:
-            return 0.0, -np.inf
-        sign *= s
-        total += ld
-    return float(sign), float(total)
+    signs, logs = np.linalg.slogdet(np.asarray(chunks))
+    if np.any(signs == 0.0):
+        return 0.0, -np.inf
+    return float(np.prod(signs)), float(np.sum(logs))

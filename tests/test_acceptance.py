@@ -397,9 +397,12 @@ def test_criterion_9_gibbs_ripple(branch_down, hb_adapter, cross_solver):
     fc = hb.solve_hb(seed_pt.cycle.to_fourier(50), FAM(I),
                      hb_adapter._ops)
     cs = collocation.solve_bvp(FAM(I), fc, tol=1e-5, N=400, max_N=1600)
-    dev = _aligned_v_deviation(_shifted_series_v(fc, cs.period),
-                               lambda t: cs.evaluate_time(t)[:, 0],
-                               cs.period)
+    # the two periods differ by 2e-3 this near the fold, so the shapes are
+    # compared at equal phases, each cycle on its own period's grid
+    dev = _aligned_v_deviation(
+        _shifted_series_v(fc, fc.period),
+        lambda t: cs.evaluate_time(t * (cs.period / fc.period))[:, 0],
+        fc.period)
     ref = cross_solver[20.0]["dev_hb_coll"]
     ok = dev > 10.0 * ref
     _report(9, ok,

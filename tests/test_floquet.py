@@ -90,25 +90,51 @@ class TestSpectrum:
             floquet.spectrum(object(), field20)
 
 
+def sequential_product(chunks, dtype=float):
+    P = np.eye(chunks[0].shape[0], dtype=dtype)
+    for M in chunks:
+        P = M.astype(dtype) @ P
+    return P
+
+
 class TestStabilizedProduct:
+    # the monodromy product integrate.ordered_product, which spectrum takes
+    # its eigenvalues of
     def test_matches_plain_product_when_benign(self):
         rng = np.random.default_rng(2)
-        chunks = [np.eye(3) + 0.1 * rng.standard_normal((3, 3))
-                  for _ in range(6)]
-        P = np.eye(3)
-        for M in chunks:
-            P = M @ P
-        Q = floquet._stabilized_product(chunks)
-        assert np.allclose(Q, P, atol=1e-12)
+        chunks = np.eye(3) + 0.1 * rng.standard_normal((6, 3, 3))
+        assert np.allclose(integrate.ordered_product(chunks),
+                           sequential_product(chunks), rtol=0.0, atol=1e-12)
+
+    def test_odd_and_single_factor_products(self):
+        # an odd last factor is carried up a level, and one factor is its
+        # own product
+        rng = np.random.default_rng(3)
+        chunks = np.eye(3) + 0.1 * rng.standard_normal((7, 3, 3))
+        assert np.allclose(integrate.ordered_product(chunks),
+                           sequential_product(chunks), rtol=0.0, atol=1e-12)
+        assert np.array_equal(integrate.ordered_product(chunks[:1]),
+                              chunks[0])
 
     def test_preserves_small_eigenvalue_under_strong_growth(self):
-        # product of stiff diagonal factors: explicit product underflows the
-        # small directions, QR accumulation keeps the log-magnitudes intact
-        chunks = [np.diag([1e4, 1.0, 1e-5]) for _ in range(6)]
-        Q = floquet._stabilized_product(chunks)
-        w = np.sort(np.abs(np.linalg.eigvals(Q)))
+        # stiff diagonal factors: the product diag(1e24, 1, 1e-30) spans 54
+        # decades without underflow, and both extreme eigenvalues keep
+        # their log-magnitudes
+        chunks = np.array([np.diag([1e4, 1.0, 1e-5])] * 6)
+        P = integrate.ordered_product(chunks)
+        w = np.sort(np.abs(np.linalg.eigvals(P)))
         assert np.log10(w[0]) == pytest.approx(-30, abs=1e-6)
         assert np.log10(w[-1]) == pytest.approx(24, abs=1e-6)
+
+    def test_long_near_identity_product(self):
+        # 4000 factors, the step count of a default spectrum, against a
+        # sequential product in long double; the bound is a ninth of
+        # 4000 * eps, the worst case of a sequential chain in double
+        rng = np.random.default_rng(5)
+        chunks = np.eye(4) + 1e-3 * rng.standard_normal((4000, 4, 4))
+        ref = sequential_product(chunks, np.longdouble)
+        err = np.max(np.abs(integrate.ordered_product(chunks) - ref))
+        assert float(err / np.max(np.abs(ref))) < 1e-13
 
 
 class TestDetectCrossing:

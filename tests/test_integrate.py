@@ -156,6 +156,29 @@ class TestRK4:
         assert np.array_equal(traj.states, np.array(ref))
         assert np.array_equal(integrate.flow(fld, x0, 25.0, 2500), ref[-1])
 
+    @pytest.mark.parametrize("span, n", [
+        pytest.param(12.0, 2000, id="whole-steps"),
+        pytest.param(25.037, 2503, id="short-last-step")])
+    def test_numpy_scalar_step_runs_the_loop_in_floats(self, span, n):
+        # a period read from a Newton vector is an np.float64, and so is
+        # its step span / n; the loop still steps in Python floats (an
+        # np.float64 would pass isinstance(a, float), hence type() here)
+        base = hh_field(I=20.0)
+        seen = set()
+
+        def f_floats(*x):
+            seen.update(map(type, x))
+            return base.f_floats(*x)
+
+        fld = VectorField(dim=4, f=base.f, jac=base.jac, f_floats=f_floats)
+        x0 = model.find_equilibrium(20.0) + np.array([5.0, 0.0, 0.0, 0.0])
+        T = np.float64(span)
+        ref = integrate.integrate_rk4(base, x0, 0.0, span, span / n)
+        traj = integrate.integrate_rk4(fld, x0, 0.0, T, T / n)
+        assert seen == {float}
+        assert np.array_equal(traj.times, ref.times)
+        assert np.array_equal(traj.states, ref.states)
+
     @pytest.mark.parametrize("case", ["decay", "stuart-landau", "hh"])
     @pytest.mark.parametrize("span", [
         pytest.param(25.037, id="short-last-step"),
