@@ -201,8 +201,10 @@ def write_cycle_json(path, I, method, cyc, spec, residual, cfg,
         doc["gibbs_warning"] = bool(
             gibbs_ripple > cfg["gibbs.ripple_threshold"])
     with open(path, "w") as fh:
-        json.dump({"_meta": {"tool": TOOL_VERSION,
-                             "config": config_hash(cfg)}, **doc}, fh)
+        # json.dumps, not json.dump: only the one-shot encode takes the C
+        # encoder, and a collocation artifact holds thousands of floats
+        fh.write(json.dumps({"_meta": {"tool": TOOL_VERSION,
+                                       "config": config_hash(cfg)}, **doc}))
         fh.write("\n")
 
 
@@ -537,7 +539,7 @@ def _write_diagram_files(diagram, branches, out_dir, cfg):
                                "stability": pt.spectrum.stability}
                               for pt in br.points]}
         with open(os.path.join(out_dir, f"branch_{bid}.json"), "w") as fh:
-            json.dump(payload, fh)
+            fh.write(json.dumps(payload))
             fh.write("\n")
 
 

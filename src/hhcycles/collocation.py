@@ -7,6 +7,20 @@ polynomial gives the classical Hermite-Simpson equations in the endpoint and
 midpoint values, which is what Newton solves; periodicity is exact because the
 first and last endpoint are the same unknown.  Mesh refinement is driven by
 the sampled interior residual.
+
+Each Newton step solves the bordered system by its structure, in three
+stages.  The second defect of an interval has the identity as its block in
+that interval's midpoint, so the midpoints are condensed out exactly,
+interval by interval, as in AUTO (Doedel, Keller & Kernévez, Int. J.
+Bifurcation Chaos 1, 1991).  What remains is a ring: the condensed rows of
+interval i couple y_i to y_{i+1} (mod N), beside the T and I columns and
+the phase row.  Cyclic reduction halves the ring level by level: each pair
+of intervals eliminates the breakpoint between them by the Householder QR
+of its two blocks in it.  Orthogonal reductions are stable on such chains,
+where Gaussian elimination with partial pivoting can grow exponentially
+(Wright, SIAM J. Sci. Stat. Comput. 13, 1992, and SIAM J. Sci. Comput. 14,
+1993).  The one-interval ring left, with the phase and constraint rows, is
+a dense (dim+2)-square system for newton.dense_step.
 """
 
 from __future__ import annotations
@@ -15,8 +29,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import newton
 from .cycles import PeriodicOrbit
@@ -119,13 +131,12 @@ def _cubic(y0, f0, fm, f1, hT, s):
                       + f1 * (2 * s**3 / 3 - 0.5 * s**2))
 
 
-def _defects(field, mesh, y, mid, T):
-    N = mesh.N
+def _defects(mesh, y, mid, T, fy, fm):
+    """The two defects of every interval, from the field values fy at the
+    breakpoints y and fm at the midpoints mid."""
     h = mesh.widths
     y1 = np.roll(y, -1, axis=0)
-    fy = field.f(y)
     fy1 = np.roll(fy, -1, axis=0)
-    fm = field.f(mid)
     hT = (h * T)[:, None]
     r1 = y1 - y - hT / 6.0 * (fy + 4.0 * fm + fy1)
     r2 = mid - 0.5 * (y + y1) - hT / 8.0 * (fy - fy1)
@@ -166,6 +177,85 @@ def _phase_residual(y, mid, ref: PhaseReference):
                  + np.sum(ref.wm[:, None] * (mid - ref.mid) * ref.dmid))
 
 
+def _reduce_ring(E, F, B, q, c):
+    """Cyclic reduction of the ring E_i x_i + F_i x_{i+1} + B_i w = g_i
+    (i = 0..n-1, x_n = x_0) and its phase row sum_i q_i x_i + c w.
+
+    A level pairs rows 2k and 2k+1, the only rows in x_{2k+1}, and takes the
+    Householder QR of their blocks [F_2k; E_2k+1] in it.  The top rows of
+    Q^T give x_{2k+1} from x_2k, x_2k+2 and w; the bottom rows are a row of
+    the next level's ring over x_0, x_2, ...  An odd last row is carried up
+    as it is, and the phase row takes x_{2k+1} through R^-1.  Returns the
+    levels, each (W, P, q_odd): W = diag(R^-1, I) Q^T for the right-hand
+    sides, P = R^-1 times the top rows in the x_2k, x_2k+2 and w columns,
+    and the phase weights of the eliminated unknowns; then the one-row ring
+    (E_0 + F_0, B_0) and its phase row (q_0, c).  A rank-deficient R
+    raises SingularJacobian.
+    """
+    d = E.shape[-1]
+    levels = []
+    while len(E) > 1:
+        p = len(E) // 2
+        Q, R = np.linalg.qr(np.concatenate([F[0:2 * p:2], E[1::2]], axis=1),
+                            mode="complete")
+        R = R[:, :d]
+        pivots = np.abs(np.diagonal(R, axis1=1, axis2=2))
+        if np.any(pivots <= d * np.finfo(float).eps
+                  * np.max(np.abs(R), axis=(1, 2))[:, None]):
+            raise SingularJacobian("collocation Newton matrix singular")
+        W = Q.swapaxes(1, 2)
+        W[:, :d] = np.linalg.inv(R) @ W[:, :d]
+        cols = np.zeros((p, 2 * d, 2 * d + 2))
+        cols[:, :d, :d] = E[0:2 * p:2]
+        cols[:, d:, d:2 * d] = F[1::2]
+        cols[:, :d, 2 * d:] = B[0:2 * p:2]
+        cols[:, d:, 2 * d:] = B[1::2]
+        M = W @ cols
+        P = M[:, :d]
+        q_odd = q[1::2]
+        v = np.einsum("ki,kij->kj", q_odd, P)
+        q = q[0::2].copy()
+        q[:p] -= v[:, :d]
+        # x_{2k+2} is x_0 for the last pair of an even ring
+        q[(np.arange(p) + 1) % len(q)] -= v[:, d:2 * d]
+        c = c - v[:, 2 * d:].sum(axis=0)
+        E = np.concatenate([M[:, d:, :d], E[2 * p:]])
+        F = np.concatenate([M[:, d:, d:2 * d], F[2 * p:]])
+        B = np.concatenate([M[:, d:, 2 * d:], B[2 * p:]])
+        levels.append((W, P, q_odd))
+    return levels, E[0] + F[0], B[0], q[0], c
+
+
+def _reduce_rhs(levels, g, rho):
+    """The ring's right-hand sides g and phase value rho through the levels
+    of _reduce_ring: returns the one-row ring's g and rho, and per level
+    the R^-1-scaled top rows that the back-substitution starts from."""
+    tops = []
+    d = g.shape[1]
+    for W, _, q_odd in levels:
+        p = len(W)
+        pair = np.concatenate([g[0:2 * p:2], g[1::2]], axis=1)
+        t = (W @ pair[..., None])[..., 0]
+        tops.append(t[:, :d])
+        rho = rho - np.sum(q_odd * t[:, :d])
+        g = np.concatenate([t[:, d:], g[2 * p:]])
+    return g[0], rho, tops
+
+
+def _back_substitute(levels, tops, x0, w):
+    """The ring's unknowns x_0..x_{n-1} from x_0 and w, level by level."""
+    x = x0[None]
+    for (_, P, _), top in zip(reversed(levels), reversed(tops)):
+        p = len(P)
+        known = np.concatenate([x[:p], np.roll(x, -1, axis=0)[:p],
+                                np.broadcast_to(w, (p, len(w)))], axis=1)
+        full = np.empty((len(x) + p, x.shape[1]))
+        full[0::2] = x
+        full[1::2] = top - (P @ known[..., None])[..., 0]
+        x = full
+    return x
+
+
 def _newton_collocation(field_at, mesh, y, mid, T, I, ref, row):
     """The shared damped Newton on the bordered Hermite-Simpson system.
 
@@ -173,13 +263,16 @@ def _newton_collocation(field_at, mesh, y, mid, T, I, ref, row):
     interval, then T and I; the rows are the defects, the phase condition
     and a_T*T + a_I*I = b for row = (a_T, a_I, b).  The T and I columns
     are exact: I enters the field additively (field.dfdI), so it enters
-    only the first defects, as -hT dfdI.  A step returns the splu object's
-    solve for the steps that damped_newton takes from the same factors.
+    only the first defects, as -hT dfdI.  A step condenses the midpoints,
+    reduces the ring (_reduce_ring) and solves the last small system with
+    newton.dense_step; its again replays the stored reductions and the
+    small system's LU factors on a new right-hand side.
     """
     N, dim = mesh.N, y.shape[1]
     nun = 2 * N * dim + 2
     h = mesh.widths
     a_T, a_I, b = row
+    at = {}   # the field values at the latest residual point, for its step
 
     def unpack(z):
         u = z[:-2].reshape(N, 2, dim)
@@ -189,79 +282,80 @@ def _newton_collocation(field_at, mesh, y, mid, T, I, ref, row):
         yz, mz, Tz, Iz = unpack(z)
         if Tz <= 0:
             return np.full(nun, np.inf)
-        r1, r2 = _defects(field_at(Iz), mesh, yz, mz, Tz)
+        fld = field_at(Iz)
+        at["fy"], at["fm"] = fld.f(yz), fld.f(mz)
+        r1, r2 = _defects(mesh, yz, mz, Tz, at["fy"], at["fm"])
         ph = _phase_residual(yz, mz, ref)
         return np.concatenate([np.stack([r1, r2], axis=1).ravel(),
                                [ph, a_T * Tz + a_I * Iz - b]])
 
-    # sparsity pattern: per interval i the rows of both defects, against the
-    # columns of y_i, mid_i and y_{i+1}; then the T and I columns and the
-    # phase row (the constraint row is the last entry of those columns)
     Id = np.eye(dim)
-    cy0 = 2 * np.arange(N) * dim   # first-defect rows and y_i columns
-    cm = cy0 + dim                 # second-defect rows and mid_i columns
-    cy1 = np.roll(cy0, -1)         # y_{i+1} columns
-    rr, cc = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
-    ph_row = np.zeros(nun - 2)
-    blocks = ph_row.reshape(2 * N, dim)
-    blocks[0::2] = ref.wy[:, None] * ref.dy
-    blocks[1::2] = ref.wm[:, None] * ref.dmid
+    p_y = ref.wy[:, None] * ref.dy     # the phase row in y and in mid
+    p_m = ref.wm[:, None] * ref.dmid
 
     def step(z, r):
         yz, mz, Tz, Iz = unpack(z)
         fld = field_at(Iz)
-        fy = fld.f(yz)
-        fm = fld.f(mz)
+        fy, fm = at["fy"], at["fm"]
         fy1 = np.roll(fy, -1, axis=0)
-        Jy = fld.jac(yz)
-        Jm = fld.jac(mz)
+        Jy, Jm = fld.jac(yz), fld.jac(mz)
+        if not (np.all(np.isfinite(Jy)) and np.all(np.isfinite(Jm))):
+            raise SingularJacobian("collocation Newton matrix not finite")
         Jy1 = np.roll(Jy, -1, axis=0)
         hT = (h * Tz)[:, None, None]
-        rows, cols, vals = [], [], []
-
-        def add_blocks(rbase, cbase, B):
-            # B has shape (N, dim, dim), or broadcasts to it
-            rows.append((rbase[:, None, None] + rr[None]).ravel())
-            cols.append((cbase[:, None, None] + cc[None]).ravel())
-            vals.append(np.broadcast_to(B, (N, dim, dim)).ravel())
-
-        add_blocks(cy0, cy0, -Id - hT / 6.0 * Jy)
-        add_blocks(cy0, cm, -hT * 2.0 / 3.0 * Jm)
-        add_blocks(cy0, cy1, Id - hT / 6.0 * Jy1)
-        add_blocks(cm, cy0, -0.5 * Id - hT / 8.0 * Jy)
-        add_blocks(cm, cm, Id)
-        add_blocks(cm, cy1, -0.5 * Id + hT / 8.0 * Jy1)
-
-        dr1 = -(h[:, None] / 6.0) * (fy + 4.0 * fm + fy1)
+        # the second defect of interval i is D_i y_i + mid_i + G_i y_{i+1}
+        # + dr2_i T to first order; the first has Bm_i as its mid_i block
+        Bm = -hT * 2.0 / 3.0 * Jm
+        D = -0.5 * Id - hT / 8.0 * Jy
+        G = -0.5 * Id + hT / 8.0 * Jy1
         dr2 = -(h[:, None] / 8.0) * (fy - fy1)
-        col_T = np.concatenate([np.stack([dr1, dr2], axis=1).ravel(),
-                                [0.0, a_T]])
-        col_I = np.zeros(nun)
-        col_I[:-2].reshape(N, 2, dim)[:, 0] = (
-            -(h * Tz)[:, None] * fld.dfdI)
-        col_I[-1] = a_I
-        rows += [np.arange(nun), np.arange(nun), np.full(nun - 2, nun - 2)]
-        cols += [np.full(nun, nun - 2), np.full(nun, nun - 1),
-                 np.arange(nun - 2)]
-        vals += [col_T, col_I, ph_row]
+        # stage 1: mid_i from the second defect into the first and the phase
+        E = -Id - hT / 6.0 * Jy - Bm @ D
+        F = Id - hT / 6.0 * Jy1 - Bm @ G
+        B = np.empty((N, dim, 2))
+        B[..., 0] = (-(h[:, None] / 6.0) * (fy + 4.0 * fm + fy1)
+                     - (Bm @ dr2[..., None])[..., 0])
+        B[..., 1] = -(h * Tz)[:, None] * fld.dfdI
+        q = (p_y - np.einsum("ni,nij->nj", p_m, D)
+             - np.roll(np.einsum("ni,nij->nj", p_m, G), 1, axis=0))
+        c = np.array([-np.sum(p_m * dr2), 0.0])
+        # stage 2: the ring, down to one interval
+        levels, E0, B0, q0, c = _reduce_ring(E, F, B, q, c)
+        # stage 3: the ring closed on y_0, the phase and the constraint row
+        small = np.zeros((dim + 2, dim + 2))
+        small[:dim, :dim] = E0
+        small[:dim, dim:] = B0
+        small[dim, :dim] = q0
+        small[dim, dim:] = c
+        small[dim + 1, dim:] = a_T, a_I
 
-        A = sp.coo_matrix(
-            (np.concatenate(vals),
-             (np.concatenate(rows), np.concatenate(cols))),
-            shape=(nun, nun)).tocsc()
-        A.eliminate_zeros()   # dF/dI vanishes off the rows that I enters
-        try:
-            # minimum degree on A^T + A fills ~40x less than COLAMD here
-            lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A")
-        except RuntimeError as exc:
-            raise SingularJacobian(f"collocation Newton matrix singular: {exc}")
+        def reduce(r):
+            u = r[:-2].reshape(N, 2, dim)
+            g = -u[:, 0] + (Bm @ u[:, 1, :, None])[..., 0]
+            g0, rho, tops = _reduce_rhs(levels, g,
+                                        np.sum(p_m * u[:, 1]) - r[-2])
+            return np.concatenate([g0, [rho, -r[-1]]]), tops, u[:, 1]
 
-        def again(r):
-            delta = lu.solve(-r)
+        def expand(xw, tops, r2):
+            dy = _back_substitute(levels, tops, xw[:dim], xw[dim:])
+            dmid = (-r2 - (D @ dy[..., None])[..., 0]
+                    - (G @ np.roll(dy, -1, axis=0)[..., None])[..., 0]
+                    - dr2 * xw[dim])
+            delta = np.concatenate([np.stack([dy, dmid], axis=1).ravel(),
+                                    xw[dim:]])
             if not np.all(np.isfinite(delta)):
                 raise SingularJacobian("collocation Newton step not finite")
             return delta
-        return again(r), again
+
+        rhs, tops, r2 = reduce(r)
+        xw, small_again = newton.dense_step(small, -rhs, "collocation")
+        if small_again is None:
+            return expand(xw, tops, r2), None
+
+        def again(r):
+            rhs, tops, r2 = reduce(r)
+            return expand(small_again(-rhs), tops, r2)
+        return expand(xw, tops, r2), again
 
     z0 = np.concatenate([np.stack([y, mid], axis=1).ravel(), [T, I]])
     z, _ = newton.damped_newton(residual, step, z0, NEWTON_TOL,

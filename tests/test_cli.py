@@ -176,6 +176,21 @@ class TestCycleArtifacts:
                          "--steps", "400"]) == 0
         assert "stable" in capsys.readouterr().out
 
+    def test_artifact_is_the_one_shot_encoding(self, tmp_path, monkeypatch,
+                                               colloc_cycle_20):
+        # the file is json.dumps of its document, written with the C encoder:
+        # json.dump would run the pure-Python one
+        def pure_python_encoder(*args, **kwargs):
+            raise AssertionError("pure-Python JSON encoder called")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode",
+                            pure_python_encoder)
+        path = tmp_path / "c.json"
+        cli.write_cycle_json(str(path), 20.0, "collocation", colloc_cycle_20,
+                             make_spec([0.1]), 1e-6, cli.load_config(None))
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text)) + "\n"
+
     def test_collocation_artifact_seeds_a_solve(self, tmp_path,
                                                 colloc_cycle_20):
         path = tmp_path / "seed.json"

@@ -1,12 +1,15 @@
 """Hermite-Simpson collocation for periodic orbits."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hhcycles import collocation, shooting
-from hhcycles.errors import DegenerateCycle, MeshTooCoarse
-from hhcycles.fields import VectorField, harmonic_oscillator
+from hhcycles import collocation, newton, shooting
+from hhcycles.continuation import hh_family
+from hhcycles.errors import DegenerateCycle, MeshTooCoarse, SingularJacobian
+from hhcycles.fields import VectorField, constant_family, harmonic_oscillator
 from hhcycles.integrate import Trajectory
 from test_newton import count_factorizations
 
@@ -36,6 +39,27 @@ def stuart_landau():
     return VectorField(dim=2, f=f, jac=jac, name="stuart-landau")
 
 
+def stuart_landau_3d(multiplier=1e8):
+    """stuart_landau in (x, y) beside zdot = lam z: the unit circle at z = 0
+    is a cycle of period 2*pi whose z multiplier exp(2*pi*lam) is given."""
+    lam = np.log(multiplier) / (2 * np.pi)
+    planar = stuart_landau()
+
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        return np.concatenate([planar.f(x[..., :2]), lam * x[..., 2:]],
+                              axis=-1)
+
+    def jac(x):
+        x = np.asarray(x, dtype=float)
+        J = np.zeros(x.shape[:-1] + (3, 3))
+        J[..., :2, :2] = planar.jac(x[..., :2])
+        J[..., 2, 2] = lam
+        return J
+
+    return VectorField(dim=3, f=f, jac=jac, name="stuart-landau-3d")
+
+
 def circle_guess(amplitude=1.0, period_factor=1.0, nsamples=200):
     """Time-domain near-circular cycle guess with period 2*pi*factor."""
     T = 2 * np.pi * period_factor
@@ -44,6 +68,34 @@ def circle_guess(amplitude=1.0, period_factor=1.0, nsamples=200):
     states = np.stack([amplitude * np.cos(th),
                        amplitude * np.sin(th)], axis=1)
     return shooting.Cycle(period=T, samples=Trajectory(t, states))
+
+
+def tilted_circle_guess():
+    """A 3-D guess off the stuart_landau_3d cycle in radius, z and period."""
+    T = 2 * np.pi * 1.03
+    t = np.linspace(0.0, T, 201)
+    th = 2 * np.pi * t / T
+    states = np.stack([1.1 * np.cos(th), 1.1 * np.sin(th), 0.1 * np.cos(th)],
+                      axis=1)
+    return shooting.Cycle(period=T, samples=Trajectory(t, states))
+
+
+def newton_system(monkeypatch, field_at, cycle, N, I, row):
+    """(residual, step, z) of the collocation Newton on the uniform N-interval
+    mesh, z being cycle sampled there with its period and I."""
+    got = {}
+
+    def capture(residual, step, z0, tol, max_iter, what):
+        got.update(residual=residual, step=step, z=z0)
+        return z0, 0.0
+
+    mesh = collocation.Mesh(np.linspace(0.0, 1.0, N + 1))
+    ref = collocation.PhaseReference.from_cycle(cycle, mesh, field_at(I))
+    with monkeypatch.context() as m:
+        m.setattr(newton, "damped_newton", capture)
+        collocation._newton_collocation(field_at, mesh, ref.y, ref.mid,
+                                        cycle.period, I, ref, row)
+    return got["residual"], got["step"], got["z"]
 
 
 class TestMesh:
@@ -113,6 +165,102 @@ class TestSolvePlanar:
                               samples=Trajectory(t, np.zeros((11, 2))))
         with pytest.raises(DegenerateCycle):
             collocation.solve_bvp(fld, flat)
+
+
+class TestStructuredStep:
+    """The condensed, cyclically reduced Newton step against the residual."""
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 5, 8, 13, 64])
+    @pytest.mark.parametrize("bordered", [False, True])
+    def test_step_solves_the_linearised_residual(self, monkeypatch, N,
+                                                 bordered, stable_cycle_20):
+        # (residual(z + e d) - residual(z - e d)) / 2e = J d, which must be
+        # -r; odd N carries a last interval up some level, N = 1 has none
+        T = stable_cycle_20.period
+        row = (0.3, 1.0, 0.3 * T + 20.5) if bordered else (0.0, 1.0, 20.0)
+        residual, step, z = newton_system(monkeypatch, hh_family(),
+                                          stable_cycle_20, N, 20.0, row)
+        r = residual(z)
+        delta, again = step(z, r)
+        e = 1e-4 / np.max(np.abs(delta))
+        Jd = (residual(z + e * delta) - residual(z - e * delta)) / (2 * e)
+        assert np.max(np.abs(Jd + r)) < 1e-6 * np.max(np.abs(r))
+        assert np.allclose(again(r), delta, rtol=0.0,
+                           atol=1e-12 * np.max(np.abs(delta)))
+
+    @pytest.mark.parametrize("N", [5, 13, 16])
+    def test_step_matches_a_dense_solve(self, monkeypatch, N):
+        # a cycle with a 1e8 multiplier; the dense Jacobian by central
+        # differences of the residual, which is cubic in the unknowns
+        field = stuart_landau_3d(1e8)
+        residual, step, z = newton_system(
+            monkeypatch, constant_family(field), tilted_circle_guess(), N,
+            0.0, (0.2, 1.0, 0.5))
+        r = residual(z)
+        n, h = len(z), 1e-6
+        J = np.empty((n, n))
+        for k in range(n):
+            e = np.zeros(n)
+            e[k] = h
+            J[:, k] = (residual(z + e) - residual(z - e)) / (2 * h)
+        oracle = np.linalg.solve(J, -r)
+        delta, _ = step(z, r)
+        assert np.max(np.abs(delta - oracle)) < 1e-8 * np.max(np.abs(oracle))
+
+    def test_solve_finds_the_strongly_unstable_cycle(self):
+        sol = collocation.solve_bvp(stuart_landau_3d(1e8),
+                                    tilted_circle_guess(), tol=1e-6, N=40)
+        assert sol.period == pytest.approx(2 * np.pi, rel=1e-7)
+        assert np.max(np.abs(sol.y[:, 2])) < 1e-12
+        assert np.allclose(np.hypot(sol.y[:, 0], sol.y[:, 1]), 1.0,
+                           atol=1e-6)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_jacobian_raises(self, bad):
+        # raised before any arithmetic on the blocks, so numpy warns of
+        # nothing on the way
+        planar = stuart_landau()
+
+        def jac(x):
+            J = planar.jac(x)
+            J[..., 0, 1] = bad
+            return J
+
+        field = VectorField(dim=2, f=planar.f, jac=jac)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularJacobian):
+                collocation.solve_bvp(field, circle_guess(1.2, 1.03), N=20)
+
+    def test_rank_deficient_pair_raises(self):
+        # the pair (F_0, E_1) has a zero column: x_1's second component
+        # enters neither row, so the ring is singular
+        E = np.tile(np.eye(2), (4, 1, 1))
+        F = -E.copy()
+        F[0, :, 1] = 0.0
+        E[1, :, 1] = 0.0
+        with pytest.raises(SingularJacobian):
+            collocation._reduce_ring(E, F, np.zeros((4, 2, 2)),
+                                     np.ones((4, 2)), np.zeros(2))
+
+    def test_step_takes_the_field_values_of_its_residual(self, monkeypatch):
+        # the residual evaluates f at the breakpoints and midpoints; the step
+        # at the same point reads those values, not f again
+        planar = stuart_landau()
+        calls = []
+
+        def counted(x):
+            calls.append(np.shape(x))
+            return planar.f(x)
+
+        field = VectorField(dim=2, f=counted, jac=planar.jac)
+        residual, step, z = newton_system(
+            monkeypatch, constant_family(field), circle_guess(1.2, 1.03), 16,
+            0.0, (0.0, 1.0, 0.0))
+        r = residual(z)
+        calls.clear()
+        step(z, r)
+        assert calls == []
 
 
 class TestSolveHH:

@@ -145,11 +145,22 @@ def test_find_equilibrium_takes_the_benchmark_call():
     assert model.find_equilibrium(20.0).shape == (model.STATE_DIM,)
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # importing scipy.optimize takes about 0.2 s and 15 MB more, on every run
+def modules_loaded_by_cli_import(prefix):
+    """The modules under prefix that a fresh `import hhcycles.cli` loads."""
     code = ("import sys, hhcycles.cli; "
-            "print([m for m in sys.modules if m.startswith('scipy.optimize')])")
+            f"print([m for m in sys.modules if m.startswith({prefix!r})])")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # importing scipy.optimize takes about 0.2 s and 15 MB more, on every run
+    assert modules_loaded_by_cli_import("scipy.optimize") == "[]"
+
+
+def test_cli_import_leaves_scipy_sparse_unloaded():
+    # no sparse matrix is assembled anywhere in the package, and importing
+    # scipy.sparse.linalg takes about 3.5 MB more, on every run
+    assert modules_loaded_by_cli_import("scipy.sparse") == "[]"
