@@ -22,6 +22,11 @@ discrete Fourier coefficients of J_ij on the node grid.  hb_jacobian takes
 those from one FFT along the nodes and writes every block from strided
 windows of them; the harmonic indices run mod 2n+1, so the blocks equal
 the node-grid products even where those alias.
+
+The bordered Newton matrix and the array its LU factors are computed in
+are kept for the latest matrix size (integrate.kept_arrays): every solve
+of that size, such as each point of a continuation, reuses them, so
+solves must run one at a time.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import newton
+from . import integrate, newton
 from .cycles import PeriodicOrbit
 from .errors import DegenerateCycle
 from .fields import VectorField, constant_family
@@ -180,13 +185,12 @@ def rotate_phase(xbar: FourierCycle) -> FourierCycle:
     A1 = xbar.coeffs[0, 1]
     B1 = xbar.coeffs[0, 2]
     delta = np.arctan2(B1, A1)  # shift theta -> theta + delta kills B1
+    kd = np.arange(1, xbar.K + 1) * delta
+    c, s = np.cos(kd), np.sin(kd)
+    A, B = xbar.coeffs[:, 1::2], xbar.coeffs[:, 2::2]
     coeffs = xbar.coeffs.copy()
-    for k in range(1, xbar.K + 1):
-        c, s = np.cos(k * delta), np.sin(k * delta)
-        A = xbar.coeffs[:, 2 * k - 1]
-        B = xbar.coeffs[:, 2 * k]
-        coeffs[:, 2 * k - 1] = A * c + B * s
-        coeffs[:, 2 * k] = -A * s + B * c
+    coeffs[:, 1::2] = A * c + B * s
+    coeffs[:, 2::2] = -A * s + B * c
     return replace(xbar, coeffs=coeffs)
 
 
@@ -304,11 +308,11 @@ def solve_hb_bordered(init: PeriodicOrbit, I_guess: float, field_at,
         return np.append(hb_residual(cycle(z), field_at(float(z[-1])), ops),
                          a_T * z[-2] + a_I * z[-1] - b)
 
-    # the Newton matrix and its LU factors, in Fortran order for LAPACK:
-    # allocated once per solve, not once per step; the factors stay in lu
-    # for the steps that damped_newton takes from them
+    # the Newton matrix and its LU factors, in Fortran order for LAPACK,
+    # kept across solves; the factors stay in lu for the steps that
+    # damped_newton takes from them
     size = dim * (2 * K + 1) + 2
-    J, lu = (np.empty((size, size), order="F") for _ in range(2))
+    J, lu = integrate.kept_arrays("hb.newton", (size, size), 2, order="F")
 
     def step(z, r):
         bordered_jacobian(cycle(z), field_at(float(z[-1])), ops, row, out=J)

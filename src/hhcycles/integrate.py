@@ -20,7 +20,14 @@ pass (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.6): the state is
 advanced alone, and all its step matrices are built from one batched
 Jacobian call at the stage states.  Each interval's fundamental matrix is
 the product of its step matrices, formed in pairwise levels
-(ordered_product).
+(ordered_product).  variational_of_pass builds them from the states of a
+pass already run, so a caller can run the pass and form the matrices only
+where it needs them.
+
+The step matrices are formed in three buffers kept for the latest stack
+shape (kept_arrays, which hb also takes its Newton arrays from), so the
+spectra of a continuation, which share one shape, reuse the same memory.
+No array returned aliases them; the module assumes one thread at a time.
 """
 
 from __future__ import annotations
@@ -176,17 +183,26 @@ def variational_flow(field: VectorField, x0, h: float, chunks: int,
     Liouville check costs no extra field call.  Returns the endpoint, the
     (chunks, dim, dim) stack and the (chunks,) trace integrals.
     """
-    dim = field.dim
     states = integrate_rk4(field, x0, 0.0, chunks * n * h, h).states
+    Y, traces = variational_of_pass(field, states, h, chunks)
+    return states[-1].copy(), Y, traces
+
+
+def variational_of_pass(field: VectorField, states: np.ndarray, h: float,
+                        chunks: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The fundamental matrices and trace integrals of variational_flow,
+    from the states of its RK4 pass (steps of size h, `chunks` intervals of
+    equal step counts), so that a caller can run the pass first and form
+    the matrices only when it needs them."""
+    dim = field.dim
+    n = (len(states) - 1) // chunks
     xa = states[:-1]
     xb = xa + (0.5 * h) * field.f(xa)
     xc = xa + (0.5 * h) * field.f(xb)
     xd = xa + h * field.f(xc)
     stages = np.stack([xa, xb, xc, xd], axis=1).reshape(-1, dim)
     J = field.jac(stages).reshape(chunks, n, 4, dim, dim)
-    Y, traces = _step_products(J[:, :, 0], J[:, :, 1], J[:, :, 2],
-                               J[:, :, 3], h)
-    return states[-1].copy(), Y, traces
+    return _step_products(J[:, :, 0], J[:, :, 1], J[:, :, 2], J[:, :, 3], h)
 
 
 def _step_products(Ja, Jb, Jc, Jd, h: float):
@@ -200,19 +216,21 @@ def _step_products(Ja, Jb, Jc, Jd, h: float):
     k3 = J_c (I + h/2 k2) and k4 = J_d (I + h k3).  Returns the
     (chunks, dim, dim) products Phi_n ... Phi_1 and the (chunks,)
     integrals h/6 sum (tr J_a + 2 tr J_b + 2 tr J_c + tr J_d).
+
+    Phi is built in place on three kept_arrays of the stack shape; the
+    returned arrays are new.
     """
     dim = Ja.shape[-1]
     # per chunk, the traces summed over its steps
     tr = [np.einsum("cnii->c", Js) for Js in (Ja, Jb, Jc, Jd)]
     traces = h / 6.0 * (tr[0] + 2.0 * tr[1] + 2.0 * tr[2] + tr[3])
-    # Phi is built in place on three buffers: the spectra at fold
-    # certificates run at 4000 steps, where each buffer is 0.5 MB
-    k = np.matmul(Jb, Ja)
+    k, phi, k3 = kept_arrays("integrate.step_products", Ja.shape, 3)
+    np.matmul(Jb, Ja, out=k)
     k *= 0.5 * h
     k += Jb                                   # k2
-    phi = np.multiply(k, 2.0)
+    np.multiply(k, 2.0, out=phi)
     phi += Ja
-    k3 = np.matmul(Jc, k)
+    np.matmul(Jc, k, out=k3)
     k3 *= 0.5 * h
     k3 += Jc
     np.multiply(k3, 2.0, out=k)
@@ -229,6 +247,29 @@ def _step_products(Ja, Jb, Jc, Jd, h: float):
     return Y, traces
 
 
+# arrays kept between calls, one set per owner: {owner: (key, arrays)}
+_KEPT = {}
+
+
+def kept_arrays(owner: str, shape, count: int, order: str = "C") -> tuple:
+    """`count` uninitialised arrays of the given shape and memory order, the
+    same ones on every call by `owner` with that shape, order and count.
+
+    One set is kept per owner, and a call with another shape frees the
+    owner's set before making the next, so an owner's callers must run one
+    at a time.  Large arrays made and freed at every point of a
+    continuation let the C allocator return the top of its heap to the
+    system, and each point would fault their pages in again; kept, they
+    stay mapped.
+    """
+    key = (tuple(shape), count, order)
+    if owner not in _KEPT or _KEPT[owner][0] != key:
+        _KEPT.pop(owner, None)  # free the old set before making the new
+        _KEPT[owner] = (key, tuple(np.empty(shape, order=order)
+                                   for _ in range(count)))
+    return _KEPT[owner][1]
+
+
 def ordered_product(stack) -> np.ndarray:
     """Product M_n ... M_1 of a (..., n, dim, dim) stack M_1, ..., M_n, the
     later factors on the left.
@@ -237,14 +278,15 @@ def ordered_product(stack) -> np.ndarray:
     ..., an odd last factor carried to the next level: about log2(n)
     batched matmul calls where a sequential product takes n, and each entry
     sums over a tree of depth log2(n) rather than a chain of length n, so
-    the rounding grows more slowly too.
+    the rounding grows more slowly too.  The product is a new array, also
+    for a stack of one factor.
     """
     P = np.asarray(stack)
     while P.shape[-3] > 1:
         pairs = np.matmul(P[..., 1::2, :, :], P[..., 0:-1:2, :, :])
         P = (np.concatenate([pairs, P[..., -1:, :, :]], axis=-3)
              if P.shape[-3] % 2 else pairs)
-    return P[..., 0, :, :]
+    return P[..., 0, :, :].copy()
 
 
 def variational_along(field: VectorField, states: np.ndarray, h: float,

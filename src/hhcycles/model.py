@@ -70,15 +70,15 @@ def expc(x):
     """x / (exp(x) - 1), continued with value 1 at x = 0.
 
     Near zero the closed form is a 0/0 cancellation, so for |x| < 1e-4 the
-    Taylor series 1 - x/2 + x^2/12 - x^4/720 is used instead.  Accepts scalars
-    or arrays.
+    Taylor series 1 - x/2 + x^2/12 - x^4/720 is used instead, and only
+    where an element needs it.  Accepts scalars or arrays.
     """
     x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = x / np.expm1(x)
     small = np.abs(x) < _EXPC_SERIES_CUTOFF
-    xs = np.where(small, 1.0, x)
-    with np.errstate(over="ignore"):
-        direct = np.where(small, 1.0, xs / np.expm1(xs))
-    out = np.where(small, _expc_series(x), direct)
+    if small.any():
+        out = np.where(small, _expc_series(x), out)
     return out if out.ndim else float(out)
 
 

@@ -5,10 +5,13 @@ Shooting solves the 5-unknown system
     G(X0, T) = phi(X0, T) - X0 = 0
     <X0 - a, f(a)> = 0                (Poincare hyperplane at a = guess(t=0))
 
-by damped Newton, with the sensitivity dphi/dX0 obtained from a coupled
-variational pass.  It converges fast on stable cycles; for strongly unstable
-cycles the forward flow amplifies roundoff and collocation / harmonic balance
-must be used instead.
+by damped Newton.  The residual runs the RK4 state pass alone and keeps
+its states; the sensitivity dphi/dX0 is formed from them by the
+variational products (integrate.variational_of_pass) only when Newton takes
+a step there, so a converged or rejected point costs no monodromy.  It
+converges fast on stable cycles; for strongly unstable cycles the forward
+flow amplifies roundoff and collocation / harmonic balance must be used
+instead.
 """
 
 from __future__ import annotations
@@ -91,25 +94,29 @@ def shoot(field: VectorField, guess: PeriodicOrbit, tol: float = 1e-10) -> Cycle
     dim = field.dim
     a = np.array(guess.evaluate_time(0.0), dtype=float)
     fa = field.f(a)
-    flowed = {}  # flow end state and monodromy at the latest residual point
+    flowed = {}  # the RK4 pass states at the latest residual point
 
     def residual(z):
         x0, T = z[:dim], z[dim]
         if T <= 0:
             return np.full(dim + 1, np.inf)
         try:
-            flowed["xT"], flowed["M"] = integrate.flow_with_monodromy(
-                field, x0, T, FLOW_STEPS)
+            flowed["states"] = integrate.integrate_rk4(
+                field, x0, 0.0, T, T / FLOW_STEPS).states
         except NonFinite:
             return np.full(dim + 1, np.inf)
-        return np.concatenate([flowed["xT"] - x0, [float(fa @ (x0 - a))]])
+        return np.concatenate([flowed["states"][-1] - x0,
+                               [float(fa @ (x0 - a))]])
 
     def step(z, r):
+        states = flowed["states"]
+        Y, _ = integrate.variational_of_pass(field, states,
+                                             z[dim] / FLOW_STEPS, 1)
         A = np.zeros((dim + 1, dim + 1))
-        A[:dim, :dim] = flowed["M"] - np.eye(dim)
-        A[:dim, dim] = field.f(flowed["xT"])
+        A[:dim, :dim] = Y[0] - np.eye(dim)
+        A[:dim, dim] = field.f(states[-1])
         A[dim, :dim] = fa
-        # no reuse: the residual is a coupled flow, as costly as this step
+        # no reuse: a residual's state pass costs more than this matrix
         return newton.dense_step(A, r, "shooting")[0], None
 
     z, _ = newton.damped_newton(residual, step, np.append(a, guess.period),

@@ -55,6 +55,16 @@ class TestSpectrum:
         assert np.all(mags[1:] < 1e-3)
         assert spec.flags == frozenset()
 
+    def test_a_later_spectrum_leaves_an_earlier_one_alone(
+            self, field20, stable_cycle_20, hb_cycle_20):
+        # both spectra form their step matrices in the same kept buffers
+        first = floquet.spectrum(hb_cycle_20, field=field20)
+        kept = first.all_multipliers().copy()
+        floquet.spectrum(stable_cycle_20, field=field20)
+        assert np.array_equal(first.all_multipliers(), kept)
+        again = floquet.spectrum(hb_cycle_20, field=field20)
+        assert np.array_equal(again.all_multipliers(), kept)
+
     def test_representations_agree(self, field20, stable_cycle_20,
                                    hb_cycle_20):
         a = floquet.spectrum(stable_cycle_20, field=field20)

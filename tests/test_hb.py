@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hhcycles import hb
+from hhcycles import hb, integrate
 from hhcycles.errors import DegenerateCycle
 from hhcycles.fields import VectorField, harmonic_oscillator
 from test_integrate import damped_field
@@ -122,6 +122,65 @@ class TestFourierCycle:
         t = np.linspace(0, 3.0, 512, endpoint=False)
         assert np.allclose(hb.evaluate_series(rot, t),
                            hb.evaluate_series(xb, t + dt), atol=1e-12)
+
+
+    @pytest.mark.parametrize("K", [1, 2, 8, 30, 50])
+    def test_rotate_phase_matches_a_per_harmonic_loop(self, K):
+        rng = np.random.default_rng(K)
+        xb = hb.FourierCycle(K=K, period=2.0,
+                             coeffs=rng.standard_normal((4, 2 * K + 1)))
+        delta = np.arctan2(xb.coeffs[0, 2], xb.coeffs[0, 1])
+        ref = xb.coeffs.copy()
+        for k in range(1, K + 1):
+            c, s = np.cos(k * delta), np.sin(k * delta)
+            A, B = xb.coeffs[:, 2 * k - 1], xb.coeffs[:, 2 * k]
+            ref[:, 2 * k - 1] = A * c + B * s
+            ref[:, 2 * k] = -A * s + B * c
+        rot = hb.rotate_phase(xb)
+        assert np.array_equal(rot.coeffs, ref)
+        # B1 of V is A1 sin(-delta) + B1 cos(delta): zero to roundoff
+        assert abs(rot.coeffs[0, 2]) <= 4e-16 * np.hypot(*xb.coeffs[0, 1:3])
+
+
+class TestNewtonArrays:
+    def test_one_set_kept_per_owner_for_the_latest_shape(self):
+        kept = integrate.kept_arrays
+        J, lu = kept("test.newton", (30, 30), 2, order="F")
+        assert J.shape == lu.shape == (30, 30)
+        assert J.flags.f_contiguous and lu.flags.f_contiguous
+        again = kept("test.newton", (30, 30), 2, order="F")
+        assert again[0] is J and again[1] is lu
+        other = kept("test.other", (30, 30), 2, order="F")[0]
+        assert other is not J
+        assert kept("test.newton", (30, 30), 2, order="F")[0] is J
+        assert kept("test.newton", (16, 16), 2, order="F")[0].shape == (16, 16)
+        assert kept("test.newton", (30, 30), 2, order="F")[0] is not J
+        assert kept("test.other", (30, 30), 2, order="F")[0] is other
+        assert kept("test.other", (30, 30), 2)[0].flags.c_contiguous
+        for owner in ("test.newton", "test.other"):
+            del integrate._KEPT[owner]
+
+    def test_solves_on_kept_arrays_match_solves_on_fresh_ones(
+            self, field20, stable_cycle_20):
+        # each solve reuses the arrays another problem of its size left
+        # behind, and ends bit for bit where a solve on new arrays ends
+        ops = hb.build_operators(10)
+        seeds = [stable_cycle_20, scaled_period(stable_cycle_20, 1.01)]
+        for seed in seeds:
+            hb.solve_hb(scaled_period(stable_cycle_20, 0.99), field20, ops)
+            got = hb.solve_hb(seed, field20, ops)
+            integrate._KEPT.pop("hb.newton")
+            ref = hb.solve_hb(seed, field20, ops)
+            assert got.period == ref.period
+            assert np.array_equal(got.coeffs, ref.coeffs)
+        assert not any(np.shares_memory(got.coeffs, a)
+                       for a in integrate._KEPT["hb.newton"][1])
+
+
+def scaled_period(cycle, factor):
+    """cycle's Fourier series (K=10) with its period scaled by factor."""
+    fc = cycle.to_fourier(10)
+    return hb.FourierCycle(K=10, period=fc.period * factor, coeffs=fc.coeffs)
 
 
 class TestSolve:

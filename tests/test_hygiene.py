@@ -1,14 +1,18 @@
 """Source hygiene: every imported name in the package and the tests is read,
-every public package definition has a user outside the tests, and every
-package name the benchmark under bench/ patches or calls exists."""
+every public package definition has a user outside the tests, every
+package name the benchmark under bench/ patches or calls exists, and the
+steady state of a continuation makes no fresh pages."""
 
 import ast
 import inspect
+import json
 import os
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 from hhcycles import continuation, model, shooting
 
@@ -145,14 +149,19 @@ def test_find_equilibrium_takes_the_benchmark_call():
     assert model.find_equilibrium(20.0).shape == (model.STATE_DIM,)
 
 
-def modules_loaded_by_cli_import(prefix):
-    """The modules under prefix that a fresh `import hhcycles.cli` loads."""
-    code = ("import sys, hhcycles.cli; "
-            f"print([m for m in sys.modules if m.startswith({prefix!r})])")
+def run_fresh(code):
+    """What code prints, run in a fresh interpreter on the package source."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     return done.stdout.strip()
+
+
+def modules_loaded_by_cli_import(prefix):
+    """The modules under prefix that a fresh `import hhcycles.cli` loads."""
+    return run_fresh("import sys, hhcycles.cli; "
+                     "print([m for m in sys.modules "
+                     f"if m.startswith({prefix!r})])")
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
@@ -164,3 +173,46 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
     # no sparse matrix is assembled anywhere in the package, and importing
     # scipy.sparse.linalg takes about 3.5 MB more, on every run
     assert modules_loaded_by_cli_import("scipy.sparse") == "[]"
+
+
+# continuation points after the first: K=50 bordered HB solves alone, then
+# each with a 4,000-step spectrum, as on the stable branch
+BRANCH_POINTS = """
+import json, resource
+import numpy as np
+from hhcycles import continuation, floquet, hb
+from hhcycles.fields import hh_field
+
+fam = continuation.hh_family()
+ops = hb.build_operators(50)
+cyc = hb.solve_hb(hb.FourierCycle(K=2, period=11.6, coeffs=np.array(COEFFS)),
+                  hh_field(I=20.0), ops)
+runs = []
+for spectra in (False, True):
+    faults = []
+    for I in (20.5, 21.0, 21.5, 22.0, 22.5, 23.0):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        cyc, _ = hb.solve_hb_bordered(cyc, I, fam, ops, (0.0, 1.0, I),
+                                      1e-10, 40)
+        if spectra:
+            floquet.spectrum(cyc, fam(I), 4000)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                      - before)
+    runs.append(faults)
+print(json.dumps(runs))
+"""
+
+
+def test_continuation_points_reuse_their_memory(stable_cycle_20):
+    # every point of a continuation solves and takes a spectrum with
+    # arrays of the same sizes as the point before; made afresh they cost
+    # about 650 fresh pages a solve and 830 a spectrum (page faults the
+    # kernel counts), kept they cost none
+    resource = pytest.importorskip("resource")
+    if resource.getrusage(resource.RUSAGE_SELF).ru_minflt == 0:
+        pytest.skip("this platform does not count minor page faults")
+    coeffs = stable_cycle_20.to_fourier(2).coeffs.tolist()
+    runs = json.loads(run_fresh(BRANCH_POINTS.replace("COEFFS",
+                                                      repr(coeffs))))
+    # the first point of each run may make the arrays
+    assert all(sum(faults[1:]) < 500 for faults in runs), runs

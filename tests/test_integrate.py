@@ -388,6 +388,30 @@ class TestVariationalFlow:
                 Y = Y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             assert np.max(np.abs(Ys[j] - Y)) <= 1e-13 * np.max(np.abs(Y))
 
+    def test_products_of_a_pass_run_first_match_the_coupled_pass(self):
+        fld, x0, T, nsteps = pass_case("hh")
+        h = T / nsteps
+        x, Y, traces = integrate.variational_flow(fld, x0, h, 4, nsteps // 4)
+        states = integrate.integrate_rk4(fld, x0, 0.0, nsteps * h, h).states
+        Y2, traces2 = integrate.variational_of_pass(fld, states, h, 4)
+        assert np.array_equal(Y2, Y) and np.array_equal(traces2, traces)
+
+    def test_results_do_not_alias_the_kept_buffers(self):
+        # one step per interval: the product of one factor is that factor,
+        # which is formed in a kept buffer, so it must come back as a copy
+        fld = stuart_landau()
+        h = 1e-3
+        first = integrate.variational_along(
+            fld, stuart_landau_transient(np.arange(9) * (0.5 * h)), h, 4)[0]
+        kept = first.copy()
+        integrate.variational_along(
+            fld, stuart_landau_transient(1.0 + np.arange(9) * (0.5 * h)), h,
+            4)
+        assert np.array_equal(first, kept)
+        assert not any(np.shares_memory(first, b)
+                       for b in integrate.kept_arrays(
+                           "integrate.step_products", (4, 1, 2, 2), 3))
+
     def test_states_must_tile_whole_steps(self):
         fld = harmonic_oscillator(1.0)
         with pytest.raises(ValueError):

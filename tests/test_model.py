@@ -47,6 +47,24 @@ class TestExpc:
             closed = x / np.expm1(x)
             assert model.expc(x) == pytest.approx(closed, rel=1e-11)
 
+    def test_batch_matches_its_one_element_calls(self):
+        # a batch holding series-range and closed-form arguments, element
+        # by element, and a batch with none in the series range against
+        # the two-branch np.where form
+        x = np.concatenate([NEAR_SERIES * 0.1, [0.0, -3e-5, 2e-4, -1.5,
+                                                 0.7, 40.0, -800.0, 900.0]])
+        with np.errstate(over="ignore"):
+            got = model.expc(x)
+            singles = [model.expc(v) for v in x]
+        assert np.array_equal(got, singles)
+        wide = np.array([-900.0, -30.0, -1e-4, 1e-4, 0.3, 12.0, 900.0])
+        small = np.abs(wide) < model._EXPC_SERIES_CUTOFF
+        with np.errstate(over="ignore"):
+            xs = np.where(small, 1.0, wide)
+            ref = np.where(small, model._expc_series(wide), np.where(
+                small, 1.0, xs / np.expm1(xs)))
+            assert np.array_equal(model.expc(wide), ref)
+
     def test_prime_matches_finite_difference(self):
         # the slope the Jacobian takes from expc's value, on both sides of
         # the series cutoff |x| = 1e-4 (x +- h stays on one side)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hhcycles import integrate, model, shooting
+from hhcycles import integrate, model, newton, shooting
 from hhcycles.errors import NoConvergence, NoOscillation
 from hhcycles.fields import hh_field
 
@@ -28,6 +28,13 @@ def counting(monkeypatch, name, count=lambda result: 1):
 def count_rk4_steps(monkeypatch):
     return counting(monkeypatch, "integrate_rk4",
                     lambda traj: len(traj.times) - 1)
+
+
+def flow_passes(monkeypatch):
+    """Count the shooting residual's RK4 passes: those of FLOW_STEPS steps
+    (the stored samples of a cycle take CYCLE_SAMPLES)."""
+    return counting(monkeypatch, "integrate_rk4",
+                    lambda traj: len(traj.times) - 1 == shooting.FLOW_STEPS)
 
 
 class TestSettleTransient:
@@ -69,7 +76,7 @@ class TestSettleTransient:
                                                      monkeypatch):
         fld = hh_field(I=I)
         guess = shooting.settle_transient(fld, 300.0, x_start=kick(I))
-        flows = counting(monkeypatch, "flow_with_monodromy")
+        flows = flow_passes(monkeypatch)
         shooting.shoot(fld, guess, tol=1e-10)
         assert 1 <= flows[0] <= max_flows
 
@@ -93,6 +100,26 @@ class TestShoot:
         refined = shooting.shoot(field20, guess, tol=1e-12)
         assert refined.period == pytest.approx(stable_cycle_20.period,
                                                rel=1e-9)
+
+    def test_monodromy_is_formed_only_for_fresh_steps(self, field20,
+                                                      monkeypatch):
+        # the residual runs the state pass alone; the variational products
+        # are formed once per Newton matrix, so a converging shoot takes
+        # more passes than monodromies
+        guess = shooting.settle_transient(field20, 300.0, x_start=kick(20.0))
+        flows = flow_passes(monkeypatch)
+        builds = counting(monkeypatch, "variational_of_pass")
+        steps = [0]
+        dense_step = newton.dense_step
+
+        def counted_step(*args):
+            steps[0] += 1
+            return dense_step(*args)
+        monkeypatch.setattr(newton, "dense_step", counted_step)
+        cyc = shooting.shoot(field20, guess, tol=1e-10)
+        assert builds[0] == steps[0] >= 1
+        assert flows[0] > builds[0]
+        assert cyc.period == 11.565492387834501
 
     def test_rejects_nonpositive_period(self, field20, stable_cycle_20):
         bad = shooting.Cycle(period=-1.0, samples=stable_cycle_20.samples)
