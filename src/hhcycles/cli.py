@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from . import collocation, continuation, floquet, hb, integrate, model, shooting
+from . import collocation, continuation, floquet, hb, model, shooting
 from .errors import HHCyclesError, NoSignChange
 from .fields import hh_field
 from .hb import FourierCycle
@@ -178,6 +178,15 @@ _CYCLE_FIELDS = {"schema", "current", "method", "period", "harmonics",
 # the artifact's method names the class that reads it back
 _CYCLE_CLASSES = {"shoot": shooting.Cycle, "hb": FourierCycle,
                   "collocation": collocation.CollocationSolution}
+# and the fields that hold the cycle's states, as (name, array, the shape
+# it must have for dim state components)
+_STATE_ARRAYS = {
+    "shoot": lambda c, dim: [
+        ("samples", c.samples.states, (len(c.samples.times), dim))],
+    "hb": lambda c, dim: [("coefficients", c.coeffs, (dim, 2 * c.K + 1))],
+    "collocation": lambda c, dim: [("mesh_states", c.y, (c.mesh.N, dim)),
+                                   ("mesh_mid", c.mid, (c.mesh.N, dim))],
+}
 
 
 def _spectrum_dict(spec: floquet.FloquetSpectrum) -> dict:
@@ -214,7 +223,8 @@ def read_cycle_json(path, cfg=None):
     The artifact's method picks the cycle class.  A collocation cycle is
     rebuilt on the Hodgkin-Huxley field of cfg (default: DEFAULT_CONFIG) at
     the artifact's current.  The current must be finite, the period finite
-    and positive.
+    and positive, and every state array must fit the model's state
+    components and the artifact's sample, harmonic or mesh-interval count.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -237,7 +247,12 @@ def read_cycle_json(path, cfg=None):
         if not 0.0 < T < np.inf:
             raise ConfigError(f"{path}: period {T!r} is not finite and positive")
         fld = hh_field(params_from_config(cfg or DEFAULT_CONFIG), I)
-        return I, cls.from_json(doc, fld)
+        cyc = cls.from_json(doc, fld)
+        for name, states, shape in _STATE_ARRAYS[doc["method"]](cyc, fld.dim):
+            if states.shape != shape:
+                raise ConfigError(f"{path}: {name} of shape {states.shape}, "
+                                  f"expected {shape}")
+        return I, cyc
     except KeyError as exc:
         raise ConfigError(f"{path}: missing cycle field {exc}")
     except (TypeError, IndexError) as exc:
@@ -319,9 +334,9 @@ def _solve_single_cycle(I, method, cfg, p, init=None):
     elif method == "shoot":
         init = shooting.shoot(fld, init, tol=cfg["solver.shooting.tol"])
     if method == "shoot":
-        xT = integrate.flow(fld, init.anchor_state, init.period,
-                            shooting.FLOW_STEPS)
-        return init, float(np.max(np.abs(xT - init.anchor_state)))
+        # the samples are states of shoot's last pass: its return gap
+        states = init.samples.states
+        return init, float(np.max(np.abs(states[-1] - states[0])))
     if method == "hb":
         ops = hb.build_operators(cfg["solver.hb.k"], cfg["solver.hb.oversample"])
         cyc = hb.solve_hb(init, fld, ops, tol=cfg["solver.hb.tol"])

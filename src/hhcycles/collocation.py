@@ -107,7 +107,12 @@ class CollocationSolution(PeriodicOrbit):
                    period=float(doc["period"]), field=field)
 
     def residual_profile(self) -> np.ndarray:
-        """Max relative interior residual ||P'/T - f(P)||/(1+||f||) per subinterval."""
+        """Max relative interior residual ||P'/T - f(P)||/(1+||f||) per
+        subinterval, computed once per solution and read-only."""
+        return self._residual_profile
+
+    @cached_property
+    def _residual_profile(self) -> np.ndarray:
         h = self.mesh.widths[:, None, None]
         sigma = np.linspace(0.0, 1.0, 12)[1:-1]   # 10 interior samples
         s = sigma[None, :, None]
@@ -121,7 +126,9 @@ class CollocationSolution(PeriodicOrbit):
              + f1 * (2 * s * (s - 0.5)))
         fP = self.field.f(P.reshape(-1, self.dim)).reshape(P.shape)
         scale = 1.0 + np.max(np.abs(fP), axis=(1, 2), keepdims=True)
-        return np.max(np.abs(q - fP) / scale, axis=(1, 2))
+        profile = np.max(np.abs(q - fP) / scale, axis=(1, 2))
+        profile.flags.writeable = False
+        return profile
 
 
 def _cubic(y0, f0, fm, f1, hT, s):

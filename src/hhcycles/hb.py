@@ -359,12 +359,23 @@ def resize(xbar: FourierCycle, K_new: int) -> FourierCycle:
 
 
 def from_trajectory(traj_states: np.ndarray, period: float, K: int) -> FourierCycle:
-    """Least-squares Fourier fit of one-period samples (first=last allowed)."""
+    """K-harmonic Fourier series of the m states at t_j = j*T/m, j < m.
+
+    The samples are one open period: the state at t = T, equal to the
+    first, is left out (a closed set would be fitted on a compressed
+    grid).  On this grid the harmonics below m/2 are orthogonal, so their
+    least-squares fit is the projection read off one real FFT:
+    A0 = c_0/m, A_k = 2 Re c_k/m, B_k = -2 Im c_k/m.  Harmonics the grid
+    cannot resolve, above (m - 1)//2, are set to zero.
+    """
     m = len(traj_states)
-    theta = 2.0 * np.pi * np.arange(m) / m
-    B = basis_matrix(theta, K)
-    coeffs, *_ = np.linalg.lstsq(B, traj_states, rcond=None)
-    return FourierCycle(K=K, period=period, coeffs=coeffs.T)
+    c = np.fft.rfft(traj_states, axis=0).T        # (dim, m//2 + 1)
+    k = min(K, (m - 1) // 2)
+    coeffs = np.zeros((c.shape[0], 2 * K + 1))
+    coeffs[:, 0] = c[:, 0].real / m
+    coeffs[:, 1:2 * k + 1:2] = (2.0 / m) * c[:, 1:k + 1].real
+    coeffs[:, 2:2 * k + 2:2] = (-2.0 / m) * c[:, 1:k + 1].imag
+    return FourierCycle(K=K, period=period, coeffs=coeffs)
 
 
 def gibbs_ripple(xbar: FourierCycle) -> float:

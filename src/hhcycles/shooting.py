@@ -6,12 +6,14 @@ Shooting solves the 5-unknown system
     <X0 - a, f(a)> = 0                (Poincare hyperplane at a = guess(t=0))
 
 by damped Newton.  The residual runs the RK4 state pass alone and keeps
-its states; the sensitivity dphi/dX0 is formed from them by the
-variational products (integrate.variational_of_pass) only when Newton takes
-a step there, so a converged or rejected point costs no monodromy.  It
-converges fast on stable cycles; for strongly unstable cycles the forward
-flow amplifies roundoff and collocation / harmonic balance must be used
-instead.
+it.  Its states serve twice: the sensitivity dphi/dX0 is formed from them
+by the variational products (integrate.variational_of_pass) only when
+Newton takes a step there, so a converged or rejected point costs no
+monodromy; and the pass at the converged point, taken at every
+FLOW_STEPS // CYCLE_SAMPLES-th step, is the returned cycle, so no further
+pass samples it.  It converges fast on stable cycles; for strongly
+unstable cycles the forward flow amplifies roundoff and collocation /
+harmonic balance must be used instead.
 """
 
 from __future__ import annotations
@@ -79,11 +81,9 @@ SETTLE_INTERVALS = 4    # crossing intervals that must agree to stop settling;
                         # the guess averages the last SETTLE_INTERVALS - 1
 SETTLE_RTOL = 1e-6      # their relative spread; a looser stop hands shoot a
                         # worse period (80 ms at I=20: 2.7e-5 off, one more flow)
-CYCLE_SAMPLES = 400     # RK4 steps over the one period stored with a cycle
-
-
-def _sample_cycle(field: VectorField, x0, T: float) -> Trajectory:
-    return integrate.integrate_rk4(field, x0, 0.0, T, T / CYCLE_SAMPLES)
+CYCLE_SAMPLES = 400     # steps over the one period stored with a cycle;
+                        # shoot keeps every FLOW_STEPS // CYCLE_SAMPLES-th
+                        # state of its pass, so this must divide FLOW_STEPS
 
 
 def shoot(field: VectorField, guess: PeriodicOrbit, tol: float = 1e-10) -> Cycle:
@@ -94,22 +94,21 @@ def shoot(field: VectorField, guess: PeriodicOrbit, tol: float = 1e-10) -> Cycle
     dim = field.dim
     a = np.array(guess.evaluate_time(0.0), dtype=float)
     fa = field.f(a)
-    flowed = {}  # the RK4 pass states at the latest residual point
+    flowed = {}  # the latest RK4 pass that ran, and the z it ran at
 
     def residual(z):
         x0, T = z[:dim], z[dim]
         if T <= 0:
             return np.full(dim + 1, np.inf)
         try:
-            flowed["states"] = integrate.integrate_rk4(
-                field, x0, 0.0, T, T / FLOW_STEPS).states
+            traj = integrate.integrate_rk4(field, x0, 0.0, T, T / FLOW_STEPS)
         except NonFinite:
             return np.full(dim + 1, np.inf)
-        return np.concatenate([flowed["states"][-1] - x0,
-                               [float(fa @ (x0 - a))]])
+        flowed["z"], flowed["pass"] = z.copy(), traj
+        return np.concatenate([traj.states[-1] - x0, [float(fa @ (x0 - a))]])
 
     def step(z, r):
-        states = flowed["states"]
+        states = flowed["pass"].states
         Y, _ = integrate.variational_of_pass(field, states,
                                              z[dim] / FLOW_STEPS, 1)
         A = np.zeros((dim + 1, dim + 1))
@@ -121,8 +120,16 @@ def shoot(field: VectorField, guess: PeriodicOrbit, tol: float = 1e-10) -> Cycle
 
     z, _ = newton.damped_newton(residual, step, np.append(a, guess.period),
                                 tol, SHOOT_MAX_ITER, "shooting")
-    x0, T = z[:dim], float(z[dim])
-    return Cycle(period=T, samples=_sample_cycle(field, x0, T))
+    # damped_newton returns the point of its latest residual, whose pass
+    # is the cycle
+    if not np.array_equal(flowed["z"], z):
+        raise RuntimeError("shooting returned a point its last pass did "
+                           "not run at")
+    every = FLOW_STEPS // CYCLE_SAMPLES
+    traj = flowed["pass"]
+    return Cycle(period=float(z[dim]),
+                 samples=Trajectory(traj.times[::every].copy(),
+                                    traj.states[::every].copy()))
 
 
 def settle_transient(field: VectorField, settle_time: float,
@@ -177,4 +184,5 @@ def settle_transient(field: VectorField, settle_time: float,
     # compared; anchor at the last crossing but one and re-integrate one
     # period for the samples
     T = float(np.mean(np.diff(tc[-SETTLE_INTERVALS:])))
-    return Cycle(period=T, samples=_sample_cycle(field, x[up[-2]], T))
+    return Cycle(period=T, samples=integrate.integrate_rk4(
+        field, x[up[-2]], 0.0, T, T / CYCLE_SAMPLES))

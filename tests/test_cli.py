@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from hhcycles import cli, collocation, floquet
+from hhcycles import cli, collocation, floquet, integrate, shooting
 from hhcycles.cli import ConfigError
+from hhcycles.fields import hh_field
 from test_floquet import make_spec
 
 
@@ -301,13 +302,27 @@ class TestCommands:
         assert words[-1] == "stable"
         assert float(words[-2].removeprefix("liouville_error=")) < 1e-3
 
-    def test_shoot_reports_the_gap_of_its_own_flow(self, tmp_path):
+    def test_shoot_reports_the_gap_of_its_own_flow(self, tmp_path,
+                                                   monkeypatch):
         # the return gap of the shooting flow, not its difference from a
         # finer RK4 flow (about 1e-7 at I=20)
+        flows = []
+        flow = integrate.flow
+
+        def counted(*args):
+            flows.append(args)
+            return flow(*args)
+        monkeypatch.setattr(integrate, "flow", counted)
         assert cli.main(["--out", str(tmp_path), "cycle", "--current", "20",
                          "--method", "shoot"]) == 0
+        # read off the states of shoot's own pass, not flowed again
+        assert flows == []
         doc = json.loads((tmp_path / "cycle_I20_shoot.json").read_text())
         assert doc["residual"] < cli.DEFAULT_CONFIG["solver.shooting.tol"]
+        fld = hh_field(cli.params_from_config(cli.DEFAULT_CONFIG), 20.0)
+        x0 = np.array(doc["samples"][0])
+        xT = flow(fld, x0, doc["period"], shooting.FLOW_STEPS)
+        assert doc["residual"] == float(np.max(np.abs(xT - x0)))
 
     def test_floquet_report_of_a_shooting_cycle(self, tmp_path, capsys,
                                                 stable_cycle_20, field20):
@@ -358,9 +373,24 @@ class TestCommands:
         '[-60, 0.3, 0.6, 0.05]]}',
         '{"schema": 1, "current": NaN, "method": "shoot", "period": 14.6, '
         '"samples_t": [0, 1], "samples": [[-60, 0.3, 0.6, 0.05], '
+        '[-60, 0.3, 0.6, 0.05]]}',
+        '{"schema": 1, "current": 20, "method": "shoot", "period": 14.6, '
+        '"samples_t": [0, 1], "samples": [[-60, 0.3], [-60, 0.3]]}',
+        '{"schema": 1, "current": 20, "method": "hb", "period": 14.6, '
+        '"harmonics": 1, "coefficients": [[-60, 10, 0], [0.3, 0.01, 0]]}',
+        '{"schema": 1, "current": 20, "method": "collocation", '
+        '"period": 14.6, "mesh_tau": [0, 0.5, 1], '
+        '"mesh_states": [[-60, 0.3, 0.6], [-50, 0.4, 0.5]], '
+        '"mesh_mid": [[-60, 0.3, 0.6, 0.05], [-50, 0.4, 0.5, 0.06]]}',
+        '{"schema": 1, "current": 20, "method": "collocation", '
+        '"period": 14.6, "mesh_tau": [0, 0.3, 0.6, 1], '
+        '"mesh_states": [[-60, 0.3, 0.6, 0.05], [-50, 0.4, 0.5, 0.06]], '
+        '"mesh_mid": [[-60, 0.3, 0.6, 0.05], [-50, 0.4, 0.5, 0.06], '
         '[-60, 0.3, 0.6, 0.05]]}'],
         ids=["missing", "malformed", "not-an-object", "null-current",
-             "empty-samples", "empty-mesh", "negative-period", "nan-current"])
+             "empty-samples", "empty-mesh", "negative-period", "nan-current",
+             "two-column-samples", "two-coefficient-rows",
+             "three-column-mesh-states", "mesh-states-short-of-intervals"])
     @pytest.mark.parametrize("command", [
         ["cycle", "--current", "20", "--method", "hb", "--init"],
         ["floquet", "--cycle-file"]], ids=["cycle-init", "floquet"])

@@ -142,9 +142,14 @@ class TestSolvePlanar:
         assert np.allclose(fresh.states_on_grid(64),
                            sol.evaluate_time(np.arange(64) * sol.period / 64),
                            rtol=0.0, atol=1e-12)
-        fresh.residual_profile()
+        profile = fresh.residual_profile()
         assert calls.count(sol.y.shape) == 2   # f(y), f(mid): once each
         assert len(calls) == 3                 # + the interior samples
+        # the profile too is computed once, and no caller can change it
+        assert fresh.residual_profile() is profile
+        assert len(calls) == 3
+        assert not profile.flags.writeable
+        assert np.array_equal(profile, sol.residual_profile())
 
     def test_fourth_order_period_convergence(self):
         fld = stuart_landau()

@@ -142,6 +142,37 @@ class TestFourierCycle:
         assert abs(rot.coeffs[0, 2]) <= 4e-16 * np.hypot(*xb.coeffs[0, 1:3])
 
 
+def lstsq_fit(states, K):
+    """The least-squares K-harmonic fit of samples at theta_j = 2 pi j/m."""
+    m = len(states)
+    B = hb.basis_matrix(2.0 * np.pi * np.arange(m) / m, K)
+    return np.linalg.lstsq(B, states, rcond=None)[0].T
+
+
+class TestFromTrajectory:
+    @pytest.mark.parametrize("K", [1, 10, 50, 199])
+    def test_equals_the_least_squares_fit(self, stable_cycle_20, K):
+        states = stable_cycle_20.samples.states[:-1]
+        assert len(states) == 400
+        got = hb.from_trajectory(states, stable_cycle_20.period, K)
+        ref = lstsq_fit(states, K)
+        assert got.K == K and got.period == stable_cycle_20.period
+        assert np.max(np.abs(got.coeffs - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("m", [9, 10])
+    def test_harmonics_above_the_grid_are_zero(self, m):
+        # m samples resolve (m - 1)//2 harmonics; a least-squares fit would
+        # split a harmonic among its aliases above them
+        rng = np.random.default_rng(m)
+        resolved = (m - 1) // 2
+        series = hb.FourierCycle(K=resolved, period=3.0,
+                                 coeffs=rng.standard_normal((2, 2 * resolved + 1)))
+        fit = hb.from_trajectory(series.states_on_grid(m), 3.0, 7)
+        assert np.allclose(fit.coeffs[:, :2 * resolved + 1], series.coeffs,
+                           rtol=0.0, atol=1e-13)
+        assert np.all(fit.coeffs[:, 2 * resolved + 1:] == 0.0)
+
+
 class TestNewtonArrays:
     def test_one_set_kept_per_owner_for_the_latest_shape(self):
         kept = integrate.kept_arrays

@@ -32,7 +32,7 @@ def count_rk4_steps(monkeypatch):
 
 def flow_passes(monkeypatch):
     """Count the shooting residual's RK4 passes: those of FLOW_STEPS steps
-    (the stored samples of a cycle take CYCLE_SAMPLES)."""
+    (a settle's sample pass takes CYCLE_SAMPLES)."""
     return counting(monkeypatch, "integrate_rk4",
                     lambda traj: len(traj.times) - 1 == shooting.FLOW_STEPS)
 
@@ -121,6 +121,24 @@ class TestShoot:
         assert flows[0] > builds[0]
         assert cyc.period == 11.565492387834501
 
+    def test_cycle_is_the_converged_pass(self, field20, monkeypatch):
+        # the samples are states of the last residual pass: no further pass
+        # runs to sample the cycle
+        guess = shooting.settle_transient(field20, 300.0, x_start=kick(20.0))
+        flows = flow_passes(monkeypatch)
+        steps = count_rk4_steps(monkeypatch)
+        cyc = shooting.shoot(field20, guess, tol=1e-10)
+        assert flows[0] == 2 and steps[0] == 2 * shooting.FLOW_STEPS
+        T = cyc.period
+        fresh = integrate.integrate_rk4(field20, cyc.anchor_state, 0.0, T,
+                                        T / shooting.FLOW_STEPS)
+        every = shooting.FLOW_STEPS // shooting.CYCLE_SAMPLES
+        assert np.array_equal(cyc.samples.states, fresh.states[::every])
+        assert np.array_equal(cyc.samples.times, fresh.times[::every])
+
+    def test_cycle_samples_divide_the_pass(self):
+        assert shooting.FLOW_STEPS % shooting.CYCLE_SAMPLES == 0
+
     def test_rejects_nonpositive_period(self, field20, stable_cycle_20):
         bad = shooting.Cycle(period=-1.0, samples=stable_cycle_20.samples)
         with pytest.raises(ValueError):
@@ -138,5 +156,6 @@ class TestShoot:
         s = stable_cycle_20.samples
         assert s.times[0] == 0.0
         assert s.times[-1] == pytest.approx(stable_cycle_20.period, abs=1e-10)
-        # 400 sampling steps carry their own RK4 truncation error
-        assert np.max(np.abs(s.states[-1] - s.states[0])) < 1e-3
+        # the samples are states of the converged shooting pass, so they
+        # close to the shoot tolerance
+        assert np.max(np.abs(s.states[-1] - s.states[0])) < 1e-10
