@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import collocation, continuation, floquet, hb, model, shooting
-from .errors import HHCyclesError, NoSignChange
+from .errors import HHCyclesError
 from .fields import hh_field
 from .hb import FourierCycle
 
@@ -316,21 +316,11 @@ def cmd_equilibria(args, cfg) -> int:
     return 0
 
 
-def _cold_start(p, I, cfg):
-    """Shooting cycle at I, started from a 5 mV kick off the equilibrium
-    and a settling transient of at most 300 ms."""
-    fld = hh_field(p, I)
-    eq = model.find_equilibrium(I, p)
-    guess = shooting.settle_transient(fld, 300.0,
-                                      x_start=eq + np.array([5.0, 0, 0, 0]))
-    return shooting.shoot(fld, guess, tol=cfg["solver.shooting.tol"])
-
-
 def _solve_single_cycle(I, method, cfg, p, init=None):
     """Shared cycle-solve used by cmd_cycle; returns (cycle, residual)."""
     fld = hh_field(p, I)
     if init is None:
-        init = _cold_start(p, I, cfg)
+        init = shooting.cold_start(I, p, cfg["solver.shooting.tol"])
     elif method == "shoot":
         init = shooting.shoot(fld, init, tol=cfg["solver.shooting.tol"])
     if method == "shoot":
@@ -411,118 +401,39 @@ def cmd_floquet(args, cfg) -> int:
 
 
 def run_diagram(cfg, out_dir, verbose=False):
-    """Full pipeline: Hopf points, branches, events, artifacts.
-
-    Returns the assembled Diagram.  Partial results are flushed with a
-    manifest marking any branch that failed.
-    """
+    """continuation.diagram of the config, from the Hopf points of scan_hopf,
+    with its artifacts in out_dir; the manifest, flushed as each branch
+    ends, marks any branch that failed.  Returns the Diagram."""
     p = params_from_config(cfg)
-    fam = continuation.hh_family(p)
     os.makedirs(out_dir, exist_ok=True)
     lo, hi = cfg["diagram.i_min"], cfg["diagram.i_max"]
-
     hopfs = scan_hopf(max(lo, 0.5), hi, 1.0, p)
-    hopf_events = [continuation.BifurcationEvent(
-        kind="hopf", I_star=I_star,
-        evidence={"omega": omega, "source": "equilibrium eigenvalues"})
-        for I_star, omega in hopfs]
     if verbose:
-        for ev in hopf_events:
-            print(f"hopf at I={ev.I_star:.6f}")
-
-    ctrl = continuation.StepControl(
-        initial=cfg["continuation.step.initial"],
-        max_step=cfg["continuation.step.max"],
-        min_step=cfg["continuation.step.min"],
-        collapse_amplitude=cfg["continuation.collapse_amplitude"],
-        max_orbit_jump=cfg["continuation.max_orbit_jump"])
-    max_pts = cfg["continuation.max_points"]
-    ad = continuation._SolverAdapter("hb", hb_K=cfg["solver.hb.k"],
-                                     hb_oversample=cfg["solver.hb.oversample"])
-
-    branches = []
+        for I_star, _ in hopfs:
+            print(f"hopf at I={I_star:.6f}")
     manifest = {"branches": [], "events": "pending"}
-    extra_events = list(hopf_events)
 
     def note(name, status):
         manifest["branches"].append({"name": name, "status": status})
         _flush_manifest(out_dir, manifest, cfg)
 
-    # stable seed
-    I_seed = min(max(cfg["diagram.i_seed"], lo), hi)
-    stable = _cold_start(p, I_seed, cfg)
-    fld = hh_field(p, I_seed)
-    fc = hb.solve_hb(stable, fld, ad._ops)
-    start = continuation.make_point(I_seed, fc, fld,
-                                    cfg["floquet.steps"])
-
-    # branch 0: stable, upward to the high-I Hopf endpoint
-    try:
-        up_ctrl = continuation.StepControl(
-            initial=0.5, max_step=2.0, min_step=ctrl.min_step,
-            collapse_amplitude=ctrl.collapse_amplitude,
-            max_orbit_jump=ctrl.max_orbit_jump)
-        br_up = continuation.continue_branch(
-            start, +1, (I_seed, hi), step_ctrl=up_ctrl, adapter=ad,
-            field_at=fam, spectrum_steps=cfg["floquet.steps"],
-            max_points=max_pts)
-        branches.append(br_up)
-        note("stable-up", "complete")
-    except HHCyclesError as exc:
-        note("stable-up", f"failed: {exc}")
-
-    # branch 1: from the low-I Hopf seed down through the folds and back
-    # up along the stable branch
-    if hopfs:
-        I2, omega2 = hopfs[0]
-        try:
-            seed = continuation.hopf_branch_seed(I2 - 0.02, omega2, 1.0, p)
-            fc2 = hb.solve_hb(seed, fam(I2 - 0.02), ad._ops)
-            start2 = continuation.make_point(I2 - 0.02, fc2, fam(I2 - 0.02),
-                                             cfg["floquet.steps"])
-            br_dn = continuation.continue_branch(
-                start2, -1, (lo, I_seed), step_ctrl=ctrl, adapter=ad,
-                field_at=fam, spectrum_steps=cfg["floquet.steps"],
-                max_points=max_pts)
-            branches.append(br_dn)
-            note("hopf-seeded", "complete")
-        except HHCyclesError as exc:
-            br_dn = None
-            note("hopf-seeded", f"failed: {exc}")
-    else:
-        br_dn = None
-
-    # events on the hopf-seeded branch: folds at the I-extrema, then the
-    # period-doubling crossing on the strongly unstable segment
-    if br_dn is not None and len(br_dn.points) > 4:
-        Is = [pt.I for pt in br_dn.points]
-        for j in continuation.turning_indices(Is):
-            try:
-                ev = continuation.locate_fold(
-                    br_dn, continuation.fold_bracket(br_dn, j),
-                    field_at=fam, adapter=ad,
-                    spectrum_steps=cfg["floquet.steps"])
-                extra_events.append(ev)
-                if verbose:
-                    print(f"fold at I={ev.I_star:.8f}")
-            except HHCyclesError as exc:
-                if verbose:
-                    print(f"fold refinement near I={Is[j]:.6f} failed: {exc}")
-        try:
-            ev = continuation.locate_pd(br_dn, continuation.pd_bracket(br_dn),
-                                        field_at=fam, adapter=ad,
-                                        spectrum_steps=cfg["floquet.steps"])
-            extra_events.append(ev)
-            if verbose:
-                print(f"period doubling at I={ev.I_star:.8f}")
-        except (NoSignChange, HHCyclesError) as exc:
-            if verbose:
-                print(f"period-doubling search: {exc}")
-
-    diagram = continuation.assemble_diagram(branches, extra_events)
+    diagram = continuation.diagram(
+        hopfs, (lo, hi), cfg["diagram.i_seed"], continuation.StepControl(
+            initial=cfg["continuation.step.initial"],
+            max_step=cfg["continuation.step.max"],
+            min_step=cfg["continuation.step.min"],
+            collapse_amplitude=cfg["continuation.collapse_amplitude"],
+            max_orbit_jump=cfg["continuation.max_orbit_jump"]),
+        cfg["solver.hb.k"], p, hb_oversample=cfg["solver.hb.oversample"],
+        shoot_tol=cfg["solver.shooting.tol"],
+        spectrum_steps=cfg["floquet.steps"],
+        max_points=cfg["continuation.max_points"], note=note)
+    if verbose:
+        for miss in diagram.misses:
+            print(miss)
     manifest["events"] = "complete"
     _flush_manifest(out_dir, manifest, cfg)
-    _write_diagram_files(diagram, branches, out_dir, cfg)
+    _write_diagram_files(diagram, out_dir, cfg)
     return diagram
 
 
@@ -533,7 +444,7 @@ def _flush_manifest(out_dir, manifest, cfg):
         fh.write("\n")
 
 
-def _write_diagram_files(diagram, branches, out_dir, cfg):
+def _write_diagram_files(diagram, out_dir, cfg):
     _write_csv(os.path.join(out_dir, "diagram.csv"), cfg,
                ["branch_id", "I", "stability", "v_min", "v_max", "period"],
                [(r["branch_id"], r["I"], r["stability"], r["v_min"],
@@ -542,7 +453,7 @@ def _write_diagram_files(diagram, branches, out_dir, cfg):
                ["kind", "I_star", "evidence"],
                [(e.kind, e.I_star, json.dumps(e.evidence, default=str))
                 for e in diagram.events])
-    for bid, br in enumerate(branches):
+    for bid, br in enumerate(diagram.branches.values()):
         for tag, attr in (("vmin", "v_min"), ("vmax", "v_max")):
             path = os.path.join(out_dir, f"branch_{bid}_{tag}.dat")
             with open(path, "w") as fh:

@@ -11,15 +11,16 @@ in T, the search parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import collocation, floquet, hb, model
+from . import collocation, floquet, hb, model, shooting
 from .cycles import PeriodicOrbit, check_orbit
-from .errors import (DegenerateCycle, MeshTooCoarse, NoConvergence,
-                     NoExtremum, NoSignChange, SingularJacobian, StartInvalid)
+from .errors import (DegenerateCycle, HHCyclesError, MeshTooCoarse,
+                     NoConvergence, NoExtremum, NoSignChange,
+                     SingularJacobian, StartInvalid)
 from .fields import VectorField, hh_field
 from .hb import FourierCycle
 
@@ -460,10 +461,14 @@ def hopf_branch_seed(I_star: float, omega0: float, amplitude: float,
 
 @dataclass
 class Diagram:
-    """Merged bifurcation diagram: per-point records plus the event list."""
+    """Merged bifurcation diagram: per-point records plus the event list,
+    and for a diagram() run the branches it followed."""
 
     records: List[dict]                 # branch_id, I, stability, v_min, v_max, period
     events: List[BifurcationEvent]
+    branches: Dict[str, Branch] = field(default_factory=dict)  # completed, by name
+    status: Dict[str, str] = field(default_factory=dict)  # complete | failed: why
+    misses: List[str] = field(default_factory=list)       # failed event searches
 
 
 def assemble_diagram(branches: Sequence[Branch],
@@ -519,3 +524,77 @@ def assemble_diagram(branches: Sequence[Branch],
         events.append(ev)
     events.sort(key=lambda e: e.I_star)
     return Diagram(records=records, events=events)
+
+
+def diagram(hopfs: Sequence[Tuple[float, float]], I_limits: Tuple[float, float],
+            I_seed: float, step_ctrl: StepControl, hb_K: int,
+            p: model.HHParams = model.DEFAULT_PARAMS,
+            hb_oversample: int = hb.DEFAULT_OVERSAMPLE, shoot_tol: float = 1e-10,
+            spectrum_steps: int = floquet.DEFAULT_SPECTRUM_STEPS,
+            max_points: int = 1000, note=lambda name, status: None) -> Diagram:
+    """The hb_K-harmonic bifurcation diagram of the Hodgkin-Huxley model over
+    I_limits, given the equilibrium's Hopf points (I*, omega), lowest first.
+
+    In order: a cold start at I_seed (clamped into I_limits); the
+    "stable-up" branch from there; the "hopf-seeded" branch from just below
+    the lowest Hopf point down through the folds and back up to I_seed;
+    locate_fold at each of its turning points, then locate_pd.  A branch
+    that fails is left out, its status saying why, and note(name, status)
+    is called as each branch ends; a failed event search is listed in misses.
+    """
+    fam = hh_family(p)
+    lo, hi = I_limits
+    ad = _SolverAdapter("hb", hb_K=hb_K, hb_oversample=hb_oversample)
+    events = [BifurcationEvent(kind="hopf", I_star=I_star, evidence={
+        "omega": omega, "source": "equilibrium eigenvalues"})
+        for I_star, omega in hopfs]
+    branches, status, misses = {}, {}, []
+
+    def point_at(I, guess):
+        fld = fam(I)
+        return make_point(I, hb.solve_hb(guess, fld, ad._ops), fld,
+                          spectrum_steps)
+
+    def follow(name, start, direction, limits, ctrl):
+        try:
+            branches[name] = continue_branch(
+                start(), direction, limits, step_ctrl=ctrl, adapter=ad,
+                field_at=fam, spectrum_steps=spectrum_steps,
+                max_points=max_points)
+            status[name] = "complete"
+        except HHCyclesError as exc:
+            status[name] = f"failed: {exc}"
+        note(name, status[name])
+
+    I_seed = min(max(I_seed, lo), hi)
+    stable = point_at(I_seed, shooting.cold_start(I_seed, p, shoot_tol))
+    # the stable branch is smooth up to its Hopf end: longer steps
+    follow("stable-up", lambda: stable, +1, (I_seed, hi),
+           replace(step_ctrl, initial=0.5, max_step=2.0))
+    if hopfs:
+        I0, omega = hopfs[0][0] - 0.02, hopfs[0][1]
+        follow("hopf-seeded",
+               lambda: point_at(I0, hopf_branch_seed(I0, omega, 1.0, p)),
+               -1, (lo, I_seed), step_ctrl)
+
+    # events on the hopf-seeded branch: folds at the I-extrema, then the
+    # period-doubling crossing on the strongly unstable segment
+    down = branches.get("hopf-seeded")
+    if down is not None and len(down.points) > 4:
+        Is = [pt.I for pt in down.points]
+        for j in turning_indices(Is):
+            try:
+                events.append(locate_fold(
+                    down, fold_bracket(down, j), field_at=fam, adapter=ad,
+                    spectrum_steps=spectrum_steps))
+            except HHCyclesError as exc:
+                misses.append(f"fold refinement near I={Is[j]:.6f} failed: "
+                              f"{exc}")
+        try:
+            events.append(locate_pd(down, pd_bracket(down), field_at=fam,
+                                    adapter=ad, spectrum_steps=spectrum_steps))
+        except HHCyclesError as exc:
+            misses.append(f"period-doubling search: {exc}")
+
+    return replace(assemble_diagram(list(branches.values()), events),
+                   branches=branches, status=status, misses=misses)

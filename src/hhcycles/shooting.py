@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import integrate, newton
+from . import integrate, model, newton
 from .cycles import PeriodicOrbit
 from .errors import NoOscillation, NonFinite
-from .fields import VectorField
+from .fields import VectorField, hh_field
 from .hb import from_trajectory
 from .integrate import Trajectory
 
@@ -186,3 +186,13 @@ def settle_transient(field: VectorField, settle_time: float,
     T = float(np.mean(np.diff(tc[-SETTLE_INTERVALS:])))
     return Cycle(period=T, samples=integrate.integrate_rk4(
         field, x[up[-2]], 0.0, T, T / CYCLE_SAMPLES))
+
+
+def cold_start(I: float, p: model.HHParams = model.DEFAULT_PARAMS,
+               tol: float = 1e-10) -> Cycle:
+    """Hodgkin-Huxley cycle at I from no guess: settle_transient from a
+    5 mV kick off the equilibrium for at most 300 ms, then shoot."""
+    fld = hh_field(p, I)
+    guess = settle_transient(fld, 300.0, x_start=model.find_equilibrium(I, p)
+                             + np.array([5.0, 0.0, 0.0, 0.0]))
+    return shoot(fld, guess, tol=tol)

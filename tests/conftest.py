@@ -1,20 +1,9 @@
 """Shared fixtures; the expensive cycle solves are session-scoped."""
 
-import numpy as np
 import pytest
 
 from hhcycles import hb, model, shooting
 from hhcycles.fields import hh_field
-
-
-def cold_start(I):
-    """Shooting cycle at I from a 5 mV kick off the equilibrium, a settle of
-    at most 300 ms and a 1e-12 shoot."""
-    fld = hh_field(I=I)
-    eq = model.find_equilibrium(I)
-    guess = shooting.settle_transient(fld, 300.0,
-                                      x_start=eq + np.array([5.0, 0, 0, 0]))
-    return shooting.shoot(fld, guess, tol=1e-12)
 
 
 @pytest.fixture(scope="session")
@@ -25,7 +14,7 @@ def field20():
 @pytest.fixture(scope="session")
 def stable_cycle_20():
     """Converged shooting cycle on the stable branch at I=20."""
-    return cold_start(20.0)
+    return shooting.cold_start(20.0, tol=1e-12)
 
 
 @pytest.fixture(scope="session")

@@ -12,10 +12,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hhcycles import collocation, continuation as ct
-from hhcycles import floquet, hb, integrate, model
+from hhcycles import cli, collocation, continuation as ct
+from hhcycles import floquet, hb, integrate, model, shooting
 from hhcycles.fields import harmonic_oscillator
-from conftest import cold_start
 
 FAM = ct.hh_family()
 CROSS_CURRENTS = (15.0, 20.0, 50.0, 100.0, 140.0)
@@ -39,66 +38,30 @@ def hopf_pair():
 
 
 @pytest.fixture(scope="module")
-def hb_adapter():
-    return ct._SolverAdapter("hb", hb_K=50)
+def pipeline(tmp_path_factory):
+    """The default `hhc diagram`: its branches by name, and its events.
 
-
-@pytest.fixture(scope="module")
-def branch_up(hb_adapter, stable_cycle_20):
-    """Stable branch from I=20 up to the high-current oscillation endpoint."""
-    fld = FAM(20.0)
-    fc = hb.solve_hb(stable_cycle_20.to_fourier(50), fld, hb_adapter._ops)
-    start = ct.make_point(20.0, fc, fld)
-    ctrl = ct.StepControl(initial=0.5, max_step=2.0, collapse_amplitude=0.4,
-                          max_orbit_jump=25.0)
-    return ct.continue_branch(start, +1, (20.0, 160.0), step_ctrl=ctrl,
-                              adapter=hb_adapter, field_at=FAM,
-                              max_points=200)
-
-
-@pytest.fixture(scope="module")
-def branch_down(hopf_pair, hb_adapter):
-    """Low-current branch chain seeded just inside the small Hopf point.
-
-    One continuation run traverses: small unstable cycles, the low knee
-    pair, the strongly unstable segment, the bottom knee, then back up the
-    stable branch to I=20.
+    The low-current branch is seeded just inside the small Hopf point and
+    traverses the small unstable cycles, the low knee pair, the strongly
+    unstable segment and the bottom knee, then comes back up the stable
+    branch to I=20.
     """
-    (I2, omega2), _, _ = hopf_pair
-    I0 = I2 - 0.02
-    seed = ct.hopf_branch_seed(I0, omega2, 1.0)
-    fc = hb.solve_hb(hb.resize(seed, 50), FAM(I0), hb_adapter._ops)
-    start = ct.make_point(I0, fc, FAM(I0))
-    ctrl = ct.StepControl(initial=0.05, max_step=0.25,
-                          collapse_amplitude=0.4, max_orbit_jump=25.0)
-    return ct.continue_branch(start, -1, (6.2, 20.0), step_ctrl=ctrl,
-                              adapter=hb_adapter, field_at=FAM,
-                              max_points=400)
+    return cli.run_diagram(cli.load_config(None),
+                           str(tmp_path_factory.mktemp("diagram")))
 
 
-def _extrema_indices(branch):
-    return ct.turning_indices([p.I for p in branch.points])
+def _hopf_seeded(pipeline):
+    return pipeline.branches["hopf-seeded"].points
 
 
 @pytest.fixture(scope="module")
-def fold_events(branch_down, hb_adapter):
-    """Turning points refined from the I-extrema of the low-current chain."""
-    events = []
-    for j in _extrema_indices(branch_down):
-        events.append(ct.locate_fold(
-            branch_down, ct.fold_bracket(branch_down, j),
-            field_at=FAM, adapter=hb_adapter))
-    return events
-
-
-@pytest.fixture(scope="module")
-def colloc_fold(branch_down):
+def colloc_fold(pipeline):
     """Bottom turning point recomputed with collocation.
 
     Fourier truncation rings on the near-fold spike and biases the fold
     current, so the certificate run uses the piecewise-polynomial solver.
     """
-    seed_pt = min((p for p in branch_down.points
+    seed_pt = min((p for p in _hopf_seeded(pipeline)
                    if p.spectrum.stability == "stable" and 6.27 < p.I < 6.6),
                   key=lambda p: abs(p.I - 6.33))
     ad = ct._SolverAdapter("collocation", coll_tol=2e-5, coll_max_N=1200)
@@ -110,7 +73,7 @@ def colloc_fold(branch_down):
     br = ct.continue_branch(start, -1, (6.2, 6.6), step_ctrl=ctrl,
                             adapter=ad, field_at=FAM, spectrum_steps=1000,
                             max_points=26)
-    ext = _extrema_indices(br)
+    ext = ct.turning_indices([p.I for p in br.points])
     assert ext, "collocation run failed to round the bottom turning point"
     j = ext[-1]
     ev = ct.locate_fold(br, ct.fold_bracket(br, j), field_at=FAM, adapter=ad)
@@ -188,13 +151,13 @@ def _shifted_series_v(fc, T):
 
 
 @pytest.fixture(scope="module")
-def cross_solver(hb_adapter):
+def cross_solver(hb_ops_50):
     """Shooting / collocation / Fourier solves of the same stable cycles."""
     out = {}
     for I in CROSS_CURRENTS:
         fld = FAM(I)
-        sc = cold_start(I)
-        fc = hb.solve_hb(sc.to_fourier(50), fld, hb_adapter._ops)
+        sc = shooting.cold_start(I, tol=1e-12)
+        fc = hb.solve_hb(sc.to_fourier(50), fld, hb_ops_50)
         cs = collocation.solve_bvp(fld, sc, tol=1e-5, N=200, max_N=2000)
 
         tr = integrate.integrate_rk4(fld, sc.anchor_state, 0.0, sc.period,
@@ -227,11 +190,11 @@ def test_criterion_1_hopf_currents(hopf_pair):
             f"runtime {elapsed:.2f}s")
 
 
-def test_criterion_2_stable_branch_span(branch_up, branch_down, hopf_pair,
-                                        colloc_fold):
+def test_criterion_2_stable_branch_span(pipeline, hopf_pair, colloc_fold):
     _, (I1, _), _ = hopf_pair
     _, fold5 = colloc_fold
-    stable = [p for br in (branch_up, branch_down) for p in br.points
+    branch_up = pipeline.branches["stable-up"]
+    stable = [p for br in pipeline.branches.values() for p in br.points
               if p.spectrum.stability == "stable"]
     Is = np.array([p.I for p in stable])
     lo_cov, hi_cov = Is.min(), Is.max()
@@ -260,9 +223,9 @@ def test_criterion_3_bottom_fold_collocation(colloc_fold):
             f"certificate mu={mu:.6f}, flags={ev.evidence['flags']}")
 
 
-def test_criterion_4_knee_folds(fold_events):
-    Is = sorted(e.I_star for e in fold_events
-                if 7.0 < e.I_star < 9.0)
+def test_criterion_4_knee_folds(pipeline):
+    Is = sorted(e.I_star for e in pipeline.events
+                if e.kind == "fold" and 7.0 < e.I_star < 9.0)
     ok = (len(Is) >= 2 and abs(Is[0] - 7.84655) <= 1e-3
           and abs(Is[-1] - 7.92199) <= 1e-3)
     _report(4, ok,
@@ -270,9 +233,8 @@ def test_criterion_4_knee_folds(fold_events):
             f"(want 7.84655 and 7.92199, +/- 1e-3)")
 
 
-def test_criterion_5_period_doubling(branch_down, hb_adapter):
-    ev = ct.locate_pd(branch_down, ct.pd_bracket(branch_down), field_at=FAM,
-                      adapter=hb_adapter)
+def test_criterion_5_period_doubling(pipeline):
+    ev, = (e for e in pipeline.events if e.kind == "period_doubling")
     I6 = ev.I_star
     # multiplier table at the located point: nearest refinement row
     row = min(ev.evidence["rows"], key=lambda r: abs(r["I"] - I6))
@@ -387,15 +349,14 @@ def test_criterion_8_property_suites():
             "(expc, Jacobian, transforms, order ratios, Floquet oracles)")
 
 
-def test_criterion_9_gibbs_ripple(branch_down, hb_adapter, cross_solver):
+def test_criterion_9_gibbs_ripple(pipeline, hb_ops_50, cross_solver):
     # the Fourier fold sits at I=6.26402, so no 50-harmonic solution exists
     # at 6.25; the ringing is demonstrated at 6.265, just above both folds
     I = 6.265
-    seed_pt = min((p for p in branch_down.points
+    seed_pt = min((p for p in _hopf_seeded(pipeline)
                    if p.spectrum.stability == "stable"),
                   key=lambda p: abs(p.I - I))
-    fc = hb.solve_hb(seed_pt.cycle.to_fourier(50), FAM(I),
-                     hb_adapter._ops)
+    fc = hb.solve_hb(seed_pt.cycle.to_fourier(50), FAM(I), hb_ops_50)
     cs = collocation.solve_bvp(FAM(I), fc, tol=1e-5, N=400, max_N=1600)
     # the two periods differ by 2e-3 this near the fold, so the shapes are
     # compared at equal phases, each cycle on its own period's grid

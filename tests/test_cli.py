@@ -1,6 +1,7 @@
 """Configuration handling, artifact round trips and CLI commands."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from hhcycles import cli, collocation, floquet, integrate, shooting
 from hhcycles.cli import ConfigError
 from hhcycles.fields import hh_field
 from test_floquet import make_spec
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -265,6 +268,38 @@ class TestCommands:
         assert lines[2] == "I,V,n,h,m,max_re,stability"
         stab = [ln.rsplit(",", 1)[1] for ln in lines[3:]]
         assert "stable" in stab and "unstable" in stab
+
+    def test_diagram_on_the_knee_window(self, tmp_path, capsys, monkeypatch):
+        # bench/tracing.py times these calls by module attribute: the
+        # pipeline must still make them where the benchmark can see them
+        monkeypatch.syspath_prepend(str(ROOT / "bench"))
+        import tracing
+        cfg = tmp_path / "knee.cfg"
+        cfg.write_text("diagram.i_min = 7.8\ndiagram.i_max = 20\n"
+                       "solver.hb.k = 30\nfloquet.steps = 1000\n")
+        patches, log = tracing.Patches(), tracing.CallLog()
+        log.install(patches)
+        try:
+            rc = cli.main(["--config", str(cfg), "--out", str(tmp_path),
+                           "diagram"])
+        finally:
+            patches.restore()
+        assert rc == 0
+        log.seed_cycle_s()
+        assert log.of("continue_branch") and log.of("locate_fold")
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert [b["status"] for b in manifest["branches"]] == ["complete"] * 2
+        points = int(capsys.readouterr().out.split()[0])
+        rows = (tmp_path / "diagram.csv").read_text().splitlines()[3:]
+        assert len(rows) == points
+        branches = sorted(tmp_path.glob("branch_*.json"))
+        assert len(branches) == 2
+        for path in branches:
+            json.loads(path.read_text())
+        # the evidence column is unquoted JSON: take the kind before it
+        events = (tmp_path / "events.csv").read_text().splitlines()[3:]
+        assert sorted(ln.split(",", 1)[0] for ln in events) == [
+            "fold", "fold", "hopf", "period_doubling"]
 
     def test_missing_config_file_is_usage_error(self, tmp_path):
         rc = cli.main(["--config", str(tmp_path / "nope.cfg"),
