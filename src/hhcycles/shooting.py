@@ -14,6 +14,13 @@ FLOW_STEPS // CYCLE_SAMPLES-th step, is the returned cycle, so no further
 pass samples it.  It converges fast on stable cycles; for strongly
 unstable cycles the forward flow amplifies roundoff and collocation /
 harmonic balance must be used instead.
+
+The guess of a cold start comes from settle_transient: an RK4 transient of
+SETTLE_STEP = 0.025 ms steps that stops once its last spike intervals agree.
+It reads each spike's crossing time off the cubic Hermite interpolant over
+the RK4 step that brackets it (crossing_times), whose O(h^4) error lets the
+intervals agree to SETTLE_RTOL at that step; the linear interpolant's
+O(h^2) error held the step to 0.01 ms.
 """
 
 from __future__ import annotations
@@ -74,13 +81,17 @@ class Cycle(PeriodicOrbit):
 
 FLOW_STEPS = 2000       # RK4 steps of one coupled flow in the shooting residual
 SHOOT_MAX_ITER = 30
-SETTLE_STEP = 0.01      # ms, RK4 step of the settling transient
+SETTLE_STEP = 0.025     # ms, RK4 step of the settling transient; at
+                        # 0.04 ms shoot takes one flow more
 MIN_AMPLITUDE = 1.0     # mV, smallest late-time V swing taken as oscillation
 SETTLE_BLOCK = 10.0     # ms, settle length between two checks of the stop rule
 SETTLE_INTERVALS = 4    # crossing intervals that must agree to stop settling;
                         # the guess averages the last SETTLE_INTERVALS - 1
 SETTLE_RTOL = 1e-6      # their relative spread; a looser stop hands shoot a
                         # worse period (80 ms at I=20: 2.7e-5 off, one more flow)
+CROSSING_STOL = 1e-15   # crossing time's last update, in units of the step
+CROSSING_MAX_ITER = 60  # safeguarded Newton iterations of a crossing time;
+                        # bisection alone would reach CROSSING_STOL in 50
 CYCLE_SAMPLES = 400     # steps over the one period stored with a cycle;
                         # shoot keeps every FLOW_STEPS // CYCLE_SAMPLES-th
                         # state of its pass, so this must divide FLOW_STEPS
@@ -132,13 +143,49 @@ def shoot(field: VectorField, guess: PeriodicOrbit, tol: float = 1e-10) -> Cycle
                                     traj.states[::every].copy()))
 
 
+def crossing_times(t0, t1, v0, v1, dv0, dv1, level):
+    """Times in each step [t0, t1] at which the cubic Hermite interpolant of
+    V, from V and dV/dt at both ends (v0, dv0 and v1, dv1), rises through
+    level, given v0 < level <= v1.
+
+    The dense output of a one-step method (Hairer, Norsett & Wanner,
+    Solving ODEs I, II.6): its crossing times err by O(h^4) where linear
+    interpolation's err by O(h^2).  The root is found by Newton from the
+    linear estimate, in the step's unit time s; a Newton iterate that
+    leaves the bracket the earlier iterates have narrowed is replaced by
+    the bracket's midpoint, so every iterate stays inside the step.
+    """
+    h = t1 - t0
+    g0, g1 = v0 - level, v1 - level
+    # the interpolant minus level as g0 + s (c1 + s (c2 + s c3)), 0 <= s <= 1
+    c1 = h * dv0
+    c2 = 3.0 * (g1 - g0) - h * (2.0 * dv0 + dv1)
+    c3 = 2.0 * (g0 - g1) + h * (dv0 + dv1)
+    lo, hi = np.zeros_like(h), np.ones_like(h)
+    s = g0 / (g0 - g1)
+    for _ in range(CROSSING_MAX_ITER):
+        g = g0 + s * (c1 + s * (c2 + s * c3))
+        lo, hi = np.where(g < 0.0, s, lo), np.where(g < 0.0, hi, s)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton_s = s - g / (c1 + s * (2.0 * c2 + 3.0 * s * c3))
+        inside = (newton_s >= lo) & (newton_s <= hi)
+        s, s_old = np.where(inside, newton_s, 0.5 * (lo + hi)), s
+        # Newton may flip the last bit of s for good
+        if np.all(np.abs(s - s_old) <= CROSSING_STOL):
+            break
+    return t0 + s * h
+
+
 def settle_transient(field: VectorField, settle_time: float,
                      x_start) -> Cycle:
     """One-period cycle guess extracted from a settling transient.
 
-    Integrates from x_start in blocks of SETTLE_BLOCK for at most
-    settle_time, and detects the period from upward crossings of the first
-    state component through its mean over the later half of the run.  It
+    Integrates from x_start by RK4 steps of SETTLE_STEP, in blocks of
+    SETTLE_BLOCK, for at most settle_time, and detects the period from
+    upward crossings of the first state component through its mean over
+    the later half of the run.  Each crossing time is the root of the
+    cubic Hermite interpolant over its step (crossing_times), whose O(h^4)
+    error lets the crossing intervals agree to SETTLE_RTOL at this step.  It
     stops at the first block end where the last SETTLE_INTERVALS crossing
     intervals agree to SETTLE_RTOL, or at settle_time.  Each block starts
     from the last state of the one before, so the states are those of one
@@ -167,10 +214,14 @@ def settle_transient(field: VectorField, settle_time: float,
         if swing >= MIN_AMPLITUDE:
             mean = 0.5 * (V[1:].max() + V[1:].min())
             up = lo + np.where((V[:-1] < mean) & (V[1:] >= mean))[0]
-            # linear interpolation of the crossing times
-            tc = t[up] + ((mean - x[up, 0]) / (x[up + 1, 0] - x[up, 0])
-                          * (t[up + 1] - t[up]))
-            intervals = np.diff(tc[-SETTLE_INTERVALS - 1:])
+            # the crossings the stop rule compares, in one field call on
+            # the states that bracket them
+            last = up[-SETTLE_INTERVALS - 1:]
+            bracket = x[np.concatenate([last, last + 1])]
+            dv0, dv1 = field.f(bracket)[:, 0].reshape(2, -1)
+            tc = crossing_times(t[last], t[last + 1], x[last, 0],
+                                x[last + 1, 0], dv0, dv1, mean)
+            intervals = np.diff(tc)
             if (len(intervals) == SETTLE_INTERVALS and np.ptp(intervals)
                     <= SETTLE_RTOL * intervals.mean()):
                 break

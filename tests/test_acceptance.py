@@ -151,12 +151,13 @@ def _shifted_series_v(fc, T):
 
 
 @pytest.fixture(scope="module")
-def cross_solver(hb_ops_50):
+def cross_solver(hb_ops_50, stable_cycle_20):
     """Shooting / collocation / Fourier solves of the same stable cycles."""
     out = {}
     for I in CROSS_CURRENTS:
         fld = FAM(I)
-        sc = shooting.cold_start(I, tol=1e-12)
+        sc = (stable_cycle_20 if I == 20.0
+              else shooting.cold_start(I, tol=1e-12))
         fc = hb.solve_hb(sc.to_fourier(50), fld, hb_ops_50)
         cs = collocation.solve_bvp(fld, sc, tol=1e-5, N=200, max_N=2000)
 

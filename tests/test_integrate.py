@@ -262,13 +262,18 @@ class TestRK4:
 
     def test_settle_has_one_sample_per_step(self, field20):
         # 30,000 steps of 0.01 ms: summing the step would stop just short
-        # of 300 ms and add a step of about 1e-10 ms
+        # of 300 ms and add a step of about 1e-10 ms; and the settle's own
+        # step over its 300 ms cap
         eq = model.find_equilibrium(20.0)
-        traj = integrate.integrate_rk4(field20, eq + [5.0, 0.0, 0.0, 0.0],
-                                       0.0, 300.0, shooting.SETTLE_STEP)
-        assert len(traj.times) == 30001
-        assert traj.times[-1] == 300.0
-        assert np.min(np.diff(traj.times)) > 0.999 * shooting.SETTLE_STEP
+        for h, steps in [(0.01, 30_000),
+                         (shooting.SETTLE_STEP,
+                          round(300.0 / shooting.SETTLE_STEP))]:
+            traj = integrate.integrate_rk4(field20,
+                                           eq + [5.0, 0.0, 0.0, 0.0],
+                                           0.0, 300.0, h)
+            assert len(traj.times) == steps + 1
+            assert traj.times[-1] == 300.0
+            assert np.min(np.diff(traj.times)) > 0.999 * h
 
     def test_cycle_samples_over_a_sweep_of_periods(self):
         # one sample per step of T / CYCLE_SAMPLES for every period; a

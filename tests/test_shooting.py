@@ -42,8 +42,9 @@ class TestSettleTransient:
                                         monkeypatch):
         steps = count_rk4_steps(monkeypatch)
         guess = shooting.settle_transient(field20, 300.0, x_start=kick(20.0))
-        # the spike intervals agree long before the 300 ms cap (30,000 steps)
-        assert steps[0] <= 15_000
+        # the spike intervals agree at 100 ms, long before the 300 ms cap:
+        # 4,000 settle steps and the 400 of the sample pass
+        assert steps[0] <= 5_000
         assert guess.period == pytest.approx(stable_cycle_20.period,
                                              abs=1e-5)
         # frozen oracle: the I=20 cycle period is near 11.5655 ms
@@ -59,7 +60,7 @@ class TestSettleTransient:
             shooting.settle_transient(fld, 300.0,
                                       x_start=eq + np.array([3.0, 0, 0, 0]))
         # no swing ends the settle early: it runs to the cap
-        assert steps[0] == 30_000
+        assert steps[0] == round(300.0 / shooting.SETTLE_STEP)
 
     def test_bistable_knee_current_returns_a_cycle(self):
         # at I=7 the kicked state is attracted by the stable cycle, not by
@@ -70,15 +71,76 @@ class TestSettleTransient:
         vmin, vmax = guess.v_extrema()
         assert vmax - vmin > 80.0
 
-    @pytest.mark.parametrize("I, max_flows", [(20.0, 2), (50.0, 2),
-                                              (100.0, 2), (150.0, 3)])
+    @pytest.mark.parametrize("I, stop", [(20.0, 100.0), (150.0, 250.0)])
+    def test_stops_when_a_finer_step_does(self, I, stop, monkeypatch):
+        ran = counting(monkeypatch, "integrate_rk4",
+                       lambda traj: traj.times[-1] - traj.times[0])
+        for h in [shooting.SETTLE_STEP, 0.01]:
+            monkeypatch.setattr(shooting, "SETTLE_STEP", h)
+            before = ran[0]
+            guess = shooting.settle_transient(hh_field(I=I), 300.0,
+                                              x_start=kick(I))
+            # the last pass samples the guess over one period
+            assert ran[0] - before - guess.period == pytest.approx(stop,
+                                                                   abs=1e-9)
+
+    # the flow counts and periods of shoot at tol 1e-10 from settles of
+    # 0.01 ms steps with linearly interpolated crossing times
+    @pytest.mark.parametrize("I, max_flows, period", [
+        pytest.param(I, flows, T, id=f"{I}-{flows}") for I, flows, T in [
+            (7.0, 2, 17.151063467520864), (9.8, 2, 14.749074422176765),
+            (20.0, 2, 11.565492387834501), (50.0, 2, 8.544621881907757),
+            (100.0, 2, 6.790361945064605), (150.0, 3, 5.9576196987155905)]])
     def test_shooting_from_the_guess_takes_few_flows(self, I, max_flows,
-                                                     monkeypatch):
+                                                     period, monkeypatch):
         fld = hh_field(I=I)
         guess = shooting.settle_transient(fld, 300.0, x_start=kick(I))
         flows = flow_passes(monkeypatch)
-        shooting.shoot(fld, guess, tol=1e-10)
+        cyc = shooting.shoot(fld, guess, tol=1e-10)
         assert 1 <= flows[0] <= max_flows
+        assert cyc.period == pytest.approx(period, rel=1e-12)
+
+
+class TestCrossingTimes:
+    LEVEL = 0.3     # V = sin t rises through it at asin(0.3)
+
+    def crossing_errors(self, h):
+        """Hermite and linear errors of the sin t crossing through LEVEL,
+        over steps of h that place it at three phases within the step."""
+        exact = np.arcsin(self.LEVEL)
+        t0 = exact - h * np.array([0.17, 0.5, 0.83])
+        t1 = t0 + h
+        tc = shooting.crossing_times(t0, t1, np.sin(t0), np.sin(t1),
+                                     np.cos(t0), np.cos(t1), self.LEVEL)
+        linear = t0 + ((self.LEVEL - np.sin(t0))
+                       / (np.sin(t1) - np.sin(t0)) * h)
+        return (np.max(np.abs(tc - exact)), np.max(np.abs(linear - exact)))
+
+    def test_error_falls_as_h_to_the_fourth(self):
+        # halving h cuts a third-order interpolant's crossing error by
+        # about 16x, where linear interpolation's falls by about 4x
+        (hermite_h, linear_h), (hermite_h2, linear_h2) = (
+            self.crossing_errors(0.2), self.crossing_errors(0.1))
+        assert hermite_h / hermite_h2 >= 12.0
+        assert linear_h / linear_h2 < 5.0
+        assert hermite_h < 1e-2 * linear_h
+
+    def test_root_stays_inside_the_step(self):
+        # slopes of either sign and any size make cubics whose Newton
+        # iterates from the linear estimate leave the step; the safeguard
+        # keeps the root inside it
+        rng = np.random.default_rng(3)
+        n = 2000
+        v0, v1 = -rng.uniform(0.0, 1.0, n) - 1e-3, rng.uniform(0.0, 1.0, n)
+        dv0, dv1 = rng.normal(0.0, 20.0, n), rng.normal(0.0, 20.0, n)
+        t0 = rng.uniform(-5.0, 5.0, n)
+        t1 = t0 + 1.0
+        tc = shooting.crossing_times(t0, t1, v0, v1, dv0, dv1, 0.0)
+        assert np.all((tc >= t0) & (tc <= t1))
+        s = tc - t0
+        cubic = (v0 * (1 - s) ** 2 * (1 + 2 * s) + dv0 * s * (1 - s) ** 2
+                 + v1 * s * s * (3 - 2 * s) - dv1 * s * s * (1 - s))
+        assert np.max(np.abs(cubic)) < 1e-12
 
 
 class TestShoot:
@@ -119,7 +181,9 @@ class TestShoot:
         cyc = shooting.shoot(field20, guess, tol=1e-10)
         assert builds[0] == steps[0] >= 1
         assert flows[0] > builds[0]
-        assert cyc.period == 11.565492387834501
+        assert cyc.period == 11.56549238783445
+        # the period shoot converged to from the 0.01 ms settle's guess
+        assert cyc.period == pytest.approx(11.565492387834501, rel=1e-13)
 
     def test_cycle_is_the_converged_pass(self, field20, monkeypatch):
         # the samples are states of the last residual pass: no further pass
