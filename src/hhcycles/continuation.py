@@ -4,9 +4,10 @@ Secant pseudo-arclength continuation in the (I, T) plane: each step moves
 along the secant through the last two points and corrects on the line
 through the predicted point orthogonal to it, with (cycle, T, I) unknown,
 so a turning point in I is an ordinary step.  Folds are then pinned down as
-extrema of I(T) along the branch, and period-doubling points as sign
-changes of det(M + I) along T; both searches take points that are monotone
-in T, the search parameter.
+extrema of I(T) from the branch points around a turn in I, and
+period-doubling points as sign changes of det(M + I) between neighbouring
+branch points; both searches refine in T, the search parameter, from the
+branch points that bracket the event.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import numpy as np
 from . import collocation, floquet, hb, model, shooting
 from .cycles import PeriodicOrbit, check_orbit
 from .errors import (DegenerateCycle, HHCyclesError, MeshTooCoarse,
-                     NoConvergence, NoExtremum, NoSignChange,
-                     SingularJacobian, StartInvalid)
+                     NoConvergence, NoExtremum, SingularJacobian,
+                     StartInvalid)
 from .fields import VectorField, hh_field
 from .hb import FourierCycle
 
@@ -295,14 +296,9 @@ def turning_indices(Is: Sequence[float]) -> List[int]:
             if (Is[j] - Is[j - 1]) * (Is[j + 1] - Is[j]) < 0]
 
 
-def fold_bracket(branch: Branch, j: int) -> Tuple[int, int]:
-    """Index window of the fold search centred on the turning index j; the
-    search takes the part of it on the branch."""
-    return j - 4, j + 4
-
-
-def pd_bracket(branch: Branch) -> Optional[Tuple[int, int]]:
-    """Index window of the period-doubling search (None: the whole branch).
+def pd_bracket(branch: Branch) -> range:
+    """Branch indices of the period-doubling search, in branch order; every
+    index when I turns back fewer than twice along the branch.
 
     The doubling sits just below the upper knee; a second -1 crossing
     exists further down the same segment where the multiplier pair splits
@@ -311,47 +307,31 @@ def pd_bracket(branch: Branch) -> Optional[Tuple[int, int]]:
     """
     ext = turning_indices([pt.I for pt in branch.points])
     if len(ext) < 2:
-        return None
+        return range(len(branch.points))
     # one point past the turn: the doubling can lie between the last point
     # before the fold and the fold itself
-    return (ext[0] + 3 * (ext[1] - ext[0]) // 4, ext[1] + 1)
+    return range(ext[0] + 3 * (ext[1] - ext[0]) // 4, ext[1] + 2)
 
 
-def _bracket_slice(branch: Branch, bracket) -> List[int]:
-    """Branch indices in the index window bracket (all of them for None).
-
-    Indices, not currents, select the window: I is double-valued at a fold.
-    """
-    n = len(branch.points)
-    a, b = bracket or (0, n - 1)
-    return list(range(max(min(a, b), 0), min(max(a, b) + 1, n)))
-
-
-def locate_fold(branch: Branch, bracket,
+def locate_fold(branch: Branch, j: int,
                 field_at: Callable[[float], VectorField],
                 adapter: _SolverAdapter,
                 spectrum_steps: int = floquet.DEFAULT_SPECTRUM_STEPS) -> BifurcationEvent:
-    """Pin down a turning point as the extremum of I along the branch.
+    """Pin down the turning point at branch index j, one of turning_indices,
+    as the extremum of I along the branch.
 
-    The turning point refined is the one nearest the middle of the bracket,
-    the j of fold_bracket(branch, j): the bracket can hold a second fold.
     T is monotone through the fold, so repeated T-pinned solves give I(T)
-    pointwise; a quadratic fit through the three samples nearest the
-    extremum is iterated until the vertex period stops moving by more than
-    FOLD_TOL, or lands on the period of a sample it already holds.  The
-    certificate is the nontrivial multiplier closest to +1 there.
+    pointwise; a quadratic fit through the samples, first the branch
+    points j - 1, j and j + 1, then the three nearest the extremum, is
+    iterated until the vertex period stops moving by more than FOLD_TOL,
+    or lands on the period of a sample it already holds.  The certificate
+    is the nontrivial multiplier closest to +1 there.  Raises NoExtremum
+    unless I turns back at j.
     """
-    ids = _bracket_slice(branch, bracket)
-    if len(ids) < 3:
-        raise NoExtremum("bracket holds fewer than three branch points")
-    ext = turning_indices([branch.points[i].I for i in ids])
-    if not ext:
-        raise NoExtremum("no interior extremum of I in the bracket")
-    mid = 0.5 * sum(bracket or (0, len(branch.points) - 1))
-    k = min(ext, key=lambda e: abs(ids[e] - mid))
-
-    samples = [(branch.points[ids[j]].period, branch.points[ids[j]].I,
-                branch.points[ids[j]].cycle) for j in (k - 1, k, k + 1)]
+    if j not in turning_indices([pt.I for pt in branch.points]):
+        raise NoExtremum(f"I does not turn back at branch point {j}")
+    samples = [(pt.period, pt.I, pt.cycle)
+               for pt in branch.points[j - 1:j + 2]]
     T_prev = None
     for _ in range(FOLD_MAX_ITER):
         samples.sort(key=lambda s: s[0])
@@ -390,46 +370,42 @@ def locate_fold(branch: Branch, bracket,
                   "flags": sorted(spec.flags)})
 
 
-def locate_pd(branch: Branch, bracket,
+def locate_pd(branch: Branch, ids: Sequence[int],
               field_at: Callable[[float], VectorField],
               adapter: _SolverAdapter,
               spectrum_steps: int = floquet.DEFAULT_SPECTRUM_STEPS) -> BifurcationEvent:
     """Locate a period-doubling point, where a real multiplier crosses -1
-    (floquet.detect_crossing).
+    (floquet.detect_crossing), between two neighbours among the branch
+    points ids, taken in branch order (pd_bracket).
 
-    The search parameter is T, monotone over the bracket even where it runs
-    past a turning point in I.  The bracketed branch points supply the
-    initial sign change; refinement re-solves the cycle at pinned trial
-    periods (seeded from the nearest accepted point) and re-evaluates the
+    The search parameter is T, which moves one way between neighbouring
+    branch points even where I turns back.  Refinement re-solves the
+    cycle at pinned trial periods, each seeded from the nearer in T of the
+    two branch points that bracket the sign change, and re-evaluates the
     spectrum.  I* comes from a last solve at the crossing period.
     """
-    ids = _bracket_slice(branch, bracket)
-    if len(ids) < 2:
-        raise NoSignChange("bracket holds fewer than two branch points")
-    ids.sort(key=lambda i: branch.points[i].period)
-    pts = [(branch.points[i].period, branch.points[i].spectrum) for i in ids]
+    pts = [branch.points[i] for i in ids]
     evidence_rows = []
 
-    def solve_at(T):
-        near = min((branch.points[i] for i in ids),
-                   key=lambda p: abs(p.period - T))
+    def solve_at(T, a):
+        near = min(pts[a], pts[a + 1], key=lambda p: abs(p.period - T))
         return adapter.correct(field_at, near.cycle, T, near.I, (1.0, 0.0, T))
 
-    def spectrum_at(T):
-        cyc, I = solve_at(T)
+    def spectrum_at(T, a):
+        cyc, I = solve_at(T, a)
         spec = floquet.spectrum(cyc, field_at(I), nsteps=spectrum_steps)
         evidence_rows.append(
             {"I": float(I), "period": float(T),
              "multipliers": [complex(m) for m in spec.all_multipliers()]})
         return spec
 
-    T_star = floquet.detect_crossing(pts, spectrum_at, tol=PD_TOL)
-    _, I_star = solve_at(T_star)
+    T_star, a = floquet.detect_crossing(
+        [(p.period, p.spectrum) for p in pts], spectrum_at, tol=PD_TOL)
+    _, I_star = solve_at(T_star, a)
     return BifurcationEvent(
         kind="period_doubling", I_star=float(I_star),
         evidence={"rows": evidence_rows, "period": float(T_star),
-                  "bracket": [float(branch.points[ids[0]].I),
-                              float(branch.points[ids[-1]].I)]})
+                  "bracket": [float(pts[0].I), float(pts[-1].I)]})
 
 
 def hopf_branch_seed(I_star: float, omega0: float, amplitude: float,
@@ -584,9 +560,8 @@ def diagram(hopfs: Sequence[Tuple[float, float]], I_limits: Tuple[float, float],
         Is = [pt.I for pt in down.points]
         for j in turning_indices(Is):
             try:
-                events.append(locate_fold(
-                    down, fold_bracket(down, j), field_at=fam, adapter=ad,
-                    spectrum_steps=spectrum_steps))
+                events.append(locate_fold(down, j, field_at=fam, adapter=ad,
+                                          spectrum_steps=spectrum_steps))
             except HHCyclesError as exc:
                 misses.append(f"fold refinement near I={Is[j]:.6f} failed: "
                               f"{exc}")

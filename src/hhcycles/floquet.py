@@ -154,21 +154,23 @@ def _gap(spec: FloquetSpectrum) -> float:
 
 
 def detect_crossing(points: Sequence[Tuple[float, FloquetSpectrum]],
-                    spectrum_at: Callable[[float], FloquetSpectrum],
-                    tol: float = 1e-6) -> float:
-    """Parameter value where a real multiplier crosses -1.
+                    spectrum_at: Callable[[float, int], FloquetSpectrum],
+                    tol: float = 1e-6) -> Tuple[float, int]:
+    """Parameter value where a real multiplier crosses -1, and the index a
+    of the samples points[a], points[a + 1] that bracket it.
 
-    points is a sequence of (p, FloquetSpectrum) monotone in the search
-    parameter p.  The test function prod(mu + 1) over the nontrivial
-    multipliers (Kuznetsov, Elements of Applied Bifurcation Theory, 10.2)
-    changes sign exactly where a real multiplier crosses -1, also when it
-    then collides with another and leaves the real axis before the next
-    sample.  Of the sampled sign changes, the one whose ends hold
-    multipliers nearest -1 is refined by newton.bracketed_root on fresh
-    spectra from spectrum_at, until a step is below tol.  A jump of the
-    test function is a sign change but no crossing, so the last spectrum
-    evaluated must hold a multiplier within 0.5 of -1, or TrackingLost is
-    raised.
+    points is a sequence of (p, FloquetSpectrum) in the order of the
+    branch they sample, so each neighbouring pair brackets an interval of
+    the search parameter p.  The test function prod(mu + 1) over the
+    nontrivial multipliers (Kuznetsov, Elements of Applied Bifurcation
+    Theory, 10.2) changes sign exactly where a real multiplier crosses -1,
+    also when it then collides with another and leaves the real axis before
+    the next sample.  Of the sign changes between neighbours, the one whose
+    ends hold multipliers nearest -1 is refined by newton.bracketed_root on
+    fresh spectra spectrum_at(p, a), until a step is below tol.  A jump of
+    the test function is a sign change but no crossing, so the last
+    spectrum evaluated must hold a multiplier within 0.5 of -1, or
+    TrackingLost is raised.
     """
     if len(points) < 2:
         raise NoSignChange("need at least two sampled spectra")
@@ -182,7 +184,7 @@ def detect_crossing(points: Sequence[Tuple[float, FloquetSpectrum]],
     evaluated = [points[a + 1][1]]
 
     def psi_at(p):
-        evaluated.append(spectrum_at(p))
+        evaluated.append(spectrum_at(p, a))
         return _pd_test(evaluated[-1])
 
     p_star = bracketed_root(psi_at, ps[a], ps[a + 1], psi[a], psi[a + 1], tol)
@@ -191,4 +193,4 @@ def detect_crossing(points: Sequence[Tuple[float, FloquetSpectrum]],
         raise TrackingLost(
             f"prod(mu + 1) changes sign at {p_star:.8g}, but no multiplier "
             f"lies within 0.5 of -1 there (nearest {gap:.3g} away)")
-    return p_star
+    return p_star, a

@@ -1,5 +1,6 @@
 """The damped Newton iteration shared by the three cycle solvers, and the
-bracketed scalar root finder shared by the Hopf and period-doubling searches.
+bracketed scalar root finder shared by the Hopf and period-doubling searches
+and the settle's crossing times.
 
 Each solver brings its residual and its Newton step (Jacobian assembly and
 linear solve); the step halving, acceptance rule, stall stop and the rule

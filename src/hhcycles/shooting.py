@@ -18,7 +18,8 @@ harmonic balance must be used instead.
 The guess of a cold start comes from settle_transient: an RK4 transient of
 SETTLE_STEP = 0.025 ms steps that stops once its last spike intervals agree.
 It reads each spike's crossing time off the cubic Hermite interpolant over
-the RK4 step that brackets it (crossing_times), whose O(h^4) error lets the
+the RK4 step that brackets it, as the root that newton.bracketed_root finds
+on that step (crossing_times).  The interpolant's O(h^4) error lets the
 intervals agree to SETTLE_RTOL at that step; the linear interpolant's
 O(h^2) error held the step to 0.01 ms.
 """
@@ -46,11 +47,6 @@ class Cycle(PeriodicOrbit):
     samples: Trajectory
 
     dense = False
-
-    @property
-    def anchor_state(self) -> np.ndarray:
-        """The first sample, where the period starts."""
-        return self.samples.states[0]
 
     def evaluate_time(self, t):
         """Linear interpolation between the samples, wrapped to one period."""
@@ -90,8 +86,6 @@ SETTLE_INTERVALS = 4    # crossing intervals that must agree to stop settling;
 SETTLE_RTOL = 1e-6      # their relative spread; a looser stop hands shoot a
                         # worse period (80 ms at I=20: 2.7e-5 off, one more flow)
 CROSSING_STOL = 1e-15   # crossing time's last update, in units of the step
-CROSSING_MAX_ITER = 60  # safeguarded Newton iterations of a crossing time;
-                        # bisection alone would reach CROSSING_STOL in 50
 CYCLE_SAMPLES = 400     # steps over the one period stored with a cycle;
                         # shoot keeps every FLOW_STEPS // CYCLE_SAMPLES-th
                         # state of its pass, so this must divide FLOW_STEPS
@@ -150,10 +144,9 @@ def crossing_times(t0, t1, v0, v1, dv0, dv1, level):
 
     The dense output of a one-step method (Hairer, Norsett & Wanner,
     Solving ODEs I, II.6): its crossing times err by O(h^4) where linear
-    interpolation's err by O(h^2).  The root is found by Newton from the
-    linear estimate, in the step's unit time s; a Newton iterate that
-    leaves the bracket the earlier iterates have narrowed is replaced by
-    the bracket's midpoint, so every iterate stays inside the step.
+    interpolation's err by O(h^2).  Each root is found in the step's unit
+    time s by newton.bracketed_root on [0, 1], whose iterates stay inside
+    the step.
     """
     h = t1 - t0
     g0, g1 = v0 - level, v1 - level
@@ -161,19 +154,12 @@ def crossing_times(t0, t1, v0, v1, dv0, dv1, level):
     c1 = h * dv0
     c2 = 3.0 * (g1 - g0) - h * (2.0 * dv0 + dv1)
     c3 = 2.0 * (g0 - g1) + h * (dv0 + dv1)
-    lo, hi = np.zeros_like(h), np.ones_like(h)
-    s = g0 / (g0 - g1)
-    for _ in range(CROSSING_MAX_ITER):
-        g = g0 + s * (c1 + s * (c2 + s * c3))
-        lo, hi = np.where(g < 0.0, s, lo), np.where(g < 0.0, hi, s)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton_s = s - g / (c1 + s * (2.0 * c2 + 3.0 * s * c3))
-        inside = (newton_s >= lo) & (newton_s <= hi)
-        s, s_old = np.where(inside, newton_s, 0.5 * (lo + hi)), s
-        # Newton may flip the last bit of s for good
-        if np.all(np.abs(s - s_old) <= CROSSING_STOL):
-            break
-    return t0 + s * h
+
+    def root(g0, g1, c1, c2, c3):
+        return newton.bracketed_root(
+            lambda s: g0 + s * (c1 + s * (c2 + s * c3)), 0.0, 1.0, g0, g1,
+            CROSSING_STOL)
+    return t0 + np.vectorize(root, otypes=[float])(g0, g1, c1, c2, c3) * h
 
 
 def settle_transient(field: VectorField, settle_time: float,

@@ -75,8 +75,7 @@ def colloc_fold(pipeline):
                             max_points=26)
     ext = ct.turning_indices([p.I for p in br.points])
     assert ext, "collocation run failed to round the bottom turning point"
-    j = ext[-1]
-    ev = ct.locate_fold(br, ct.fold_bracket(br, j), field_at=FAM, adapter=ad)
+    ev = ct.locate_fold(br, ext[-1], field_at=FAM, adapter=ad)
     return br, ev
 
 
@@ -161,8 +160,8 @@ def cross_solver(hb_ops_50, stable_cycle_20):
         fc = hb.solve_hb(sc.to_fourier(50), fld, hb_ops_50)
         cs = collocation.solve_bvp(fld, sc, tol=1e-5, N=200, max_N=2000)
 
-        tr = integrate.integrate_rk4(fld, sc.anchor_state, 0.0, sc.period,
-                                     sc.period / 16384)
+        tr = integrate.integrate_rk4(fld, sc.samples.states[0], 0.0,
+                                     sc.period, sc.period / 16384)
         T = cs.period
         coll_V = lambda t: cs.evaluate_time(t)[:, 0]
         shoot_V = lambda s: np.interp((_v_grid(T) + s) % sc.period,

@@ -475,37 +475,31 @@ class TestCyclePredictor:
 
 
 class TestBracketSlice:
-    def test_none_selects_all(self):
-        br = fake_branch([1.0, 2.0, 3.0])
-        assert ct._bracket_slice(br, None) == [0, 1, 2]
-
-    def test_index_pair_selects_window(self):
-        br = fake_branch([5.0, 4.0, 3.0, 4.0, 5.0])
-        assert ct._bracket_slice(br, (1, 3)) == [1, 2, 3]
-
-    def test_window_is_clipped_to_the_branch(self):
-        br = fake_branch([5.0, 4.0, 3.0, 4.0, 5.0])
-        assert ct.fold_bracket(br, 2) == (-2, 6)
-        assert ct._bracket_slice(br, ct.fold_bracket(br, 2)) == [0, 1, 2, 3, 4]
-
     def test_pd_bracket_is_the_quarter_before_the_second_turn(self):
         br = fake_branch([5.0, 4.0, 3.0, 2.0, 1.0, 0.0, 1.0, 2.0, 3.0, 4.0,
                           5.0, 6.0, 7.0, 8.0, 9.0, 8.0])
         assert ct.turning_indices([p.I for p in br.points]) == [5, 14]
-        assert ct.pd_bracket(br) == (11, 15)
-        assert ct.pd_bracket(fake_branch([3.0, 2.0, 1.0, 2.0])) is None
+        assert ct.pd_bracket(br) == range(11, 16)
+        # with fewer than two turns the search takes the whole branch
+        assert ct.pd_bracket(fake_branch([3.0, 2.0, 1.0, 2.0])) == range(4)
 
 
 class TestLocators:
     def test_fold_needs_three_points(self):
         br = fake_branch([1.0, 2.0])
         with pytest.raises(NoExtremum):
-            ct.locate_fold(br, None, lambda I: I, FoldCorrector())
+            ct.locate_fold(br, 1, lambda I: I, FoldCorrector())
 
     def test_fold_needs_an_extremum(self):
         br = fake_branch([1.0, 2.0, 3.0, 4.0])
         with pytest.raises(NoExtremum):
-            ct.locate_fold(br, None, lambda I: I, FoldCorrector())
+            ct.locate_fold(br, 1, lambda I: I, FoldCorrector())
+        # only an interior index where I turns back is a fold's: I turns
+        # at 2 here, and never at the ends
+        br = fake_branch([3.0, 2.0, 1.0, 2.0, 3.0])
+        for j in (-1, 0, 1, 3, 4, 5):
+            with pytest.raises(NoExtremum):
+                ct.locate_fold(br, j, lambda I: I, FoldCorrector())
 
     def test_fold_vertex_iteration_lands_on_the_turning_point(self,
                                                               monkeypatch):
@@ -519,8 +513,7 @@ class TestLocators:
             return make_spec((1.0005, 0.1, 0.0))
         monkeypatch.setattr(floquet, "spectrum", spectrum)
         j, = ct.turning_indices([p.I for p in br.points])
-        assert ct.fold_bracket(br, j) == (-1, 7)
-        ev = ct.locate_fold(br, ct.fold_bracket(br, j), field_at=lambda I: I,
+        ev = ct.locate_fold(br, j, field_at=lambda I: I,
                             adapter=FoldCorrector(), spectrum_steps=123)
         assert ev.I_star == pytest.approx(1.0, abs=1e-12)
         assert ev.evidence["period"] == pytest.approx(2.0)
@@ -546,7 +539,7 @@ class TestLocators:
                                                              monkeypatch):
         br = self.fold_at_roundoff(monkeypatch)
         ad = FoldCorrector()
-        ev = ct.locate_fold(br, None, field_at=lambda I: I, adapter=ad)
+        ev = ct.locate_fold(br, 1, field_at=lambda I: I, adapter=ad)
         assert ev.I_star == pytest.approx(1.0, abs=1e-15)
         assert ev.evidence["period"] == pytest.approx(2.0, abs=1e-9)
         # the first vertex is the middle sample's period: no solve is spent
@@ -562,7 +555,7 @@ class TestLocators:
         br = self.fold_at_roundoff(monkeypatch, mid=0.95)
         monkeypatch.setattr(ct, "FOLD_TOL", 0.0)
         ad = FoldCorrector()
-        ev = ct.locate_fold(br, None, field_at=lambda I: I, adapter=ad)
+        ev = ct.locate_fold(br, 1, field_at=lambda I: I, adapter=ad)
         assert len(ad.rows) < ct.FOLD_MAX_ITER
         assert ev.evidence["period"] == ad.rows[-1][2]
         assert ev.I_star == pytest.approx(1.0, abs=1e-15)
@@ -571,7 +564,8 @@ class TestLocators:
     def test_two_folds_three_points_apart_are_each_located(self,
                                                            monkeypatch):
         # I = u^3/3 - u with u = T - 2 turns at T = 1 (I = 2/3) and at
-        # T = 3 (I = -2/3); each fold's bracket holds the other one too
+        # T = 3 (I = -2/3), three branch points apart; each search starts
+        # from the points around its own turn
         monkeypatch.setattr(floquet, "spectrum",
                             lambda *args, **kwargs: make_spec((1.0, 0.1, 0.0)))
 
@@ -588,8 +582,8 @@ class TestLocators:
         br = fake_branch(current(Ts), periods=Ts)
         turns = ct.turning_indices([p.I for p in br.points])
         assert turns == [2, 5]
-        folds = [ct.locate_fold(br, ct.fold_bracket(br, j), lambda I: I,
-                                CubicCorrector()) for j in turns]
+        folds = [ct.locate_fold(br, j, lambda I: I, CubicCorrector())
+                 for j in turns]
         assert [ev.evidence["period"] for ev in folds] == [
             pytest.approx(1.0, abs=1e-4), pytest.approx(3.0, abs=1e-4)]
         assert [ev.I_star for ev in folds] == [
@@ -599,7 +593,7 @@ class TestLocators:
     def test_pd_needs_two_points(self):
         br = fake_branch([1.0])
         with pytest.raises(NoSignChange):
-            ct.locate_pd(br, None, lambda I: I, FoldCorrector())
+            ct.locate_pd(br, ct.pd_bracket(br), lambda I: I, FoldCorrector())
 
     def test_pd_between_the_last_sample_and_the_fold(self, monkeypatch):
         # the multiplier crosses -1 at T=2.03, between the sample at 2.06
@@ -616,11 +610,56 @@ class TestLocators:
         br = ct.Branch(points=[fake_point(I, period=T, mus=(mu(T), 0.1, 0.0))
                                for I, T in zip(Is, Ts)],
                        events=[], solver="hb")
-        assert ct.pd_bracket(br) == (5, 7)
+        assert ct.pd_bracket(br) == range(5, 8)
         ev = ct.locate_pd(br, ct.pd_bracket(br), field_at=lambda I: I,
                           adapter=FoldCorrector())
         assert ev.evidence["period"] == pytest.approx(2.03, abs=1e-9)
         assert ev.I_star == pytest.approx(fold_current(2.03), abs=1e-12)
+
+    def test_pd_refines_a_sign_change_between_branch_neighbours(
+            self, monkeypatch):
+        # I rises along the whole branch while T rises over points 0-3 and
+        # falls back over 4-7, so the two segments' periods interleave.  A
+        # multiplier crosses -1 at T = 3.2 on the second segment alone,
+        # between points 5 and 6; sorted by T, the points would also pair
+        # the segments, with sign changes of det(M + I) between them.  The
+        # second segment is where I >= 4
+        def mu(I, T):
+            return -1.0 + 0.5 * (3.2 - T) if I >= 4.0 else -0.5
+
+        def current(I, T):
+            return 8.5 - T if I >= 4.0 else T - 1.0
+
+        def spectrum(cyc, fld, nsteps=None):
+            return make_spec((mu(fld, cyc.period), 0.1, 0.0))
+        monkeypatch.setattr(floquet, "spectrum", spectrum)
+        Ts = [1.0, 2.0, 3.0, 4.0, 4.5, 3.5, 2.5, 1.5]
+        Is = [current(I, T) for I, T in zip([0.0] * 4 + [4.0] * 4, Ts)]
+        assert Is == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]
+        br = ct.Branch(points=[fake_point(I, period=T,
+                                          mus=(mu(I, T), 0.1, 0.0))
+                               for I, T in zip(Is, Ts)],
+                       events=[], solver="hb")
+        assert ct.turning_indices(Is) == []
+
+        class SegmentCorrector:
+            """The point at period T on the segment of the seed."""
+
+            def __init__(self):
+                self.seeds = []
+
+            def correct(self, field_at, predictor, T, I, row):
+                self.seeds.append(predictor)
+                return FoldCycle(T), current(I, T)
+
+        ad = SegmentCorrector()
+        ev = ct.locate_pd(br, ct.pd_bracket(br), field_at=lambda I: I,
+                          adapter=ad)
+        assert ev.evidence["period"] == pytest.approx(3.2, abs=1e-9)
+        assert ev.I_star == pytest.approx(8.5 - 3.2, abs=1e-9)
+        assert ad.seeds and all(
+            seed is br.points[5].cycle or seed is br.points[6].cycle
+            for seed in ad.seeds)
 
 
 class TestHopfSeed:

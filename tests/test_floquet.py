@@ -150,15 +150,16 @@ class TestStabilizedProduct:
 class TestDetectCrossing:
     @staticmethod
     def family(slope=1.0, root=3.0, idle=0.3):
-        def spectrum_at(I):
+        def spectrum_at(I, a=None):
             return make_spec([-1.0 + slope * (I - root), idle])
         return spectrum_at
 
     def test_secant_refinement_finds_root(self):
         sat = self.family()
         pts = [(I, sat(I)) for I in (2.0, 2.7, 3.4, 4.0)]
-        I_star = floquet.detect_crossing(pts, spectrum_at=sat, tol=1e-10)
+        I_star, a = floquet.detect_crossing(pts, spectrum_at=sat, tol=1e-10)
         assert I_star == pytest.approx(3.0, abs=1e-8)
+        assert a == 1
 
     def test_no_sign_change_raises(self):
         sat = self.family()
@@ -173,9 +174,15 @@ class TestDetectCrossing:
                (2.0, make_spec([8.0, 0.2])),     # fake flip, wide bracket
                (3.0, make_spec([-1.2, 0.2])),
                (4.0, make_spec([-0.8, 0.2]))]    # true flip, tight bracket
-        I_star = floquet.detect_crossing(
-            seq, spectrum_at=lambda I: make_spec([-1.2 + 0.4 * (I - 3.0), 0.2]))
+        pairs = []
+
+        def sat(I, a):
+            pairs.append(a)
+            return make_spec([-1.2 + 0.4 * (I - 3.0), 0.2])
+        I_star, a = floquet.detect_crossing(seq, spectrum_at=sat)
         assert 3.0 < I_star < 4.0
+        # the refinement and its result name the samples that bracket it
+        assert a == 2 and pairs and set(pairs) == {2}
 
     def test_crossing_before_a_collision_is_bracketed_by_the_samples(self):
         # multipliers -10 +- sqrt(100 (1 - I^2)): the upper one crosses -1 at
@@ -185,18 +192,19 @@ class TestDetectCrossing:
         # (times 1 + 1e-9) changes sign between them
         calls = []
 
-        def sat(I):
+        def sat(I, a=None):
             calls.append(I)
             s = np.sqrt(complex(100.0 * (1.0 - I * I)))
             return make_spec([-10.0 + s, -10.0 - s, 1e-9])
         pts = [(I, sat(I)) for I in (0.0, 1.5)]
         del calls[:]
-        I_star = floquet.detect_crossing(pts, spectrum_at=sat, tol=1e-10)
+        I_star, a = floquet.detect_crossing(pts, spectrum_at=sat, tol=1e-10)
         assert I_star == pytest.approx(np.sqrt(0.19), abs=1e-9)
+        assert a == 0
         assert len(calls) <= 12
 
     def test_no_sampled_sign_change_takes_no_spectrum(self):
-        def sat(I):
+        def sat(I, a):
             raise AssertionError("a spectrum was evaluated")
         pts = [(I, make_spec([-0.9 + 0.01 * I, 0.2])) for I in (0.0, 1.0)]
         with pytest.raises(NoSignChange):
@@ -205,7 +213,7 @@ class TestDetectCrossing:
     def test_refinement_rejects_runaway_multiplier(self):
         # the samples bracket a sign change, but the fresh spectra hold no
         # multiplier near -1: the refinement closes in on a jump, not a root
-        def sat(I):
+        def sat(I, a):
             return make_spec([-4.0 + 0.1 * (I - 3.0), 9.0])
         pts = [(0.0, make_spec([-0.5, 9.0])), (6.0, make_spec([-1.5, 9.0]))]
         with pytest.raises(TrackingLost):

@@ -67,16 +67,25 @@ def identifiers(node):
             yield n.value
 
 
+def definitions(tree):
+    """The module-level functions and classes of tree, and the methods and
+    properties of its classes."""
+    for node in tree.body:
+        yield node
+        if isinstance(node, ast.ClassDef):
+            yield from node.body
+
+
 def test_every_public_definition_is_used_outside_the_tests():
-    # a public function or class that only the tests name is code kept
-    # for the tests alone
+    # a public function, class, method or property that only the tests
+    # name is code kept for the tests alone
     package = sorted((ROOT / "src" / "hhcycles").glob("*.py"))
     trees = {path: ast.parse(path.read_text(), filename=str(path))
              for path in package + sorted((ROOT / "bench").glob("*.py"))}
     named = Counter(name for tree in trees.values()
                     for name in identifiers(tree))
     found = [f"{path.relative_to(ROOT)}:{node.lineno}: {node.name}"
-             for path in package for node in trees[path].body
+             for path in package for node in definitions(trees[path])
              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
              and not node.name.startswith("_")
              and named[node.name] == Counter(identifiers(node))[node.name]]

@@ -127,8 +127,8 @@ class TestCrossingTimes:
 
     def test_root_stays_inside_the_step(self):
         # slopes of either sign and any size make cubics whose Newton
-        # iterates from the linear estimate leave the step; the safeguard
-        # keeps the root inside it
+        # iterates from the linear estimate would leave the step; the
+        # bracketed root finder keeps every iterate inside it
         rng = np.random.default_rng(3)
         n = 2000
         v0, v1 = -rng.uniform(0.0, 1.0, n) - 1e-3, rng.uniform(0.0, 1.0, n)
@@ -148,14 +148,14 @@ class TestShoot:
         cyc = stable_cycle_20
         # same step count as the solver used, so the return gap reflects the
         # Newton residual rather than a change of discretization
-        xT = integrate.flow(field20, cyc.anchor_state, cyc.period, 2000)
-        assert np.max(np.abs(xT - cyc.anchor_state)) < 1e-10
+        xT = integrate.flow(field20, cyc.samples.states[0], cyc.period, 2000)
+        assert np.max(np.abs(xT - cyc.samples.states[0])) < 1e-10
 
     def test_period_is_solver_independent_of_anchor_phase(self, field20,
                                                           stable_cycle_20):
         # restart shooting from a state a quarter period along the orbit
         T = stable_cycle_20.period
-        shifted = integrate.flow(field20, stable_cycle_20.anchor_state,
+        shifted = integrate.flow(field20, stable_cycle_20.samples.states[0],
                                  0.25 * T, 1000)
         samples = integrate.integrate_rk4(field20, shifted, 0.0, T, T / 400)
         guess = shooting.Cycle(period=T * 1.02, samples=samples)
@@ -194,8 +194,8 @@ class TestShoot:
         cyc = shooting.shoot(field20, guess, tol=1e-10)
         assert flows[0] == 2 and steps[0] == 2 * shooting.FLOW_STEPS
         T = cyc.period
-        fresh = integrate.integrate_rk4(field20, cyc.anchor_state, 0.0, T,
-                                        T / shooting.FLOW_STEPS)
+        fresh = integrate.integrate_rk4(field20, cyc.samples.states[0], 0.0,
+                                        T, T / shooting.FLOW_STEPS)
         every = shooting.FLOW_STEPS // shooting.CYCLE_SAMPLES
         assert np.array_equal(cyc.samples.states, fresh.states[::every])
         assert np.array_equal(cyc.samples.times, fresh.times[::every])
