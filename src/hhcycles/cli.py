@@ -431,6 +431,10 @@ def run_diagram(cfg, out_dir, verbose=False):
     if verbose:
         for miss in diagram.misses:
             print(miss)
+        for name, (solves, fresh, tried, kept) in diagram.work.items():
+            print(f"{name}: {solves} corrections, {fresh} fresh "
+                  f"factorizations, carried factors kept in {kept} of "
+                  f"{tried} tries")
     manifest["events"] = "complete"
     _flush_manifest(out_dir, manifest, cfg)
     _write_diagram_files(diagram, out_dir, cfg)

@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import collocation, floquet, hb, model, shooting
+from . import collocation, floquet, hb, model, newton, shooting
 from .cycles import PeriodicOrbit, check_orbit
 from .errors import (DegenerateCycle, HHCyclesError, MeshTooCoarse,
                      NoConvergence, NoExtremum, SingularJacobian,
@@ -91,7 +91,14 @@ def hh_family(p: model.HHParams = model.DEFAULT_PARAMS) -> Callable[[float], Vec
 
 
 class _SolverAdapter:
-    """The bordered corrector of either solver, behind one call."""
+    """The bordered corrector of either solver, behind one call.
+
+    The harmonic-balance corrector carries the LU factors of each
+    correction's latest fresh Newton step into its next correction
+    (newton.FactorCarry), whichever of continue_branch, locate_fold and
+    locate_pd asks for it; carry counts what they did.  A new adapter
+    starts with none, so its first correction is factored fresh.
+    """
 
     def __init__(self, name: str, hb_K: int = 40, hb_oversample: int = hb.DEFAULT_OVERSAMPLE,
                  coll_tol: float = 1e-6, coll_max_N: int = 2000):
@@ -102,6 +109,7 @@ class _SolverAdapter:
         self.coll_tol = coll_tol
         self.coll_max_N = coll_max_N
         self._ops = hb.build_operators(hb_K, hb_oversample) if name == "hb" else None
+        self.carry = newton.FactorCarry()
 
     def correct(self, field_at, predictor: PeriodicOrbit, T: float, I: float,
                 row):
@@ -111,7 +119,8 @@ class _SolverAdapter:
         if self.name == "hb":
             seed = replace(predictor.to_fourier(self.hb_K), period=T)
             return hb.solve_hb_bordered(seed, I, field_at, self._ops, row,
-                                        NEWTON_TOL, NEWTON_MAX_ITER)
+                                        NEWTON_TOL, NEWTON_MAX_ITER,
+                                        self.carry)
         return collocation.solve_bvp_bordered(
             field_at, replace(predictor, period=T), I, row, self.coll_tol,
             self.coll_max_N, COLL_REFINEMENTS, predictor.mesh)
@@ -445,6 +454,9 @@ class Diagram:
     branches: Dict[str, Branch] = field(default_factory=dict)  # completed, by name
     status: Dict[str, str] = field(default_factory=dict)  # complete | failed: why
     misses: List[str] = field(default_factory=list)       # failed event searches
+    # corrector work per branch, and for the event searches: corrections,
+    # fresh factorizations, carried factors tried and kept
+    work: Dict[str, Tuple[int, int, int, int]] = field(default_factory=dict)
 
 
 def assemble_diagram(branches: Sequence[Branch],
@@ -517,6 +529,8 @@ def diagram(hopfs: Sequence[Tuple[float, float]], I_limits: Tuple[float, float],
     locate_fold at each of its turning points, then locate_pd.  A branch
     that fails is left out, its status saying why, and note(name, status)
     is called as each branch ends; a failed event search is listed in misses.
+    All corrections share one adapter, so each may start from the factors
+    of the one before; work counts them per branch and for the searches.
     """
     fam = hh_family(p)
     lo, hi = I_limits
@@ -524,7 +538,10 @@ def diagram(hopfs: Sequence[Tuple[float, float]], I_limits: Tuple[float, float],
     events = [BifurcationEvent(kind="hopf", I_star=I_star, evidence={
         "omega": omega, "source": "equilibrium eigenvalues"})
         for I_star, omega in hopfs]
-    branches, status, misses = {}, {}, []
+    branches, status, misses, work = {}, {}, [], {}
+
+    def count_work(name, before):
+        work[name] = tuple(b - a for a, b in zip(before, ad.carry.counts()))
 
     def point_at(I, guess):
         fld = fam(I)
@@ -532,6 +549,7 @@ def diagram(hopfs: Sequence[Tuple[float, float]], I_limits: Tuple[float, float],
                           spectrum_steps)
 
     def follow(name, start, direction, limits, ctrl):
+        before = ad.carry.counts()
         try:
             branches[name] = continue_branch(
                 start(), direction, limits, step_ctrl=ctrl, adapter=ad,
@@ -540,6 +558,7 @@ def diagram(hopfs: Sequence[Tuple[float, float]], I_limits: Tuple[float, float],
             status[name] = "complete"
         except HHCyclesError as exc:
             status[name] = f"failed: {exc}"
+        count_work(name, before)
         note(name, status[name])
 
     I_seed = min(max(I_seed, lo), hi)
@@ -557,6 +576,7 @@ def diagram(hopfs: Sequence[Tuple[float, float]], I_limits: Tuple[float, float],
     # period-doubling crossing on the strongly unstable segment
     down = branches.get("hopf-seeded")
     if down is not None and len(down.points) > 4:
+        before = ad.carry.counts()
         Is = [pt.I for pt in down.points]
         for j in turning_indices(Is):
             try:
@@ -570,6 +590,7 @@ def diagram(hopfs: Sequence[Tuple[float, float]], I_limits: Tuple[float, float],
                                     adapter=ad, spectrum_steps=spectrum_steps))
         except HHCyclesError as exc:
             misses.append(f"period-doubling search: {exc}")
+        count_work("event searches", before)
 
     return replace(assemble_diagram(list(branches.values()), events),
-                   branches=branches, status=status, misses=misses)
+                   branches=branches, status=status, misses=misses, work=work)

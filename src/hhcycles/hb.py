@@ -26,7 +26,9 @@ the node-grid products even where those alias.
 The bordered Newton matrix and the array its LU factors are computed in
 are kept for the latest matrix size (integrate.kept_arrays): every solve
 of that size, such as each point of a continuation, reuses them, so
-solves must run one at a time.
+solves must run one at a time.  A solve given a newton.FactorCarry starts
+from the factors its previous solve left there, unless another solve has
+run since (_solves) or the size differs.
 """
 
 from __future__ import annotations
@@ -282,8 +284,14 @@ def bordered_jacobian(xbar: FourierCycle, field: VectorField,
     return J
 
 
+# solve_hb_bordered calls so far: the kept LU array holds the factors of
+# the latest one alone
+_solves = 0
+
+
 def solve_hb_bordered(init: PeriodicOrbit, I_guess: float, field_at,
-                      ops: SpectralOperators, row, tol: float, max_iter: int):
+                      ops: SpectralOperators, row, tol: float, max_iter: int,
+                      carry: newton.FactorCarry = None):
     """Newton solve over (coefficients, T, I); returns (FourierCycle, I).
 
     field_at(I) returns the VectorField at I.  The HB system gains the row
@@ -292,10 +300,23 @@ def solve_hb_bordered(init: PeriodicOrbit, I_guess: float, field_at,
     series; the initial T is init.period.  Raises DegenerateCycle when the
     guess or the converged series has no harmonic above MOTION_TOL: an
     equilibrium solves the HB system for every T.
+
+    carry, if given, takes the LU factors of this solve's latest fresh
+    step to the next solve given it, whose Newton tries them first
+    (newton.damped_newton).  They are dropped unless that next solve is
+    the next one of any caller and has the same matrix size: any solve
+    in between has factored in the same kept array, or freed it.
     """
+    global _solves
+    _solves += 1
     init = rotate_phase(init.to_fourier(ops.K))
-    _check_motion(init, "initial guess")
     dim, K = init.dim, init.K
+    size = dim * (2 * K + 1) + 2
+    if carry is not None:
+        if carry.stamp != (_solves - 1, size):
+            carry.again = None
+        carry.stamp = (_solves, size)
+    _check_motion(init, "initial guess")
     a_T, a_I, b = row
 
     def cycle(z):
@@ -311,7 +332,6 @@ def solve_hb_bordered(init: PeriodicOrbit, I_guess: float, field_at,
     # the Newton matrix and its LU factors, in Fortran order for LAPACK,
     # kept across solves; the factors stay in lu for the steps that
     # damped_newton takes from them
-    size = dim * (2 * K + 1) + 2
     J, lu = integrate.kept_arrays("hb.newton", (size, size), 2, order="F")
 
     def step(z, r):
@@ -321,7 +341,7 @@ def solve_hb_bordered(init: PeriodicOrbit, I_guess: float, field_at,
     z, _ = newton.damped_newton(
         residual, step,
         np.concatenate([init.coeffs.ravel(), [init.period, I_guess]]),
-        tol, max_iter, "HB")
+        tol, max_iter, "HB", carry)
     return _check_motion(cycle(z), "converged series"), float(z[-1])
 
 

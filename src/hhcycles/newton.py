@@ -4,10 +4,14 @@ and the settle's crossing times.
 
 Each solver brings its residual and its Newton step (Jacobian assembly and
 linear solve); the step halving, acceptance rule, stall stop and the rule
-for taking a step from the last factors live here.
+for taking a step from the last factors, within a solve or carried from
+the solve before (FactorCarry), live here.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import lapack
@@ -15,14 +19,48 @@ from scipy.linalg import lapack
 from .errors import NoConvergence, NoSignChange, SingularJacobian
 
 
-def damped_newton(residual, step, z0, tol: float, max_iter: int, what: str):
+@dataclass
+class FactorCarry:
+    """The factors of a corrector's latest fresh Newton step, carried from
+    one damped_newton solve into the next, with counts of what they did.
+
+    again is the latest fresh step's again function (None if that step
+    offered none), stored by damped_newton.  The owner of the memory the
+    factors live in keeps them honest: it sets again to None before a
+    solve once anything else may have written there, using stamp to
+    record what it needs to tell.  The counts add up over the Newton
+    solves that took the carry: solves, fresh factorizations, carried
+    factors tried and carried factors kept.
+    """
+
+    again: Optional[Callable] = None
+    stamp: object = None
+    solves: int = 0
+    fresh: int = 0
+    tried: int = 0
+    kept: int = 0
+
+    def counts(self) -> tuple:
+        return self.solves, self.fresh, self.tried, self.kept
+
+
+def _contracts(rn_new: float, rn: float, left: int, tol: float) -> bool:
+    """Whether the contraction rho = rn_new / rn < 1 of an undamped step
+    would reach tol within left more steps: rn_new * rho^left < tol.
+    False for a non-finite rn_new."""
+    rho = rn_new / rn
+    return rho < 1.0 and rn_new * rho ** left < tol
+
+
+def damped_newton(residual, step, z0, tol: float, max_iter: int, what: str,
+                  carry: FactorCarry = None):
     """Solve residual(z) = 0 from z0; returns (z, max-norm of the residual).
 
     step(z, r) factors the Newton matrix at z, where r = residual(z), and
     returns (delta, again): the correction delta = -J^{-1} r, and either
     None or a function again(r') that returns -J^{-1} r' from the same
-    factors.  step is called only at the latest residual point, so a
-    residual may leave by-products there for it.
+    factors.  Without a carry, step is called only at the latest residual
+    point, so a residual may leave by-products there for it.
 
     The next correction comes from again, with no new matrix, while the
     step just taken was undamped and contracted the residual by
@@ -31,6 +69,16 @@ def damped_newton(residual, step, z0, tol: float, max_iter: int, what: str):
     kept only while the measured contraction says it still converges in
     the budget.  Otherwise the old factors are dropped before step factors
     anew, so two sets are never held at once.
+
+    carry, a FactorCarry, brings the factors of an earlier solve's latest
+    fresh step (the simplified Newton method along a curve of problems,
+    Deuflhard 2004, ch. 5).  Unless z0 already meets tol, one undamped
+    step is taken from them and kept only if it passes the same test as
+    the first iteration: it then counts as one, and the solve goes on
+    from it as a chord run.  A step that fails the test is thrown away
+    with its residual: z stays at z0, no iteration is spent, and the
+    solve runs as it does without a carry.  Each fresh step's again is
+    stored back in carry, so the carry leaves holding the latest.
 
     A correction, fresh or not, is halved, up to 8 tries, until the
     residual is finite and smaller, and taken anyway once the factor is
@@ -43,19 +91,33 @@ def damped_newton(residual, step, z0, tol: float, max_iter: int, what: str):
     if not np.all(np.isfinite(r)):
         raise NoConvergence(f"{what} residual not finite at the initial guess")
     rn = np.linalg.norm(r, np.inf)
-    stall = fresh = 0
+    stall = fresh = start = 0
     again = None
+    if carry is not None:
+        carry.solves += 1
+        if carry.again is not None and rn >= tol:
+            carry.tried += 1
+            z_new = z + carry.again(r)
+            r_new = residual(z_new)
+            rn_new = np.linalg.norm(r_new, np.inf)
+            if _contracts(rn_new, rn, max_iter - 1, tol):
+                carry.kept += 1
+                again, start = carry.again, 1
+                z, r, rn = z_new, r_new, rn_new
 
     def failed(message, steps):
         return NoConvergence(f"{what} {message} after {steps} steps, "
                              f"{fresh} of them freshly factored")
 
-    for it in range(max_iter):
+    for it in range(start, max_iter):
         if rn < tol:
             return z, rn
         if again is None:
             delta, again = step(z, r)
             fresh += 1
+            if carry is not None:
+                carry.again = again
+                carry.fresh += 1
         else:
             delta = again(r)
         lam = 1.0
@@ -75,9 +137,7 @@ def damped_newton(residual, step, z0, tol: float, max_iter: int, what: str):
                          it + 1)
         # keep the factors while this undamped step's contraction would
         # reach tol within the iterations left
-        rho = rn_new / rn
-        if not (lam == 1.0 and rho < 1.0
-                and rn_new * rho ** (max_iter - it - 1) < tol):
+        if not (lam == 1.0 and _contracts(rn_new, rn, max_iter - it - 1, tol)):
             again = None
         z, r, rn = z_new, r_new, rn_new
     if rn < tol:

@@ -1,6 +1,7 @@
 """Configuration handling, artifact round trips and CLI commands."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -300,6 +301,36 @@ class TestCommands:
         events = (tmp_path / "events.csv").read_text().splitlines()[3:]
         assert sorted(ln.split(",", 1)[0] for ln in events) == [
             "fold", "fold", "hopf", "period_doubling"]
+
+    def test_verbose_diagram_counts_the_corrector_work(self, tmp_path,
+                                                        capsys):
+        # per branch and for the event searches: corrections, fresh
+        # factorizations, carried factors kept and tried; a second run
+        # in the same process does the same work, as a benchmark round
+        # after the first must
+        cfg = tmp_path / "knee.cfg"
+        cfg.write_text("diagram.i_min = 7.8\ndiagram.i_max = 20\n"
+                       "solver.hb.k = 30\nfloquet.steps = 1000\n")
+        runs = []
+        for run in ("a", "b"):
+            assert cli.main(["--config", str(cfg), "--out",
+                             str(tmp_path / run), "--verbose",
+                             "diagram"]) == 0
+            out = capsys.readouterr().out
+            runs.append(re.findall(
+                r"^(.+): (\d+) corrections, (\d+) fresh factorizations, "
+                r"carried factors kept in (\d+) of (\d+) tries$", out,
+                re.MULTILINE))
+        assert runs[0] == runs[1]
+        work = {name: [int(n) for n in counts]
+                for name, *counts in runs[0]}
+        assert list(work) == ["stable-up", "hopf-seeded", "event searches"]
+        assert work["stable-up"] == [0, 0, 0, 0]
+        for solves, fresh, kept, tried in list(work.values())[1:]:
+            assert 0 < kept <= tried <= solves and fresh < solves
+        for name in ("diagram.csv", "events.csv"):
+            assert ((tmp_path / "a" / name).read_text()
+                    == (tmp_path / "b" / name).read_text())
 
     def test_missing_config_file_is_usage_error(self, tmp_path):
         rc = cli.main(["--config", str(tmp_path / "nope.cfg"),

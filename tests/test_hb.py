@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hhcycles import hb, integrate
+from hhcycles import hb, integrate, newton
 from hhcycles.errors import DegenerateCycle
 from hhcycles.fields import VectorField, harmonic_oscillator
 from test_integrate import damped_field
@@ -368,6 +368,60 @@ def _full_jac(x):
 # a nonlinear 3-variable field whose nine Jacobian entries are all nonzero
 # along a generic series
 full_field = VectorField(dim=3, f=_full_f, jac=_full_jac, name="full3")
+
+
+class TestCarriedFactors:
+    """A bordered solve given a FactorCarry starts from the factors the
+    solve before it left in the kept LU array, and only from those."""
+
+    @staticmethod
+    def correct(cyc, I, ops, carry, monkeypatch):
+        """The continuation corrector at I pinned, from cyc; returns
+        (cycle, log of fresh "F" and reused "R" steps)."""
+        from hhcycles.continuation import NEWTON_MAX_ITER, NEWTON_TOL, hh_family
+        with monkeypatch.context() as m:
+            log = count_factorizations(m)
+            sol, _ = hb.solve_hb_bordered(cyc, I, hh_family(), ops,
+                                          (0.0, 1.0, I), NEWTON_TOL,
+                                          NEWTON_MAX_ITER, carry)
+        return sol, "".join(log)
+
+    def test_a_nearby_correction_factors_less_often(self, hb_cycle_20,
+                                                    hb_ops_50, monkeypatch):
+        carry = newton.FactorCarry()
+        first, _ = self.correct(hb_cycle_20, 30.0, hb_ops_50, carry,
+                                monkeypatch)
+        again, log = self.correct(first, 30.5, hb_ops_50, carry,
+                                  monkeypatch)
+        oracle, plain = self.correct(first, 30.5, hb_ops_50, None,
+                                     monkeypatch)
+        assert carry.kept == carry.tried == 1
+        assert log.count("F") < plain.count("F")
+        assert abs(again.period - oracle.period) < 1e-9
+        assert np.max(np.abs(again.coeffs - oracle.coeffs)) < 1e-9
+
+    def test_another_solve_of_the_same_size_makes_them_stale(
+            self, field20, hb_cycle_20, hb_ops_50, monkeypatch):
+        carry = newton.FactorCarry()
+        first, _ = self.correct(hb_cycle_20, 30.0, hb_ops_50, carry,
+                                monkeypatch)
+        hb.solve_hb(hb_cycle_20, field20, hb_ops_50)
+        _, log = self.correct(first, 30.5, hb_ops_50, carry, monkeypatch)
+        assert carry.tried == 0 and log.startswith("F")
+
+    def test_a_change_of_K_makes_them_stale(self, field20, hb_cycle_20,
+                                            hb_ops_50, monkeypatch):
+        carry = newton.FactorCarry()
+        first, _ = self.correct(hb_cycle_20, 30.0, hb_ops_50, carry,
+                                monkeypatch)
+        ops_40 = hb.build_operators(40)
+        # the carry itself at another size, then another solve at one
+        self.correct(first, 30.5, ops_40, carry, monkeypatch)
+        assert carry.tried == 0
+        self.correct(first, 30.5, hb_ops_50, carry, monkeypatch)
+        hb.solve_hb(hb_cycle_20, field20, ops_40)
+        _, log = self.correct(first, 31.0, hb_ops_50, carry, monkeypatch)
+        assert carry.tried == 0 and log.startswith("F")
 
 
 class TestNewtonMatrix:

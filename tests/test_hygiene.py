@@ -225,3 +225,41 @@ def test_continuation_points_reuse_their_memory(stable_cycle_20):
                                                       repr(coeffs))))
     # the first point of each run may make the arrays
     assert all(sum(faults[1:]) < 500 for faults in runs), runs
+
+
+# carried LU factors stay inside one corrector: a solve must not gain from
+# one that an earlier command, or an earlier benchmark round, ran
+
+
+def test_identical_hb_cycle_commands_factor_equally_often(tmp_path,
+                                                          monkeypatch):
+    from hhcycles import cli
+    from test_newton import count_factorizations
+    logs = []
+    for run in range(2):
+        with monkeypatch.context() as m:
+            logs.append(count_factorizations(m))
+            assert cli.main(["--out", str(tmp_path / str(run)), "cycle",
+                             "--current", "20", "--method", "hb",
+                             "--harmonics", "30"]) == 0
+    assert logs[0] == logs[1] and "F" in logs[0]
+
+
+def test_a_new_corrector_factors_its_first_correction_afresh(
+        stable_cycle_20, monkeypatch):
+    # the same two corrections by two correctors, as in two benchmark
+    # rounds: the second corrector's work repeats the first's exactly
+    from test_newton import count_factorizations
+    fam = continuation.hh_family()
+    logs = []
+    for _ in range(2):
+        ad = continuation._SolverAdapter("hb", hb_K=30)
+        with monkeypatch.context() as m:
+            log = count_factorizations(m)
+            cyc, _ = ad.correct(fam, stable_cycle_20, stable_cycle_20.period,
+                                20.5, (0.0, 1.0, 20.5))
+            first = len(log)
+            ad.correct(fam, cyc, cyc.period, 21.0, (0.0, 1.0, 21.0))
+        assert log[0] == "F" and ad.carry.tried == ad.carry.kept == 1
+        logs.append((first, log))
+    assert logs[0] == logs[1]

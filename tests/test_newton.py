@@ -161,15 +161,15 @@ def count_factorizations(monkeypatch, reuse=True):
     log = []
     damped_newton = newton.damped_newton
 
-    def counting(residual, step, z0, tol, max_iter, what):
+    def counting(residual, step, z0, tol, max_iter, what, carry=None):
         return damped_newton(residual, counted(step, log, reuse), z0, tol,
-                             max_iter, what)
+                             max_iter, what, carry)
 
     monkeypatch.setattr(newton, "damped_newton", counting)
     return log
 
 
-def logged_newton(F, J, z0, tol, max_iter, reuse=True):
+def logged_newton(F, J, z0, tol, max_iter, reuse=True, carry=None):
     """damped_newton on F with the dense step on its Jacobian J; returns
     (z, residual, log), where the log also marks each residual with "r"."""
     log = []
@@ -181,7 +181,7 @@ def logged_newton(F, J, z0, tol, max_iter, reuse=True):
     step = counted(lambda z, r: newton.dense_step(J(z), r, "test"), log,
                    reuse)
     z, rn = newton.damped_newton(residual, step, np.asarray(z0, dtype=float),
-                                 tol, max_iter, "test")
+                                 tol, max_iter, "test", carry)
     return z, rn, "".join(log)
 
 
@@ -260,6 +260,65 @@ class TestFactorReuse:
                           tol=1e-12)
         assert one.period == pytest.approx(2 * np.pi, rel=1e-10)
         assert log and "R" not in log
+
+
+def shifted_sphere(shift):
+    """sphere_system with its first equation moved by shift."""
+    return lambda z: sphere_system(z) - np.array([shift, 0.0, 0.0])
+
+
+class TestCarriedFactors:
+    def test_factors_of_a_nearby_problem_need_no_fresh_one(self):
+        carry = newton.FactorCarry()
+        z, _, log = logged_newton(sphere_system, sphere_jacobian,
+                                  [0.9, 1.1, 1.0], 1e-12, 20, carry=carry)
+        assert log.count("F") == carry.fresh > 0 and carry.again is not None
+        z2, rn, log2 = logged_newton(shifted_sphere(1e-4), sphere_jacobian,
+                                     z, 1e-12, 20, carry=carry)
+        assert rn < 1e-12
+        assert "F" not in log2
+        assert carry.counts() == (2, log.count("F"), 1, 1)
+        plain, _, _ = logged_newton(shifted_sphere(1e-4), sphere_jacobian,
+                                    z, 1e-12, 20)
+        assert np.max(np.abs(z2 - plain)) < 1e-12
+
+    def test_factors_of_a_wrong_matrix_are_declined(self):
+        # factors of a random matrix: their step does not contract, so
+        # the solve runs as it does without them, trial residual aside,
+        # and the trial does not count against max_iter
+        F, z0 = sphere_system, np.array([2.0, 0.1, 1.0])
+        residuals = []
+
+        def recorded(z):
+            residuals.append(F(z))
+            return residuals[-1]
+
+        _, _, plain_log = logged_newton(F, sphere_jacobian, z0, 1e-12, 20,
+                                        reuse=False)
+        steps = plain_log.count("F")
+        z_plain, rn_plain, _ = logged_newton(recorded, sphere_jacobian, z0,
+                                             1e-12, steps, reuse=False)
+        plain = residuals[:]
+        residuals.clear()
+        rng = np.random.default_rng(5)
+        carry = newton.FactorCarry()
+        carry.again = newton.dense_step(rng.standard_normal((3, 3)),
+                                        np.ones(3), "test")[1]
+        z, rn, log = logged_newton(recorded, sphere_jacobian, z0, 1e-12,
+                                   steps, reuse=False, carry=carry)
+        assert carry.counts() == (1, steps, 1, 0)
+        assert log.startswith("rrF")
+        del residuals[1]                       # the trial's residual
+        assert len(residuals) == len(plain)
+        assert all(np.array_equal(a, b) for a, b in zip(residuals, plain))
+        assert np.array_equal(z, z_plain) and rn == rn_plain
+
+    def test_a_start_within_tol_tries_nothing(self):
+        carry = newton.FactorCarry()
+        carry.again = lambda r: pytest.fail("carried factors were tried")
+        z, rn, log = logged_newton(sphere_system, sphere_jacobian,
+                                   [1.0, 1.0, 1.0], 1e-12, 5, carry=carry)
+        assert log == "r" and carry.counts() == (1, 0, 0, 0)
 
 
 class TestBracketedRoot:
