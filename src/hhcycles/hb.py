@@ -23,12 +23,11 @@ those from one FFT along the nodes and writes every block from strided
 windows of them; the harmonic indices run mod 2n+1, so the blocks equal
 the node-grid products even where those alias.
 
-The bordered Newton matrix and the array its LU factors are computed in
-are kept for the latest matrix size (integrate.kept_arrays): every solve
-of that size, such as each point of a continuation, reuses them, so
-solves must run one at a time.  A solve given a newton.FactorCarry starts
-from the factors its previous solve left there, unless another solve has
-run since (_solves) or the size differs.
+The bordered Newton matrix is built and LU-factored in the arrays of the
+solve's newton.FactorCarry: a corrector that passes one carry to every
+solve, such as a continuation, reuses the same memory at each point, and
+each solve starts from the factors its carry's previous solve left there.
+A solve without a carry gets a new one, so no solve depends on another.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import integrate, newton
+from . import newton
 from .cycles import PeriodicOrbit
 from .errors import DegenerateCycle
 from .fields import VectorField, constant_family
@@ -284,11 +283,6 @@ def bordered_jacobian(xbar: FourierCycle, field: VectorField,
     return J
 
 
-# solve_hb_bordered calls so far: the kept LU array holds the factors of
-# the latest one alone
-_solves = 0
-
-
 def solve_hb_bordered(init: PeriodicOrbit, I_guess: float, field_at,
                       ops: SpectralOperators, row, tol: float, max_iter: int,
                       carry: newton.FactorCarry = None):
@@ -301,22 +295,19 @@ def solve_hb_bordered(init: PeriodicOrbit, I_guess: float, field_at,
     guess or the converged series has no harmonic above MOTION_TOL: an
     equilibrium solves the HB system for every T.
 
-    carry, if given, takes the LU factors of this solve's latest fresh
-    step to the next solve given it, whose Newton tries them first
-    (newton.damped_newton).  They are dropped unless that next solve is
-    the next one of any caller and has the same matrix size: any solve
-    in between has factored in the same kept array, or freed it.
+    The Newton matrix and its LU factors live in carry's arrays (a new
+    carry if None), and the carry takes the factors of this solve's
+    latest fresh step to the next solve given it, whose Newton tries them
+    first (newton.damped_newton); a solve of another matrix size drops
+    them.  The residual leaves no by-products for the step, so carried
+    factors are safe to try.
     """
-    global _solves
-    _solves += 1
+    if carry is None:
+        carry = newton.FactorCarry()
     init = rotate_phase(init.to_fourier(ops.K))
     dim, K = init.dim, init.K
-    size = dim * (2 * K + 1) + 2
-    if carry is not None:
-        if carry.stamp != (_solves - 1, size):
-            carry.again = None
-        carry.stamp = (_solves, size)
     _check_motion(init, "initial guess")
+    J, lu = carry.arrays(dim * (2 * K + 1) + 2)
     a_T, a_I, b = row
 
     def cycle(z):
@@ -328,11 +319,6 @@ def solve_hb_bordered(init: PeriodicOrbit, I_guess: float, field_at,
             return np.full(len(z), np.inf)
         return np.append(hb_residual(cycle(z), field_at(float(z[-1])), ops),
                          a_T * z[-2] + a_I * z[-1] - b)
-
-    # the Newton matrix and its LU factors, in Fortran order for LAPACK,
-    # kept across solves; the factors stay in lu for the steps that
-    # damped_newton takes from them
-    J, lu = integrate.kept_arrays("hb.newton", (size, size), 2, order="F")
 
     def step(z, r):
         bordered_jacobian(cycle(z), field_at(float(z[-1])), ops, row, out=J)

@@ -25,9 +25,9 @@ pass already run, so a caller can run the pass and form the matrices only
 where it needs them.
 
 The step matrices are formed in three buffers kept for the latest stack
-shape (kept_arrays, which hb also takes its Newton arrays from), so the
-spectra of a continuation, which share one shape, reuse the same memory.
-No array returned aliases them; the module assumes one thread at a time.
+shape, so the spectra of a continuation, which share one shape, reuse
+the same memory.  No array returned aliases them; the module assumes one
+thread at a time.
 """
 
 from __future__ import annotations
@@ -205,6 +205,13 @@ def variational_of_pass(field: VectorField, states: np.ndarray, h: float,
     return _step_products(J[:, :, 0], J[:, :, 1], J[:, :, 2], J[:, :, 3], h)
 
 
+# _step_products' three buffers, for the latest stack shape alone: made
+# and freed at every point of a continuation, large arrays let the C
+# allocator return the top of its heap, and each point would fault their
+# pages in again
+_STEP_BUFFERS = {}
+
+
 def _step_products(Ja, Jb, Jc, Jd, h: float):
     """Per interval, the product of the RK4 step matrices of Ydot = J Y and
     the RK4 quadrature of the integral of trace J.
@@ -217,14 +224,17 @@ def _step_products(Ja, Jb, Jc, Jd, h: float):
     (chunks, dim, dim) products Phi_n ... Phi_1 and the (chunks,)
     integrals h/6 sum (tr J_a + 2 tr J_b + 2 tr J_c + tr J_d).
 
-    Phi is built in place on three kept_arrays of the stack shape; the
+    Phi is built in place on the _STEP_BUFFERS of the stack shape; the
     returned arrays are new.
     """
     dim = Ja.shape[-1]
     # per chunk, the traces summed over its steps
     tr = [np.einsum("cnii->c", Js) for Js in (Ja, Jb, Jc, Jd)]
     traces = h / 6.0 * (tr[0] + 2.0 * tr[1] + 2.0 * tr[2] + tr[3])
-    k, phi, k3 = kept_arrays("integrate.step_products", Ja.shape, 3)
+    if Ja.shape not in _STEP_BUFFERS:
+        _STEP_BUFFERS.clear()  # free the old set before making the new
+        _STEP_BUFFERS[Ja.shape] = tuple(np.empty(Ja.shape) for _ in range(3))
+    k, phi, k3 = _STEP_BUFFERS[Ja.shape]
     np.matmul(Jb, Ja, out=k)
     k *= 0.5 * h
     k += Jb                                   # k2
@@ -245,29 +255,6 @@ def _step_products(Ja, Jb, Jc, Jd, h: float):
     if not np.all(np.isfinite(Y)):
         raise NonFinite("variational flow blew up")
     return Y, traces
-
-
-# arrays kept between calls, one set per owner: {owner: (key, arrays)}
-_KEPT = {}
-
-
-def kept_arrays(owner: str, shape, count: int, order: str = "C") -> tuple:
-    """`count` uninitialised arrays of the given shape and memory order, the
-    same ones on every call by `owner` with that shape, order and count.
-
-    One set is kept per owner, and a call with another shape frees the
-    owner's set before making the next, so an owner's callers must run one
-    at a time.  Large arrays made and freed at every point of a
-    continuation let the C allocator return the top of its heap to the
-    system, and each point would fault their pages in again; kept, they
-    stay mapped.
-    """
-    key = (tuple(shape), count, order)
-    if owner not in _KEPT or _KEPT[owner][0] != key:
-        _KEPT.pop(owner, None)  # free the old set before making the new
-        _KEPT[owner] = (key, tuple(np.empty(shape, order=order)
-                                   for _ in range(count)))
-    return _KEPT[owner][1]
 
 
 def ordered_product(stack) -> np.ndarray:

@@ -5,12 +5,13 @@ and the settle's crossing times.
 Each solver brings its residual and its Newton step (Jacobian assembly and
 linear solve); the step halving, acceptance rule, stall stop and the rule
 for taking a step from the last factors, within a solve or carried from
-the solve before (FactorCarry), live here.
+the solve before (FactorCarry), live here.  A carry owns the arrays its
+factors live in, so they stay valid until its own next fresh step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -25,23 +26,31 @@ class FactorCarry:
     one damped_newton solve into the next, with counts of what they did.
 
     again is the latest fresh step's again function (None if that step
-    offered none), stored by damped_newton.  The owner of the memory the
-    factors live in keeps them honest: it sets again to None before a
-    solve once anything else may have written there, using stamp to
-    record what it needs to tell.  The counts add up over the Newton
+    offered none), stored by damped_newton.  The HB step builds and
+    factors its matrix in the carry's arrays, so those factors stay there
+    until the carry's next fresh step.  The counts add up over the Newton
     solves that took the carry: solves, fresh factorizations, carried
     factors tried and carried factors kept.
     """
 
     again: Optional[Callable] = None
-    stamp: object = None
     solves: int = 0
     fresh: int = 0
     tried: int = 0
     kept: int = 0
+    _arrays: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def counts(self) -> tuple:
         return self.solves, self.fresh, self.tried, self.kept
+
+    def arrays(self, n: int) -> tuple:
+        """The (n, n) Newton matrix and LU work array, in Fortran order
+        for LAPACK, made on first use and kept while n holds.  Another n
+        frees them before making the new pair, and drops again."""
+        if not self._arrays or len(self._arrays[0]) != n:
+            self.again, self._arrays = None, ()
+            self._arrays = tuple(np.empty((n, n), order="F") for _ in range(2))
+        return self._arrays
 
 
 def _contracts(rn_new: float, rn: float, left: int, tol: float) -> bool:
@@ -59,8 +68,7 @@ def damped_newton(residual, step, z0, tol: float, max_iter: int, what: str,
     step(z, r) factors the Newton matrix at z, where r = residual(z), and
     returns (delta, again): the correction delta = -J^{-1} r, and either
     None or a function again(r') that returns -J^{-1} r' from the same
-    factors.  Without a carry, step is called only at the latest residual
-    point, so a residual may leave by-products there for it.
+    factors.
 
     The next correction comes from again, with no new matrix, while the
     step just taken was undamped and contracted the residual by
@@ -70,15 +78,20 @@ def damped_newton(residual, step, z0, tol: float, max_iter: int, what: str,
     the budget.  Otherwise the old factors are dropped before step factors
     anew, so two sets are never held at once.
 
-    carry, a FactorCarry, brings the factors of an earlier solve's latest
-    fresh step (the simplified Newton method along a curve of problems,
-    Deuflhard 2004, ch. 5).  Unless z0 already meets tol, one undamped
-    step is taken from them and kept only if it passes the same test as
-    the first iteration: it then counts as one, and the solve goes on
-    from it as a chord run.  A step that fails the test is thrown away
-    with its residual: z stays at z0, no iteration is spent, and the
-    solve runs as it does without a carry.  Each fresh step's again is
-    stored back in carry, so the carry leaves holding the latest.
+    carry, a FactorCarry (a new one if None), brings the factors of an
+    earlier solve's latest fresh step (the simplified Newton method along
+    a curve of problems, Deuflhard 2004, ch. 5).  Unless z0 already meets
+    tol, one undamped step is taken from them and kept only if it passes
+    the same test as the first iteration: it then counts as one, and the
+    solve goes on from it as a chord run.  A step that fails the test is
+    thrown away with its residual: z stays at z0, no iteration is spent,
+    and the solve runs as it does without a carry.  Each fresh step's
+    again is stored back in carry, so the carry leaves holding the latest.
+
+    step is called at the latest residual point, so a residual may leave
+    by-products there for it, unless the carry holds factors: a declined
+    try moves that point.  So collocation and shooting, whose residuals
+    do, must never be given such a carry.
 
     A correction, fresh or not, is halved, up to 8 tries, until the
     residual is finite and smaller, and taken anyway once the factor is
@@ -86,6 +99,8 @@ def damped_newton(residual, step, z0, tol: float, max_iter: int, what: str,
     halving or max_iter iterations raise NoConvergence, whose message
     counts the steps taken and the fresh factorizations among them.
     """
+    if carry is None:
+        carry = FactorCarry()
     z = np.array(z0, dtype=float)
     r = residual(z)
     if not np.all(np.isfinite(r)):
@@ -93,17 +108,16 @@ def damped_newton(residual, step, z0, tol: float, max_iter: int, what: str,
     rn = np.linalg.norm(r, np.inf)
     stall = fresh = start = 0
     again = None
-    if carry is not None:
-        carry.solves += 1
-        if carry.again is not None and rn >= tol:
-            carry.tried += 1
-            z_new = z + carry.again(r)
-            r_new = residual(z_new)
-            rn_new = np.linalg.norm(r_new, np.inf)
-            if _contracts(rn_new, rn, max_iter - 1, tol):
-                carry.kept += 1
-                again, start = carry.again, 1
-                z, r, rn = z_new, r_new, rn_new
+    carry.solves += 1
+    if carry.again is not None and rn >= tol:
+        carry.tried += 1
+        z_new = z + carry.again(r)
+        r_new = residual(z_new)
+        rn_new = np.linalg.norm(r_new, np.inf)
+        if _contracts(rn_new, rn, max_iter - 1, tol):
+            carry.kept += 1
+            again, start = carry.again, 1
+            z, r, rn = z_new, r_new, rn_new
 
     def failed(message, steps):
         return NoConvergence(f"{what} {message} after {steps} steps, "
@@ -115,9 +129,8 @@ def damped_newton(residual, step, z0, tol: float, max_iter: int, what: str,
         if again is None:
             delta, again = step(z, r)
             fresh += 1
-            if carry is not None:
-                carry.again = again
-                carry.fresh += 1
+            carry.again = again
+            carry.fresh += 1
         else:
             delta = again(r)
         lam = 1.0

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from hhcycles import hb, integrate, newton
 from hhcycles.errors import DegenerateCycle
-from hhcycles.fields import VectorField, harmonic_oscillator
+from hhcycles.fields import (VectorField, constant_family,
+                             harmonic_oscillator)
 from test_integrate import damped_field
 from test_newton import count_factorizations
 
@@ -175,37 +176,50 @@ class TestFromTrajectory:
 
 class TestNewtonArrays:
     def test_one_set_kept_per_owner_for_the_latest_shape(self):
-        kept = integrate.kept_arrays
-        J, lu = kept("test.newton", (30, 30), 2, order="F")
+        # each carry owns one Newton matrix and LU array, kept while the
+        # size holds; another size replaces them and drops the factors
+        carry = newton.FactorCarry()
+        J, lu = carry.arrays(30)
         assert J.shape == lu.shape == (30, 30)
         assert J.flags.f_contiguous and lu.flags.f_contiguous
-        again = kept("test.newton", (30, 30), 2, order="F")
-        assert again[0] is J and again[1] is lu
-        other = kept("test.other", (30, 30), 2, order="F")[0]
-        assert other is not J
-        assert kept("test.newton", (30, 30), 2, order="F")[0] is J
-        assert kept("test.newton", (16, 16), 2, order="F")[0].shape == (16, 16)
-        assert kept("test.newton", (30, 30), 2, order="F")[0] is not J
-        assert kept("test.other", (30, 30), 2, order="F")[0] is other
-        assert kept("test.other", (30, 30), 2)[0].flags.c_contiguous
-        for owner in ("test.newton", "test.other"):
-            del integrate._KEPT[owner]
+        carry.again = len
+        again = carry.arrays(30)
+        assert again[0] is J and again[1] is lu and carry.again is len
+        assert newton.FactorCarry().arrays(30)[0] is not J
+        assert carry.arrays(16)[0].shape == (16, 16) and carry.again is None
+        assert carry.arrays(30)[0] is not J
+        # the step products keep one set, for the latest stack shape
+        rng = np.random.default_rng(3)
+
+        def buffers(shape):
+            integrate._step_products(*rng.standard_normal((4, *shape)), 0.01)
+            assert list(integrate._STEP_BUFFERS) == [shape]
+            return integrate._STEP_BUFFERS[shape]
+
+        first = buffers((3, 5, 4, 4))
+        assert len(first) == 3 and first[0].shape == (3, 5, 4, 4)
+        assert buffers((3, 5, 4, 4)) is first
+        buffers((2, 5, 4, 4))
+        assert buffers((3, 5, 4, 4))[0] is not first[0]
 
     def test_solves_on_kept_arrays_match_solves_on_fresh_ones(
             self, field20, stable_cycle_20):
-        # each solve reuses the arrays another problem of its size left
-        # behind, and ends bit for bit where a solve on new arrays ends
+        # a carry's second solve runs on the arrays its first solve left
+        # and ends bit for bit where a solve on a new carry ends
         ops = hb.build_operators(10)
         seeds = [stable_cycle_20, scaled_period(stable_cycle_20, 1.01)]
         for seed in seeds:
-            hb.solve_hb(scaled_period(stable_cycle_20, 0.99), field20, ops)
-            got = hb.solve_hb(seed, field20, ops)
-            integrate._KEPT.pop("hb.newton")
+            carry = newton.FactorCarry()
+            for start in (scaled_period(stable_cycle_20, 0.99), seed):
+                carry.again = None             # the arrays, not the factors
+                got, _ = hb.solve_hb_bordered(
+                    start, 0.0, constant_family(field20), ops,
+                    (0.0, 1.0, 0.0), 1e-10, 40, carry)
             ref = hb.solve_hb(seed, field20, ops)
             assert got.period == ref.period
             assert np.array_equal(got.coeffs, ref.coeffs)
-        assert not any(np.shares_memory(got.coeffs, a)
-                       for a in integrate._KEPT["hb.newton"][1])
+            assert not any(np.shares_memory(got.coeffs, a)
+                           for a in carry.arrays(got.coeffs.size + 2))
 
 
 def scaled_period(cycle, factor):
@@ -372,7 +386,7 @@ full_field = VectorField(dim=3, f=_full_f, jac=_full_jac, name="full3")
 
 class TestCarriedFactors:
     """A bordered solve given a FactorCarry starts from the factors the
-    solve before it left in the kept LU array, and only from those."""
+    carry's previous solve left in its arrays, and only from those."""
 
     @staticmethod
     def correct(cyc, I, ops, carry, monkeypatch):
@@ -400,28 +414,42 @@ class TestCarriedFactors:
         assert abs(again.period - oracle.period) < 1e-9
         assert np.max(np.abs(again.coeffs - oracle.coeffs)) < 1e-9
 
-    def test_another_solve_of_the_same_size_makes_them_stale(
-            self, field20, hb_cycle_20, hb_ops_50, monkeypatch):
+    def test_a_change_of_K_makes_them_stale(self, hb_cycle_20, hb_ops_50,
+                                            monkeypatch):
         carry = newton.FactorCarry()
         first, _ = self.correct(hb_cycle_20, 30.0, hb_ops_50, carry,
                                 monkeypatch)
-        hb.solve_hb(hb_cycle_20, field20, hb_ops_50)
-        _, log = self.correct(first, 30.5, hb_ops_50, carry, monkeypatch)
+        _, log = self.correct(first, 30.5, hb.build_operators(40), carry,
+                              monkeypatch)
         assert carry.tried == 0 and log.startswith("F")
 
-    def test_a_change_of_K_makes_them_stale(self, field20, hb_cycle_20,
-                                            hb_ops_50, monkeypatch):
-        carry = newton.FactorCarry()
-        first, _ = self.correct(hb_cycle_20, 30.0, hb_ops_50, carry,
-                                monkeypatch)
-        ops_40 = hb.build_operators(40)
-        # the carry itself at another size, then another solve at one
-        self.correct(first, 30.5, ops_40, carry, monkeypatch)
-        assert carry.tried == 0
-        self.correct(first, 30.5, hb_ops_50, carry, monkeypatch)
-        hb.solve_hb(hb_cycle_20, field20, ops_40)
-        _, log = self.correct(first, 31.0, hb_ops_50, carry, monkeypatch)
-        assert carry.tried == 0 and log.startswith("F")
+    @pytest.mark.parametrize("between", ["another_corrector", "one_off_solve"])
+    def test_other_solves_in_between_leave_them_valid(
+            self, between, field20, stable_cycle_20):
+        # the factors live in the carry's own arrays, so a correction does
+        # not depend on which other solves ran since its carry's last one
+        from hhcycles.continuation import _SolverAdapter, hh_family
+        fam, T = hh_family(), stable_cycle_20.period
+        others = {
+            "another_corrector": lambda: _SolverAdapter("hb", hb_K=30).correct(
+                fam, stable_cycle_20, T, 25.0, (0.0, 1.0, 25.0)),
+            "one_off_solve": lambda: hb.solve_hb(stable_cycle_20, field20,
+                                                 hb.build_operators(30)),
+            "nothing": lambda: None}
+
+        def two_corrections(other):
+            ad = _SolverAdapter("hb", hb_K=30)
+            cyc, _ = ad.correct(fam, stable_cycle_20, T, 20.5,
+                                (0.0, 1.0, 20.5))
+            others[other]()
+            cyc, _ = ad.correct(fam, cyc, cyc.period, 21.0, (0.0, 1.0, 21.0))
+            return cyc, ad.carry.counts()
+
+        got, counts = two_corrections(between)
+        ref, ref_counts = two_corrections("nothing")
+        assert counts == ref_counts == (2, 1, 1, 1)
+        assert got.period == ref.period
+        assert np.array_equal(got.coeffs, ref.coeffs)
 
 
 class TestNewtonMatrix:

@@ -1,7 +1,8 @@
 """Source hygiene: every imported name in the package and the tests is read,
-every public package definition has a user outside the tests, every
-package name the benchmark under bench/ patches or calls exists, and the
-steady state of a continuation makes no fresh pages."""
+every public package definition has a user outside the tests, no package
+function rebinds a module name, every package name the benchmark under
+bench/ patches or calls exists, and the steady state of a continuation
+makes no fresh pages."""
 
 import ast
 import inspect
@@ -91,6 +92,22 @@ def test_every_public_definition_is_used_outside_the_tests():
              and named[node.name] == Counter(identifiers(node))[node.name]]
     assert not found, "named only in its own definition:\n" + "\n".join(
         found)
+
+
+def test_no_global_statements_in_the_package():
+    # a function that rebinds module state makes a call's result depend on
+    # the calls that ran before it
+    found = []
+    for path in sorted((ROOT / "src" / "hhcycles").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        functions = [n for n in ast.walk(tree)
+                     if isinstance(n, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Global):
+                around = [f.name for f in functions
+                          if f.lineno <= node.lineno <= f.end_lineno]
+                found.append(f"{path.stem}.{around[-1] if around else ''}")
+    assert not found, "global statement in: " + ", ".join(found)
 
 
 def test_rk4_loop_runs_only_inside_integrate_rk4():
@@ -185,11 +202,12 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
 
 
 # continuation points after the first: K=50 bordered HB solves alone, then
-# each with a 4,000-step spectrum, as on the stable branch
+# each with a 4,000-step spectrum, as on the stable branch; one carry per
+# run holds the Newton arrays, as in a corrector
 BRANCH_POINTS = """
 import json, resource
 import numpy as np
-from hhcycles import continuation, floquet, hb
+from hhcycles import continuation, floquet, hb, newton
 from hhcycles.fields import hh_field
 
 fam = continuation.hh_family()
@@ -199,10 +217,11 @@ cyc = hb.solve_hb(hb.FourierCycle(K=2, period=11.6, coeffs=np.array(COEFFS)),
 runs = []
 for spectra in (False, True):
     faults = []
+    carry = newton.FactorCarry()
     for I in (20.5, 21.0, 21.5, 22.0, 22.5, 23.0):
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         cyc, _ = hb.solve_hb_bordered(cyc, I, fam, ops, (0.0, 1.0, I),
-                                      1e-10, 40)
+                                      1e-10, 40, carry)
         if spectra:
             floquet.spectrum(cyc, fam(I), 4000)
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt

@@ -414,8 +414,7 @@ class TestVariationalFlow:
             4)
         assert np.array_equal(first, kept)
         assert not any(np.shares_memory(first, b)
-                       for b in integrate.kept_arrays(
-                           "integrate.step_products", (4, 1, 2, 2), 3))
+                       for b in integrate._STEP_BUFFERS[(4, 1, 2, 2)])
 
     def test_states_must_tile_whole_steps(self):
         fld = harmonic_oscillator(1.0)
