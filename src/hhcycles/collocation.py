@@ -270,16 +270,17 @@ def _newton_collocation(field_at, mesh, y, mid, T, I, ref, row):
     interval, then T and I; the rows are the defects, the phase condition
     and a_T*T + a_I*I = b for row = (a_T, a_I, b).  The T and I columns
     are exact: I enters the field additively (field.dfdI), so it enters
-    only the first defects, as -hT dfdI.  A step condenses the midpoints,
-    reduces the ring (_reduce_ring) and solves the last small system with
-    newton.dense_step; its again replays the stored reductions and the
-    small system's LU factors on a new right-hand side.
+    only the first defects, as -hT dfdI.  The residual leaves its field
+    values at the nodes, (fy, fm), for the step at its point, which
+    condenses the midpoints, reduces the ring (_reduce_ring) and solves
+    the last small system with newton.dense_step; its again replays the
+    stored reductions and the small system's LU factors on a new
+    right-hand side.
     """
     N, dim = mesh.N, y.shape[1]
     nun = 2 * N * dim + 2
     h = mesh.widths
     a_T, a_I, b = row
-    at = {}   # the field values at the latest residual point, for its step
 
     def unpack(z):
         u = z[:-2].reshape(N, 2, dim)
@@ -288,22 +289,22 @@ def _newton_collocation(field_at, mesh, y, mid, T, I, ref, row):
     def residual(z):
         yz, mz, Tz, Iz = unpack(z)
         if Tz <= 0:
-            return np.full(nun, np.inf)
+            return np.full(nun, np.inf), None
         fld = field_at(Iz)
-        at["fy"], at["fm"] = fld.f(yz), fld.f(mz)
-        r1, r2 = _defects(mesh, yz, mz, Tz, at["fy"], at["fm"])
+        fy, fm = fld.f(yz), fld.f(mz)
+        r1, r2 = _defects(mesh, yz, mz, Tz, fy, fm)
         ph = _phase_residual(yz, mz, ref)
         return np.concatenate([np.stack([r1, r2], axis=1).ravel(),
-                               [ph, a_T * Tz + a_I * Iz - b]])
+                               [ph, a_T * Tz + a_I * Iz - b]]), (fy, fm)
 
     Id = np.eye(dim)
     p_y = ref.wy[:, None] * ref.dy     # the phase row in y and in mid
     p_m = ref.wm[:, None] * ref.dmid
 
-    def step(z, r):
+    def step(z, r, by):
         yz, mz, Tz, Iz = unpack(z)
         fld = field_at(Iz)
-        fy, fm = at["fy"], at["fm"]
+        fy, fm = by
         fy1 = np.roll(fy, -1, axis=0)
         Jy, Jm = fld.jac(yz), fld.jac(mz)
         if not (np.all(np.isfinite(Jy)) and np.all(np.isfinite(Jm))):
@@ -365,8 +366,8 @@ def _newton_collocation(field_at, mesh, y, mid, T, I, ref, row):
         return expand(xw, tops, r2), again
 
     z0 = np.concatenate([np.stack([y, mid], axis=1).ravel(), [T, I]])
-    z, _ = newton.damped_newton(residual, step, z0, NEWTON_TOL,
-                                NEWTON_MAX_ITER, "collocation")
+    z, _, _ = newton.damped_newton(residual, step, z0, NEWTON_TOL,
+                                   NEWTON_MAX_ITER, "collocation")
     return unpack(z)
 
 

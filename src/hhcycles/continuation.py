@@ -529,8 +529,9 @@ def diagram(hopfs: Sequence[Tuple[float, float]], I_limits: Tuple[float, float],
     locate_fold at each of its turning points, then locate_pd.  A branch
     that fails is left out, its status saying why, and note(name, status)
     is called as each branch ends; a failed event search is listed in misses.
-    All corrections share one adapter, so each may start from the factors
-    of the one before; work counts them per branch and for the searches.
+    All corrections share one adapter, so each but a branch's first may
+    start from the factors of the one before; work counts them per branch
+    and for the searches.
     """
     fam = hh_family(p)
     lo, hi = I_limits
@@ -550,6 +551,7 @@ def diagram(hopfs: Sequence[Tuple[float, float]], I_limits: Tuple[float, float],
 
     def follow(name, start, direction, limits, ctrl):
         before = ad.carry.counts()
+        ad.carry.again = None  # another branch's last factors are far off
         try:
             branches[name] = continue_branch(
                 start(), direction, limits, step_ctrl=ctrl, adapter=ad,

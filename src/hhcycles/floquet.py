@@ -84,9 +84,10 @@ def _monodromy_matrix(cycle, field: VectorField, nsteps: int):
     # sampled cycle: one RK4 pass of the state over the period, the
     # fundamental matrix restarting at each chunk boundary
     x0 = np.asarray(cycle.evaluate_time(0.0), dtype=float)
-    _, chunks, traces = integrate.variational_flow(
-        field, x0, T / SPECTRUM_CHUNKS / per_chunk, SPECTRUM_CHUNKS,
-        per_chunk)
+    h = T / SPECTRUM_CHUNKS / per_chunk
+    chunks, traces = integrate.variational_of_pass(
+        field, integrate.integrate_rk4(field, x0, 0.0, T, h).states, h,
+        SPECTRUM_CHUNKS)
     return chunks, x0, float(np.sum(traces))
 
 

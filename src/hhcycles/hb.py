@@ -299,8 +299,7 @@ def solve_hb_bordered(init: PeriodicOrbit, I_guess: float, field_at,
     carry if None), and the carry takes the factors of this solve's
     latest fresh step to the next solve given it, whose Newton tries them
     first (newton.damped_newton); a solve of another matrix size drops
-    them.  The residual leaves no by-products for the step, so carried
-    factors are safe to try.
+    them.
     """
     if carry is None:
         carry = newton.FactorCarry()
@@ -316,15 +315,15 @@ def solve_hb_bordered(init: PeriodicOrbit, I_guess: float, field_at,
 
     def residual(z):
         if z[-2] <= 0:
-            return np.full(len(z), np.inf)
+            return np.full(len(z), np.inf), None
         return np.append(hb_residual(cycle(z), field_at(float(z[-1])), ops),
-                         a_T * z[-2] + a_I * z[-1] - b)
+                         a_T * z[-2] + a_I * z[-1] - b), None
 
-    def step(z, r):
+    def step(z, r, by):
         bordered_jacobian(cycle(z), field_at(float(z[-1])), ops, row, out=J)
         return newton.dense_step(J, r, "HB", work=lu)
 
-    z, _ = newton.damped_newton(
+    z, _, _ = newton.damped_newton(
         residual, step,
         np.concatenate([init.coeffs.ravel(), [init.period, I_guess]]),
         tol, max_iter, "HB", carry)

@@ -10,7 +10,7 @@ step as a Python float, whatever type the caller passes: a numpy scalar
 step (a period read from a Newton vector) would make every stage sum a
 numpy-scalar operation.  The stage arithmetic keeps numpy's operation
 order (x + (h/2) k, then x + (h/6) (k1 + 2 k2 + 2 k3 + k4)), so the states
-are those of the same loop on arrays.  flow and variational_flow take
+are those of the same loop on arrays.  flow and flow_with_monodromy take
 their states from it.
 Float overflow (OverflowError) and non-finite states surface as NonFinite.
 
@@ -165,35 +165,26 @@ def flow(field: VectorField, x0, T: float, nsteps: int) -> np.ndarray:
 def flow_with_monodromy(field: VectorField, x0, T: float, nsteps: int):
     """Flow endpoint plus the fundamental matrix Y(T), Y(0)=I, of nsteps
     RK4 steps over time T."""
-    x, Y, _ = variational_flow(field, x0, T / nsteps, 1, nsteps)
-    return x, Y[0]
-
-
-def variational_flow(field: VectorField, x0, h: float, chunks: int,
-                     n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The RK4 flow from x0 over `chunks` intervals of n steps of size h,
-    with the fundamental matrix of each interval (Y = I at its start) and
-    the integral of trace J(x(t)) over it.
-
-    The states come from one integrate_rk4 pass.  The three inner stage
-    states of every step are rebuilt from them by three batched field
-    calls, and one Jacobian call on all four stages gives the step matrices
-    (see _step_products).  The trace integrals are the RK4 quadrature
-    h/6 (tr J_a + 2 tr J_b + 2 tr J_c + tr J_d) over the same stages, so the
-    Liouville check costs no extra field call.  Returns the endpoint, the
-    (chunks, dim, dim) stack and the (chunks,) trace integrals.
-    """
-    states = integrate_rk4(field, x0, 0.0, chunks * n * h, h).states
-    Y, traces = variational_of_pass(field, states, h, chunks)
-    return states[-1].copy(), Y, traces
+    states = integrate_rk4(field, x0, 0.0, T, T / nsteps).states
+    Y, _ = variational_of_pass(field, states, T / nsteps, 1)
+    return states[-1].copy(), Y[0]
 
 
 def variational_of_pass(field: VectorField, states: np.ndarray, h: float,
                         chunks: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The fundamental matrices and trace integrals of variational_flow,
-    from the states of its RK4 pass (steps of size h, `chunks` intervals of
-    equal step counts), so that a caller can run the pass first and form
-    the matrices only when it needs them."""
+    """The fundamental matrix of each of `chunks` intervals (Y = I at its
+    start) and the integral of trace J(x(t)) over it, from the states of
+    an RK4 pass of steps h whose step count the intervals share equally,
+    so that a caller can run the pass first and form the matrices only
+    when it needs them.
+
+    The three inner stage states of every step are rebuilt from the states
+    by three batched field calls, and one Jacobian call on all four stages
+    gives the step matrices (see _step_products).  The trace integrals are
+    the RK4 quadrature h/6 (tr J_a + 2 tr J_b + 2 tr J_c + tr J_d) over the
+    same stages, so the Liouville check costs no extra field call.
+    Returns the (chunks, dim, dim) stack and the (chunks,) trace integrals.
+    """
     dim = field.dim
     n = (len(states) - 1) // chunks
     xa = states[:-1]

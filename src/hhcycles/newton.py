@@ -5,8 +5,10 @@ and the settle's crossing times.
 Each solver brings its residual and its Newton step (Jacobian assembly and
 linear solve); the step halving, acceptance rule, stall stop and the rule
 for taking a step from the last factors, within a solve or carried from
-the solve before (FactorCarry), live here.  A carry owns the arrays its
-factors live in, so they stay valid until its own next fresh step.
+the solve before (FactorCarry), live here, and so does the pairing of
+each point with what its residual left for a step there.  A carry owns
+the arrays its factors live in, so they stay valid until its own next
+fresh step.
 """
 
 from __future__ import annotations
@@ -28,9 +30,10 @@ class FactorCarry:
     again is the latest fresh step's again function (None if that step
     offered none), stored by damped_newton.  The HB step builds and
     factors its matrix in the carry's arrays, so those factors stay there
-    until the carry's next fresh step.  The counts add up over the Newton
-    solves that took the carry: solves, fresh factorizations, carried
-    factors tried and carried factors kept.
+    until the carry's next fresh step.  Any solver may take a carry: a
+    declined try is thrown away with its residual's by-products.  The
+    counts add up over the Newton solves that took the carry: solves,
+    fresh factorizations, carried factors tried and carried factors kept.
     """
 
     again: Optional[Callable] = None
@@ -63,12 +66,16 @@ def _contracts(rn_new: float, rn: float, left: int, tol: float) -> bool:
 
 def damped_newton(residual, step, z0, tol: float, max_iter: int, what: str,
                   carry: FactorCarry = None):
-    """Solve residual(z) = 0 from z0; returns (z, max-norm of the residual).
+    """Solve residual(z) = 0 from z0; returns (z, max-norm of the residual,
+    by), where by is what residual left at z.
 
-    step(z, r) factors the Newton matrix at z, where r = residual(z), and
-    returns (delta, again): the correction delta = -J^{-1} r, and either
-    None or a function again(r') that returns -J^{-1} r' from the same
-    factors.
+    residual(z) returns (r, by): the residual and whatever its evaluation
+    leaves for a step at z, such as field values (None if nothing).
+    step(z, r, by) factors the Newton matrix at z, where (r, by) =
+    residual(z), and returns (delta, again): the correction
+    delta = -J^{-1} r, and either None or a function again(r') that
+    returns -J^{-1} r' from the same factors.  Each z is kept with its own
+    r and by, so a step never sees another point's.
 
     The next correction comes from again, with no new matrix, while the
     step just taken was undamped and contracted the residual by
@@ -88,11 +95,6 @@ def damped_newton(residual, step, z0, tol: float, max_iter: int, what: str,
     and the solve runs as it does without a carry.  Each fresh step's
     again is stored back in carry, so the carry leaves holding the latest.
 
-    step is called at the latest residual point, so a residual may leave
-    by-products there for it, unless the carry holds factors: a declined
-    try moves that point.  So collocation and shooting, whose residuals
-    do, must never be given such a carry.
-
     A correction, fresh or not, is halved, up to 8 tries, until the
     residual is finite and smaller, and taken anyway once the factor is
     down to 1/64.  Three consecutive steps without decrease, an exhausted
@@ -102,7 +104,7 @@ def damped_newton(residual, step, z0, tol: float, max_iter: int, what: str,
     if carry is None:
         carry = FactorCarry()
     z = np.array(z0, dtype=float)
-    r = residual(z)
+    r, by = residual(z)
     if not np.all(np.isfinite(r)):
         raise NoConvergence(f"{what} residual not finite at the initial guess")
     rn = np.linalg.norm(r, np.inf)
@@ -112,12 +114,12 @@ def damped_newton(residual, step, z0, tol: float, max_iter: int, what: str,
     if carry.again is not None and rn >= tol:
         carry.tried += 1
         z_new = z + carry.again(r)
-        r_new = residual(z_new)
+        r_new, by_new = residual(z_new)
         rn_new = np.linalg.norm(r_new, np.inf)
         if _contracts(rn_new, rn, max_iter - 1, tol):
             carry.kept += 1
             again, start = carry.again, 1
-            z, r, rn = z_new, r_new, rn_new
+            z, r, rn, by = z_new, r_new, rn_new, by_new
 
     def failed(message, steps):
         return NoConvergence(f"{what} {message} after {steps} steps, "
@@ -125,9 +127,9 @@ def damped_newton(residual, step, z0, tol: float, max_iter: int, what: str,
 
     for it in range(start, max_iter):
         if rn < tol:
-            return z, rn
+            return z, rn, by
         if again is None:
-            delta, again = step(z, r)
+            delta, again = step(z, r, by)
             fresh += 1
             carry.again = again
             carry.fresh += 1
@@ -136,7 +138,7 @@ def damped_newton(residual, step, z0, tol: float, max_iter: int, what: str,
         lam = 1.0
         for _ in range(8):
             z_new = z + lam * delta
-            r_new = residual(z_new)
+            r_new, by_new = residual(z_new)
             if np.all(np.isfinite(r_new)) and (
                     np.linalg.norm(r_new, np.inf) < rn or lam <= 1.0 / 64):
                 break
@@ -152,9 +154,9 @@ def damped_newton(residual, step, z0, tol: float, max_iter: int, what: str,
         # reach tol within the iterations left
         if not (lam == 1.0 and _contracts(rn_new, rn, max_iter - it - 1, tol)):
             again = None
-        z, r, rn = z_new, r_new, rn_new
+        z, r, rn, by = z_new, r_new, rn_new, by_new
     if rn < tol:
-        return z, rn
+        return z, rn, by
     raise failed(f"Newton stalled at residual {rn:.3g}", max_iter)
 
 

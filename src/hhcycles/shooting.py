@@ -5,11 +5,13 @@ Shooting solves the 5-unknown system
     G(X0, T) = phi(X0, T) - X0 = 0
     <X0 - a, f(a)> = 0                (Poincare hyperplane at a = guess(t=0))
 
-by damped Newton.  The residual runs the RK4 state pass alone and keeps
-it.  Its states serve twice: the sensitivity dphi/dX0 is formed from them
-by the variational products (integrate.variational_of_pass) only when
-Newton takes a step there, so a converged or rejected point costs no
-monodromy; and the pass at the converged point, taken at every
+by damped Newton.  The residual runs the RK4 state pass alone and hands
+it on as its by-product (newton.damped_newton), so the pass stays with the
+point it ran at.  Its states serve twice: the sensitivity dphi/dX0 is
+formed from them by the variational products
+(integrate.variational_of_pass) only when Newton takes a step there, so a
+converged or rejected point costs no monodromy; and the pass that Newton
+returns with the converged point, taken at every
 FLOW_STEPS // CYCLE_SAMPLES-th step, is the returned cycle, so no further
 pass samples it.  It converges fast on stable cycles; for strongly
 unstable cycles the forward flow amplifies roundoff and collocation /
@@ -99,21 +101,20 @@ def shoot(field: VectorField, guess: PeriodicOrbit, tol: float = 1e-10) -> Cycle
     dim = field.dim
     a = np.array(guess.evaluate_time(0.0), dtype=float)
     fa = field.f(a)
-    flowed = {}  # the latest RK4 pass that ran, and the z it ran at
 
     def residual(z):
         x0, T = z[:dim], z[dim]
         if T <= 0:
-            return np.full(dim + 1, np.inf)
+            return np.full(dim + 1, np.inf), None
         try:
             traj = integrate.integrate_rk4(field, x0, 0.0, T, T / FLOW_STEPS)
         except NonFinite:
-            return np.full(dim + 1, np.inf)
-        flowed["z"], flowed["pass"] = z.copy(), traj
-        return np.concatenate([traj.states[-1] - x0, [float(fa @ (x0 - a))]])
+            return np.full(dim + 1, np.inf), None
+        return (np.concatenate([traj.states[-1] - x0, [float(fa @ (x0 - a))]]),
+                traj)
 
-    def step(z, r):
-        states = flowed["pass"].states
+    def step(z, r, traj):
+        states = traj.states
         Y, _ = integrate.variational_of_pass(field, states,
                                              z[dim] / FLOW_STEPS, 1)
         A = np.zeros((dim + 1, dim + 1))
@@ -123,15 +124,10 @@ def shoot(field: VectorField, guess: PeriodicOrbit, tol: float = 1e-10) -> Cycle
         # no reuse: a residual's state pass costs more than this matrix
         return newton.dense_step(A, r, "shooting")[0], None
 
-    z, _ = newton.damped_newton(residual, step, np.append(a, guess.period),
-                                tol, SHOOT_MAX_ITER, "shooting")
-    # damped_newton returns the point of its latest residual, whose pass
-    # is the cycle
-    if not np.array_equal(flowed["z"], z):
-        raise RuntimeError("shooting returned a point its last pass did "
-                           "not run at")
+    z, _, traj = newton.damped_newton(residual, step,
+                                      np.append(a, guess.period), tol,
+                                      SHOOT_MAX_ITER, "shooting")
     every = FLOW_STEPS // CYCLE_SAMPLES
-    traj = flowed["pass"]
     return Cycle(period=float(z[dim]),
                  samples=Trajectory(traj.times[::every].copy(),
                                     traj.states[::every].copy()))

@@ -332,6 +332,24 @@ class TestCommands:
             assert ((tmp_path / "a" / name).read_text()
                     == (tmp_path / "b" / name).read_text())
 
+    def test_each_branch_starts_with_no_carried_factors(self, tmp_path,
+                                                        capsys):
+        # the stable-up branch corrects up to 25; the hopf-seeded branch
+        # starts near 9.78, far from its last point, so neither branch's
+        # first correction tries factors
+        cfg = tmp_path / "knee.cfg"
+        cfg.write_text("diagram.i_min = 7.8\ndiagram.i_max = 25\n"
+                       "solver.hb.k = 30\nfloquet.steps = 1000\n")
+        assert cli.main(["--config", str(cfg), "--out", str(tmp_path),
+                         "--verbose", "diagram"]) == 0
+        work = {name: (int(solves), int(tried)) for name, solves, tried in
+                re.findall(r"^(.+): (\d+) corrections, .* of (\d+) tries$",
+                           capsys.readouterr().out, re.MULTILINE)}
+        assert work["stable-up"][0] > 0
+        for name in ("stable-up", "hopf-seeded"):
+            solves, tried = work[name]
+            assert tried == solves - 1
+
     def test_missing_config_file_is_usage_error(self, tmp_path):
         rc = cli.main(["--config", str(tmp_path / "nope.cfg"),
                        "hopf", "--range", "9:11"])

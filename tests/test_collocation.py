@@ -82,12 +82,14 @@ def tilted_circle_guess():
 
 def newton_system(monkeypatch, field_at, cycle, N, I, row):
     """(residual, step, z) of the collocation Newton on the uniform N-interval
-    mesh, z being cycle sampled there with its period and I."""
-    got = {}
+    mesh, z being cycle sampled there with its period and I.  residual(z)
+    returns the residual alone; step(z, r) takes the by-products of the
+    residual's evaluation at z."""
+    got, by = {}, {}
 
     def capture(residual, step, z0, tol, max_iter, what):
         got.update(residual=residual, step=step, z=z0)
-        return z0, 0.0
+        return z0, 0.0, None
 
     mesh = collocation.Mesh(np.linspace(0.0, 1.0, N + 1))
     ref = collocation.PhaseReference.from_cycle(cycle, mesh, field_at(I))
@@ -95,7 +97,14 @@ def newton_system(monkeypatch, field_at, cycle, N, I, row):
         m.setattr(newton, "damped_newton", capture)
         collocation._newton_collocation(field_at, mesh, ref.y, ref.mid,
                                         cycle.period, I, ref, row)
-    return got["residual"], got["step"], got["z"]
+
+    def residual(z):
+        r, by[z.tobytes()] = got["residual"](z)
+        return r
+
+    def step(z, r):
+        return got["step"](z, r, by[z.tobytes()])
+    return residual, step, got["z"]
 
 
 class TestMesh:

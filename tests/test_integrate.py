@@ -251,13 +251,14 @@ class TestRK4:
 
     @pytest.mark.parametrize("case", ["hh", "stuart-landau"])
     def test_every_pass_ends_on_the_loops_last_state(self, case):
-        # flow and variational_flow take their states from integrate_rk4
+        # flow, flow_with_monodromy and a sampled spectrum's pass (steps of
+        # T / chunks / steps per chunk) take their states from integrate_rk4
         fld, x0, T, n = pass_case(case)
         end = integrate.integrate_rk4(fld, x0, 0.0, T, T / n).states[-1]
         assert np.array_equal(integrate.flow(fld, x0, T, n), end)
         x, _ = integrate.flow_with_monodromy(fld, x0, T, n)
         assert np.array_equal(x, end)
-        x, _, _ = integrate.variational_flow(fld, x0, T / n, 4, n // 4)
+        x = integrate.integrate_rk4(fld, x0, 0.0, T, T / 4 / (n // 4)).states[-1]
         assert np.array_equal(x, end)
 
     def test_settle_has_one_sample_per_step(self, field20):
@@ -333,8 +334,10 @@ class TestVariationalFlow:
         # edges, and the RK4 trace quadrature against the exact integral
         fld = stuart_landau()
         C, n, h = 4, 400, 1e-3
-        x, Ys, traces = integrate.variational_flow(
-            fld, stuart_landau_transient(0.0)[0], h, C, n)
+        states = integrate.integrate_rk4(
+            fld, stuart_landau_transient(0.0)[0], 0.0, C * n * h, h).states
+        Ys, traces = integrate.variational_of_pass(fld, states, h, C)
+        x = states[-1]
         xj = stuart_landau_transient(0.0)[0]
         for j in range(C):
             xj, Y = integrate.flow_with_monodromy(fld, xj, n * h, n)
@@ -394,9 +397,12 @@ class TestVariationalFlow:
             assert np.max(np.abs(Ys[j] - Y)) <= 1e-13 * np.max(np.abs(Y))
 
     def test_products_of_a_pass_run_first_match_the_coupled_pass(self):
+        # the pass to T, as a sampled spectrum runs it, against the pass of
+        # nsteps steps of h: the same states, so the same products
         fld, x0, T, nsteps = pass_case("hh")
-        h = T / nsteps
-        x, Y, traces = integrate.variational_flow(fld, x0, h, 4, nsteps // 4)
+        h = T / 4 / (nsteps // 4)
+        Y, traces = integrate.variational_of_pass(
+            fld, integrate.integrate_rk4(fld, x0, 0.0, T, h).states, h, 4)
         states = integrate.integrate_rk4(fld, x0, 0.0, nsteps * h, h).states
         Y2, traces2 = integrate.variational_of_pass(fld, states, h, 4)
         assert np.array_equal(Y2, Y) and np.array_equal(traces2, traces)

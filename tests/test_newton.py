@@ -1,13 +1,15 @@
 """The shared damped Newton and its dense step, whose LU fast path must
-reach the SVD rule's verdicts, and the rule for stepping from the last
-factors."""
+reach the SVD rule's verdicts, the rule for stepping from the last
+factors, and the hand-over of each residual's by-products to the step at
+its own point."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import lapack
 
-from hhcycles import hb, newton
+from hhcycles import collocation, hb, model, newton, shooting
+from hhcycles.continuation import hh_family
 from hhcycles.errors import NoConvergence, NoSignChange, SingularJacobian
 from hhcycles.fields import harmonic_oscillator
 
@@ -113,10 +115,12 @@ def test_non_finite_matrix_raises():
 
 
 def dense_newton(A, residual, z0):
-    """damped_newton with the dense step on the constant matrix A."""
+    """damped_newton with the dense step on the constant matrix A; returns
+    (z, residual)."""
     return newton.damped_newton(
-        residual, lambda z, r: newton.dense_step(A, r, "test"), z0,
-        tol=1e-10, max_iter=5, what="test")
+        lambda z: (residual(z), None),
+        lambda z, r, by: newton.dense_step(A, r, "test"), z0,
+        tol=1e-10, max_iter=5, what="test")[:2]
 
 
 def test_newton_takes_minimum_norm_step_on_singular_system():
@@ -143,9 +147,9 @@ def counted(step, log, reuse=True):
     """step with its fresh factorizations logged as "F" and its steps from
     reused factors as "R"; with reuse=False it offers no reuse, which makes
     damped_newton plain Newton."""
-    def counted_step(z, r):
+    def counted_step(z, r, by):
         log.append("F")
-        delta, again = step(z, r)
+        delta, again = step(z, r, by)
         if again is None or not reuse:
             return delta, None
 
@@ -176,12 +180,13 @@ def logged_newton(F, J, z0, tol, max_iter, reuse=True, carry=None):
 
     def residual(z):
         log.append("r")
-        return F(z)
+        return F(z), None
 
-    step = counted(lambda z, r: newton.dense_step(J(z), r, "test"), log,
+    step = counted(lambda z, r, by: newton.dense_step(J(z), r, "test"), log,
                    reuse)
-    z, rn = newton.damped_newton(residual, step, np.asarray(z0, dtype=float),
-                                 tol, max_iter, "test", carry)
+    z, rn, _ = newton.damped_newton(residual, step,
+                                    np.asarray(z0, dtype=float), tol,
+                                    max_iter, "test", carry)
     return z, rn, "".join(log)
 
 
@@ -319,6 +324,79 @@ class TestCarriedFactors:
         z, rn, log = logged_newton(sphere_system, sphere_jacobian,
                                    [1.0, 1.0, 1.0], 1e-12, 5, carry=carry)
         assert log == "r" and carry.counts() == (1, 0, 0, 0)
+
+
+def declined_carry():
+    """A FactorCarry whose again steps far off, so its try is declined."""
+    carry = newton.FactorCarry()
+    carry.again = lambda r: np.full(len(r), 0.5)
+    return carry
+
+
+def with_carry(monkeypatch, carry):
+    """Route every solver's damped_newton through carry."""
+    damped_newton = newton.damped_newton
+
+    def carried(residual, step, z0, tol, max_iter, what):
+        return damped_newton(residual, step, z0, tol, max_iter, what, carry)
+
+    monkeypatch.setattr(newton, "damped_newton", carried)
+
+
+class TestByProducts:
+    """A residual's by-products reach the step at the point they came from,
+    whatever points damped_newton tried in between."""
+
+    def test_each_step_gets_the_by_products_of_its_own_point(self):
+        # arctan from 10 damps its first steps, and the declined carry
+        # evaluates one more point before any step; each residual hands
+        # on a copy of its own point
+        seen = []
+
+        def step(z, r, by):
+            seen.append(np.array_equal(by, z))
+            return newton.dense_step(np.diag(1 / (1 + z * z)), r, "test")
+
+        carry = declined_carry()
+        z, rn, by = newton.damped_newton(
+            lambda z: (np.arctan(z), z.copy()), step, np.array([10.0]),
+            1e-12, 30, "test", carry)
+        assert rn < 1e-12 and carry.counts()[2:] == (1, 0)
+        assert seen and all(seen)
+        assert np.array_equal(by, z)
+
+    def test_a_declined_carry_leaves_collocation_as_it_was(
+            self, monkeypatch, stable_cycle_20):
+        def solve():
+            mesh = collocation.Mesh(np.linspace(0.0, 1.0, 201))
+            ref = collocation.PhaseReference.from_cycle(
+                stable_cycle_20, mesh, hh_family()(20.0))
+            return collocation._newton_collocation(
+                hh_family(), mesh, ref.y, ref.mid, stable_cycle_20.period,
+                20.0, ref, (0.0, 1.0, 20.0))
+
+        plain = solve()
+        carry = declined_carry()
+        with monkeypatch.context() as m:
+            with_carry(m, carry)
+            got = solve()
+        assert carry.counts()[2:] == (1, 0)
+        assert all(np.array_equal(a, b) for a, b in zip(got, plain))
+
+    def test_a_declined_carry_leaves_shooting_as_it_was(self, monkeypatch,
+                                                         field20):
+        guess = shooting.settle_transient(
+            field20, 300.0, x_start=model.find_equilibrium(20.0)
+            + np.array([5.0, 0.0, 0.0, 0.0]))
+        plain = shooting.shoot(field20, guess)
+        carry = declined_carry()
+        with monkeypatch.context() as m:
+            with_carry(m, carry)
+            got = shooting.shoot(field20, guess)
+        assert carry.counts()[2:] == (1, 0)
+        assert got.period == plain.period
+        assert np.array_equal(got.samples.states, plain.samples.states)
+        assert np.array_equal(got.samples.times, plain.samples.times)
 
 
 class TestBracketedRoot:
