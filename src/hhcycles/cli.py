@@ -24,7 +24,8 @@ import sys
 
 import numpy as np
 
-from . import collocation, continuation, floquet, hb, model, shooting
+from . import (collocation, continuation, floquet, hb, model, newton,
+               shooting)
 from .errors import HHCyclesError
 from .fields import hh_field
 from .hb import FourierCycle
@@ -329,9 +330,10 @@ def _solve_single_cycle(I, method, cfg, p, init=None):
         return init, float(np.max(np.abs(states[-1] - states[0])))
     if method == "hb":
         ops = hb.build_operators(cfg["solver.hb.k"], cfg["solver.hb.oversample"])
-        cyc = hb.solve_hb(init, fld, ops, tol=cfg["solver.hb.tol"])
-        res = float(np.linalg.norm(hb.hb_residual(cyc, fld, ops), np.inf))
-        return cyc, res
+        carry = newton.FactorCarry()
+        cyc = hb.solve_hb(init, fld, ops, tol=cfg["solver.hb.tol"],
+                          carry=carry)
+        return cyc, float(carry.residual)
     if method == "collocation":
         sol = collocation.solve_bvp(fld, init,
                                     tol=cfg["solver.collocation.tol"],
@@ -431,10 +433,15 @@ def run_diagram(cfg, out_dir, verbose=False):
     if verbose:
         for miss in diagram.misses:
             print(miss)
-        for name, (solves, fresh, tried, kept) in diagram.work.items():
+        for name, (solves, fresh, tried, kept, climbs) in \
+                diagram.work.items():
             print(f"{name}: {solves} corrections, {fresh} fresh "
                   f"factorizations, carried factors kept in {kept} of "
                   f"{tried} tries")
+            if name in diagram.branches:
+                Ks = [pt.cycle.K for pt in diagram.branches[name].points]
+                print(f"{name}: points on K={min(Ks)}..{max(Ks)}, "
+                      f"{climbs} re-solves one rung up")
     manifest["events"] = "complete"
     _flush_manifest(out_dir, manifest, cfg)
     _write_diagram_files(diagram, out_dir, cfg)

@@ -3,7 +3,14 @@
 Secant pseudo-arclength continuation in the (I, T) plane: each step moves
 along the secant through the last two points and corrects on the line
 through the predicted point orthogonal to it, with (cycle, T, I) unknown,
-so a turning point in I is an ordinary step.  Folds are then pinned down as
+so a turning point in I is an ordinary step.  The harmonic-balance
+corrector solves each point on a rung of harmonic counts, hb_K, hb_K/2,
+... down to 2: one rung down after a point whose truncated series still
+solves the hb_K system to the corrector tolerance, one rung up when a
+rung's result does not (adaptive harmonic balance, Jaumouille, Sinou &
+Petitjean, J. Sound Vib. 329, 2010).  So every point is an hb_K solution,
+and one near a Hopf end, small and nearly sinusoidal, is solved on a small
+Newton matrix.  Folds are then pinned down as
 extrema of I(T) from the branch points around a turn in I, and
 period-doubling points as sign changes of det(M + I) between neighbouring
 branch points; both searches refine in T, the search parameter, from the
@@ -93,11 +100,23 @@ def hh_family(p: model.HHParams = model.DEFAULT_PARAMS) -> Callable[[float], Vec
 class _SolverAdapter:
     """The bordered corrector of either solver, behind one call.
 
-    The harmonic-balance corrector carries the LU factors of each
-    correction's latest fresh Newton step into its next correction
-    (newton.FactorCarry), whichever of continue_branch, locate_fold and
-    locate_pd asks for it; carry counts what they did.  A new adapter
-    starts with none, so its first correction is factored fresh.
+    The harmonic-balance corrector runs each correction on its
+    predictor's rung among rungs, the harmonic counts hb_K, ceil(hb_K/2),
+    ... down to 2 (hb_K for a predictor that is no series of a rung).  A
+    result passes the certificate if, zero-padded to hb_K, its hb_K
+    residual max-norm, phase row included, is below NEWTON_TOL: the
+    stopping test of an hb_K solve.  One that fails is solved again one
+    rung up, from itself padded to that rung (climbs counts these), so
+    every cycle returned is a converged hb_K solution, whichever of
+    continue_branch, locate_fold and locate_pd asked for it.  A result
+    whose coefficients above the next rung down are all below NEWTON_TOL
+    is returned truncated to that rung if the truncation passes the
+    certificate too, so the next correction from it runs one rung lower.
+
+    The corrector carries the LU factors of each correction's latest
+    fresh Newton step into its next correction (newton.FactorCarry); a
+    rung change drops them with the matrix size.  A new adapter starts
+    with none, so its first correction is factored fresh.
     """
 
     def __init__(self, name: str, hb_K: int = 40, hb_oversample: int = hb.DEFAULT_OVERSAMPLE,
@@ -106,24 +125,65 @@ class _SolverAdapter:
             raise ValueError(f"unknown solver {name!r}")
         self.name = name
         self.hb_K = hb_K
+        self.hb_oversample = hb_oversample
         self.coll_tol = coll_tol
         self.coll_max_N = coll_max_N
-        self._ops = hb.build_operators(hb_K, hb_oversample) if name == "hb" else None
+        self.rungs = [hb_K]
+        while self.rungs[-1] > 2:
+            self.rungs.append(-(-self.rungs[-1] // 2))
+        self._ops: Dict[int, hb.SpectralOperators] = {}
+        if name == "hb":
+            self.ops(hb_K)
         self.carry = newton.FactorCarry()
+        self.climbs = 0
+
+    def ops(self, K: int) -> hb.SpectralOperators:
+        """The harmonic-balance operators of K harmonics, made on first use."""
+        if K not in self._ops:
+            self._ops[K] = hb.build_operators(K, self.hb_oversample)
+        return self._ops[K]
+
+    def counts(self) -> tuple:
+        """carry.counts(), then the one-rung-up re-solves."""
+        return self.carry.counts() + (self.climbs,)
+
+    def certified(self, cyc: FourierCycle, fld: VectorField) -> bool:
+        """Whether cyc, zero-padded to hb_K, meets NEWTON_TOL on the hb_K
+        harmonic-balance system of fld, phase row included."""
+        res = hb.hb_residual(cyc.to_fourier(self.hb_K), fld,
+                             self.ops(self.hb_K))
+        return np.linalg.norm(res, np.inf) < NEWTON_TOL
 
     def correct(self, field_at, predictor: PeriodicOrbit, T: float, I: float,
                 row):
         """Solve for (cycle, T, I) under a_T*T + a_I*I = b, row = (a_T, a_I, b),
         from the predictor re-timed to T and from I; returns (cycle, I).
         The collocation corrector starts on the predictor's own mesh."""
-        if self.name == "hb":
-            seed = replace(predictor.to_fourier(self.hb_K), period=T)
-            return hb.solve_hb_bordered(seed, I, field_at, self._ops, row,
-                                        NEWTON_TOL, NEWTON_MAX_ITER,
-                                        self.carry)
-        return collocation.solve_bvp_bordered(
-            field_at, replace(predictor, period=T), I, row, self.coll_tol,
-            self.coll_max_N, COLL_REFINEMENTS, predictor.mesh)
+        if self.name != "hb":
+            return collocation.solve_bvp_bordered(
+                field_at, replace(predictor, period=T), I, row,
+                self.coll_tol, self.coll_max_N, COLL_REFINEMENTS,
+                predictor.mesh)
+        on_rung = isinstance(predictor, FourierCycle) \
+            and predictor.K in self.rungs
+        r = self.rungs.index(predictor.K) if on_rung else 0
+        cyc = replace(predictor.to_fourier(self.rungs[r]), period=T)
+        while True:
+            cyc, I = hb.solve_hb_bordered(
+                cyc, I, field_at, self.ops(self.rungs[r]), row, NEWTON_TOL,
+                NEWTON_MAX_ITER, self.carry)
+            if r == 0 or self.certified(cyc, field_at(I)):
+                break
+            r -= 1
+            self.climbs += 1
+            cyc = cyc.to_fourier(self.rungs[r])
+        if r + 1 < len(self.rungs):
+            lower = self.rungs[r + 1]
+            if np.max(np.abs(cyc.coeffs[:, 2 * lower + 1:])) < NEWTON_TOL:
+                low = cyc.to_fourier(lower)
+                if self.certified(low, field_at(I)):
+                    cyc = low
+        return cyc, I
 
 
 SOLVER_ERRORS = (NoConvergence, SingularJacobian, MeshTooCoarse, DegenerateCycle)
@@ -153,15 +213,17 @@ def _secant_cycle(prev: BranchPoint, cur: BranchPoint,
                   reach: float) -> PeriodicOrbit:
     """The corrector's guess reach secant lengths beyond cur: the Fourier
     coefficients extrapolated along the secant from prev when both points
-    are series of one K, else cur's cycle.
+    are series, else cur's cycle.  prev is taken at cur's K first, padded
+    with zeros or truncated, so the guess is a series of cur's K.
 
     Every harmonic-balance point sits on one phase anchor (B1 of V = 0,
     A1 >= 0), so the coefficients of successive points lie on one smooth
-    curve; two collocation cycles need not share a mesh.
+    curve, and a harmonic one rung leaves out is below the corrector's
+    tolerance; two collocation cycles need not share a mesh.
     """
     a, b = prev.cycle, cur.cycle
-    if isinstance(a, FourierCycle) and isinstance(b, FourierCycle) \
-            and a.K == b.K:
+    if isinstance(a, FourierCycle) and isinstance(b, FourierCycle):
+        a = a.to_fourier(b.K)
         return replace(b, coeffs=b.coeffs + reach * (b.coeffs - a.coeffs))
     return b
 
@@ -455,8 +517,10 @@ class Diagram:
     status: Dict[str, str] = field(default_factory=dict)  # complete | failed: why
     misses: List[str] = field(default_factory=list)       # failed event searches
     # corrector work per branch, and for the event searches: corrections,
-    # fresh factorizations, carried factors tried and kept
-    work: Dict[str, Tuple[int, int, int, int]] = field(default_factory=dict)
+    # fresh factorizations, carried factors tried and kept, and
+    # one-rung-up re-solves (_SolverAdapter.counts)
+    work: Dict[str, Tuple[int, int, int, int, int]] = field(
+        default_factory=dict)
 
 
 def assemble_diagram(branches: Sequence[Branch],
@@ -530,8 +594,8 @@ def diagram(hopfs: Sequence[Tuple[float, float]], I_limits: Tuple[float, float],
     that fails is left out, its status saying why, and note(name, status)
     is called as each branch ends; a failed event search is listed in misses.
     All corrections share one adapter, so each but a branch's first may
-    start from the factors of the one before; work counts them per branch
-    and for the searches.
+    start from the factors of the one before, if it runs on the same rung
+    (_SolverAdapter); work counts them per branch and for the searches.
     """
     fam = hh_family(p)
     lo, hi = I_limits
@@ -542,15 +606,15 @@ def diagram(hopfs: Sequence[Tuple[float, float]], I_limits: Tuple[float, float],
     branches, status, misses, work = {}, {}, [], {}
 
     def count_work(name, before):
-        work[name] = tuple(b - a for a, b in zip(before, ad.carry.counts()))
+        work[name] = tuple(b - a for a, b in zip(before, ad.counts()))
 
     def point_at(I, guess):
         fld = fam(I)
-        return make_point(I, hb.solve_hb(guess, fld, ad._ops), fld,
+        return make_point(I, hb.solve_hb(guess, fld, ad.ops(hb_K)), fld,
                           spectrum_steps)
 
     def follow(name, start, direction, limits, ctrl):
-        before = ad.carry.counts()
+        before = ad.counts()
         ad.carry.again = None  # another branch's last factors are far off
         try:
             branches[name] = continue_branch(
@@ -578,7 +642,7 @@ def diagram(hopfs: Sequence[Tuple[float, float]], I_limits: Tuple[float, float],
     # period-doubling crossing on the strongly unstable segment
     down = branches.get("hopf-seeded")
     if down is not None and len(down.points) > 4:
-        before = ad.carry.counts()
+        before = ad.counts()
         Is = [pt.I for pt in down.points]
         for j in turning_indices(Is):
             try:

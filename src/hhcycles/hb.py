@@ -163,19 +163,22 @@ def node_states(xbar: FourierCycle, ops: SpectralOperators) -> np.ndarray:
 
 
 def nonlinear_spectrum(xbar: FourierCycle, field: VectorField,
-                       ops: SpectralOperators) -> np.ndarray:
-    """Leading Fourier coefficients of f along the candidate cycle, (dim, 2K+1)."""
+                       ops: SpectralOperators, states=None) -> np.ndarray:
+    """Leading Fourier coefficients of f along the candidate cycle, (dim, 2K+1).
+    states, if given, are node_states(xbar, ops)."""
     if ops.K != xbar.K:
         raise ValueError("operator/coefficient harmonic count mismatch")
-    states = node_states(xbar, ops)
+    if states is None:
+        states = node_states(xbar, ops)
     YL = field.f(states)             # Lagrange-side components: f at the nodes
     return (ops.analysis @ YL).T
 
 
 def hb_residual(xbar: FourierCycle, field: VectorField,
-                ops: SpectralOperators) -> np.ndarray:
-    """Stacked residual omega*D xbar - Y_F plus the phase-anchor row (B1 of V)."""
-    YF = nonlinear_spectrum(xbar, field, ops)
+                ops: SpectralOperators, states=None) -> np.ndarray:
+    """Stacked residual omega*D xbar - Y_F plus the phase-anchor row (B1 of V).
+    states, if given, are node_states(xbar, ops)."""
+    YF = nonlinear_spectrum(xbar, field, ops, states)
     res = xbar.omega * (xbar.coeffs @ ops.D.T) - YF
     phase = xbar.coeffs[0, 2] if xbar.K >= 1 else 0.0
     return np.concatenate([res.ravel(), [phase]])
@@ -196,7 +199,7 @@ def rotate_phase(xbar: FourierCycle) -> FourierCycle:
 
 
 def hb_jacobian(xbar: FourierCycle, field: VectorField,
-                ops: SpectralOperators, out=None) -> np.ndarray:
+                ops: SpectralOperators, out=None, states=None) -> np.ndarray:
     """Exact derivative of hb_residual with respect to (coefficients, T).
 
     Alternating-frequency-time construction: the field Jacobian is sampled
@@ -219,13 +222,15 @@ def hb_jacobian(xbar: FourierCycle, field: VectorField,
     (6 of the 16 HH entries) stay zero.  The last column is the period
     derivative -(2*pi/T^2) * D c_i, the last row the phase anchor.  out, if
     given, is the zeroed square array to fill, such as the top-left block
-    of a bordered matrix.
+    of a bordered matrix.  states, if given, are node_states(xbar, ops).
     """
     if ops.K != xbar.K:
         raise ValueError("operator/coefficient harmonic count mismatch")
     dim, K, m = xbar.dim, xbar.K, 2 * ops.n + 1
     nc = 2 * K + 1
-    Jn = field.jac(node_states(xbar, ops)).reshape(m, dim * dim)
+    if states is None:
+        states = node_states(xbar, ops)
+    Jn = field.jac(states).reshape(m, dim * dim)
     blocks = np.flatnonzero(np.any(Jn, axis=0))
     # -C_k and -S_k of each block for k = -K..2K: the block's minus sign
     c = np.fft.fft(Jn[:, blocks], axis=0)[np.arange(-K, 2 * K + 1) % m]
@@ -259,7 +264,8 @@ def hb_jacobian(xbar: FourierCycle, field: VectorField,
 
 
 def bordered_jacobian(xbar: FourierCycle, field: VectorField,
-                      ops: SpectralOperators, row, out=None) -> np.ndarray:
+                      ops: SpectralOperators, row, out=None,
+                      states=None) -> np.ndarray:
     """hb_jacobian bordered by the column dR/dI and by the row (a_T, a_I)
     of row = (a_T, a_I, b).
 
@@ -269,7 +275,8 @@ def bordered_jacobian(xbar: FourierCycle, field: VectorField,
     array of the bordered size, overwritten) or else into a new array: one
     more full-size temporary per Newton step can take the step's matrices
     past the C allocator's heap trim threshold, and then they come back as
-    fresh pages on every step."""
+    fresh pages on every step.  states, if given, are
+    node_states(xbar, ops)."""
     nc = 2 * xbar.K + 1
     n = xbar.dim * nc + 1
     if out is None:
@@ -277,7 +284,7 @@ def bordered_jacobian(xbar: FourierCycle, field: VectorField,
     else:
         J = out
         J.fill(0.0)
-    hb_jacobian(xbar, field, ops, out=J[:-1, :-1])
+    hb_jacobian(xbar, field, ops, out=J[:-1, :-1], states=states)
     J[0:n - 1:nc, -1] = np.negative(field.dfdI)
     J[-1, -2:] = row[:2]
     return J
@@ -299,7 +306,9 @@ def solve_hb_bordered(init: PeriodicOrbit, I_guess: float, field_at,
     carry if None), and the carry takes the factors of this solve's
     latest fresh step to the next solve given it, whose Newton tries them
     first (newton.damped_newton); a solve of another matrix size drops
-    them.
+    them.  The carry also keeps the residual max-norm the solve stopped
+    at.  Each residual hands its node states to the step at its point,
+    which builds the Newton matrix from them.
     """
     if carry is None:
         carry = newton.FactorCarry()
@@ -316,11 +325,15 @@ def solve_hb_bordered(init: PeriodicOrbit, I_guess: float, field_at,
     def residual(z):
         if z[-2] <= 0:
             return np.full(len(z), np.inf), None
-        return np.append(hb_residual(cycle(z), field_at(float(z[-1])), ops),
-                         a_T * z[-2] + a_I * z[-1] - b), None
+        xbar = cycle(z)
+        states = node_states(xbar, ops)
+        return np.append(hb_residual(xbar, field_at(float(z[-1])), ops,
+                                     states),
+                         a_T * z[-2] + a_I * z[-1] - b), states
 
-    def step(z, r, by):
-        bordered_jacobian(cycle(z), field_at(float(z[-1])), ops, row, out=J)
+    def step(z, r, states):
+        bordered_jacobian(cycle(z), field_at(float(z[-1])), ops, row, out=J,
+                          states=states)
         return newton.dense_step(J, r, "HB", work=lu)
 
     z, _, _ = newton.damped_newton(
@@ -339,11 +352,12 @@ def _check_motion(xbar: FourierCycle, what: str) -> FourierCycle:
 
 
 def solve_hb(init: PeriodicOrbit, field: VectorField, ops: SpectralOperators,
-             tol: float = 1e-10, max_iter: int = 40) -> FourierCycle:
+             tol: float = 1e-10, max_iter: int = 40,
+             carry: newton.FactorCarry = None) -> FourierCycle:
     """Newton solve over (all coefficients, T): solve_hb_bordered with a
     field that does not depend on I and the row pinning I at 0."""
     return solve_hb_bordered(init, 0.0, constant_family(field), ops,
-                             (0.0, 1.0, 0.0), tol, max_iter)[0]
+                             (0.0, 1.0, 0.0), tol, max_iter, carry)[0]
 
 
 def solve_hb_fixed_period(init: PeriodicOrbit, I_guess: float, field_at,

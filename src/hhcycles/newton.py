@@ -34,6 +34,8 @@ class FactorCarry:
     declined try is thrown away with its residual's by-products.  The
     counts add up over the Newton solves that took the carry: solves,
     fresh factorizations, carried factors tried and carried factors kept.
+    residual is the max-norm of the residual the latest converged solve
+    stopped at.
     """
 
     again: Optional[Callable] = None
@@ -41,6 +43,7 @@ class FactorCarry:
     fresh: int = 0
     tried: int = 0
     kept: int = 0
+    residual: float = float("nan")
     _arrays: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def counts(self) -> tuple:
@@ -93,7 +96,8 @@ def damped_newton(residual, step, z0, tol: float, max_iter: int, what: str,
     solve goes on from it as a chord run.  A step that fails the test is
     thrown away with its residual: z stays at z0, no iteration is spent,
     and the solve runs as it does without a carry.  Each fresh step's
-    again is stored back in carry, so the carry leaves holding the latest.
+    again is stored back in carry, so the carry leaves holding the latest,
+    and a converged solve leaves its residual max-norm there too.
 
     A correction, fresh or not, is halved, up to 8 tries, until the
     residual is finite and smaller, and taken anyway once the factor is
@@ -127,6 +131,7 @@ def damped_newton(residual, step, z0, tol: float, max_iter: int, what: str,
 
     for it in range(start, max_iter):
         if rn < tol:
+            carry.residual = rn
             return z, rn, by
         if again is None:
             delta, again = step(z, r, by)
@@ -156,6 +161,7 @@ def damped_newton(residual, step, z0, tol: float, max_iter: int, what: str,
             again = None
         z, r, rn, by = z_new, r_new, rn_new, by_new
     if rn < tol:
+        carry.residual = rn
         return z, rn, by
     raise failed(f"Newton stalled at residual {rn:.3g}", max_iter)
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hhcycles import cli, collocation, floquet, integrate, shooting
+from hhcycles import cli, collocation, floquet, hb, integrate, shooting
 from hhcycles.cli import ConfigError
 from hhcycles.fields import hh_field
 from test_floquet import make_spec
@@ -333,22 +333,53 @@ class TestCommands:
                     == (tmp_path / "b" / name).read_text())
 
     def test_each_branch_starts_with_no_carried_factors(self, tmp_path,
-                                                        capsys):
+                                                        capsys, monkeypatch):
         # the stable-up branch corrects up to 25; the hopf-seeded branch
         # starts near 9.78, far from its last point, so neither branch's
-        # first correction tries factors
+        # first correction tries factors.  Every later correction on the
+        # same rung (harmonic count) as the one before it tries them; a
+        # rung change drops them with the Newton matrix's size
+        solve, solves = hb.solve_hb_bordered, []
+
+        def spy(init, I, field_at, ops, row, tol, max_iter, carry=None):
+            if carry is None:   # a branch's seed, not a correction
+                return solve(init, I, field_at, ops, row, tol, max_iter)
+            before = carry.solves, carry.tried
+            try:
+                return solve(init, I, field_at, ops, row, tol, max_iter,
+                             carry)
+            finally:
+                if carry.solves > before[0]:
+                    solves.append((ops.K, carry.tried - before[1]))
+
+        monkeypatch.setattr(hb, "solve_hb_bordered", spy)
         cfg = tmp_path / "knee.cfg"
         cfg.write_text("diagram.i_min = 7.8\ndiagram.i_max = 25\n"
                        "solver.hb.k = 30\nfloquet.steps = 1000\n")
         assert cli.main(["--config", str(cfg), "--out", str(tmp_path),
                          "--verbose", "diagram"]) == 0
-        work = {name: (int(solves), int(tried)) for name, solves, tried in
+        out = capsys.readouterr().out
+        work = {name: (int(n), int(tried)) for name, n, tried in
                 re.findall(r"^(.+): (\d+) corrections, .* of (\d+) tries$",
-                           capsys.readouterr().out, re.MULTILINE)}
+                           out, re.MULTILINE)}
+        rungs = {name: (int(lo), int(hi), int(climbs))
+                 for name, lo, hi, climbs in re.findall(
+                     r"^(.+): points on K=(\d+)\.\.(\d+), (\d+) re-solves "
+                     r"one rung up$", out, re.MULTILINE)}
         assert work["stable-up"][0] > 0
+        assert list(rungs) == ["stable-up", "hopf-seeded"]
+        runs = iter(solves)
         for name in ("stable-up", "hopf-seeded"):
-            solves, tried = work[name]
-            assert tried == solves - 1
+            n, tried = work[name]
+            branch = [next(runs) for _ in range(n)]
+            assert branch[0][1] == 0
+            same = [t for (K0, _), (K, t) in zip(branch, branch[1:]) if K == K0]
+            assert same == [1] * len(same)
+            assert tried == len(same)
+            assert 2 <= rungs[name][0] <= rungs[name][1] <= 30
+        # the hopf-seeded branch starts small, on K=30, and changes rung
+        assert rungs["hopf-seeded"][0] < 30
+        assert len(set(K for K, _ in solves)) > 1
 
     def test_missing_config_file_is_usage_error(self, tmp_path):
         rc = cli.main(["--config", str(tmp_path / "nope.cfg"),
@@ -385,6 +416,27 @@ class TestCommands:
         words = out.split()
         assert words[-1] == "stable"
         assert float(words[-2].removeprefix("liouville_error=")) < 1e-3
+
+    def test_hb_reports_the_residual_its_newton_stopped_at(self, tmp_path,
+                                                           monkeypatch):
+        # the residual of the artifact's own series, evaluated once: by
+        # the solve's Newton, not again after it
+        series = []
+        residual = hb.hb_residual
+
+        def counted(xbar, *args):
+            series.append(xbar.coeffs.copy())
+            return residual(xbar, *args)
+        monkeypatch.setattr(hb, "hb_residual", counted)
+        assert cli.main(["--out", str(tmp_path), "cycle", "--current", "20",
+                         "--method", "hb", "--harmonics", "20"]) == 0
+        doc = json.loads((tmp_path / "cycle_I20_hb.json").read_text())
+        cyc = hb.FourierCycle.from_json(doc)
+        assert sum(np.array_equal(c, cyc.coeffs) for c in series) == 1
+        fld = hh_field(cli.params_from_config(cli.DEFAULT_CONFIG), 20.0)
+        assert doc["residual"] == float(np.linalg.norm(
+            residual(cyc, fld, hb.build_operators(20)), np.inf))
+        assert doc["residual"] < cli.DEFAULT_CONFIG["solver.hb.tol"]
 
     def test_shoot_reports_the_gap_of_its_own_flow(self, tmp_path,
                                                    monkeypatch):

@@ -14,9 +14,11 @@ from hhcycles.fields import harmonic_oscillator
 from test_floquet import make_spec
 
 
-def fake_point(I, period=10.0, v_min=-90.0, v_max=8.0, mus=(0.1, 0.0, 0.0)):
-    return ct.BranchPoint(I=I, cycle=FoldCycle(period), period=period,
-                          v_min=v_min, v_max=v_max, spectrum=make_spec(mus))
+def fake_point(I, period=10.0, v_min=-90.0, v_max=8.0, mus=(0.1, 0.0, 0.0),
+               cycle=None):
+    return ct.BranchPoint(I=I, cycle=cycle or FoldCycle(period),
+                          period=period, v_min=v_min, v_max=v_max,
+                          spectrum=make_spec(mus))
 
 
 def fake_branch(Is, periods=None):
@@ -71,6 +73,111 @@ class TestSolverAdapter:
                             stable_cycle_20.period, 20.0, (0.0, 1.0, 20.0))
         assert I == pytest.approx(20.0, abs=1e-12)
         assert sol.period == pytest.approx(stable_cycle_20.period, rel=1e-6)
+
+
+class RecordingAdapter(ct._SolverAdapter):
+    """An HB adapter that keeps every (cycle, I) its corrections return."""
+
+    def __init__(self, hb_K):
+        super().__init__("hb", hb_K=hb_K)
+        self.returned = []
+
+    def correct(self, *args):
+        out = super().correct(*args)
+        self.returned.append(out)
+        return out
+
+
+def k50_residual(cyc, I):
+    """Max-norm of the K=50 residual of cyc zero-padded to K=50."""
+    return np.linalg.norm(hb.hb_residual(cyc.to_fourier(50), ct.hh_family()(I),
+                                         hb.build_operators(50)), np.inf)
+
+
+@pytest.fixture(scope="module")
+def rung_branch(field20, hb_cycle_20):
+    """K=50 continuation from I=20 up to the upper Hopf end, with steps of
+    4 to 16, and the adapter that ran it."""
+    ad = RecordingAdapter(50)
+    br = ct.continue_branch(
+        ct.make_point(20.0, hb_cycle_20, field20), +1, (20.0, 160.0),
+        ct.hh_family(), ad, step_ctrl=ct.StepControl(
+            initial=4.0, max_step=16.0, collapse_amplitude=0.4,
+            max_orbit_jump=25.0), max_points=200)
+    assert br.events and br.events[-1].kind == "hopf"
+    return br, ad
+
+
+class TestRungs:
+    """The HB adapter solves each correction on a rung of harmonic counts
+    and returns only what the K=hb_K system certifies."""
+
+    def test_the_ladder_halves_down_to_two(self):
+        assert ct._SolverAdapter("hb", hb_K=50).rungs == [50, 25, 13, 7, 4, 2]
+        assert ct._SolverAdapter("hb", hb_K=30).rungs == [30, 15, 8, 4, 2]
+        assert ct._SolverAdapter("hb", hb_K=2).rungs == [2]
+
+    def test_every_point_meets_the_k50_tolerance(self, rung_branch):
+        br, ad = rung_branch
+        assert len(ad.returned) >= len(br.points) - 1
+        for cyc, I in ad.returned:
+            assert k50_residual(cyc, I) < ct.NEWTON_TOL
+        Ks = [pt.cycle.K for pt in br.points]
+        assert Ks[0] == 50 and all(K < 50 for K in Ks[-3:]), Ks
+        assert all(K in ad.rungs for K in Ks)
+
+    def test_a_k50_resolve_moves_no_point(self, rung_branch):
+        br, _ = rung_branch
+        ops = hb.build_operators(50)
+        for pt in br.points:
+            sol, _ = hb.solve_hb_bordered(
+                pt.cycle.to_fourier(50), pt.I, ct.hh_family(), ops,
+                (0.0, 1.0, pt.I), ct.NEWTON_TOL, ct.NEWTON_MAX_ITER)
+            assert abs(sol.period - pt.period) < 1e-8
+
+    def test_a_failed_certificate_resolves_one_rung_up(self, rung_branch,
+                                                       monkeypatch):
+        # the first K=50 residual after a K=25 solve is the certificate:
+        # make it fail once
+        br, _ = rung_branch
+        pt = next(p for p in br.points if p.cycle.K == 25)
+        real, spoiled = hb.hb_residual, []
+
+        def residual(xbar, field, ops, states=None):
+            r = real(xbar, field, ops, states)
+            if ops.K == 50 and not spoiled:
+                spoiled.append(xbar)
+                return r + 1.0
+            return r
+
+        solves, solve = [], hb.solve_hb_bordered
+
+        def spy(init, I, *args):
+            out = solve(init, I, *args)
+            solves.append((init, out[0]))
+            return out
+
+        monkeypatch.setattr(hb, "hb_residual", residual)
+        monkeypatch.setattr(hb, "solve_hb_bordered", spy)
+        ad = ct._SolverAdapter("hb", hb_K=50)
+        cyc, I = ad.correct(ct.hh_family(), pt.cycle, pt.period, pt.I,
+                            (0.0, 1.0, pt.I))
+        (init25, got25), (init50, got50) = solves
+        assert (init25.K, got25.K, init50.K, got50.K) == (25, 25, 50, 50)
+        assert spoiled[0].K == 50
+        assert np.array_equal(spoiled[0].coeffs, init50.coeffs)
+        assert np.array_equal(init50.coeffs, got25.to_fourier(50).coeffs)
+        assert ad.climbs == 1 and ad.carry.solves == 2
+        assert k50_residual(cyc, I) < ct.NEWTON_TOL
+
+    def test_a_rung_too_small_for_the_spike_climbs_to_the_top(
+            self, hb_cycle_20):
+        ad = ct._SolverAdapter("hb", hb_K=50)
+        cyc, I = ad.correct(ct.hh_family(), hb_cycle_20.to_fourier(25),
+                            hb_cycle_20.period, 20.0, (0.0, 1.0, 20.0))
+        assert ad.climbs == 1 and cyc.K == 50
+        assert k50_residual(cyc, I) < ct.NEWTON_TOL
+        assert abs(cyc.period - hb_cycle_20.period) < 1e-8
 
 
 class TestContinueBranch:
@@ -466,6 +573,20 @@ class TestCyclePredictor:
             assert guess.K == 2
             assert np.allclose(guess.coeffs, expected, rtol=1e-12, atol=1e-12)
             assert not np.allclose(guess.coeffs, cur[2].coeffs)
+
+    @pytest.mark.parametrize("K_prev, K_cur", [(2, 4), (4, 2)])
+    def test_series_of_two_rungs_extrapolate_at_the_newer_k(self, K_prev,
+                                                            K_cur):
+        # the older series is zero-padded, or truncated, to the newer K
+        prev = bent_series(1.0).to_fourier(K_prev)
+        prev = replace(prev, coeffs=prev.coeffs + 0.25)
+        cur = bent_series(2.0).to_fourier(K_cur)
+        guess = ct._secant_cycle(fake_point(1.0, cycle=prev),
+                                 fake_point(2.0, cycle=cur), 0.5)
+        prev_at_cur = hb.resize(prev, K_cur).coeffs
+        assert guess.K == K_cur
+        assert np.array_equal(guess.coeffs,
+                              cur.coeffs + 0.5 * (cur.coeffs - prev_at_cur))
 
     def test_a_collocation_branch_starts_from_the_current_cycle(self):
         _, spy = self.run(mesh_cycle)
