@@ -41,24 +41,15 @@ DEFAULT_CONFIG = {
     "model.e_k": 12.0,
     "model.e_l": -10.599,
     "solver.hb.k": 50,
-    "solver.hb.oversample": 4,
-    "solver.hb.tol": 1e-10,
-    "solver.collocation.n": 100,
-    "solver.collocation.max_n": 2000,
-    "solver.collocation.tol": 1e-6,
-    "solver.shooting.tol": 1e-10,
-    "continuation.step.initial": 0.05,
-    "continuation.step.max": 0.25,
-    "continuation.step.min": 1e-9,
-    "continuation.collapse_amplitude": 0.4,
-    "continuation.max_orbit_jump": 25.0,
-    "continuation.max_points": 400,
     "diagram.i_min": 6.2,
     "diagram.i_max": 160.0,
-    "diagram.i_seed": 20.0,
     "floquet.steps": 4000,
-    "gibbs.ripple_threshold": 0.05,
 }
+# hhc cycle --method collocation: the bound on the sampled interior residual
+COLLOCATION_TOL = 1e-6
+# an hhc cycle --method hb artifact warns of Gibbs ripple above this relative
+# total-variation excess of V (hb.gibbs_ripple)
+GIBBS_RIPPLE_THRESHOLD = 0.05
 
 
 class ConfigError(Exception):
@@ -99,16 +90,13 @@ def load_config(path=None) -> dict:
 
 
 def _validate(cfg: dict):
-    for key in ("solver.hb.tol", "solver.collocation.tol",
-                "solver.shooting.tol", "continuation.step.initial",
-                "continuation.step.max", "continuation.step.min",
-                "continuation.collapse_amplitude",
-                "continuation.max_orbit_jump"):
-        if cfg[key] <= 0:
-            raise ConfigError(f"{key} must be positive")
+    try:
+        params_from_config(cfg)
+    except ValueError as exc:
+        raise ConfigError(f"model: {exc}")
     if cfg["diagram.i_min"] >= cfg["diagram.i_max"]:
         raise ConfigError("diagram.i_min must be below diagram.i_max")
-    # every integer key is a count: harmonics, oversampling, mesh, points, steps
+    # every integer key is a count: harmonics, steps
     for key, default in DEFAULT_CONFIG.items():
         if isinstance(default, int) and cfg[key] < 1:
             raise ConfigError(f"{key} must be >= 1")
@@ -208,8 +196,7 @@ def write_cycle_json(path, I, method, cyc, spec, residual, cfg,
            "residual": float(residual)}
     if gibbs_ripple is not None:
         doc["gibbs_ripple"] = float(gibbs_ripple)
-        doc["gibbs_warning"] = bool(
-            gibbs_ripple > cfg["gibbs.ripple_threshold"])
+        doc["gibbs_warning"] = bool(gibbs_ripple > GIBBS_RIPPLE_THRESHOLD)
     with open(path, "w") as fh:
         # json.dumps, not json.dump: only the one-shot encode takes the C
         # encoder, and a collocation artifact holds thousands of floats
@@ -224,8 +211,9 @@ def read_cycle_json(path, cfg=None):
     The artifact's method picks the cycle class.  A collocation cycle is
     rebuilt on the Hodgkin-Huxley field of cfg (default: DEFAULT_CONFIG) at
     the artifact's current.  The current must be finite, the period finite
-    and positive, and every state array must fit the model's state
-    components and the artifact's sample, harmonic or mesh-interval count.
+    and positive, the harmonic count of a Fourier cycle an integer >= 1,
+    and every state array must fit the model's state components and the
+    artifact's sample, harmonic or mesh-interval count.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -247,6 +235,10 @@ def read_cycle_json(path, cfg=None):
         T = float(doc["period"])
         if not 0.0 < T < np.inf:
             raise ConfigError(f"{path}: period {T!r} is not finite and positive")
+        if cls is FourierCycle and (type(doc["harmonics"]) is not int
+                                    or doc["harmonics"] < 1):
+            raise ConfigError(f"{path}: harmonics {doc['harmonics']!r} is "
+                              "not an integer >= 1")
         fld = hh_field(params_from_config(cfg or DEFAULT_CONFIG), I)
         cyc = cls.from_json(doc, fld)
         for name, states, shape in _STATE_ARRAYS[doc["method"]](cyc, fld.dim):
@@ -321,24 +313,20 @@ def _solve_single_cycle(I, method, cfg, p, init=None):
     """Shared cycle-solve used by cmd_cycle; returns (cycle, residual)."""
     fld = hh_field(p, I)
     if init is None:
-        init = shooting.cold_start(I, p, cfg["solver.shooting.tol"])
+        init = shooting.cold_start(I, p)
     elif method == "shoot":
-        init = shooting.shoot(fld, init, tol=cfg["solver.shooting.tol"])
+        init = shooting.shoot(fld, init)
     if method == "shoot":
         # the samples are states of shoot's last pass: its return gap
         states = init.samples.states
         return init, float(np.max(np.abs(states[-1] - states[0])))
     if method == "hb":
-        ops = hb.build_operators(cfg["solver.hb.k"], cfg["solver.hb.oversample"])
         carry = newton.FactorCarry()
-        cyc = hb.solve_hb(init, fld, ops, tol=cfg["solver.hb.tol"],
+        cyc = hb.solve_hb(init, fld, hb.build_operators(cfg["solver.hb.k"]),
                           carry=carry)
         return cyc, float(carry.residual)
     if method == "collocation":
-        sol = collocation.solve_bvp(fld, init,
-                                    tol=cfg["solver.collocation.tol"],
-                                    N=cfg["solver.collocation.n"],
-                                    max_N=cfg["solver.collocation.max_n"])
+        sol = collocation.solve_bvp(fld, init, tol=COLLOCATION_TOL)
         return sol, float(np.max(sol.residual_profile()))
     raise ConfigError(f"unknown method {method!r}")
 
@@ -348,13 +336,6 @@ def cmd_cycle(args, cfg) -> int:
     I = args.current
     if not np.isfinite(I):
         raise ConfigError(f"--current must be finite, got {I}")
-    if args.harmonics is not None:
-        cfg = dict(cfg)
-        cfg["solver.hb.k"] = args.harmonics
-    if args.mesh is not None:
-        cfg = dict(cfg)
-        cfg["solver.collocation.n"] = args.mesh
-    _validate(cfg)
     init = None
     if args.init:
         loaded = _load_cycle_file(args.init, cfg)
@@ -419,17 +400,8 @@ def run_diagram(cfg, out_dir, verbose=False):
         manifest["branches"].append({"name": name, "status": status})
         _flush_manifest(out_dir, manifest, cfg)
 
-    diagram = continuation.diagram(
-        hopfs, (lo, hi), cfg["diagram.i_seed"], continuation.StepControl(
-            initial=cfg["continuation.step.initial"],
-            max_step=cfg["continuation.step.max"],
-            min_step=cfg["continuation.step.min"],
-            collapse_amplitude=cfg["continuation.collapse_amplitude"],
-            max_orbit_jump=cfg["continuation.max_orbit_jump"]),
-        cfg["solver.hb.k"], p, hb_oversample=cfg["solver.hb.oversample"],
-        shoot_tol=cfg["solver.shooting.tol"],
-        spectrum_steps=cfg["floquet.steps"],
-        max_points=cfg["continuation.max_points"], note=note)
+    diagram = continuation.diagram(hopfs, (lo, hi), cfg["solver.hb.k"], p,
+                                   cfg["floquet.steps"], note)
     if verbose:
         for miss in diagram.misses:
             print(miss)
@@ -513,8 +485,6 @@ def build_parser() -> argparse.ArgumentParser:
     cy.add_argument("--current", type=float, required=True)
     cy.add_argument("--method", choices=("hb", "collocation", "shoot"),
                     default="hb")
-    cy.add_argument("--harmonics", type=int, default=None)
-    cy.add_argument("--mesh", type=int, default=None)
     cy.add_argument("--init", default=None, help="cycle JSON used as seed")
 
     sub.add_parser("diagram", help="full bifurcation diagram pipeline")

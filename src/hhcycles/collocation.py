@@ -447,7 +447,10 @@ def solve_bvp_bordered(field_at, init, I_guess: float, row, tol: float,
 
 def solve_bvp_fixed_period(field_at, init, I_guess: float):
     """solve_bvp_bordered with T pinned at init.period on init's own mesh,
-    accepted as it is (infinite tol); returns (CollocationSolution, I)."""
+    accepted as it is (infinite tol); returns (CollocationSolution, I).
+
+    No package code calls this: it stays because bench/tracing.py wraps it
+    by name, and ROADMAP item 1a deletes it with that wrapper."""
     if not isinstance(init, CollocationSolution):
         raise TypeError("fixed-period solve needs a CollocationSolution seed")
     return solve_bvp_bordered(field_at, init, I_guess, (1.0, 0.0, init.period),

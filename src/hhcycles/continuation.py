@@ -66,7 +66,7 @@ class Branch:
     mode_history = ((0, "I"),)
 
 
-@dataclass
+@dataclass(frozen=True)
 class StepControl:
     initial: float = 0.25              # step bounds, in the (I, T) norm
     max_step: float = 2.0
@@ -90,6 +90,12 @@ FOLD_MAX_ITER = 30
 # locate_pd searches in T (ms); the crossing multiplier moves by ~15 per ms
 # near the knee, so this resolves it to ~1.5e-5
 PD_TOL = 1e-6
+# diagram(): the cold start's current, the Hopf-seeded branch's step control
+# (the stable-up branch takes longer steps) and each branch's point cap
+DIAGRAM_SEED_CURRENT = 20.0
+DIAGRAM_STEPS = StepControl(initial=0.05, max_step=0.25,
+                            collapse_amplitude=0.4, max_orbit_jump=25.0)
+DIAGRAM_MAX_POINTS = 400
 
 
 def hh_family(p: model.HHParams = model.DEFAULT_PARAMS) -> Callable[[float], VectorField]:
@@ -119,13 +125,12 @@ class _SolverAdapter:
     with none, so its first correction is factored fresh.
     """
 
-    def __init__(self, name: str, hb_K: int = 40, hb_oversample: int = hb.DEFAULT_OVERSAMPLE,
-                 coll_tol: float = 1e-6, coll_max_N: int = 2000):
+    def __init__(self, name: str, hb_K: int = 40, coll_tol: float = 1e-6,
+                 coll_max_N: int = 2000):
         if name not in ("hb", "collocation"):
             raise ValueError(f"unknown solver {name!r}")
         self.name = name
         self.hb_K = hb_K
-        self.hb_oversample = hb_oversample
         self.coll_tol = coll_tol
         self.coll_max_N = coll_max_N
         self.rungs = [hb_K]
@@ -140,7 +145,7 @@ class _SolverAdapter:
     def ops(self, K: int) -> hb.SpectralOperators:
         """The harmonic-balance operators of K harmonics, made on first use."""
         if K not in self._ops:
-            self._ops[K] = hb.build_operators(K, self.hb_oversample)
+            self._ops[K] = hb.build_operators(K)
         return self._ops[K]
 
     def counts(self) -> tuple:
@@ -579,17 +584,16 @@ def assemble_diagram(branches: Sequence[Branch],
 
 
 def diagram(hopfs: Sequence[Tuple[float, float]], I_limits: Tuple[float, float],
-            I_seed: float, step_ctrl: StepControl, hb_K: int,
-            p: model.HHParams = model.DEFAULT_PARAMS,
-            hb_oversample: int = hb.DEFAULT_OVERSAMPLE, shoot_tol: float = 1e-10,
+            hb_K: int, p: model.HHParams = model.DEFAULT_PARAMS,
             spectrum_steps: int = floquet.DEFAULT_SPECTRUM_STEPS,
-            max_points: int = 1000, note=lambda name, status: None) -> Diagram:
+            note=lambda name, status: None) -> Diagram:
     """The hb_K-harmonic bifurcation diagram of the Hodgkin-Huxley model over
     I_limits, given the equilibrium's Hopf points (I*, omega), lowest first.
 
-    In order: a cold start at I_seed (clamped into I_limits); the
-    "stable-up" branch from there; the "hopf-seeded" branch from just below
-    the lowest Hopf point down through the folds and back up to I_seed;
+    In order: a cold start at DIAGRAM_SEED_CURRENT (clamped into I_limits);
+    the "stable-up" branch from there; the "hopf-seeded" branch from just
+    below the lowest Hopf point down through the folds and back up to the
+    seed current, each branch of at most DIAGRAM_MAX_POINTS points;
     locate_fold at each of its turning points, then locate_pd.  A branch
     that fails is left out, its status saying why, and note(name, status)
     is called as each branch ends; a failed event search is listed in misses.
@@ -599,7 +603,7 @@ def diagram(hopfs: Sequence[Tuple[float, float]], I_limits: Tuple[float, float],
     """
     fam = hh_family(p)
     lo, hi = I_limits
-    ad = _SolverAdapter("hb", hb_K=hb_K, hb_oversample=hb_oversample)
+    ad = _SolverAdapter("hb", hb_K=hb_K)
     events = [BifurcationEvent(kind="hopf", I_star=I_star, evidence={
         "omega": omega, "source": "equilibrium eigenvalues"})
         for I_star, omega in hopfs]
@@ -620,23 +624,23 @@ def diagram(hopfs: Sequence[Tuple[float, float]], I_limits: Tuple[float, float],
             branches[name] = continue_branch(
                 start(), direction, limits, step_ctrl=ctrl, adapter=ad,
                 field_at=fam, spectrum_steps=spectrum_steps,
-                max_points=max_points)
+                max_points=DIAGRAM_MAX_POINTS)
             status[name] = "complete"
         except HHCyclesError as exc:
             status[name] = f"failed: {exc}"
         count_work(name, before)
         note(name, status[name])
 
-    I_seed = min(max(I_seed, lo), hi)
-    stable = point_at(I_seed, shooting.cold_start(I_seed, p, shoot_tol))
+    I_seed = min(max(DIAGRAM_SEED_CURRENT, lo), hi)
+    stable = point_at(I_seed, shooting.cold_start(I_seed, p))
     # the stable branch is smooth up to its Hopf end: longer steps
     follow("stable-up", lambda: stable, +1, (I_seed, hi),
-           replace(step_ctrl, initial=0.5, max_step=2.0))
+           replace(DIAGRAM_STEPS, initial=0.5, max_step=2.0))
     if hopfs:
         I0, omega = hopfs[0][0] - 0.02, hopfs[0][1]
         follow("hopf-seeded",
                lambda: point_at(I0, hopf_branch_seed(I0, omega, 1.0, p)),
-               -1, (lo, I_seed), step_ctrl)
+               -1, (lo, I_seed), DIAGRAM_STEPS)
 
     # events on the hopf-seeded branch: folds at the I-extrema, then the
     # period-doubling crossing on the strongly unstable segment

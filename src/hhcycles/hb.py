@@ -363,7 +363,10 @@ def solve_hb(init: PeriodicOrbit, field: VectorField, ops: SpectralOperators,
 def solve_hb_fixed_period(init: PeriodicOrbit, I_guess: float, field_at,
                           ops: SpectralOperators, tol: float = 1e-10,
                           max_iter: int = 40):
-    """solve_hb_bordered with T pinned at init.period; returns (FourierCycle, I)."""
+    """solve_hb_bordered with T pinned at init.period; returns (FourierCycle, I).
+
+    No package code calls this: it stays because bench/tracing.py wraps it
+    by name, and ROADMAP item 1a deletes it with that wrapper."""
     return solve_hb_bordered(init, I_guess, field_at, ops,
                              (1.0, 0.0, init.period), tol, max_iter)
 

@@ -158,13 +158,19 @@ def integrate_rk4(field: VectorField, x0, t0: float, t1: float, h: float) -> Tra
 
 
 def flow(field: VectorField, x0, T: float, nsteps: int) -> np.ndarray:
-    """Endpoint of nsteps RK4 steps of T / nsteps from x0."""
+    """Endpoint of nsteps RK4 steps of T / nsteps from x0.
+
+    No package code calls this: it stays because bench/tracing.py wraps it
+    by name, and ROADMAP item 1a deletes it with that wrapper."""
     return integrate_rk4(field, x0, 0.0, T, T / nsteps).states[-1].copy()
 
 
 def flow_with_monodromy(field: VectorField, x0, T: float, nsteps: int):
     """Flow endpoint plus the fundamental matrix Y(T), Y(0)=I, of nsteps
-    RK4 steps over time T."""
+    RK4 steps over time T.
+
+    No package code calls this: it stays because bench/tracing.py wraps it
+    by name, and ROADMAP item 1a deletes it with that wrapper."""
     states = integrate_rk4(field, x0, 0.0, T, T / nsteps).states
     Y, _ = variational_of_pass(field, states, T / nsteps, 1)
     return states[-1].copy(), Y[0]

@@ -13,6 +13,23 @@ from hhcycles.fields import hh_field
 from test_floquet import make_spec
 
 ROOT = Path(__file__).resolve().parent.parent
+# retired config keys, which every caller set to one value: each value is
+# now a constant of the module that reads it, or the library default it was
+# passed to
+RETIRED_KEYS = ["solver.hb.oversample", "solver.hb.tol", "solver.collocation.n",
+                "solver.collocation.max_n", "solver.collocation.tol",
+                "solver.shooting.tol", "continuation.step.initial",
+                "continuation.step.max", "continuation.step.min",
+                "continuation.collapse_amplitude",
+                "continuation.max_orbit_jump", "continuation.max_points",
+                "diagram.i_seed", "gibbs.ripple_threshold"]
+
+
+def config_file(tmp_path, text):
+    """A config file in tmp_path holding text."""
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    return str(path)
 
 
 @pytest.fixture(scope="module")
@@ -36,11 +53,13 @@ class TestConfig:
         assert cfg["diagram.i_max"] == 120.0
         assert cfg["model.c"] == 1.0
 
-    def test_unknown_key_rejected(self, tmp_path):
-        f = tmp_path / "run.cfg"
-        f.write_text("solver.hp.k=30\n")
-        with pytest.raises(ConfigError):
-            cli.load_config(str(f))
+    @pytest.mark.parametrize("key", ["solver.hp.k"] + RETIRED_KEYS)
+    def test_unknown_key_rejected(self, tmp_path, capsys, key):
+        f = config_file(tmp_path, f"{key}=30\n")
+        with pytest.raises(ConfigError, match="unknown key"):
+            cli.load_config(f)
+        assert cli.main(["--config", f, "hopf", "--range", "1:2"]) == 1
+        assert f"unknown key {key!r}" in capsys.readouterr().err
 
     def test_malformed_line_rejected(self, tmp_path):
         f = tmp_path / "run.cfg"
@@ -54,11 +73,23 @@ class TestConfig:
         with pytest.raises(ConfigError):
             cli.load_config(str(f))
 
-    def test_validation_catches_nonpositive_tol(self, tmp_path):
-        f = tmp_path / "run.cfg"
-        f.write_text("solver.hb.tol=-1e-8\n")
-        with pytest.raises(ConfigError):
-            cli.load_config(str(f))
+    def test_validation_catches_nonpositive_model_parameters(
+            self, tmp_path, capsys, monkeypatch):
+        # a config error, not a ValueError traceback from HHParams, and
+        # before any command runs
+        def solve(*args):
+            raise AssertionError("a cycle solve ran")
+        monkeypatch.setattr(cli, "_solve_single_cycle", solve)
+        for line, command in [("model.g_k=-36", ["hopf", "--range", "1:2"]),
+                              ("model.c=0", ["cycle", "--current", "20"])]:
+            f = config_file(tmp_path, line + "\n")
+            with pytest.raises(ConfigError, match="must be positive"):
+                cli.load_config(f)
+            assert cli.main(["--config", f, "--out", str(tmp_path)]
+                            + command) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error: model: ")
+            assert "must be positive" in err
 
     @pytest.mark.parametrize("key", [k for k, v in cli.DEFAULT_CONFIG.items()
                                      if isinstance(v, int)])
@@ -69,19 +100,27 @@ class TestConfig:
             cli.load_config(str(f))
         assert cli.main(["--config", str(f), "hopf", "--range", "1:2"]) == 1
 
-    @pytest.mark.parametrize("option", ["--harmonics", "--mesh", "--steps"])
+    @pytest.mark.parametrize("option", ["--steps"])
     def test_count_options_below_one_rejected(self, tmp_path, option):
         # --steps is checked before its cycle file (absent here) is read
-        command = (["floquet", "--cycle-file", str(tmp_path / "c.json")]
-                   if option == "--steps" else ["cycle", "--current", "20"])
-        assert cli.main(["--out", str(tmp_path)] + command
-                        + [option, "0"]) == 1
+        assert cli.main(["--out", str(tmp_path), "floquet", "--cycle-file",
+                         str(tmp_path / "c.json"), option, "0"]) == 1
+
+    @pytest.mark.parametrize("option", ["--harmonics", "--mesh"])
+    def test_retired_cycle_flags_rejected(self, tmp_path, monkeypatch,
+                                          option):
+        # solver.hb.k sets the harmonics; the collocation mesh starts at
+        # solve_bvp's default
+        def solve(*args):
+            raise AssertionError("a cycle solve ran")
+        monkeypatch.setattr(cli, "_solve_single_cycle", solve)
+        assert cli.main(["--out", str(tmp_path), "cycle", "--current", "20",
+                         option, "30"]) == 1
 
     @pytest.mark.parametrize("lines", [
         "diagram.i_min=20\ndiagram.i_max=10",
         "diagram.i_min=10\ndiagram.i_max=10",
-        "continuation.step.max=-1", "continuation.step.min=0",
-        "continuation.collapse_amplitude=0", "continuation.max_orbit_jump=-5"])
+        "model.c=0", "model.g_na=-120", "model.g_k=0", "model.g_l=-0.3"])
     def test_impossible_diagram_settings_rejected(self, tmp_path, lines):
         f = tmp_path / "run.cfg"
         f.write_text(lines + "\n")
@@ -90,7 +129,7 @@ class TestConfig:
         assert cli.main(["--config", str(f), "hopf", "--range", "1:2"]) == 1
 
     @pytest.mark.parametrize("line", ["diagram.i_max = nan",
-                                      "solver.hb.tol = nan",
+                                      "model.e_l = nan",
                                       "diagram.i_min = -inf"])
     def test_non_finite_value_is_a_config_error(self, tmp_path, capsys,
                                                 monkeypatch, line):
@@ -105,10 +144,10 @@ class TestConfig:
 
     def test_integer_keys_stay_integer(self, tmp_path):
         f = tmp_path / "run.cfg"
-        f.write_text("solver.collocation.n=250\n")
+        f.write_text("floquet.steps=250\n")
         cfg = cli.load_config(str(f))
-        assert cfg["solver.collocation.n"] == 250
-        assert isinstance(cfg["solver.collocation.n"], int)
+        assert cfg["floquet.steps"] == 250
+        assert isinstance(cfg["floquet.steps"], int)
 
     def test_hash_is_stable_and_sensitive(self):
         a = cli.load_config(None)
@@ -201,9 +240,9 @@ class TestCycleArtifacts:
         path = tmp_path / "seed.json"
         cli.write_cycle_json(str(path), 20.0, "collocation", colloc_cycle_20,
                              make_spec([0.1]), 1e-6, cli.load_config(None))
-        assert cli.main(["--out", str(tmp_path), "cycle", "--current", "20",
-                         "--method", "hb", "--harmonics", "30",
-                         "--init", str(path)]) == 0
+        assert cli.main(["--config", config_file(tmp_path, "solver.hb.k=30\n"),
+                         "--out", str(tmp_path), "cycle", "--current", "20",
+                         "--method", "hb", "--init", str(path)]) == 0
         _, cyc = cli.read_cycle_json(str(tmp_path / "cycle_I20_hb.json"))
         assert cyc.period == pytest.approx(colloc_cycle_20.period, rel=1e-4)
 
@@ -401,9 +440,9 @@ class TestCommands:
         assert "must be finite" in capsys.readouterr().err
 
     def test_cycle_then_floquet_report(self, tmp_path, capsys):
-        rc = cli.main(["--out", str(tmp_path), "--verbose", "cycle",
-                       "--current", "20", "--method", "hb",
-                       "--harmonics", "40"])
+        rc = cli.main(["--config", config_file(tmp_path, "solver.hb.k=40\n"),
+                       "--out", str(tmp_path), "--verbose", "cycle",
+                       "--current", "20", "--method", "hb"])
         assert rc == 0
         arts = list(tmp_path.glob("cycle_I20_hb.json"))
         assert len(arts) == 1
@@ -428,15 +467,16 @@ class TestCommands:
             series.append(xbar.coeffs.copy())
             return residual(xbar, *args)
         monkeypatch.setattr(hb, "hb_residual", counted)
-        assert cli.main(["--out", str(tmp_path), "cycle", "--current", "20",
-                         "--method", "hb", "--harmonics", "20"]) == 0
+        assert cli.main(["--config", config_file(tmp_path, "solver.hb.k=20\n"),
+                         "--out", str(tmp_path), "cycle", "--current", "20",
+                         "--method", "hb"]) == 0
         doc = json.loads((tmp_path / "cycle_I20_hb.json").read_text())
         cyc = hb.FourierCycle.from_json(doc)
         assert sum(np.array_equal(c, cyc.coeffs) for c in series) == 1
         fld = hh_field(cli.params_from_config(cli.DEFAULT_CONFIG), 20.0)
         assert doc["residual"] == float(np.linalg.norm(
             residual(cyc, fld, hb.build_operators(20)), np.inf))
-        assert doc["residual"] < cli.DEFAULT_CONFIG["solver.hb.tol"]
+        assert doc["residual"] < 1e-10   # solve_hb's tolerance
 
     def test_shoot_reports_the_gap_of_its_own_flow(self, tmp_path,
                                                    monkeypatch):
@@ -454,7 +494,7 @@ class TestCommands:
         # read off the states of shoot's own pass, not flowed again
         assert flows == []
         doc = json.loads((tmp_path / "cycle_I20_shoot.json").read_text())
-        assert doc["residual"] < cli.DEFAULT_CONFIG["solver.shooting.tol"]
+        assert doc["residual"] < 1e-10   # shoot's tolerance
         fld = hh_field(cli.params_from_config(cli.DEFAULT_CONFIG), 20.0)
         x0 = np.array(doc["samples"][0])
         xT = flow(fld, x0, doc["period"], shooting.FLOW_STEPS)
@@ -514,6 +554,11 @@ class TestCommands:
         '"samples_t": [0, 1], "samples": [[-60, 0.3], [-60, 0.3]]}',
         '{"schema": 1, "current": 20, "method": "hb", "period": 14.6, '
         '"harmonics": 1, "coefficients": [[-60, 10, 0], [0.3, 0.01, 0]]}',
+        '{"schema": 1, "current": 20, "method": "hb", "period": 14.6, '
+        '"harmonics": 0, "coefficients": [[-60], [0.3], [0.6], [0.05]]}',
+        '{"schema": 1, "current": 20, "method": "hb", "period": 14.6, '
+        '"harmonics": 1.7, "coefficients": [[-60, 10, 0], [0.3, 0.01, 0], '
+        '[0.6, 0.01, 0], [0.05, 0.01, 0]]}',
         '{"schema": 1, "current": 20, "method": "collocation", '
         '"period": 14.6, "mesh_tau": [0, 0.5, 1], '
         '"mesh_states": [[-60, 0.3, 0.6], [-50, 0.4, 0.5]], '
@@ -525,7 +570,8 @@ class TestCommands:
         '[-60, 0.3, 0.6, 0.05]]}'],
         ids=["missing", "malformed", "not-an-object", "null-current",
              "empty-samples", "empty-mesh", "negative-period", "nan-current",
-             "two-column-samples", "two-coefficient-rows",
+             "two-column-samples", "two-coefficient-rows", "zero-harmonics",
+             "fractional-harmonics",
              "three-column-mesh-states", "mesh-states-short-of-intervals"])
     @pytest.mark.parametrize("command", [
         ["cycle", "--current", "20", "--method", "hb", "--init"],

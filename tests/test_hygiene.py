@@ -1,8 +1,8 @@
 """Source hygiene: every imported name in the package and the tests is read,
 every public package definition has a user outside the tests, no package
 function rebinds a module name, every package name the benchmark under
-bench/ patches or calls exists, and the steady state of a continuation
-makes no fresh pages."""
+bench/ patches or calls exists, every config key is read and listed in the
+README, and the steady state of a continuation makes no fresh pages."""
 
 import ast
 import inspect
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from hhcycles import continuation, model, shooting
+from hhcycles import cli, continuation, model, shooting
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "hhcycles").glob("*.py")) + sorted(
@@ -147,6 +147,39 @@ def test_model_uses_math_only_in_float_field():
     assert not found, f"math used outside float_field at lines {found}"
 
 
+def test_every_config_key_is_read_by_the_package():
+    # a key that only DEFAULT_CONFIG names sets nothing: its value is dead
+    named = Counter()
+    for path in sorted((ROOT / "src" / "hhcycles").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        literal = {id(n) for node in ast.walk(tree)
+                   if isinstance(node, ast.Assign)
+                   and any(isinstance(t, ast.Name) and t.id == "DEFAULT_CONFIG"
+                           for t in node.targets)
+                   for n in ast.walk(node.value)}
+        named.update(n.value for n in ast.walk(tree)
+                     if isinstance(n, ast.Constant) and id(n) not in literal)
+    dead = [key for key in cli.DEFAULT_CONFIG if not named[key]]
+    assert not dead, "config keys the package never reads: " + ", ".join(dead)
+
+
+def readme_config_keys():
+    """The keys of the README's configuration table, in its order: the
+    first cell of each row below the header that starts with '| key |'."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = next(i for i, ln in enumerate(lines) if ln.startswith("| key |"))
+    keys = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        keys.append(line.split("|")[1].strip().strip("`"))
+    return keys
+
+
+def test_readme_config_table_names_every_key_once():
+    assert sorted(readme_config_keys()) == sorted(cli.DEFAULT_CONFIG)
+
+
 def test_benchmark_names_exist(monkeypatch):
     # bench/tracing.py patches these by name: deleting one breaks the traced
     # benchmark, not the package's own tests
@@ -252,15 +285,16 @@ def test_continuation_points_reuse_their_memory(stable_cycle_20):
 
 def test_identical_hb_cycle_commands_factor_equally_often(tmp_path,
                                                           monkeypatch):
-    from hhcycles import cli
     from test_newton import count_factorizations
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("solver.hb.k = 30\n")
     logs = []
     for run in range(2):
         with monkeypatch.context() as m:
             logs.append(count_factorizations(m))
-            assert cli.main(["--out", str(tmp_path / str(run)), "cycle",
-                             "--current", "20", "--method", "hb",
-                             "--harmonics", "30"]) == 0
+            assert cli.main(["--config", str(cfg), "--out",
+                             str(tmp_path / str(run)), "cycle",
+                             "--current", "20", "--method", "hb"]) == 0
     assert logs[0] == logs[1] and "F" in logs[0]
 
 
