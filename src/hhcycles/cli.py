@@ -411,9 +411,14 @@ def run_diagram(cfg, out_dir, verbose=False):
                   f"factorizations, carried factors kept in {kept} of "
                   f"{tried} tries")
             if name in diagram.branches:
-                Ks = [pt.cycle.K for pt in diagram.branches[name].points]
+                pts = diagram.branches[name].points
+                Ks = [pt.cycle.K for pt in pts]
                 print(f"{name}: points on K={min(Ks)}..{max(Ks)}, "
                       f"{climbs} re-solves one rung up")
+                full = floquet.taken_steps(cfg["floquet.steps"])
+                kept = sum(pt.spectrum.steps < full for pt in pts)
+                print(f"{name}: {kept} point spectra kept at the reduced "
+                      f"count, {len(pts) - kept} at the full {full} steps")
     manifest["events"] = "complete"
     _flush_manifest(out_dir, manifest, cfg)
     _write_diagram_files(diagram, out_dir, cfg)
@@ -492,7 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
     fl = sub.add_parser("floquet", help="multiplier report for a cycle file")
     fl.add_argument("--cycle-file", required=True)
     fl.add_argument("--steps", type=int, default=None,
-                    help="RK4 steps per period (default: floquet.steps)")
+                    help="RK4 steps per period, taken as 16 * max(1, "
+                    "STEPS // 16): 992 for 1000 (default: floquet.steps)")
 
     hp = sub.add_parser("hopf", help="Hopf points from equilibrium eigenvalues")
     hp.add_argument("--range", default="1:160", help="I0:I1[:STEP]")

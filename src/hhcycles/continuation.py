@@ -15,6 +15,15 @@ extrema of I(T) from the branch points around a turn in I, and
 period-doubling points as sign changes of det(M + I) between neighbouring
 branch points; both searches refine in T, the search parameter, from the
 branch points that bracket the event.
+
+A branch point's spectrum serves only its stability label and the sign of
+det(M + I), so point_spectrum takes it at a quarter of the step count and
+keeps it where the spectrum's own Richardson estimates certify both: every
+nontrivial multiplier's estimated error is at most SETTLED_MARGIN of its
+distance to the unit circle and to -1.  Any other point takes the full
+count, as do the event searches: locate_fold's certificate, and the
+period-doubling search, which takes its window's spectra again at the
+full count before it compares signs.
 """
 
 from __future__ import annotations
@@ -27,8 +36,8 @@ import numpy as np
 from . import collocation, floquet, hb, model, newton, shooting
 from .cycles import PeriodicOrbit, check_orbit
 from .errors import (DegenerateCycle, HHCyclesError, MeshTooCoarse,
-                     NoConvergence, NoExtremum, SingularJacobian,
-                     StartInvalid)
+                     NoConvergence, NoExtremum, NoSignChange,
+                     SingularJacobian, StartInvalid)
 from .fields import VectorField, hh_field
 from .hb import FourierCycle
 
@@ -96,6 +105,11 @@ DIAGRAM_SEED_CURRENT = 20.0
 DIAGRAM_STEPS = StepControl(initial=0.05, max_step=0.25,
                             collapse_amplitude=0.4, max_orbit_jump=25.0)
 DIAGRAM_MAX_POINTS = 400
+# point_spectrum: a branch point's spectrum is taken at 1/SETTLED_FRACTION
+# of the step count, and kept where every nontrivial multiplier's error
+# estimate is within SETTLED_MARGIN of its distance to |mu| = 1 and to -1
+SETTLED_FRACTION = 4
+SETTLED_MARGIN = 0.1
 
 
 def hh_family(p: model.HHParams = model.DEFAULT_PARAMS) -> Callable[[float], VectorField]:
@@ -194,12 +208,34 @@ class _SolverAdapter:
 SOLVER_ERRORS = (NoConvergence, SingularJacobian, MeshTooCoarse, DegenerateCycle)
 
 
+def point_spectrum(cyc: PeriodicOrbit, fld: VectorField,
+                   spectrum_steps: int) -> floquet.FloquetSpectrum:
+    """The spectrum of a branch point: at 1/SETTLED_FRACTION of
+    spectrum_steps, an even count per subinterval (992 of 4000, 224 of
+    1000), if its error estimates certify its stability label and the
+    sign of det(M + I), each nontrivial multiplier's at most
+    SETTLED_MARGIN of its distance to the unit circle and to -1.  Else, or
+    for a sampled cycle (no estimates) or a reduced count below two steps
+    per subinterval, at spectrum_steps."""
+    per_chunk = 2 * (spectrum_steps // floquet.SPECTRUM_CHUNKS
+                     // (2 * SETTLED_FRACTION))
+    if cyc.dense and per_chunk >= 2:
+        spec = floquet.spectrum(
+            cyc, fld, nsteps=floquet.SPECTRUM_CHUNKS * per_chunk,
+            estimate=True)
+        err, mu = spec.multiplier_errors, spec.multipliers
+        room = np.minimum(np.abs(np.abs(mu) - 1.0), np.abs(mu + 1.0))
+        if err is not None and np.all(err <= SETTLED_MARGIN * room):
+            return spec
+    return floquet.spectrum(cyc, fld, nsteps=spectrum_steps)
+
+
 def make_point(I: float, cyc, fld: VectorField,
                spectrum_steps: int = floquet.DEFAULT_SPECTRUM_STEPS) -> BranchPoint:
     vmin, vmax = check_orbit(cyc).v_extrema()
-    spec = floquet.spectrum(cyc, fld, nsteps=spectrum_steps)
     return BranchPoint(I=float(I), cycle=cyc, period=float(cyc.period),
-                       v_min=vmin, v_max=vmax, spectrum=spec)
+                       v_min=vmin, v_max=vmax,
+                       spectrum=point_spectrum(cyc, fld, spectrum_steps))
 
 
 def _hopf_end(a: BranchPoint, b: BranchPoint) -> Optional[float]:
@@ -300,8 +336,8 @@ def continue_branch(start: BranchPoint, direction: int,
         if jump > ctrl.max_orbit_jump:
             return "reject"
         pt = BranchPoint(I=float(I_new), cycle=cyc, period=T, v_min=vmin,
-                         v_max=vmax, spectrum=floquet.spectrum(
-                             cyc, field_at(I_new), nsteps=spectrum_steps))
+                         v_max=vmax, spectrum=point_spectrum(
+                             cyc, field_at(I_new), spectrum_steps))
         points.append(pt)
         if pt.amplitude < ctrl.collapse_amplitude:
             d = _hopf_end(points[-2], pt)
@@ -455,12 +491,22 @@ def locate_pd(branch: Branch, ids: Sequence[int],
     points ids, taken in branch order (pd_bracket).
 
     The search parameter is T, which moves one way between neighbouring
-    branch points even where I turns back.  Refinement re-solves the
-    cycle at pinned trial periods, each seeded from the nearer in T of the
-    two branch points that bracket the sign change, and re-evaluates the
-    spectrum.  I* comes from a last solve at the crossing period.
+    branch points even where I turns back.  The points' spectra are read
+    at spectrum_steps, taken again where point_spectrum kept a reduced
+    count.  Refinement re-solves the cycle at pinned trial periods, each
+    seeded from the nearer in T of the two branch points that bracket the
+    sign change, and re-evaluates the spectrum.  I* comes from a last
+    solve at the crossing period.  Fewer than two points raise
+    NoSignChange before any spectrum is taken.
     """
     pts = [branch.points[i] for i in ids]
+    if len(pts) < 2:
+        raise NoSignChange("need at least two sampled spectra")
+    full = floquet.taken_steps(spectrum_steps)
+    samples = [(p.period, p.spectrum if p.spectrum.steps == full
+                else floquet.spectrum(p.cycle, field_at(p.I),
+                                      nsteps=spectrum_steps))
+               for p in pts]
     evidence_rows = []
 
     def solve_at(T, a):
@@ -475,8 +521,7 @@ def locate_pd(branch: Branch, ids: Sequence[int],
              "multipliers": [complex(m) for m in spec.all_multipliers()]})
         return spec
 
-    T_star, a = floquet.detect_crossing(
-        [(p.period, p.spectrum) for p in pts], spectrum_at, tol=PD_TOL)
+    T_star, a = floquet.detect_crossing(samples, spectrum_at, tol=PD_TOL)
     _, I_star = solve_at(T_star, a)
     return BifurcationEvent(
         kind="period_doubling", I_star=float(I_star),

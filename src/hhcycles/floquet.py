@@ -19,6 +19,23 @@ eigenvalues are taken of that product, so a QR accumulation of the factors
 would protect nothing; along a pairwise tree the rounding of a product of
 thousands of factors grows more slowly than along a sequential chain.
 
+The step count is a whole number of steps per subinterval, so a spectrum
+of nsteps takes taken_steps(nsteps) = 16 * max(1, nsteps // 16) steps
+(992 for 1000, 16 for 10) and records that count.  Asked to, a dense
+cycle's spectrum also estimates the RK4 error of each nontrivial
+multiplier, at no extra Jacobian call: the Jacobians at every other node
+of its grid give the monodromy of half as many steps
+(integrate.variational_along).  The nontrivial eigenvalues of the two
+matrices are paired one to one, the trivial one of each set aside, and
+by Richardson extrapolation a multiplier's distance to its partner, over
+2^4 - 1 = 15, estimates its own error (Hairer, Norsett & Wanner, Solving
+ODEs I, sec. II.4).  Were a multiplier matched to the nearest eigenvalue
+instead, one near +1 could match the trivial one, and a large one an
+eigenvalue near 0, so its estimate would stay below the distance it must
+be checked against whatever its error.  The continuation takes its
+branch points' spectra at a quarter of the count where these estimates
+certify the stability label and the sign of det(M + I).
+
 A period doubling is a sign change of prod(mu + 1) over the nontrivial
 multipliers, det(M + I) / 2, refined by the regula falsi of
 newton.bracketed_root; no multiplier is tracked from spectrum to spectrum.
@@ -26,8 +43,9 @@ newton.bracketed_root; no multiplier is tracked from spectrum to spectrum.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,6 +57,9 @@ from .newton import bracketed_root
 
 NEAR_THRESHOLD = 0.05
 SPECTRUM_CHUNKS = 16      # subintervals of the period in the monodromy product
+# a multiplier's distance to its half-count value over this estimates its
+# RK4 error: 2^4 - 1 for a fourth-order method
+RICHARDSON = 15.0
 
 
 @dataclass(frozen=True)
@@ -49,7 +70,11 @@ class FloquetSpectrum:
     descending; the trivial one (the eigenvalue designated as the unit
     multiplier along the flow direction) is kept separately together with
     its deviation from 1.  liouville_error is |log|det M| - integral of
-    trace J| over the period.
+    trace J| over the period.  steps is the RK4 step count the spectrum
+    was taken at (taken_steps), and multiplier_errors the Richardson
+    estimate of each nontrivial multiplier's RK4 error, in the order of
+    multipliers; None unless asked for, and for a sampled cycle or an odd
+    step count per subinterval, where no half-count monodromy exists.
     """
 
     multipliers: np.ndarray   # (dim-1,) complex, |.| descending
@@ -58,29 +83,41 @@ class FloquetSpectrum:
     stability: str            # "stable" | "unstable"
     flags: frozenset
     liouville_error: float
+    steps: int
+    multiplier_errors: Optional[np.ndarray]   # (dim-1,) or None
 
     def all_multipliers(self) -> np.ndarray:
         """Trivial first, then the nontrivial ones in stored order."""
         return np.concatenate([[self.trivial], self.multipliers])
 
 
-def _monodromy_matrix(cycle, field: VectorField, nsteps: int):
-    """Chunk monodromies over SPECTRUM_CHUNKS equal subintervals, plus x(0)
-    and the integral of trace J over the period.
+def taken_steps(nsteps: int) -> int:
+    """The RK4 step count of a spectrum asked for nsteps: a whole number
+    of steps, at least one, in each of the SPECTRUM_CHUNKS subintervals."""
+    return SPECTRUM_CHUNKS * max(1, nsteps // SPECTRUM_CHUNKS)
 
-    Returns (chunks, x0, trace) where chunks[j] maps variations at t_j to
-    t_{j+1}.
+
+def _monodromy_matrix(cycle, field: VectorField, nsteps: int,
+                      half_count: bool = False):
+    """Chunk monodromies over SPECTRUM_CHUNKS equal subintervals, plus x(0),
+    the integral of trace J over the period and, if half_count, the
+    half-count chunks.
+
+    Returns (chunks, x0, trace, half) where chunks[j] maps variations at
+    t_j to t_{j+1}, and half holds the same of half as many steps, or is
+    None (not asked for, a sampled cycle, or no half count:
+    integrate.variational_along).
     """
     T = check_orbit(cycle).period
-    per_chunk = max(1, nsteps // SPECTRUM_CHUNKS)
+    per_chunk = taken_steps(nsteps) // SPECTRUM_CHUNKS
     if cycle.dense:
         # the RK4 half-step times of all chunks: one uniform grid, closed
         # by x(0) again at t = T
         xs = cycle.states_on_grid(2 * SPECTRUM_CHUNKS * per_chunk)
-        chunks, traces = integrate.variational_along(
+        chunks, traces, half = integrate.variational_along(
             field, np.concatenate([xs, xs[:1]]),
-            T / (SPECTRUM_CHUNKS * per_chunk), SPECTRUM_CHUNKS)
-        return chunks, xs[0], float(np.sum(traces))
+            T / (SPECTRUM_CHUNKS * per_chunk), SPECTRUM_CHUNKS, half_count)
+        return chunks, xs[0], float(np.sum(traces)), half
     # sampled cycle: one RK4 pass of the state over the period, the
     # fundamental matrix restarting at each chunk boundary
     x0 = np.asarray(cycle.evaluate_time(0.0), dtype=float)
@@ -88,7 +125,7 @@ def _monodromy_matrix(cycle, field: VectorField, nsteps: int):
     chunks, traces = integrate.variational_of_pass(
         field, integrate.integrate_rk4(field, x0, 0.0, T, h).states, h,
         SPECTRUM_CHUNKS)
-    return chunks, x0, float(np.sum(traces))
+    return chunks, x0, float(np.sum(traces)), None
 
 
 def _designate_trivial(mu: np.ndarray, vecs: np.ndarray,
@@ -111,17 +148,32 @@ def _designate_trivial(mu: np.ndarray, vecs: np.ndarray,
 DEFAULT_SPECTRUM_STEPS = 4000
 
 
+def _paired_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a_i - b_p(i)| for the one-to-one pairing p of a with b of least
+    total distance."""
+    d = np.abs(a[:, None] - b)
+    rows = np.arange(len(a))
+    pairings = np.array(list(itertools.permutations(rows)))
+    return d[rows, pairings[np.argmin(d[rows, pairings].sum(axis=1))]]
+
+
 def spectrum(cycle, field: VectorField,
-             nsteps: int = DEFAULT_SPECTRUM_STEPS) -> FloquetSpectrum:
+             nsteps: int = DEFAULT_SPECTRUM_STEPS, *,
+             estimate: bool = False) -> FloquetSpectrum:
     """Floquet spectrum of a converged cycle (any cycles.PeriodicOrbit).
 
     The eigenvalues are those of the explicit product of the
     SPECTRUM_CHUNKS subinterval monodromies, formed pairwise
-    (integrate.ordered_product) like the step products inside each of them.
+    (integrate.ordered_product) like the step products inside each of them,
+    of taken_steps(nsteps) RK4 steps in all.  With estimate, a dense cycle
+    with an even count of steps per subinterval also gets
+    multiplier_errors, from the half-count monodromy.
     """
-    chunks, x0, trace = _monodromy_matrix(cycle, field, nsteps)
+    chunks, x0, trace, half = _monodromy_matrix(cycle, field, nsteps,
+                                                half_count=estimate)
+    flow_dir = field.f(x0)
     mu, vecs = np.linalg.eig(integrate.ordered_product(chunks))
-    k = _designate_trivial(mu, vecs, field.f(x0))
+    k = _designate_trivial(mu, vecs, flow_dir)
     trivial = complex(mu[k])
     rest = np.delete(mu, k)
     rest = rest[np.argsort(-np.abs(rest))]
@@ -136,10 +188,17 @@ def spectrum(cycle, field: VectorField,
             flags.add("near_torus")
     stability = "stable" if np.all(np.abs(rest) < 1.0) else "unstable"
     liouville = abs(integrate.signed_log_determinant(chunks)[1] - trace)
+    errors = None
+    if half is not None:
+        coarse, cvecs = np.linalg.eig(integrate.ordered_product(half))
+        coarse = np.delete(coarse, _designate_trivial(coarse, cvecs, flow_dir))
+        errors = _paired_distances(rest, coarse) / RICHARDSON
     return FloquetSpectrum(multipliers=rest, trivial=trivial,
                            trivial_error=float(abs(trivial - 1.0)),
                            stability=stability, flags=frozenset(flags),
-                           liouville_error=liouville)
+                           liouville_error=liouville,
+                           steps=taken_steps(nsteps),
+                           multiplier_errors=errors)
 
 
 def _pd_test(spec: FloquetSpectrum) -> float:

@@ -24,10 +24,10 @@ the product of its step matrices, formed in pairwise levels
 pass already run, so a caller can run the pass and form the matrices only
 where it needs them.
 
-The step matrices are formed in three buffers kept for the latest stack
-shape, so the spectra of a continuation, which share one shape, reuse
-the same memory.  No array returned aliases them; the module assumes one
-thread at a time.
+The step matrices are formed in views of three flat buffers, kept while
+each stack fills at least half of them, so the spectra of a continuation
+reuse the same memory, their half-count products included.  No array
+returned aliases them; the module assumes one thread at a time.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import functools
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -202,11 +202,23 @@ def variational_of_pass(field: VectorField, states: np.ndarray, h: float,
     return _step_products(J[:, :, 0], J[:, :, 1], J[:, :, 2], J[:, :, 3], h)
 
 
-# _step_products' three buffers, for the latest stack shape alone: made
-# and freed at every point of a continuation, large arrays let the C
-# allocator return the top of its heap, and each point would fault their
-# pages in again
-_STEP_BUFFERS = {}
+# _step_products' three buffers, flat; a stack is formed in views of their
+# first elements.  Made and freed at every point of a continuation, large
+# arrays let the C allocator return the top of its heap, and each point
+# would fault their pages in again
+_STEP_BUFFERS = []
+
+
+def _buffers(shape) -> list:
+    """Three views of _STEP_BUFFERS of the given shape.  The buffers are
+    made anew for a stack that does not fit them, or fills less than half
+    of them: a spectrum's half-count stack fits the full-count one's, and
+    no smaller stack holds on to the memory of a larger one."""
+    size = math.prod(shape)
+    if not _STEP_BUFFERS or not size <= _STEP_BUFFERS[0].size <= 2 * size:
+        _STEP_BUFFERS.clear()  # free the old set before making the new
+        _STEP_BUFFERS.extend(np.empty(size) for _ in range(3))
+    return [b[:size].reshape(shape) for b in _STEP_BUFFERS]
 
 
 def _step_products(Ja, Jb, Jc, Jd, h: float):
@@ -221,17 +233,14 @@ def _step_products(Ja, Jb, Jc, Jd, h: float):
     (chunks, dim, dim) products Phi_n ... Phi_1 and the (chunks,)
     integrals h/6 sum (tr J_a + 2 tr J_b + 2 tr J_c + tr J_d).
 
-    Phi is built in place on the _STEP_BUFFERS of the stack shape; the
-    returned arrays are new.
+    Phi is built in place in views of the _STEP_BUFFERS; the returned
+    arrays are new.
     """
     dim = Ja.shape[-1]
     # per chunk, the traces summed over its steps
     tr = [np.einsum("cnii->c", Js) for Js in (Ja, Jb, Jc, Jd)]
     traces = h / 6.0 * (tr[0] + 2.0 * tr[1] + 2.0 * tr[2] + tr[3])
-    if Ja.shape not in _STEP_BUFFERS:
-        _STEP_BUFFERS.clear()  # free the old set before making the new
-        _STEP_BUFFERS[Ja.shape] = tuple(np.empty(Ja.shape) for _ in range(3))
-    k, phi, k3 = _STEP_BUFFERS[Ja.shape]
+    k, phi, k3 = _buffers(Ja.shape)
     np.matmul(Jb, Ja, out=k)
     k *= 0.5 * h
     k += Jb                                   # k2
@@ -274,10 +283,12 @@ def ordered_product(stack) -> np.ndarray:
 
 
 def variational_along(field: VectorField, states: np.ndarray, h: float,
-                      chunks: int) -> Tuple[np.ndarray, np.ndarray]:
+                      chunks: int, half_count: bool = False
+                      ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """Fundamental matrices of Ydot = J(x(t)) Y over `chunks` equal
     intervals of n RK4 steps of size h each, Y = I at each interval's start,
-    with x(t) supplied externally.
+    with x(t) supplied externally, and, if half_count, the same of n/2
+    steps of size 2h.
 
     states holds x on the uniform half-step grid t_i = i*h/2 of all the
     intervals, 2*chunks*n + 1 states (the last one closes the last interval).
@@ -285,11 +296,19 @@ def variational_along(field: VectorField, states: np.ndarray, h: float,
     collocation), so the only discretization error is in the variational
     RK4 itself.  The Jacobian at a step's middle serves both midpoint
     stages of _step_products; all (chunks, n) step matrices come from one
-    Jacobian call, and each interval's matrix is their product.  Returns
-    the (chunks, dim, dim) stack and, per interval, the integral of
-    trace J(x(t)) by the composite Simpson rule on the same half-step grid.
-    By the Abel-Jacobi-Liouville identity that integral equals log det Y_j,
-    an independent check on the stack that costs no extra field calls.
+    Jacobian call, and each interval's matrix is their product.  The
+    Jacobians at every other node of the grid are those of the RK4 steps
+    of 2h, so the half-count matrices cost no field call either: their
+    distance to the full-count ones is 15 times the RK4 error of the
+    latter, to leading order (Richardson; Hairer, Norsett & Wanner,
+    Solving ODEs I, sec. II.4).
+
+    Returns the (chunks, dim, dim) stack; per interval, the integral of
+    trace J(x(t)) by the composite Simpson rule on the same half-step
+    grid; and the half-count stack, or None when it was not asked for, n
+    is odd or that stack overflows.  By the Abel-Jacobi-Liouville identity the trace integral
+    equals log det Y_j, an independent check on the stack that costs no
+    extra field calls.
     """
     dim = field.dim
     n, rem = divmod(len(states) - 1, 2 * chunks)
@@ -300,8 +319,18 @@ def variational_along(field: VectorField, states: np.ndarray, h: float,
     # strided views, no copies: start, middle and end of every step
     shape = (chunks, n, dim, dim)
     Jm = J[1::2].reshape(shape)
-    return _step_products(J[0:-1:2].reshape(shape), Jm, Jm,
-                          J[2::2].reshape(shape), h)
+    Y, traces = _step_products(J[0:-1:2].reshape(shape), Jm, Jm,
+                               J[2::2].reshape(shape), h)
+    half = None
+    if half_count and n % 2 == 0:
+        shape = (chunks, n // 2, dim, dim)
+        Jm = J[2::4].reshape(shape)
+        try:
+            half, _ = _step_products(J[0:-1:4].reshape(shape), Jm, Jm,
+                                     J[4::4].reshape(shape), 2.0 * h)
+        except NonFinite:
+            pass   # steps of 2h outside RK4's stability region: no estimate
+    return Y, traces, half
 
 
 def signed_log_determinant(chunks) -> tuple:

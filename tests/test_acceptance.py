@@ -253,6 +253,33 @@ def test_criterion_5_period_doubling(pipeline):
             f"crossing mu={near_m1:.4f}, largest mu={big:.1f}")
 
 
+def test_kept_point_spectra_near_events_match_the_full_count(pipeline):
+    # the three branch points nearest each fold and the doubling, where a
+    # multiplier nears +1 or -1: each spectrum kept at the reduced count
+    # has the label and the sign of det(M + I) of the full-count spectrum
+    pts = _hopf_seeded(pipeline)
+    near = {i for ev in pipeline.events
+            if ev.kind in ("fold", "period_doubling")
+            for i in sorted(range(len(pts)),
+                            key=lambda i: abs(pts[i].I - ev.I_star))[:3]}
+    full_steps = floquet.taken_steps(floquet.DEFAULT_SPECTRUM_STEPS)
+    kept = [pts[i] for i in sorted(near)
+            if pts[i].spectrum.steps < full_steps]
+    worst = 0.0
+    for pt in kept:
+        full = floquet.spectrum(pt.cycle, FAM(pt.I))
+        assert pt.spectrum.stability == full.stability, pt.I
+        assert (np.sign(floquet._pd_test(pt.spectrum))
+                == np.sign(floquet._pd_test(full))), pt.I
+        worst = max(worst, float(np.max(
+            np.abs(pt.spectrum.multipliers - full.multipliers)
+            / np.abs(full.multipliers[0]))))
+    print(f"{len(kept)} of {len(near)} branch points near the folds and the "
+          f"doubling kept reduced spectra; labels and det(M + I) signs match "
+          f"the full count, multipliers within {worst:.2g} of max |mu|")
+    assert len(kept) >= 9
+
+
 def test_criterion_6_harmonic_counts(hopf_pair, cross_solver):
     # clause 1: a two-harmonic solve near the small Hopf point, judged by
     # the differential residual it leaves on a 30-harmonic grid

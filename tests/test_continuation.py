@@ -260,7 +260,7 @@ class FailingCorrector(FoldCorrector):
 def cheap_points(monkeypatch):
     # every branch point gets one fixed spectrum, with no flow of the stub
     monkeypatch.setattr(floquet, "spectrum",
-                        lambda cyc, fld, nsteps=None: make_spec((0.5, 0.1, 0.0)))
+                        lambda *args, **kwargs: make_spec((0.5, 0.1, 0.0)))
 
 
 @pytest.mark.usefixtures("cheap_points")
@@ -309,6 +309,91 @@ class TestArclength:
             ct.continue_branch(self.start(), +1, (-2.0, 2.0),
                                adapter=FailingCorrector(),
                                field_at=lambda I: I)
+
+
+class SampledFoldCycle(FoldCycle):
+    """A FoldCycle known only at samples, as a shooting cycle is."""
+
+    dense = False
+
+
+class TestPointSpectra:
+    """Each branch point's spectrum at a quarter of the step count, kept
+    where its error estimates certify the label and the sign of
+    det(M + I), else taken again at the full count."""
+
+    def spectra(self, monkeypatch, mus, error=1e-3):
+        # a spectrum of the given multipliers at any count, with the given
+        # estimates where asked for; the counts asked for are recorded, and
+        # only the reduced ones may ask for estimates
+        calls = []
+
+        def spectrum(cyc, fld, nsteps, estimate=False):
+            calls.append(nsteps)
+            assert estimate == (nsteps in (992, 224))
+            return make_spec(mus, steps=floquet.taken_steps(nsteps),
+                             error=error if estimate else None)
+        monkeypatch.setattr(floquet, "spectrum", spectrum)
+        return calls
+
+    @pytest.mark.parametrize("steps, reduced", [(4000, 992), (1000, 224)])
+    def test_a_settled_point_takes_one_reduced_spectrum(self, monkeypatch,
+                                                        steps, reduced):
+        calls = self.spectra(monkeypatch, (0.5, 0.1, 0.0))
+        pt = ct.make_point(0.75, FoldCycle(2.5), None, spectrum_steps=steps)
+        assert calls == [reduced] and pt.spectrum.steps == reduced
+
+    def test_every_accepted_point_takes_one_reduced_spectrum(self,
+                                                             monkeypatch):
+        calls = self.spectra(monkeypatch, (0.5, 0.1, 0.0))
+        br = ct.continue_branch(ct.make_point(0.75, FoldCycle(2.5), None),
+                                +1, (-2.0, 2.0),
+                                step_ctrl=ct.StepControl(initial=0.1),
+                                adapter=FoldCorrector(), field_at=lambda I: I)
+        assert len(br.points) > 3 and calls == [992] * len(br.points)
+
+    @pytest.mark.parametrize("mu", [-1.0 + 9e-3, -1.0 - 9e-3, 1.0 + 9e-3,
+                                    1.0 - 9e-3, 0.991j])
+    def test_a_multiplier_within_ten_estimates_is_retaken(self, monkeypatch,
+                                                          mu):
+        # 9 estimates from -1 or from the unit circle: the reduced
+        # spectrum does not certify the label or the sign of det(M + I)
+        calls = self.spectra(monkeypatch, (mu, np.conj(mu), 0.1))
+        pt = ct.make_point(0.75, FoldCycle(2.5), None)
+        assert calls == [992, 4000] and pt.spectrum.steps == 4000
+
+    @pytest.mark.parametrize("mu", [-1.0 + 11e-3, 1.0 - 11e-3, 0.989j])
+    def test_a_multiplier_beyond_ten_estimates_is_kept(self, monkeypatch,
+                                                       mu):
+        calls = self.spectra(monkeypatch, (mu, np.conj(mu), 0.1))
+        assert ct.make_point(0.75, FoldCycle(2.5), None).spectrum.steps == 992
+        assert calls == [992]
+
+    def test_no_estimate_is_no_certificate(self, monkeypatch):
+        calls = self.spectra(monkeypatch, (0.5, 0.1, 0.0), error=None)
+        assert ct.make_point(0.75, FoldCycle(2.5), None).spectrum.steps == 4000
+        assert calls == [992, 4000]
+
+    def test_a_spurious_reduced_spectrum_is_retaken(self, field20,
+                                                    hb_cycle_20):
+        # spectrum_steps 256 leave 64 reduced steps, too few for the fast
+        # gating modes: that spectrum calls the stable I=20 cycle unstable,
+        # with no multiplier near -1 or the unit circle, and its estimates
+        # do not certify it
+        assert floquet.spectrum(hb_cycle_20, field20,
+                                64).stability == "unstable"
+        spec = ct.point_spectrum(hb_cycle_20, field20, 256)
+        assert spec.steps == 256 and spec.stability == "stable"
+
+    @pytest.mark.parametrize("cycle, steps", [(SampledFoldCycle(2.5), 4000),
+                                              (FoldCycle(2.5), 127)])
+    def test_full_count_only(self, monkeypatch, cycle, steps):
+        # a sampled cycle carries no estimate, and 127 steps leave fewer
+        # than two reduced steps per subinterval: one spectrum, at the
+        # full count
+        calls = self.spectra(monkeypatch, (0.5, 0.1, 0.0))
+        ct.make_point(0.75, cycle, None, spectrum_steps=steps)
+        assert calls == [steps]
 
 
 @dataclass(frozen=True)
@@ -736,6 +821,34 @@ class TestLocators:
                           adapter=FoldCorrector())
         assert ev.evidence["period"] == pytest.approx(2.03, abs=1e-9)
         assert ev.I_star == pytest.approx(fold_current(2.03), abs=1e-12)
+
+    def test_pd_reads_full_count_spectra(self, monkeypatch):
+        # the branch points kept reduced spectra that miss the crossing;
+        # locate_pd takes them again at the full count, which shows it,
+        # and keeps those already at the full count
+        def mu(T):
+            return -1.0 + 5.0 * (T - 2.03)
+
+        calls = []
+
+        def spectrum(cyc, fld, nsteps=None):
+            calls.append((cyc.period, nsteps))
+            return make_spec((mu(cyc.period), 0.1, 0.0))
+        monkeypatch.setattr(floquet, "spectrum", spectrum)
+        Ts = [4.0, 3.5, 3.0, 2.8, 2.6, 2.35, 2.06, 1.9, 1.7]
+        Is = [0.5, 0.2, 0.1] + [fold_current(T) for T in Ts[3:]]
+        pts = [fake_point(I, period=T, mus=(-0.5, 0.1, 0.0))
+               for I, T in zip(Is, Ts)]
+        for j in (6, 7):
+            pts[j] = replace(pts[j], spectrum=replace(pts[j].spectrum,
+                                                      steps=992))
+        br = ct.Branch(points=pts, events=[], solver="hb")
+        assert ct.pd_bracket(br) == range(5, 8)
+        ev = ct.locate_pd(br, ct.pd_bracket(br), field_at=lambda I: I,
+                          adapter=FoldCorrector())
+        assert calls[:2] == [(2.06, 4000), (1.9, 4000)]
+        assert all(T != 2.35 for T, _ in calls)
+        assert ev.evidence["period"] == pytest.approx(2.03, abs=1e-9)
 
     def test_pd_refines_a_sign_change_between_branch_neighbours(
             self, monkeypatch):

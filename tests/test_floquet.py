@@ -1,22 +1,28 @@
 """Floquet spectra and unit-circle crossing detection."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from hhcycles import collocation, floquet, integrate
+from hhcycles.cycles import PeriodicOrbit
 from hhcycles.errors import NoSignChange, TrackingLost
-from hhcycles.fields import harmonic_oscillator
+from hhcycles.fields import VectorField, harmonic_oscillator
 from test_collocation import circle_guess, stuart_landau
 
 
-def make_spec(mus, trivial=1.0 + 0j):
+def make_spec(mus, trivial=1.0 + 0j, steps=4000, error=None):
+    """A spectrum of the given multipliers, each with the error estimate
+    error (None: no estimates, as of a sampled cycle)."""
     mus = np.asarray(mus, dtype=complex)
     mus = mus[np.argsort(-np.abs(mus))]
     return floquet.FloquetSpectrum(
         multipliers=mus, trivial=trivial,
         trivial_error=abs(trivial - 1.0),
         stability="stable" if np.all(np.abs(mus) < 1) else "unstable",
-        flags=frozenset(), liouville_error=0.0)
+        flags=frozenset(), liouville_error=0.0, steps=steps,
+        multiplier_errors=None if error is None else np.full(len(mus), error))
 
 
 class TestSpectrum:
@@ -89,6 +95,15 @@ class TestSpectrum:
         finer = floquet.spectrum(stable_cycle_20, field=field20, nsteps=8000)
         assert finer.liouville_error < spec.liouville_error / 10.0
 
+    @pytest.mark.parametrize("asked, taken", [(1000, 992), (4000, 4000),
+                                              (10, 16)])
+    def test_records_the_step_count_it_took(self, field20, hb_cycle_20,
+                                            asked, taken):
+        # a whole number of steps in each of the 16 subintervals, at least
+        # one: floquet.steps 1000 runs 992 steps, and 10 runs 16
+        assert floquet.taken_steps(asked) == taken
+        assert floquet.spectrum(hb_cycle_20, field20, asked).steps == taken
+
     def test_all_multipliers_order(self, field20, stable_cycle_20):
         spec = floquet.spectrum(stable_cycle_20, field=field20)
         allm = spec.all_multipliers()
@@ -98,6 +113,110 @@ class TestSpectrum:
     def test_unknown_cycle_type_rejected(self, field20):
         with pytest.raises(TypeError):
             floquet.spectrum(object(), field20)
+
+
+@dataclass(frozen=True)
+class UnitCircle(PeriodicOrbit):
+    """The stuart_landau cycle in closed form, at z = 0 in three dimensions."""
+
+    period: float = 2 * np.pi
+
+    def evaluate_time(self, t):
+        t = np.asarray(t, dtype=float)
+        return np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=-1)
+
+
+def wobbling_field(multiplier, wobble):
+    """stuart_landau beside zdot = (lam + wobble * x) z.  Along UnitCircle
+    the wobble averages out, so the z multiplier is exp(2*pi*lam), the
+    given one, while its RK4 error grows with the wobble."""
+    lam = np.log(multiplier) / (2 * np.pi)
+    planar = stuart_landau()
+
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        rate = lam + wobble * x[..., :1]
+        return np.concatenate([planar.f(x[..., :2]), rate * x[..., 2:]],
+                              axis=-1)
+
+    def jac(x):
+        x = np.asarray(x, dtype=float)
+        J = np.zeros(x.shape[:-1] + (3, 3))
+        J[..., :2, :2] = planar.jac(x[..., :2])
+        J[..., 2, 0] = wobble * x[..., 2]
+        J[..., 2, 2] = lam + wobble * x[..., 0]
+        return J
+
+    return VectorField(dim=3, f=f, jac=jac, name="wobbling-stuart-landau")
+
+
+class TestErrorEstimate:
+    """Each multiplier's RK4 error, by Richardson extrapolation from the
+    half-count monodromy on the spectrum's own grid, taken where asked
+    for."""
+
+    # multipliers whose error is below this are at the roundoff of the
+    # monodromy, whose entries are of order one: no RK4 error to track
+    ROUNDOFF = 1e-15
+
+    def test_tracks_the_error_of_a_992_step_spectrum(self, field20,
+                                                     hb_cycle_20):
+        ref = floquet.spectrum(hb_cycle_20, field20, 16000)
+        spec = floquet.spectrum(hb_cycle_20, field20, 992, estimate=True)
+        dist = np.abs(spec.multipliers - ref.multipliers)
+        assert dist[0] > 1e-10          # the leading one has RK4 error
+        for est, d in zip(spec.multiplier_errors, dist):
+            assert (max(est, d) < self.ROUNDOFF
+                    or 0.5 * d <= est <= 2.0 * d), (est, d)
+
+    def test_falls_sixteenfold_when_the_count_doubles(self, field20,
+                                                      hb_cycle_20):
+        coarse, fine = (floquet.spectrum(hb_cycle_20, field20, n,
+                                         estimate=True)
+                        .multiplier_errors[0] for n in (992, 1984))
+        assert 12.0 < coarse / fine < 20.0
+
+    def test_a_multiplier_near_one_gets_its_own_error(self):
+        # a z multiplier of 1 - 3e-4, beside the trivial one: 64 steps put
+        # it 4.8e-4 further out, across 1.  Paired with the half count's
+        # trivial multiplier instead of its own, its estimate would be its
+        # distance to 1 over 15, and would certify the wrong label
+        fld = wobbling_field(1.0 - 3e-4, wobble=4.0)
+        ref = floquet.spectrum(UnitCircle(), fld, 16000)
+        spec = floquet.spectrum(UnitCircle(), fld, 64, estimate=True)
+        assert spec.multipliers[0].real > 1.0 > ref.multipliers[0].real
+        d = abs(spec.multipliers[0] - ref.multipliers[0])
+        assert d <= spec.multiplier_errors[0] <= 3.0 * d
+        assert spec.multiplier_errors[0] > abs(spec.multipliers[0] - 1.0)
+
+    def test_a_spurious_multiplier_is_not_certified(self, field20,
+                                                    hb_cycle_20):
+        # at 64 steps the stable I=20 cycle shows a multiplier near -4600:
+        # the fast gating modes leave RK4's stability region.  Each
+        # nontrivial multiplier is paired with a different half-count one,
+        # so one of them carries the error; nearest matching would give
+        # the large one 1/15 of its distance to an eigenvalue near 0
+        spec = floquet.spectrum(hb_cycle_20, field20, 64, estimate=True)
+        mu = spec.multipliers
+        assert abs(mu[0]) > 1e3 and spec.stability == "unstable"
+        room = np.minimum(np.abs(np.abs(mu) - 1.0), np.abs(mu + 1.0))
+        assert np.any(spec.multiplier_errors > room)
+
+    def test_only_a_half_count_gives_an_estimate(self, field20, hb_cycle_20,
+                                                 stable_cycle_20):
+        # a sampled cycle has no grid to halve, nor has an odd count of
+        # steps per subinterval (63 here)
+        sampled = floquet.spectrum(stable_cycle_20, field20, 1000,
+                                   estimate=True)
+        assert sampled.steps == 992 and sampled.multiplier_errors is None
+        assert floquet.spectrum(hb_cycle_20, field20, 16 * 63,
+                                estimate=True).multiplier_errors is None
+
+    def test_none_unless_asked_for(self, field20, hb_cycle_20):
+        # the spectra of hhc cycle, hhc floquet and the event searches
+        # form no half-count product
+        assert floquet.spectrum(hb_cycle_20, field20,
+                                992).multiplier_errors is None
 
 
 def sequential_product(chunks, dtype=float):

@@ -188,19 +188,29 @@ class TestNewtonArrays:
         assert newton.FactorCarry().arrays(30)[0] is not J
         assert carry.arrays(16)[0].shape == (16, 16) and carry.again is None
         assert carry.arrays(30)[0] is not J
-        # the step products keep one set, for the latest stack shape
+        # the step products keep one set of three flat buffers: a stack
+        # that fills at least half of them, such as the half-count one of
+        # a spectrum, is formed in views of them; a larger one, or one
+        # under half their size, replaces them
         rng = np.random.default_rng(3)
 
         def buffers(shape):
             integrate._step_products(*rng.standard_normal((4, *shape)), 0.01)
-            assert list(integrate._STEP_BUFFERS) == [shape]
-            return integrate._STEP_BUFFERS[shape]
+            return list(integrate._STEP_BUFFERS)
 
-        first = buffers((3, 5, 4, 4))
-        assert len(first) == 3 and first[0].shape == (3, 5, 4, 4)
-        assert buffers((3, 5, 4, 4)) is first
-        buffers((2, 5, 4, 4))
-        assert buffers((3, 5, 4, 4))[0] is not first[0]
+        def same(a, b):
+            return all(x is y for x, y in zip(a, b))
+
+        integrate._STEP_BUFFERS.clear()
+        first = buffers((3, 6, 4, 4))
+        assert len(first) == 3 and all(b.shape == (3 * 6 * 16,)
+                                       for b in first)
+        assert same(buffers((3, 6, 4, 4)), first)
+        assert same(buffers((3, 3, 4, 4)), first)
+        grown = buffers((4, 6, 4, 4))
+        assert grown[0] is not first[0] and grown[0].shape == (4 * 6 * 16,)
+        assert same(buffers((3, 6, 4, 4)), grown)
+        assert buffers((3, 2, 4, 4))[0].shape == (3 * 2 * 16,)
 
     def test_solves_on_kept_arrays_match_solves_on_fresh_ones(
             self, field20, stable_cycle_20):

@@ -235,12 +235,13 @@ def test_cli_import_leaves_scipy_sparse_unloaded():
 
 
 # continuation points after the first: K=50 bordered HB solves alone, then
-# each with a 4,000-step spectrum, as on the stable branch; one carry per
-# run holds the Newton arrays, as in a corrector
+# each with its point spectrum (992 steps and the 496-step product of the
+# estimate), as on the stable branch; one carry per run holds the Newton
+# arrays, as in a corrector
 BRANCH_POINTS = """
 import json, resource
 import numpy as np
-from hhcycles import continuation, floquet, hb, newton
+from hhcycles import continuation, hb, newton
 from hhcycles.fields import hh_field
 
 fam = continuation.hh_family()
@@ -256,7 +257,7 @@ for spectra in (False, True):
         cyc, _ = hb.solve_hb_bordered(cyc, I, fam, ops, (0.0, 1.0, I),
                                       1e-10, 40, carry)
         if spectra:
-            floquet.spectrum(cyc, fam(I), 4000)
+            continuation.point_spectrum(cyc, fam(I), 4000)
         faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                       - before)
     runs.append(faults)

@@ -353,13 +353,20 @@ class TestVariationalFlow:
         fld = stuart_landau()
         C, n, h = 4, 400, 1e-3
         states = stuart_landau_transient(np.arange(2 * C * n + 1) * (0.5 * h))
-        Ys, traces = integrate.variational_along(fld, states, h, C)
-        assert Ys.shape == (4, 2, 2) and traces.shape == (4,)
+        Ys, traces, half = integrate.variational_along(fld, states, h, C,
+                                                       half_count=True)
+        assert Ys.shape == half.shape == (4, 2, 2) and traces.shape == (4,)
+        # not asked for, the half-count stack is not formed
+        assert integrate.variational_along(fld, states, h, C)[2] is None
         edges = np.arange(C + 1) * (n * h)
         for j in range(C):
             _, Y_ref = integrate.flow_with_monodromy(
                 fld, stuart_landau_transient(edges[j])[0], n * h, n)
             assert np.allclose(Ys[j], Y_ref, rtol=0.0, atol=1e-10)
+            # the half-count stack: n/2 steps of 2h over the same interval
+            _, Y_half = integrate.flow_with_monodromy(
+                fld, stuart_landau_transient(edges[j])[0], n * h, n // 2)
+            assert np.allclose(half[j], Y_half, rtol=0.0, atol=1e-10)
         # trace J = 2 - 4 r^2 integrates to 2t - 2 log(exp(2t) + 3)
         g = 2.0 * edges - 2.0 * np.log(np.exp(2.0 * edges) + 3.0)
         assert np.allclose(traces, np.diff(g), rtol=0.0, atol=1e-10)
@@ -368,7 +375,7 @@ class TestVariationalFlow:
         fld = harmonic_oscillator(1.0)
         C, n = 4, 500
         h = 2.0 * np.pi / (C * n)
-        Ys, traces = integrate.variational_along(
+        Ys, traces, _ = integrate.variational_along(
             fld, np.zeros((2 * C * n + 1, 2)), h, C)
         for Y in Ys:
             assert np.allclose(Y, sho_fundamental(1.0, n * h), rtol=0.0,
@@ -383,7 +390,7 @@ class TestVariationalFlow:
         h = hb_cycle_20.period / (C * n)
         states = hb_cycle_20.states_on_grid(2 * C * n)
         states = np.concatenate([states, states[:1]])
-        Ys, _ = integrate.variational_along(field20, states, h, C)
+        Ys, _, _ = integrate.variational_along(field20, states, h, C)
         J = field20.jac(states)
         for j in range(C):
             Y = np.eye(4)
@@ -412,15 +419,17 @@ class TestVariationalFlow:
         # which is formed in a kept buffer, so it must come back as a copy
         fld = stuart_landau()
         h = 1e-3
-        first = integrate.variational_along(
-            fld, stuart_landau_transient(np.arange(9) * (0.5 * h)), h, 4)[0]
+        first, _, half = integrate.variational_along(
+            fld, stuart_landau_transient(np.arange(9) * (0.5 * h)), h, 4,
+            half_count=True)
+        assert half is None   # one step per interval has no half count
         kept = first.copy()
         integrate.variational_along(
             fld, stuart_landau_transient(1.0 + np.arange(9) * (0.5 * h)), h,
             4)
         assert np.array_equal(first, kept)
         assert not any(np.shares_memory(first, b)
-                       for b in integrate._STEP_BUFFERS[(4, 1, 2, 2)])
+                       for b in integrate._STEP_BUFFERS)
 
     def test_states_must_tile_whole_steps(self):
         fld = harmonic_oscillator(1.0)
@@ -454,7 +463,7 @@ class TestDeterminants:
 
     def test_trace_integral_constant_matrix(self):
         fld = damped_field(0.25)
-        _, traces = integrate.variational_along(
+        _, traces, _ = integrate.variational_along(
             fld, np.zeros((2 * 2 * 50 + 1, 2)), 0.02, 2)
         assert traces == pytest.approx([-2.0 * 0.25 * 1.0] * 2, rel=1e-12)
 
@@ -462,8 +471,8 @@ class TestDeterminants:
                                                           hb_cycle_20):
         # the full-period determinant here is ~1e-54 and underflows, so the
         # comparison is done chunk-wise in log space
-        chunks, _, trace = floquet._monodromy_matrix(hb_cycle_20, field20,
-                                                     nsteps=4000)
+        chunks, _, trace, _ = floquet._monodromy_matrix(
+            hb_cycle_20, field20, nsteps=4000)
         sign, ld = integrate.signed_log_determinant(chunks)
         assert sign > 0
         assert ld == pytest.approx(trace, rel=1e-3)
